@@ -28,11 +28,9 @@ import numpy as np
 
 from . import simgen
 from .errors import DivergenceError, ParamError, ShapeError, UnmixingError
-from .fusion import fuse_graphs
-from .graph import build_multi_order_graphs, dump_weights_csv
 from .hsi_core import UnmixParams, load_cube, save_abundance_maps, save_cube
 from .metrics import evaluate_model
-from .unmix import SolverConfig, VARIANTS, run_solver
+from .unmix import SolverConfig, VARIANTS, consensus_graph, run_solver
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -203,7 +201,6 @@ def cmd_unmix(
     params: UnmixParams | None = None,
     cube_format: str = "raw-f32",
     dump_wm: bool = False,
-    dump_graphs: bool = False,
 ) -> dict:
     """Unmix a cube and write A/S/E/objective CSVs, PGM maps, manifest."""
     t0 = time.perf_counter()
@@ -239,24 +236,8 @@ def cmd_unmix(
             "fusion_iterations": int(model.fusion.iterations),
         }
         if dump_wm:
-            dump_weights_csv(model.fusion.Wm, out_dir / "Wm.csv")
+            _save_matrix(out_dir / "Wm.csv", W)
             outputs.append("Wm.csv")
-    if dump_graphs and model.fusion is not None:
-        graphs = build_multi_order_graphs(
-            cube,
-            K=params.order,
-            neighbors=params.neighbors,
-            sigma_s=params.sigma_s,
-            sigma_l=params.sigma_l,
-            neighbors_spatial=params.neighbors_spatial,
-            neighbors_spectral=params.neighbors_spectral,
-            normalize=params.order_norm,
-        )
-        for view in graphs.views:
-            for g in view:
-                name = f"W_{g.kind}_{g.order}.csv"
-                dump_weights_csv(g, out_dir / name)
-                outputs.append(name)
 
     manifest = {
         "command": "unmix",
@@ -332,37 +313,24 @@ def cmd_fuse(
     dump_wm: bool = False,
     dump_graphs: bool = False,
 ) -> dict:
-    """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m)."""
+    """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m, graphs)."""
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = params or UnmixParams()
     cube = load_cube(cube_path, format=cube_format)
-    graphs = build_multi_order_graphs(
-        cube,
-        K=params.order,
-        neighbors=params.neighbors,
-        sigma_s=params.sigma_s,
-        sigma_l=params.sigma_l,
-        neighbors_spatial=params.neighbors_spatial,
-        neighbors_spectral=params.neighbors_spectral,
-        normalize=params.order_norm,
-    )
-    state = fuse_graphs(
-        graphs, mu=params.mu, alpha=params.alpha, eps2=params.eps2, t2=params.t2
-    )
+    graphs, state = consensus_graph(cube, params)
     _save_matrix(out_dir / "H.csv", state.H)
     _save_matrix(out_dir / "fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     outputs = ["H.csv", "fusion_objective.csv"]
     if dump_wm:
-        dump_weights_csv(state.Wm, out_dir / "Wm.csv")
+        _save_matrix(out_dir / "Wm.csv", state.Wm.W)
         outputs.append("Wm.csv")
     if dump_graphs:
-        for view in graphs.views:
-            for g in view:
-                name = f"W_{g.kind}_{g.order}.csv"
-                dump_weights_csv(g, out_dir / name)
-                outputs.append(name)
+        for g in graphs.all_graphs():
+            name = f"W_{g.kind}_{g.order}.csv"
+            _save_matrix(out_dir / name, g.W)
+            outputs.append(name)
     manifest = {
         "command": "fuse",
         "config": params.to_dict(),
@@ -687,11 +655,10 @@ def simulate(out_dir, preset, m, snr_db, noiseless, seed, height, width, smoothn
 @click.option("--variant", type=click.Choice(list(VARIANTS)), default="mognmf")
 @click.option("--init", type=click.Choice(["vca_fcls", "random"]), default="vca_fcls")
 @click.option("--dump-wm", is_flag=True, default=False)
-@click.option("--dump-graphs", is_flag=True, default=False)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
-def unmix(cube_path, cube_format, m, variant, init, dump_wm, dump_graphs, out_dir,
-          config_path, **param_kw):
+def unmix(cube_path, cube_format, m, variant, init, dump_wm, out_dir, config_path,
+          **param_kw):
     """Unmix a cube; writes A/S/E/objective CSVs, PGM maps, and a manifest."""
     params = _guarded(_collect_params, config_path, **param_kw)
     manifest = _guarded(
@@ -704,7 +671,6 @@ def unmix(cube_path, cube_format, m, variant, init, dump_wm, dump_graphs, out_di
         params=params,
         cube_format=cube_format,
         dump_wm=dump_wm,
-        dump_graphs=dump_graphs,
     )
     click.echo(
         f"{variant} finished after {manifest['iterations']} iterations, "
@@ -731,7 +697,7 @@ def evaluate(result_dir, truth_dir, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
 def fuse(cube_path, cube_format, dump_wm, dump_graphs, out_dir, config_path, **param_kw):
-    """Learn the consensus graph for a cube and emit H (optionally W_m)."""
+    """Learn the consensus graph for a cube and emit H (optionally W_m and graphs)."""
     params = _guarded(_collect_params, config_path, **param_kw)
     manifest = _guarded(
         cmd_fuse,

@@ -4,14 +4,18 @@ Fuses a stack of per-view, per-order weight matrices W_k^v into one
 consensus graph W_m with a learned weight matrix H (V x K) by
 alternating two exact minimizers:
 
-* W_m <- max(0, sum_vk H_vk W_k^v / (1 + mu))
+* W_m <- sum_vk H_vk W_k^v / (1 + mu)
 * H   <- argmin alpha ||H||_F^2 + <P, H>  over the global simplex,
   where P_vk = ||W_m - W_k^v||_F^2.
 
 The H step has Hessian 2*alpha*I, so its exact solution is the
 Euclidean projection of -P/(2 alpha) onto the probability simplex; no
 generic QP solver is needed.  Because each half-step minimizes a convex
-subproblem exactly, the fusion objective is non-increasing.
+subproblem exactly, the fusion objective is non-increasing.  The
+consensus step needs no max(0, .) projection: the graphs are
+nonnegative and H lies on the simplex, so W_m is already nonnegative.
+The solver reads W_m and its degree vector D_m; the Laplacian
+L_m = diag(D_m) - W_m is implied by them and not stored.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError, ShapeError
-from .graph import LaplacianMatrix, MultiOrderGraphSet, WeightMatrix, laplacian
+from .graph import MultiOrderGraphSet, WeightMatrix
 
 __all__ = [
     "FusionState",
@@ -40,7 +44,6 @@ class FusionState:
     H: np.ndarray  # V x K, >= 0, entries sum to 1
     Wm: WeightMatrix
     Dm: np.ndarray  # degree vector of Wm
-    Lm: LaplacianMatrix
     objective_trace: np.ndarray
     iterations: int = 0
     converged: bool = False
@@ -64,7 +67,7 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
 
 
 def update_consensus(H: np.ndarray, graphs: MultiOrderGraphSet, mu: float) -> np.ndarray:
-    """Closed-form consensus update: max(0, sum H_vk W_k^v / (1 + mu))."""
+    """Closed-form consensus update: sum H_vk W_k^v / (1 + mu)."""
     if mu < 0:
         raise ParamError("mu must be nonnegative")
     H = np.asarray(H, dtype=np.float64)
@@ -76,7 +79,7 @@ def update_consensus(H: np.ndarray, graphs: MultiOrderGraphSet, mu: float) -> np
     for w, g in zip(weights, stack):
         if w != 0.0:
             acc += w * g.W
-    return np.maximum(acc / (1.0 + mu), 0.0)
+    return acc / (1.0 + mu)
 
 
 def compute_residuals(Wm: np.ndarray, graphs: MultiOrderGraphSet) -> np.ndarray:
@@ -118,8 +121,7 @@ def fuse_graphs(
 
     Stops when |L2(j) - L2(j-1)| < eps2 or after t2 sweeps.  The loop is
     evaluated through the Gram matrix of the stacked graphs: with
-    G_ij = <W_i, W_j> and all graphs nonnegative (so the max(0, .) in the
-    consensus step never clips), every residual and objective value is a
+    G_ij = <W_i, W_j>, every residual and objective value is a
     quadratic form in the current weights, which avoids materializing
     W_m each sweep.  The result is identical to the direct alternation.
     """
@@ -167,12 +169,10 @@ def fuse_graphs(
     # materialize the consensus from the last consensus step (the loop
     # ends half a sweep after it, with H freshly updated against it)
     Wm = update_consensus(h_cons.reshape(V, K), graphs, mu)
-    lap = laplacian(Wm)
     return FusionState(
         H=H,
         Wm=WeightMatrix(W=Wm, kind="fused", order=0),
-        Dm=lap.D,
-        Lm=lap,
+        Dm=Wm.sum(axis=1),
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,

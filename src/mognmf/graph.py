@@ -28,7 +28,6 @@ __all__ = [
     "laplacian",
     "laplacian_quadratic",
     "build_multi_order_graphs",
-    "dump_weights_csv",
 ]
 
 VIEWS = ("spatial", "spectral")
@@ -214,9 +213,3 @@ def build_multi_order_graphs(
         views.append(powers)
     k_eff = len(views[0])
     return MultiOrderGraphSet(views=tuple(views), K=k_eff)
-
-
-def dump_weights_csv(W, path) -> None:
-    """Debug dump: N rows of N comma-separated decimals."""
-    M = W.W if isinstance(W, WeightMatrix) else np.asarray(W)
-    np.savetxt(path, M, delimiter=",", fmt="%.17g")

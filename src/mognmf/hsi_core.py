@@ -13,7 +13,7 @@ Shape conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,28 +170,9 @@ class UnmixParams:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        d = {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "order": self.order,
-            "neighbors": self.neighbors,
-            "neighbors_spatial": self.neighbors_spatial,
-            "neighbors_spectral": self.neighbors_spectral,
-            "sigma_s": self.sigma_s,
-            "sigma_l": self.sigma_l,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "t1": self.t1,
-            "t2": self.t2,
-            "seed": self.seed,
-            "gamma_as_written": self.gamma_as_written,
-            "absolute_eps1": self.absolute_eps1,
-            "order_norm": self.order_norm,
-        }
+        """All fields by name, with ``lam`` spelled ``"lambda"``."""
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
         return d
 
     @classmethod
@@ -264,7 +245,6 @@ def _load_raw(path: Path) -> HsiCube:
             f"binary holds {raw.size} floats, header implies {bands * n}"
         )
     data = raw.astype(np.float64).reshape(bands, n)
-    _check_values(data)
     return HsiCube(data=data, height=height, width=width)
 
 
@@ -297,19 +277,7 @@ def _load_csv(path: Path) -> HsiCube:
         except ValueError as exc:
             raise ParseError(f"band {l}: non-numeric entry: {exc}") from exc
     data = np.asarray(rows, dtype=np.float64)
-    _check_values(data)
     return HsiCube(data=data, height=height, width=width)
-
-
-def _check_values(data: np.ndarray) -> None:
-    bad = ~np.isfinite(data)
-    if np.any(bad):
-        l, j = np.argwhere(bad)[0]
-        raise DataError(f"non-finite entry at band {l}, pixel {j}")
-    neg = data < 0
-    if np.any(neg):
-        l, j = np.argwhere(neg)[0]
-        raise DataError(f"negative entry at band {l}, pixel {j}")
 
 
 def save_cube(cube: HsiCube, path, format: str = "raw-f32") -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DataError, DivergenceError, InitError, ParamError
-from .graph import build_multi_order_graphs
+from .graph import MultiOrderGraphSet, build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
 from .hsi_core import HsiCube, UnmixModel, UnmixParams, augment_for_asc
 from .rng import substream
@@ -40,6 +40,7 @@ __all__ = [
     "update_endmembers",
     "update_abundances",
     "update_noise",
+    "consensus_graph",
     "run_solver",
 ]
 
@@ -266,6 +267,31 @@ def update_noise(X, A, S, beta: float) -> np.ndarray:
     return T * scale[:, None]
 
 
+def consensus_graph(
+    cube: HsiCube, params: UnmixParams, orders: list[int] | None = None
+) -> tuple[MultiOrderGraphSet, FusionState]:
+    """Build the multi-order graphs ``params`` describe and fuse them.
+
+    ``orders`` keeps only those orders (single-order variants); powers
+    then run up to the largest of them instead of ``params.order``.
+    """
+    graphs = build_multi_order_graphs(
+        cube,
+        K=params.order if orders is None else max(orders),
+        neighbors=params.neighbors,
+        sigma_s=params.sigma_s,
+        sigma_l=params.sigma_l,
+        neighbors_spatial=params.neighbors_spatial,
+        neighbors_spectral=params.neighbors_spectral,
+        normalize=params.order_norm,
+        orders=orders,
+    )
+    state = fuse_graphs(
+        graphs, mu=params.mu, alpha=params.alpha, eps2=params.eps2, t2=params.t2
+    )
+    return graphs, state
+
+
 def _initialize(cube: HsiCube, M: int, config: SolverConfig):
     p = config.params
     if config.init_endmembers is not None:
@@ -317,23 +343,9 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     Wm = Dm = None
     fusion_state: FusionState | None = None
     if traits.orders is not None and p.lam > 0.0:
-        if traits.orders == "all":
-            K, orders = p.order, None
-        else:
-            orders = list(traits.orders)
-            K = max(orders)
-        graphs = build_multi_order_graphs(
-            cube,
-            K=K,
-            neighbors=p.neighbors,
-            sigma_s=p.sigma_s,
-            sigma_l=p.sigma_l,
-            neighbors_spatial=p.neighbors_spatial,
-            neighbors_spectral=p.neighbors_spectral,
-            normalize=p.order_norm,
-            orders=orders,
-        )
-        fusion_state = fuse_graphs(graphs, mu=p.mu, alpha=p.alpha, eps2=p.eps2, t2=p.t2)
+        orders = None if traits.orders == "all" else list(traits.orders)
+        # only W_m and D_m are kept; the per-order graphs are freed here
+        fusion_state = consensus_graph(cube, p, orders)[1]
         Wm = fusion_state.Wm.W
         Dm = fusion_state.Dm
         lam = p.lam

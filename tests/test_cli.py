@@ -16,7 +16,9 @@ from mognmf.cli import (
     main,
 )
 from mognmf.errors import DivergenceError
-from mognmf.hsi_core import HsiCube, UnmixParams, save_cube
+from mognmf.graph import build_multi_order_graphs
+from mognmf.hsi_core import HsiCube, UnmixParams, load_cube, save_cube
+from mognmf.unmix import SolverConfig, run_solver
 
 
 @pytest.fixture()
@@ -220,7 +222,7 @@ class TestFuse:
         result = runner.invoke(
             main,
             ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4",
-             "--dump-wm", "--out", str(out)],
+             "--dump-wm", "--dump-graphs", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         H = np.atleast_2d(np.loadtxt(out / "H.csv", delimiter=","))
@@ -228,6 +230,17 @@ class TestFuse:
         assert H.sum() == pytest.approx(1.0, abs=1e-9)
         Wm = np.loadtxt(out / "Wm.csv", delimiter=",")
         assert Wm.shape == (36, 36)
+        # the dumped graphs are the ones fusion saw, written losslessly
+        cube = load_cube(scene / "cube.raw")
+        graphs = build_multi_order_graphs(cube, K=3, neighbors=4)
+        for g in graphs.all_graphs():
+            W = np.loadtxt(out / f"W_{g.kind}_{g.order}.csv", delimiter=",")
+            assert W.shape == (36, 36)
+            assert np.array_equal(W, g.W)
+        # fuse and unmix share one params -> graphs -> fusion path
+        model = run_solver(cube, 3, SolverConfig(params=UnmixParams(neighbors=4, t1=1)))
+        assert np.array_equal(H, model.fusion.H)
+        assert np.array_equal(Wm, model.fusion.Wm.W)
 
 
 class TestAblate:

@@ -274,4 +274,3 @@ class TestFuseGraphs:
         assert np.all(a.H >= 0.0)
         assert abs(a.H.sum() - 1.0) <= 1e-10
         assert np.array_equal(a.Dm, a.Wm.W.sum(axis=1))
-        assert np.allclose(a.Lm.L, np.diag(a.Dm) - a.Wm.W, atol=1e-14)

@@ -29,10 +29,13 @@ class TestHsiCube:
         with pytest.raises(ParseError):
             load_cube(path, format="csv")
 
-    def test_negative_entry_reports_location(self, tmp_path):
+    @pytest.mark.parametrize(
+        "entry, problem", [("-4", "negative"), ("nan", "non-finite")], ids=["negative", "nan"]
+    )
+    def test_bad_entry_reports_location(self, tmp_path, entry, problem):
         path = tmp_path / "cube.csv"
-        path.write_text("2,1,3\n0,1,2\n3,-4,5\n")
-        with pytest.raises(DataError, match="band 1, pixel 1"):
+        path.write_text(f"2,1,3\n0,1,2\n3,{entry},5\n")
+        with pytest.raises(DataError, match=f"{problem} value at band 1, pixel 1"):
             load_cube(path, format="csv")
 
     def test_raw_roundtrip_bit_identical(self, tmp_path):
