@@ -16,6 +16,7 @@ The MOGNMF_THREADS environment variable caps sweep parallelism
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -30,7 +31,7 @@ from . import simgen
 from .errors import DivergenceError, ParamError, ShapeError, UnmixingError
 from .hsi_core import UnmixParams, load_cube, save_abundance_maps, save_cube
 from .metrics import evaluate_model
-from .unmix import SolverConfig, VARIANTS, consensus_graph, run_solver
+from .unmix import SolverConfig, VARIANTS, consensus_graph, fused_orders, run_solver
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -90,15 +91,6 @@ def _thread_cap() -> int:
     if value < 1:
         raise ParamError("MOGNMF_THREADS must be >= 1")
     return value
-
-
-def _parse_int_list(text: str) -> list[int]:
-    """Accepts '0..9' ranges and '0,3,7' lists."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _build_params(config_path, **overrides) -> UnmixParams:
@@ -273,14 +265,16 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> dict:
         )
     result_manifest = _read_manifest(result_dir)
     truth_manifest = _read_manifest(truth_dir)
+    config = UnmixParams.from_dict(result_manifest.get("config", {}))
+    orders = fused_orders(result_manifest.get("variant", ""), config.order)
     report = evaluate_model(A_true, S_true, A_est, S_est)
 
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     snr_db = truth_manifest.get("snr_db")
     row = {
         "variant": result_manifest.get("variant", ""),
-        "K": result_manifest.get("config", {}).get("order", ""),
-        "seed": result_manifest.get("config", {}).get("seed", ""),
+        "K": max(orders, default=config.order),
+        "seed": config.seed,
         "snr_db": "" if snr_db is None else snr_db,
         "mean_sad": f"{report.mean_sad:.17g}",
         "rmse": f"{report.rmse:.17g}",
@@ -345,26 +339,35 @@ def cmd_fuse(
     return manifest
 
 
+def _job(cube_path, truth_dir, run_dir, m, variant, init, params, **row) -> dict:
+    """One ablate/sweep run; ``row`` holds extra report columns for its table."""
+    return {
+        "cube_path": cube_path,
+        "truth_dir": truth_dir,
+        "run_dir": run_dir,
+        "m": m,
+        "variant": variant,
+        "init": init,
+        "params": params,
+        "row": row,
+    }
+
+
 def _single_run(job: dict) -> dict:
-    """Unmix + evaluate one configuration; used by ablate and sweep."""
-    params = UnmixParams.from_dict(job["params"])
-    run_dir = Path(job["run_dir"])
+    """Unmix + evaluate one job; returns its report row plus ``job["row"]``."""
+    run_dir = job["run_dir"]
     cmd_unmix(
         job["cube_path"],
         job["m"],
         run_dir,
         variant=job["variant"],
-        init=job.get("init", "vca_fcls"),
-        params=params,
+        init=job["init"],
+        params=job["params"],
     )
     cmd_evaluate(run_dir, job["truth_dir"], run_dir / "eval")
     with open(run_dir / "eval" / "report.csv", newline="") as fh:
         row = next(csv.DictReader(fh))
-    row["case"] = job.get("case", "")
-    row["K"] = str(job.get("k_label", row["K"]))
-    if "lambda" in job:
-        row["lambda"] = f"{job['lambda']:g}"
-        row["beta"] = f"{job['beta']:g}"
+    row.update(job["row"])
     return row
 
 
@@ -396,37 +399,19 @@ def cmd_ablate(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = params or UnmixParams()
+    runs = out_dir / "runs"
     jobs = []
     for seed in seeds:
         seeded = params.replace(seed=seed)
         for case, variant in ABLATION_CASES:
-            k_label = {"IV": 2, "V": 1}.get(case, seeded.order)
             jobs.append(
-                {
-                    "cube_path": str(cube_path),
-                    "truth_dir": str(truth_dir),
-                    "run_dir": str(out_dir / "runs" / f"case{case}_seed{seed}"),
-                    "m": m,
-                    "variant": variant,
-                    "init": init,
-                    "params": seeded.to_dict(),
-                    "case": case,
-                    "k_label": k_label,
-                }
+                _job(cube_path, truth_dir, runs / f"case{case}_seed{seed}", m, variant,
+                     init, seeded, case=case)
             )
         for k in (1, 2):  # K=3 is the Case I row
             jobs.append(
-                {
-                    "cube_path": str(cube_path),
-                    "truth_dir": str(truth_dir),
-                    "run_dir": str(out_dir / "runs" / f"caseI_K{k}_seed{seed}"),
-                    "m": m,
-                    "variant": "mognmf",
-                    "init": init,
-                    "params": seeded.replace(order=k).to_dict(),
-                    "case": "I",
-                    "k_label": k,
-                }
+                _job(cube_path, truth_dir, runs / f"caseI_K{k}_seed{seed}", m, "mognmf",
+                     init, seeded.replace(order=k), case="I")
             )
     rows = _run_jobs(jobs)
 
@@ -522,19 +507,9 @@ def cmd_sweep(
                     for beta in betas:
                         name = f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}"
                         jobs.append(
-                            {
-                                "cube_path": str(scene_dir / "cube.raw"),
-                                "truth_dir": str(scene_dir),
-                                "run_dir": str(out_dir / "runs" / name),
-                                "m": m,
-                                "variant": variant,
-                                "init": init,
-                                "params": params.replace(
-                                    seed=seed, lam=lam, beta=beta
-                                ).to_dict(),
-                                "lambda": lam,
-                                "beta": beta,
-                            }
+                            _job(scene_dir / "cube.raw", scene_dir, out_dir / "runs" / name,
+                                 m, variant, init, params.replace(seed=seed, lam=lam, beta=beta),
+                                 **{"lambda": f"{lam:g}", "beta": f"{beta:g}"})
                         )
     rows = _run_jobs(jobs)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
@@ -563,7 +538,60 @@ def cmd_sweep(
 # click wiring
 
 
+def _int_list(ctx, param, value) -> list[int]:
+    """Accepts '0..9' ranges and '0,3,7' lists."""
+    text = value.strip()
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise click.BadParameter(
+            f"expected a range like 0..9 or a list like 0,3,7, got {value!r}"
+        ) from exc
+
+
+def _float_list(ctx, param, value) -> list[float] | None:
+    if value is None:
+        return None
+    try:
+        return [float(tok) for tok in value.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise click.BadParameter(f"expected a comma list of numbers, got {value!r}") from exc
+
+
+def _reg_grid(ctx, param, value) -> list[float] | None:
+    if value is not None and value.strip() == "grid":
+        return list(REGULARIZATION_GRID)
+    return _float_list(ctx, param, value)
+
+
+def _variant_list(ctx, param, value) -> list[str]:
+    variants = [v.strip() for v in value.split(",") if v.strip()]
+    for v in variants:
+        if v not in VARIANTS:
+            raise click.BadParameter(f"unknown variant {v!r}")
+    return variants
+
+
+def _sigma(ctx, param, value):
+    if value is None or value == "auto":
+        return value
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise click.BadParameter(f'must be a number or "auto", got {value!r}') from exc
+
+
 def _param_options(fn):
+    """Adds --config and one flag per UnmixParams field; ``fn`` receives them as ``params=``."""
+
+    @functools.wraps(fn)
+    def command(config_path, **kw):
+        overrides = {name: kw.pop(name) for name in UnmixParams.__dataclass_fields__}
+        return fn(params=_guarded(_build_params, config_path, **overrides), **kw)
+
     options = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="JSON config file; flags override its values."),
@@ -577,8 +605,8 @@ def _param_options(fn):
         click.option("--c", "neighbors", type=int, default=None, help="k-NN count C"),
         click.option("--c-spatial", "neighbors_spatial", type=int, default=None),
         click.option("--c-spectral", "neighbors_spectral", type=int, default=None),
-        click.option("--sigma-s", type=str, default=None),
-        click.option("--sigma-l", type=str, default=None),
+        click.option("--sigma-s", type=str, default=None, callback=_sigma),
+        click.option("--sigma-l", type=str, default=None, callback=_sigma),
         click.option("--eps1", type=float, default=None),
         click.option("--eps2", type=float, default=None),
         click.option("--t1", type=int, default=None),
@@ -592,23 +620,8 @@ def _param_options(fn):
                      help="Keep raw graph powers (no per-order max normalization)."),
     ]
     for option in reversed(options):
-        fn = option(fn)
-    return fn
-
-
-def _sigma_value(raw):
-    if raw is None or raw == "auto":
-        return raw
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ParamError(f'sigma must be a number or "auto", got {raw!r}') from exc
-
-
-def _collect_params(config_path, **kw) -> UnmixParams:
-    kw["sigma_s"] = _sigma_value(kw.get("sigma_s"))
-    kw["sigma_l"] = _sigma_value(kw.get("sigma_l"))
-    return _build_params(config_path, **kw)
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -628,23 +641,12 @@ def main():
 @click.option("--library", "library_path", type=click.Path(exists=True), default=None)
 @click.option("--bands", type=int, default=100, help="bands for the synthetic library")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-def simulate(out_dir, preset, m, snr_db, noiseless, seed, height, width, smoothness,
-             library_path, bands):
+def simulate(snr_db, noiseless, **kw):
     """Generate a synthetic scene with ground truth."""
-    manifest = _guarded(
-        cmd_simulate,
-        out_dir,
-        preset=preset,
-        m=m,
-        snr_db=None if noiseless else snr_db,
-        seed=seed,
-        height=height,
-        width=width,
-        smoothness=smoothness,
-        library_path=library_path,
-        bands=bands,
+    manifest = _guarded(cmd_simulate, snr_db=None if noiseless else snr_db, **kw)
+    click.echo(
+        f"scene written to {kw['out_dir']} (clamp fraction {manifest['clamp_fraction']:.2e})"
     )
-    click.echo(f"scene written to {out_dir} (clamp fraction {manifest['clamp_fraction']:.2e})")
 
 
 @main.command()
@@ -657,23 +659,11 @@ def simulate(out_dir, preset, m, snr_db, noiseless, seed, height, width, smoothn
 @click.option("--dump-wm", is_flag=True, default=False)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
-def unmix(cube_path, cube_format, m, variant, init, dump_wm, out_dir, config_path,
-          **param_kw):
+def unmix(**kw):
     """Unmix a cube; writes A/S/E/objective CSVs, PGM maps, and a manifest."""
-    params = _guarded(_collect_params, config_path, **param_kw)
-    manifest = _guarded(
-        cmd_unmix,
-        cube_path,
-        m,
-        out_dir,
-        variant=variant,
-        init=init,
-        params=params,
-        cube_format=cube_format,
-        dump_wm=dump_wm,
-    )
+    manifest = _guarded(cmd_unmix, **kw)
     click.echo(
-        f"{variant} finished after {manifest['iterations']} iterations, "
+        f"{kw['variant']} finished after {manifest['iterations']} iterations, "
         f"objective {manifest['final_objective']:.6e}"
     )
 
@@ -682,9 +672,9 @@ def unmix(cube_path, cube_format, m, variant, init, dump_wm, out_dir, config_pat
 @click.option("--result", "result_dir", type=click.Path(exists=True), required=True)
 @click.option("--truth", "truth_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-def evaluate(result_dir, truth_dir, out_dir):
+def evaluate(**kw):
     """Score an unmixing run against ground truth."""
-    manifest = _guarded(cmd_evaluate, result_dir, truth_dir, out_dir)
+    manifest = _guarded(cmd_evaluate, **kw)
     click.echo(f"mean SAD {manifest['mean_sad']:.6f}, RMSE {manifest['rmse']:.6f}")
 
 
@@ -696,18 +686,9 @@ def evaluate(result_dir, truth_dir, out_dir):
 @click.option("--dump-graphs", is_flag=True, default=False)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
-def fuse(cube_path, cube_format, dump_wm, dump_graphs, out_dir, config_path, **param_kw):
+def fuse(**kw):
     """Learn the consensus graph for a cube and emit H (optionally W_m and graphs)."""
-    params = _guarded(_collect_params, config_path, **param_kw)
-    manifest = _guarded(
-        cmd_fuse,
-        cube_path,
-        out_dir,
-        params=params,
-        cube_format=cube_format,
-        dump_wm=dump_wm,
-        dump_graphs=dump_graphs,
-    )
+    manifest = _guarded(cmd_fuse, **kw)
     click.echo(
         f"fusion converged={manifest['fusion_converged']} "
         f"after {manifest['fusion_iterations']} sweeps"
@@ -718,44 +699,26 @@ def fuse(cube_path, cube_format, dump_wm, dump_graphs, out_dir, config_path, **p
 @click.option("--cube", "cube_path", type=click.Path(exists=True), required=True)
 @click.option("--truth", "truth_dir", type=click.Path(exists=True), required=True)
 @click.option("--m", type=int, required=True)
-@click.option("--seeds", type=str, default="0..4", help="e.g. 0..9 or 0,3,7")
+@click.option("--seeds", type=str, default="0..4", callback=_int_list,
+              help="e.g. 0..9 or 0,3,7")
 @click.option("--init", type=click.Choice(["vca_fcls", "random"]), default="vca_fcls")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
-def ablate(cube_path, truth_dir, m, seeds, init, out_dir, config_path, **param_kw):
+def ablate(**kw):
     """Run regularization cases I-V plus the K=1..3 order study."""
-    params = _guarded(_collect_params, config_path, **param_kw)
-    seed_list = _guarded(_parse_int_list, seeds)
-    _guarded(
-        cmd_ablate,
-        cube_path,
-        truth_dir,
-        out_dir,
-        seeds=seed_list,
-        m=m,
-        params=params,
-        init=init,
-    )
-    click.echo(f"ablation table written to {out_dir}")
-
-
-def _parse_reg_grid(text):
-    if text is None:
-        return None
-    if text.strip() == "grid":
-        return list(REGULARIZATION_GRID)
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    _guarded(cmd_ablate, **kw)
+    click.echo(f"ablation table written to {kw['out_dir']}")
 
 
 @main.command()
 @click.option("--preset", type=click.Choice(["simu1", "simu2"]), default="simu1")
 @click.option("--m", type=int, default=4)
-@click.option("--snrs", type=str, default="10,20,30,40")
-@click.option("--seeds", type=str, default="0..4")
-@click.option("--variants", type=str, default="mognmf,nmf,snmf")
-@click.option("--lambdas", type=str, default=None,
+@click.option("--snrs", type=str, default="10,20,30,40", callback=_float_list)
+@click.option("--seeds", type=str, default="0..4", callback=_int_list)
+@click.option("--variants", type=str, default="mognmf,nmf,snmf", callback=_variant_list)
+@click.option("--lambdas", type=str, default=None, callback=_reg_grid,
               help='comma list of lambda values, or "grid" for the 1e-3..1e3 set')
-@click.option("--betas", type=str, default=None,
+@click.option("--betas", type=str, default=None, callback=_reg_grid,
               help='comma list of beta values, or "grid" for the 1e-3..1e3 set')
 @click.option("--init", type=click.Choice(["vca_fcls", "random"]), default="vca_fcls")
 @click.option("--height", type=int, default=64)
@@ -765,34 +728,10 @@ def _parse_reg_grid(text):
 @click.option("--bands", type=int, default=100)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
-def sweep(preset, m, snrs, seeds, variants, lambdas, betas, init, height, width,
-          smoothness, library_path, bands, out_dir, config_path, **param_kw):
+def sweep(**kw):
     """Simulate scenes over an SNR/seed grid and unmix with each variant."""
-    params = _guarded(_collect_params, config_path, **param_kw)
-    variant_list = [v.strip() for v in variants.split(",") if v.strip()]
-    for v in variant_list:
-        if v not in VARIANTS:
-            click.echo(f"error: unknown variant {v!r}", err=True)
-            raise SystemExit(EXIT_VALIDATION)
-    _guarded(
-        cmd_sweep,
-        out_dir,
-        preset=preset,
-        m=m,
-        snrs=[float(s) for s in snrs.split(",")],
-        seeds=_parse_int_list(seeds),
-        variants=variant_list,
-        params=params,
-        init=init,
-        height=height,
-        width=width,
-        smoothness=smoothness,
-        library_path=library_path,
-        bands=bands,
-        lambdas=_parse_reg_grid(lambdas),
-        betas=_parse_reg_grid(betas),
-    )
-    click.echo(f"sweep table written to {out_dir}")
+    _guarded(cmd_sweep, **kw)
+    click.echo(f"sweep table written to {kw['out_dir']}")
 
 
 if __name__ == "__main__":

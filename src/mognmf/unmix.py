@@ -41,6 +41,7 @@ __all__ = [
     "update_abundances",
     "update_noise",
     "consensus_graph",
+    "fused_orders",
     "run_solver",
 ]
 
@@ -55,20 +56,21 @@ _INIT_FLOOR = 1e-8  # lift exact zeros out of multiplicative lock at init
 @dataclass(frozen=True)
 class _Traits:
     sparsity: bool
-    orders: object  # "all", tuple of fixed orders, or None (no graph term)
+    orders: object  # "all", or a tuple of fixed orders (empty: no graph term)
     noise: bool
     asc: bool
 
 
 _VARIANT_TRAITS = {
     "mognmf": _Traits(True, "all", True, True),
-    "nmf": _Traits(False, None, False, False),
-    "snmf": _Traits(True, None, False, True),
+    "nmf": _Traits(False, (), False, False),
+    "snmf": _Traits(True, (), False, True),
     "case_ii": _Traits(True, "all", False, True),
-    "case_iii": _Traits(True, None, False, True),
     "case_iv": _Traits(True, (2,), True, True),
     "case_v": _Traits(True, (1,), True, True),
 }
+# ablation case III (sparsity only) is the snmf model under its case name
+_VARIANT_TRAITS["case_iii"] = _VARIANT_TRAITS["snmf"]
 
 
 @dataclass(frozen=True)
@@ -267,6 +269,17 @@ def update_noise(X, A, S, beta: float) -> np.ndarray:
     return T * scale[:, None]
 
 
+def fused_orders(variant: str, order: int) -> tuple[int, ...]:
+    """Graph orders ``variant`` fuses when the configured graph order is ``order``.
+
+    Empty for the graph-free variants (nmf, snmf, case_iii).
+    """
+    if variant not in VARIANTS:
+        raise ParamError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    orders = _VARIANT_TRAITS[variant].orders
+    return tuple(range(1, order + 1)) if orders == "all" else orders
+
+
 def consensus_graph(
     cube: HsiCube, params: UnmixParams, orders: list[int] | None = None
 ) -> tuple[MultiOrderGraphSet, FusionState]:
@@ -342,10 +355,10 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     lam = 0.0
     Wm = Dm = None
     fusion_state: FusionState | None = None
-    if traits.orders is not None and p.lam > 0.0:
-        orders = None if traits.orders == "all" else list(traits.orders)
+    orders = fused_orders(config.variant, p.order)
+    if orders and p.lam > 0.0:
         # only W_m and D_m are kept; the per-order graphs are freed here
-        fusion_state = consensus_graph(cube, p, orders)[1]
+        fusion_state = consensus_graph(cube, p, list(orders))[1]
         Wm = fusion_state.Wm.W
         Dm = fusion_state.Dm
         lam = p.lam

@@ -202,6 +202,17 @@ class TestEvaluate:
         assert tuple(header) == EVAL_COLUMNS
         assert len(row) == len(EVAL_COLUMNS)
 
+    @pytest.mark.parametrize("variant, k", [("case_iv", "2"), ("case_v", "1"), ("snmf", "3")])
+    def test_k_column_is_largest_fused_order(self, tmp_path, variant, k):
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        run = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 3, run, variant=variant,
+                  params=UnmixParams(t1=3, neighbors=4))
+        cmd_evaluate(run, scene, tmp_path / "eval")
+        with open(tmp_path / "eval" / "report.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["K"] == k
+
     def test_m_mismatch_exits_2(self, runner, tmp_path):
         scene = _tiny_scene_dir(tmp_path)
         run = tmp_path / "run"
@@ -254,11 +265,11 @@ class TestAblate:
         # 5 cases + 2 extra K-study rows, per seed
         assert len(rows) == 2 * 7
         for case in ("I", "II", "III", "IV", "V"):
-            case_rows = [r for r in rows if r["case"] == case]
-            seeds = sorted(r["seed"] for r in case_rows if r["K"] in ("1", "2", "3"))
-            assert len(case_rows) >= 2
+            assert {r["seed"] for r in rows if r["case"] == case} == {"0", "1"}
         k_rows = {r["K"] for r in rows if r["case"] == "I"}
         assert k_rows == {"1", "2", "3"}
+        assert {r["K"] for r in rows if r["case"] == "IV"} == {"2"}
+        assert {r["K"] for r in rows if r["case"] == "V"} == {"1"}
         with open(out / "ablation_summary.csv", newline="") as fh:
             summary = list(csv.DictReader(fh))
         # aggregation equals the hand-average of per-seed rows
@@ -297,3 +308,42 @@ class TestSweep:
              "--out", str(out)],
         )
         assert result.exit_code == 2
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("ablate", "--seeds", "a..b"),
+            ("sweep", "--snrs", "x"),
+            ("sweep", "--seeds", "0..x"),
+            ("sweep", "--lambdas", "foo"),
+            ("sweep", "--variants", "bogus"),
+            ("unmix", "--sigma-s", "wide"),
+        ],
+    )
+    def test_malformed_value_exits_2(self, runner, tmp_path, command, option, value):
+        cube = tmp_path / "cube.raw"
+        cube.write_bytes(b"")
+        required = {
+            "ablate": ["--cube", str(cube), "--truth", str(tmp_path), "--m", "3"],
+            "sweep": [],
+            "unmix": ["--cube", str(cube), "--m", "3"],
+        }[command]
+        args = [command, option, value] + required + ["--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_one_flag_per_param_field_and_help(self, runner):
+        fields = sorted(UnmixParams.__dataclass_fields__)
+        for name in ("unmix", "fuse", "ablate", "sweep"):
+            names = [p.name for p in main.commands[name].params]
+            assert sorted(n for n in names if n in fields) == fields, name
+        assert sorted(main.commands) == [
+            "ablate", "evaluate", "fuse", "simulate", "sweep", "unmix"
+        ]
+        for name in main.commands:
+            result = runner.invoke(main, [name, "--help"])
+            assert result.exit_code == 0, result.output

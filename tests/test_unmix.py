@@ -322,6 +322,18 @@ class TestRunSolver:
         with pytest.raises(ParamError):
             SolverConfig(params=UnmixParams(), variant="bogus")
 
+    def test_case_iii_is_snmf(self):
+        scene = _pure_pixel_scene(seed=10, M=3)
+        params = UnmixParams(seed=1, t1=30)
+        a, b = (
+            run_solver(scene.cube, 3, SolverConfig(params=params, variant=variant))
+            for variant in ("snmf", "case_iii")
+        )
+        assert np.array_equal(a.endmembers, b.endmembers)
+        assert np.array_equal(a.abundances, b.abundances)
+        assert np.array_equal(a.noise, b.noise)
+        assert np.array_equal(a.objective_trace, b.objective_trace)
+
     def test_single_order_variants_use_their_order(self):
         scene = _pure_pixel_scene(seed=9, M=3, L=24, height=8, width=8)
         for variant, order in (("case_iv", 2), ("case_v", 1)):
