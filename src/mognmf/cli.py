@@ -392,7 +392,8 @@ def cmd_ablate(
 
     Cases: I = full model, II = no noise term, III = sparsity only,
     IV = second-order graph only, V = first-order graph only; the order
-    study reruns the full model with K = 1, 2, 3.  Writes per-seed rows
+    study reruns the full model with each K in 1..3 other than the
+    configured one, whose rows are Case I.  Writes per-seed rows
     plus a mean +/- std summary per (case, K).
     """
     t0 = time.perf_counter()
@@ -408,7 +409,7 @@ def cmd_ablate(
                 _job(cube_path, truth_dir, runs / f"case{case}_seed{seed}", m, variant,
                      init, seeded, case=case)
             )
-        for k in (1, 2):  # K=3 is the Case I row
+        for k in sorted({1, 2, 3} - {params.order}):  # the configured K is the Case I row
             jobs.append(
                 _job(cube_path, truth_dir, runs / f"caseI_K{k}_seed{seed}", m, "mognmf",
                      init, seeded.replace(order=k), case="I")
@@ -538,27 +539,39 @@ def cmd_sweep(
 # click wiring
 
 
+def _distinct(values: list, value: str) -> list:
+    """A list option's entries: at least one, none repeated."""
+    if not values:
+        raise click.BadParameter(f"expected at least one entry, got {value!r}")
+    if len(set(values)) != len(values):
+        raise click.BadParameter(f"repeated entry in {value!r}")
+    return values
+
+
 def _int_list(ctx, param, value) -> list[int]:
     """Accepts '0..9' ranges and '0,3,7' lists."""
     text = value.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(
             f"expected a range like 0..9 or a list like 0,3,7, got {value!r}"
         ) from exc
+    return _distinct(values, value)
 
 
 def _float_list(ctx, param, value) -> list[float] | None:
     if value is None:
         return None
     try:
-        return [float(tok) for tok in value.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(f"expected a comma list of numbers, got {value!r}") from exc
+    return _distinct(values, value)
 
 
 def _reg_grid(ctx, param, value) -> list[float] | None:
@@ -572,7 +585,7 @@ def _variant_list(ctx, param, value) -> list[str]:
     for v in variants:
         if v not in VARIANTS:
             raise click.BadParameter(f"unknown variant {v!r}")
-    return variants
+    return _distinct(variants, value)
 
 
 def _sigma(ctx, param, value):

@@ -75,11 +75,15 @@ def update_consensus(H: np.ndarray, graphs: MultiOrderGraphSet, mu: float) -> np
     if H.size != len(stack):
         raise ShapeError("H shape does not match the graph set")
     weights = H.ravel()
-    acc = np.zeros_like(stack[0].W)
-    for w, g in zip(weights, stack):
+    # a zero weight gives +0.0, as adding to a zero-filled start would
+    Wm = weights[0] * stack[0].W
+    for w, g in zip(weights[1:], stack[1:]):
         if w != 0.0:
-            acc += w * g.W
-    return acc / (1.0 + mu)
+            # row blocks keep the w * W temporary at 128 x N
+            for lo in range(0, len(Wm), 128):
+                Wm[lo : lo + 128] += w * g.W[lo : lo + 128]
+    Wm /= 1.0 + mu
+    return Wm
 
 
 def compute_residuals(Wm: np.ndarray, graphs: MultiOrderGraphSet) -> np.ndarray:

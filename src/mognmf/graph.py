@@ -1,9 +1,10 @@
 """Spatial/spectral k-NN heat-kernel graphs, their powers, and Laplacians.
 
-Both views share one recipe: compute pairwise distances (grid Euclidean
-for the spatial view, spectral Euclidean between pixel columns for the
-spectral view), keep each pixel's C nearest neighbors, weight retained
-edges with exp(-d^2 / (2 sigma^2)), and symmetrize by elementwise max.
+Both views share one recipe over a matrix of point columns (grid
+coordinates for the spatial view, spectra for the spectral view):
+Euclidean distances, each pixel's C nearest neighbors with ties going to
+the lower index, edges weighted by exp(-d^2 / (2 sigma^2)), and
+symmetrization by elementwise max.
 Order-k graphs are plain matrix powers of the order-1 graph; powers of
 order >= 2 are divided by their maximum entry so all orders live on a
 comparable scale before fusion (raw powers grow without bound).
@@ -51,10 +52,6 @@ class WeightMatrix:
             raise DataError("weight matrix must be symmetric")
         object.__setattr__(self, "W", W)
 
-    @property
-    def n(self) -> int:
-        return self.W.shape[0]
-
 
 @dataclass(frozen=True)
 class MultiOrderGraphSet:
@@ -71,10 +68,6 @@ class MultiOrderGraphSet:
     def view_count(self) -> int:
         return len(self.views)
 
-    @property
-    def n(self) -> int:
-        return self.views[0][0].n
-
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
@@ -88,23 +81,35 @@ class LaplacianMatrix:
         object.__setattr__(self, "D", np.asarray(self.D, dtype=np.float64))
 
 
-def _knn_heat_kernel(dist: np.ndarray, sigma, neighbors: int) -> tuple[np.ndarray, float]:
-    """Sparse-pattern heat kernel from a full distance matrix.
+def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[np.ndarray, float]:
+    """Heat-kernel k-NN graph over the Euclidean distance between columns of ``points``.
 
-    Keeps each node's `neighbors` nearest others (stable tie order),
-    resolves sigma="auto" to the median retained distance, and
+    Keeps each node's `neighbors` nearest others (ties go to the lower
+    index), resolves sigma="auto" to the median retained distance, and
     symmetrizes by elementwise max.  Returns (W, sigma_used).
     """
-    n = dist.shape[0]
+    n = points.shape[1]
     if n < 2:
         raise ParamError("graph construction needs at least 2 pixels")
     if neighbors >= n:
         raise ParamError(f"neighbor count C={neighbors} must be < N={n}")
-    d = dist.copy()
+    # one N x N buffer holds the distances and then the weights; on
+    # integer grid coordinates every term below is an exact integer
+    sq = np.sum(points**2, axis=0)
+    gram = points.T @ points
+    d = sq[:, None] + sq[None, :]
+    gram *= 2.0
+    d -= gram
+    del gram
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, np.inf)
-    idx = np.argsort(d, axis=1, kind="stable")[:, :neighbors]
+    # row blocks bound the int64 argsort buffer to 128 x N
+    cols = np.empty((n, neighbors), dtype=np.intp)
+    for lo in range(0, n, 128):
+        cols[lo : lo + 128] = np.argsort(d[lo : lo + 128], axis=1, kind="stable")[:, :neighbors]
     rows = np.repeat(np.arange(n), neighbors)
-    cols = idx.ravel()
+    cols = cols.ravel()
     retained = d[rows, cols]
     if isinstance(sigma, str):
         if sigma != "auto":
@@ -113,32 +118,25 @@ def _knn_heat_kernel(dist: np.ndarray, sigma, neighbors: int) -> tuple[np.ndarra
         sigma = med if med > 0 else 1.0
     elif sigma <= 0:
         raise ParamError("sigma must be positive")
-    W = np.zeros((n, n))
-    W[rows, cols] = np.exp(-(retained**2) / (2.0 * sigma**2))
-    W = np.maximum(W, W.T)
-    np.fill_diagonal(W, 0.0)
+    w = np.exp(-(retained**2) / (2.0 * sigma**2))
+    W = d
+    W.fill(0.0)
+    W[rows, cols] = w
+    # each (row, col) pair occurs once, so this is max(W, W.T)
+    W[cols, rows] = np.maximum(W[cols, rows], w)
     return W, float(sigma)
 
 
 def spatial_weights(cube: HsiCube, sigma_s="auto", neighbors: int = 10) -> WeightMatrix:
     """Heat-kernel affinity over Euclidean grid distance between pixels."""
-    u, v = np.divmod(np.arange(cube.pixel_count), cube.width)
-    u = u.astype(np.float64)
-    v = v.astype(np.float64)
-    d2 = (u[:, None] - u[None, :]) ** 2
-    d2 += (v[:, None] - v[None, :]) ** 2
-    W, _ = _knn_heat_kernel(np.sqrt(d2, out=d2), sigma_s, neighbors)
+    grid = np.divmod(np.arange(cube.pixel_count), cube.width)
+    W, _ = _knn_heat_kernel(np.array(grid, dtype=np.float64), sigma_s, neighbors)
     return WeightMatrix(W=W, kind="spatial", order=1)
 
 
 def spectral_weights(cube: HsiCube, sigma_l="auto", neighbors: int = 10) -> WeightMatrix:
     """Heat-kernel affinity over Euclidean distance between pixel spectra."""
-    X = cube.data
-    sq = np.sum(X**2, axis=0)
-    gram = X.T @ X
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-    dist = np.sqrt(d2)
-    W, _ = _knn_heat_kernel(dist, sigma_l, neighbors)
+    W, _ = _knn_heat_kernel(cube.data, sigma_l, neighbors)
     return WeightMatrix(W=W, kind="spectral", order=1)
 
 

@@ -78,8 +78,7 @@ class SolverConfig:
     """Variant selection plus all scalar parameters.
 
     ``init_endmembers``/``init_abundances`` give an explicit warm start
-    (used by tests and sweeps); when set they take precedence over
-    ``init``.
+    (used by tests); when set they take precedence over ``init``.
     """
 
     params: UnmixParams

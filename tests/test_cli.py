@@ -279,6 +279,17 @@ class TestAblate:
             assert float(srow["mean_sad_mean"]) == pytest.approx(np.mean(sads), rel=1e-12)
             assert int(srow["n_seeds"]) == len(grp)
 
+    def test_order_study_covers_every_k_once(self, tmp_path):
+        # with K=2 configured, Case I is the K=2 row and the study adds K=1 and K=3
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        out = tmp_path / "ablation"
+        params = UnmixParams(t1=5, neighbors=4, order=2)
+        cmd_ablate(scene / "cube.raw", scene, out, seeds=[0], m=3, params=params)
+        with open(out / "ablation_summary.csv", newline="") as fh:
+            case_i = [r for r in csv.DictReader(fh) if r["case"] == "I"]
+        assert sorted(r["K"] for r in case_i) == ["1", "2", "3"]
+        assert all(r["n_seeds"] == "1" for r in case_i)
+
 
 class TestSweep:
     def test_sweep_table(self, runner, tmp_path, monkeypatch):
@@ -320,6 +331,13 @@ class TestOptions:
             ("sweep", "--lambdas", "foo"),
             ("sweep", "--variants", "bogus"),
             ("unmix", "--sigma-s", "wide"),
+            ("sweep", "--variants", ","),
+            ("sweep", "--snrs", ","),
+            ("sweep", "--lambdas", ","),
+            ("ablate", "--seeds", ","),
+            ("ablate", "--seeds", "3..1"),
+            ("ablate", "--seeds", "0,0"),
+            ("sweep", "--variants", "nmf,nmf"),
         ],
     )
     def test_malformed_value_exits_2(self, runner, tmp_path, command, option, value):

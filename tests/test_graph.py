@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from mognmf.graph import (
     spatial_weights,
     spectral_weights,
 )
-from mognmf.hsi_core import HsiCube
+from mognmf.hsi_core import HsiCube, UnmixParams
+from mognmf.unmix import consensus_graph
 
 
 def _random_cube(rng, height, width, bands=6):
@@ -34,6 +37,28 @@ def _naive_power(W, k):
                 nxt[i, j] = acc
         out = nxt
     return out
+
+
+def _knn_oracle(points, neighbors):
+    """Brute-force k-NN heat kernel with sigma="auto": each row keeps its
+    nearest others sorted by (distance, index), then W = max(W, W.T)."""
+    n = points.shape[1]
+    edges = []
+    for i in range(n):
+        ranked = sorted(
+            (float(np.sqrt(np.sum((points[:, i] - points[:, j]) ** 2))), j)
+            for j in range(n)
+            if j != i
+        )
+        edges.extend((i, j, dist) for dist, j in ranked[:neighbors])
+    retained = np.array([dist for _, _, dist in edges])
+    sigma = float(np.median(retained))
+    weights = np.exp(-(retained**2) / (2.0 * sigma**2))
+    W = np.zeros((n, n))
+    for (i, j, _), w in zip(edges, weights):
+        W[i, j] = max(W[i, j], w)
+        W[j, i] = max(W[j, i], w)
+    return W
 
 
 class TestHeatKernelGraphs:
@@ -96,6 +121,27 @@ class TestHeatKernelGraphs:
         cube = HsiCube(data=np.ones((2, 4)), height=2, width=2)
         with pytest.raises(ParamError):
             spatial_weights(cube, sigma_s=1.0, neighbors=4)
+
+
+    @pytest.mark.parametrize("neighbors", [6, 10])
+    def test_spatial_ties_match_oracle(self, neighbors):
+        # a grid has 4-way ties (e.g. at distance 2); ties go to the lower index
+        cube = HsiCube(data=np.ones((2, 30)), height=5, width=6)
+        grid = np.array(np.divmod(np.arange(30), 6), dtype=np.float64)
+        w = spatial_weights(cube, neighbors=neighbors).W
+        assert np.array_equal(w, _knn_oracle(grid, neighbors))
+
+    @pytest.mark.parametrize("neighbors", [4, 8])
+    def test_spectral_ties_match_oracle(self, neighbors):
+        # quarter-step values and duplicated pixels give many exact ties
+        rng = np.random.default_rng(12)
+        data = rng.integers(0, 4, size=(3, 30)) / 4.0
+        data[:, 15:] = data[:, :15]
+        cube = HsiCube(data=data, height=5, width=6)
+        w = spectral_weights(cube, neighbors=neighbors).W
+        oracle = _knn_oracle(data, neighbors)
+        assert np.array_equal(w != 0, oracle != 0)
+        assert np.allclose(w, oracle, rtol=0.0, atol=1e-12)
 
 
 class TestGraphPowers:
@@ -237,3 +283,23 @@ class TestMultiOrderBuild:
         # row degree (nonzero count) reflects the per-view neighbor budget
         assert np.count_nonzero(w_spa[0]) <= 2 * 2
         assert np.count_nonzero(w_spe[0]) >= 5
+
+
+def _peak_in_n2_doubles(fn, *args, **kwargs):
+    """Peak traced allocation of fn(*args, **kwargs) in units of N x N doubles."""
+    n = args[0].pixel_count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return (tracemalloc.get_traced_memory()[1] - base) / (n * n * 8)
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_graph_build_and_fusion_peaks(self):
+        # six per-order graphs plus W_m are the dense floor (7 N^2)
+        cube = _random_cube(np.random.default_rng(13), 24, 24, bands=20)
+        assert _peak_in_n2_doubles(consensus_graph, cube, UnmixParams(neighbors=4)) < 7.5
+        assert _peak_in_n2_doubles(spectral_weights, cube, neighbors=4) < 4.0
