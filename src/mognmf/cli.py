@@ -222,13 +222,14 @@ def cmd_unmix(
             "min": float(W.min()),
             "max": float(W.max()),
             "mean": float(W.mean()),
-            "frobenius": float(np.linalg.norm(W)),
+            "frobenius": float(np.linalg.norm(W.data)),
+            "nnz": int(W.nnz),
             "degree_min": float(model.fusion.Dm.min()),
             "degree_max": float(model.fusion.Dm.max()),
             "fusion_iterations": int(model.fusion.iterations),
         }
         if dump_wm:
-            _save_matrix(out_dir / "Wm.csv", W)
+            _save_matrix(out_dir / "Wm.csv", W.toarray())
             outputs.append("Wm.csv")
 
     manifest = {
@@ -318,12 +319,12 @@ def cmd_fuse(
     _save_matrix(out_dir / "fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     outputs = ["H.csv", "fusion_objective.csv"]
     if dump_wm:
-        _save_matrix(out_dir / "Wm.csv", state.Wm.W)
+        _save_matrix(out_dir / "Wm.csv", state.Wm.W.toarray())
         outputs.append("Wm.csv")
     if dump_graphs:
         for g in graphs.all_graphs():
             name = f"W_{g.kind}_{g.order}.csv"
-            _save_matrix(out_dir / name, g.W)
+            _save_matrix(out_dir / name, g.W.toarray())
             outputs.append(name)
     manifest = {
         "command": "fuse",
@@ -571,7 +572,10 @@ def _float_list(ctx, param, value) -> list[float] | None:
         values = [float(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(f"expected a comma list of numbers, got {value!r}") from exc
-    return _distinct(values, value)
+    # sweep run directories are named by f"{value:g}"
+    if len({f"{v:g}" for v in _distinct(values, value)}) != len(values):
+        raise click.BadParameter(f"entries of {value!r} print alike in run names")
+    return values
 
 
 def _reg_grid(ctx, param, value) -> list[float] | None:

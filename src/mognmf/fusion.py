@@ -16,6 +16,10 @@ consensus step needs no max(0, .) projection: the graphs are
 nonnegative and H lies on the simplex, so W_m is already nonnegative.
 The solver reads W_m and its degree vector D_m; the Laplacian
 L_m = diag(D_m) - W_m is implied by them and not stored.
+
+All graphs, W_m included, are CSR arrays: the consensus is a sparse
+sum whose pattern is the union of the fused graphs, the Gram entries
+<W_i, W_j> are sums over the common nonzeros, and D_m is a 1-D vector.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParamError, ShapeError
 from .graph import MultiOrderGraphSet, WeightMatrix
@@ -66,36 +71,33 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y + tau, 0.0)
 
 
-def update_consensus(H: np.ndarray, graphs: MultiOrderGraphSet, mu: float) -> np.ndarray:
-    """Closed-form consensus update: sum H_vk W_k^v / (1 + mu)."""
+def update_consensus(H: np.ndarray, graphs: MultiOrderGraphSet, mu: float) -> sp.csr_array:
+    """Closed-form consensus update: sum H_vk W_k^v / (1 + mu), as CSR."""
     if mu < 0:
         raise ParamError("mu must be nonnegative")
     H = np.asarray(H, dtype=np.float64)
     stack = graphs.all_graphs()
     if H.size != len(stack):
         raise ShapeError("H shape does not match the graph set")
-    weights = H.ravel()
-    # a zero weight gives +0.0, as adding to a zero-filled start would
-    Wm = weights[0] * stack[0].W
-    for w, g in zip(weights[1:], stack[1:]):
+    Wm = sp.csr_array(stack[0].W.shape)
+    for w, g in zip(H.ravel(), stack):
         if w != 0.0:
-            # row blocks keep the w * W temporary at 128 x N
-            for lo in range(0, len(Wm), 128):
-                Wm[lo : lo + 128] += w * g.W[lo : lo + 128]
-    Wm /= 1.0 + mu
+            Wm = Wm + w * g.W
+    # divide the stored entries (a sparse "/ x" multiplies by 1 / x)
+    Wm.data /= 1.0 + mu
     return Wm
 
 
-def compute_residuals(Wm: np.ndarray, graphs: MultiOrderGraphSet) -> np.ndarray:
-    """P_vk = ||W_m - W_k^v||_F^2 as a V x K matrix."""
-    Wm = np.asarray(Wm, dtype=np.float64)
+def compute_residuals(Wm, graphs: MultiOrderGraphSet) -> np.ndarray:
+    """P_vk = ||W_m - W_k^v||_F^2 as a V x K matrix (W_m sparse or dense)."""
+    Wm = sp.csr_array(Wm, dtype=np.float64)
     out = np.empty((graphs.view_count, graphs.K))
     for v, view in enumerate(graphs.views):
         for k, g in enumerate(view):
             if g.W.shape != Wm.shape:
                 raise ShapeError("consensus and view graphs differ in size")
-            diff = Wm - g.W
-            out[v, k] = float(np.vdot(diff, diff))
+            diff = (Wm - g.W).data
+            out[v, k] = float(np.dot(diff, diff))
     return out
 
 
@@ -139,11 +141,10 @@ def fuse_graphs(
     m = len(stack)
     if m == 0:
         raise ShapeError("empty graph set")
-    flat = [g.W.ravel() for g in stack]
     gram = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            gram[i, j] = gram[j, i] = float(np.dot(flat[i], flat[j]))
+            gram[i, j] = gram[j, i] = float(stack[i].W.multiply(stack[j].W).sum())
     norms_sq = np.diag(gram).copy()
 
     V, K = graphs.view_count, graphs.K

@@ -8,6 +8,12 @@ symmetrization by elementwise max.
 Order-k graphs are plain matrix powers of the order-1 graph; powers of
 order >= 2 are divided by their maximum entry so all orders live on a
 comparable scale before fusion (raw powers grow without bound).
+
+Every graph is a scipy CSR array, so memory is O(nnz): a k-NN graph
+has about C*N nonzeros, and its powers stay far from dense at the
+orders fused (the order-3 spectral power of a 64x64 scene is 16%
+dense).  The distances are computed over blocks of rows and never
+held as one N x N array.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError, ParamError, ShapeError
 from .hsi_core import HsiCube
@@ -32,23 +39,27 @@ __all__ = [
 ]
 
 VIEWS = ("spatial", "spectral")
+_BLOCK = 128  # rows of the distance matrix held at once
 
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric nonnegative affinity matrix tagged with view and order."""
+    """Symmetric nonnegative affinity matrix tagged with view and order.
 
-    W: np.ndarray
+    ``W`` is stored as a CSR array; dense input is converted.
+    """
+
+    W: sp.csr_array
     kind: str  # spatial | spectral | fused
     order: int = 1
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=np.float64)
+        W = sp.csr_array(self.W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ShapeError("weight matrix must be square")
-        if np.any(W < 0):
+        if np.any(W.data < 0):
             raise DataError("weight matrix must be nonnegative")
-        if not np.array_equal(W, W.T):
+        if (W != W.T).nnz:
             raise DataError("weight matrix must be symmetric")
         object.__setattr__(self, "W", W)
 
@@ -71,17 +82,17 @@ class MultiOrderGraphSet:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """L = diag(D) - W with D the row sums of W."""
+    """L = diag(D) - W (CSR) with D the row sums of W."""
 
-    L: np.ndarray
+    L: sp.csr_array
     D: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "L", np.asarray(self.L, dtype=np.float64))
+        object.__setattr__(self, "L", sp.csr_array(self.L, dtype=np.float64))
         object.__setattr__(self, "D", np.asarray(self.D, dtype=np.float64))
 
 
-def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[np.ndarray, float]:
+def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[sp.csr_array, float]:
     """Heat-kernel k-NN graph over the Euclidean distance between columns of ``points``.
 
     Keeps each node's `neighbors` nearest others (ties go to the lower
@@ -93,24 +104,34 @@ def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[np.ndar
         raise ParamError("graph construction needs at least 2 pixels")
     if neighbors >= n:
         raise ParamError(f"neighbor count C={neighbors} must be < N={n}")
-    # one N x N buffer holds the distances and then the weights; on
-    # integer grid coordinates every term below is an exact integer
     sq = np.sum(points**2, axis=0)
-    gram = points.T @ points
-    d = sq[:, None] + sq[None, :]
-    gram *= 2.0
-    d -= gram
-    del gram
-    np.maximum(d, 0.0, out=d)
-    np.sqrt(d, out=d)
-    np.fill_diagonal(d, np.inf)
-    # row blocks bound the int64 argsort buffer to 128 x N
-    cols = np.empty((n, neighbors), dtype=np.intp)
-    for lo in range(0, n, 128):
-        cols[lo : lo + 128] = np.argsort(d[lo : lo + 128], axis=1, kind="stable")[:, :neighbors]
-    rows = np.repeat(np.arange(n), neighbors)
-    cols = cols.ravel()
-    retained = d[rows, cols]
+    rows, cols, retained = [], [], []
+    # the last block takes the remainder: a BLAS product over fewer rows
+    # can round differently from the whole-matrix product
+    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        # on integer grid coordinates every term below is an exact integer
+        gram = points[:, lo:hi].T @ points
+        d = sq[lo:hi, None] + sq[None, :]
+        gram *= 2.0
+        d -= gram
+        del gram
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        # candidates: every entry within the row's C-th smallest distance;
+        # ordered by (row, distance, column), each row keeps its first C
+        kth = np.partition(d, neighbors - 1, axis=1)[:, neighbors - 1]
+        r, c = np.nonzero(d <= kth[:, None])
+        dist = d[r, c]
+        order = np.lexsort((c, dist, r))
+        counts = np.bincount(r, minlength=hi - lo)
+        first = np.cumsum(counts) - counts
+        keep = order[(first[:, None] + np.arange(neighbors)).ravel()]
+        rows.append(r[keep] + lo)
+        cols.append(c[keep])
+        retained.append(dist[keep])
+    rows, cols, retained = (np.concatenate(a) for a in (rows, cols, retained))
     if isinstance(sigma, str):
         if sigma != "auto":
             raise ParamError(f'sigma must be positive or "auto", got {sigma!r}')
@@ -119,12 +140,8 @@ def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[np.ndar
     elif sigma <= 0:
         raise ParamError("sigma must be positive")
     w = np.exp(-(retained**2) / (2.0 * sigma**2))
-    W = d
-    W.fill(0.0)
-    W[rows, cols] = w
-    # each (row, col) pair occurs once, so this is max(W, W.T)
-    W[cols, rows] = np.maximum(W[cols, rows], w)
-    return W, float(sigma)
+    W = sp.csr_array((w, (rows, cols)), shape=(n, n))
+    return W.maximum(W.T), float(sigma)
 
 
 def spatial_weights(cube: HsiCube, sigma_s="auto", neighbors: int = 10) -> WeightMatrix:
@@ -153,24 +170,26 @@ def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[Weight
     Wk = W.W
     for k in range(2, K + 1):
         Wk = Wk @ W.W
-        Wk = 0.5 * (Wk + Wk.T)  # gemm rounding can break exact symmetry
+        Wk = 0.5 * (Wk + Wk.T)  # product rounding can break exact symmetry
         scaled = Wk
         if normalize:
             peak = Wk.max()
             if peak > 0:
-                scaled = Wk / peak
+                # divide the stored entries (a sparse "/ peak" multiplies
+                # by the reciprocal, which rounds differently)
+                scaled = Wk.copy()
+                scaled.data /= peak
         out.append(WeightMatrix(W=scaled, kind=W.kind, order=k))
     return out
 
 
 def laplacian(W) -> LaplacianMatrix:
-    """Degree vector and combinatorial Laplacian of a weight matrix."""
-    M = W.W if isinstance(W, WeightMatrix) else np.asarray(W, dtype=np.float64)
+    """Degree vector and combinatorial Laplacian (CSR) of a weight matrix."""
+    M = W.W if isinstance(W, WeightMatrix) else sp.csr_array(W, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError("laplacian expects a square matrix")
     D = M.sum(axis=1)
-    L = np.diag(D) - M
-    return LaplacianMatrix(L=L, D=D)
+    return LaplacianMatrix(L=(sp.diags_array(D) - M).tocsr(), D=D)
 
 
 def laplacian_quadratic(S: np.ndarray, lap: LaplacianMatrix) -> float:

@@ -231,8 +231,8 @@ def update_abundances(
 ) -> np.ndarray:
     """One multiplicative step on the abundance matrix.
 
-    ``Wm``/``Dm`` are the consensus weight matrix and its degree vector;
-    they are required when lam != 0.  Entries of S below 1e-10 are
+    ``Wm``/``Dm`` are the consensus weight matrix (CSR) and its degree
+    vector; they are required when lam != 0.  Entries of S below 1e-10 are
     floored before the S^(-1/2) term so the update stays finite.
     """
     S = np.asarray(S, dtype=np.float64)

@@ -110,8 +110,10 @@ class TestUnmix:
         assert result.exit_code == 0, result.output
         assert (out / "H.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["wm_stats"] is not None
-        assert manifest["wm_stats"]["max"] > 0
+        stats = manifest["wm_stats"]
+        assert stats is not None
+        assert stats["max"] > 0
+        assert 0 < stats["nnz"] <= 36 * 36
 
     def test_missing_cube_exits_2(self, runner, tmp_path):
         result = runner.invoke(
@@ -247,11 +249,11 @@ class TestFuse:
         for g in graphs.all_graphs():
             W = np.loadtxt(out / f"W_{g.kind}_{g.order}.csv", delimiter=",")
             assert W.shape == (36, 36)
-            assert np.array_equal(W, g.W)
+            assert np.array_equal(W, g.W.toarray())
         # fuse and unmix share one params -> graphs -> fusion path
         model = run_solver(cube, 3, SolverConfig(params=UnmixParams(neighbors=4, t1=1)))
         assert np.array_equal(H, model.fusion.H)
-        assert np.array_equal(Wm, model.fusion.Wm.W)
+        assert np.array_equal(Wm, model.fusion.Wm.W.toarray())
 
 
 class TestAblate:
@@ -338,6 +340,8 @@ class TestOptions:
             ("ablate", "--seeds", "3..1"),
             ("ablate", "--seeds", "0,0"),
             ("sweep", "--variants", "nmf,nmf"),
+            ("sweep", "--lambdas", "0.1,0.1000001"),
+            ("sweep", "--snrs", "30,30.000001"),
         ],
     )
     def test_malformed_value_exits_2(self, runner, tmp_path, command, option, value):

@@ -97,26 +97,26 @@ class TestUpdateConsensus:
         H = np.zeros((2, 3))
         H[1, 2] = 1.0
         Wm = update_consensus(H, graphs, mu=0.0)
-        assert np.allclose(Wm, graphs.views[1][2].W, atol=1e-14)
+        assert np.allclose(Wm.toarray(), graphs.views[1][2].W.toarray(), atol=1e-14)
 
     def test_large_mu_shrinks_to_zero(self):
         rng = np.random.default_rng(2)
         graphs = _random_graph_set(rng, n=4)
         H = np.full((2, 3), 1.0 / 6.0)
         Wm = update_consensus(H, graphs, mu=1e12)
-        assert np.max(Wm) <= 1e-11
+        assert Wm.max() <= 1e-11
 
     def test_stationarity_by_finite_differences(self):
         rng = np.random.default_rng(3)
         graphs = _random_graph_set(rng, n=4)
         H = project_simplex(rng.random(6)).reshape(2, 3)
         mu = 0.37
-        Wm = update_consensus(H, graphs, mu)
+        Wm = update_consensus(H, graphs, mu).toarray()
 
         def objective(W):
             total = mu * np.sum(W**2)
             for h, g in zip(H.ravel(), graphs.all_graphs()):
-                total += h * np.sum((W - g.W) ** 2)
+                total += h * np.sum((W - g.W.toarray()) ** 2)
             return total
 
         eps = 1e-6
@@ -150,7 +150,7 @@ class TestComputeResiduals:
         graphs = _random_graph_set(rng, n=4)
         P = compute_residuals(np.zeros((4, 4)), graphs)
         for (v, k), g in zip(np.ndindex(2, 3), graphs.all_graphs()):
-            assert P[v, k] == pytest.approx(np.sum(g.W**2), rel=1e-14)
+            assert P[v, k] == pytest.approx(np.sum(g.W.toarray() ** 2), rel=1e-14)
 
     def test_matches_elementwise_sum_oracle(self):
         rng = np.random.default_rng(7)
@@ -160,7 +160,7 @@ class TestComputeResiduals:
         P = compute_residuals(Wm, graphs)
         for (v, k), g in zip(np.ndindex(2, 3), graphs.all_graphs()):
             oracle = sum(
-                (Wm[i, j] - g.W[i, j]) ** 2 for i in range(3) for j in range(3)
+                (Wm[i, j] - g.W.toarray()[i, j]) ** 2 for i in range(3) for j in range(3)
             )
             assert P[v, k] == pytest.approx(oracle, rel=1e-12)
 
@@ -216,7 +216,7 @@ def _naive_fuse(graphs, mu, alpha, eps2, t2):
     trace = []
     prev = None
     for _ in range(t2):
-        Wm = update_consensus(H, graphs, mu)
+        Wm = update_consensus(H, graphs, mu).toarray()
         P = compute_residuals(Wm, graphs)
         H = update_weights(P, alpha)
         obj = float(np.sum(H * P) + mu * np.sum(Wm**2) + alpha * np.sum(H**2))
@@ -236,7 +236,7 @@ class TestFuseGraphs:
         graphs = _graph_set([W.copy() for _ in range(6)], 2, 3)
         state = fuse_graphs(graphs, mu=0.0, alpha=0.1)
         assert state.iterations <= 2
-        assert np.allclose(state.Wm.W, W, atol=1e-12)
+        assert np.allclose(state.Wm.W.toarray(), W, atol=1e-12)
 
     def test_matches_naive_alternation(self):
         rng = np.random.default_rng(12)
@@ -244,7 +244,7 @@ class TestFuseGraphs:
         state = fuse_graphs(graphs, mu=0.2, alpha=0.5, eps2=1e-9, t2=25)
         H_ref, Wm_ref, trace_ref = _naive_fuse(graphs, 0.2, 0.5, 1e-9, 25)
         assert np.allclose(state.H, H_ref, atol=1e-9)
-        assert np.allclose(state.Wm.W, Wm_ref, atol=1e-9)
+        assert np.allclose(state.Wm.W.toarray(), Wm_ref, atol=1e-9)
         assert len(state.objective_trace) == len(trace_ref)
         assert np.allclose(state.objective_trace, trace_ref, rtol=1e-9, atol=1e-9)
 

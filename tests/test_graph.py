@@ -15,7 +15,7 @@ from mognmf.graph import (
     spectral_weights,
 )
 from mognmf.hsi_core import HsiCube, UnmixParams
-from mognmf.unmix import consensus_graph
+from mognmf.unmix import consensus_graph, update_abundances
 
 
 def _random_cube(rng, height, width, bands=6):
@@ -61,6 +61,78 @@ def _knn_oracle(points, neighbors):
     return W
 
 
+def _dense_knn_heat_kernel(points, sigma, neighbors):
+    """Dense N x N reference for the blockwise CSR builder: whole-matrix
+    distances, a stable argsort per row, then W = max(W, W.T)."""
+    n = points.shape[1]
+    sq = np.sum(points**2, axis=0)
+    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points.T @ points), 0.0))
+    np.fill_diagonal(d, np.inf)
+    rows = np.repeat(np.arange(n), neighbors)
+    cols = np.argsort(d, axis=1, kind="stable")[:, :neighbors].ravel()
+    retained = d[rows, cols]
+    if sigma == "auto":
+        sigma = float(np.median(retained)) or 1.0
+    W = np.zeros((n, n))
+    W[rows, cols] = np.exp(-(retained**2) / (2.0 * sigma**2))
+    return np.maximum(W, W.T)
+
+
+def _dense_multi_order(cube, K, neighbors, sigma_s="auto", sigma_l="auto"):
+    """Dense max-normalized powers 1..K of both views, in all_graphs() order."""
+    grid = np.array(np.divmod(np.arange(cube.pixel_count), cube.width), dtype=np.float64)
+    out = []
+    for points, sigma in ((grid, sigma_s), (cube.data, sigma_l)):
+        W = Wk = _dense_knn_heat_kernel(points, sigma, neighbors)
+        out.append(W)
+        for _ in range(2, K + 1):
+            Wk = Wk @ W
+            Wk = 0.5 * (Wk + Wk.T)
+            out.append(Wk / Wk.max())
+    return out
+
+
+def _oracle_case(name):
+    rng = np.random.default_rng(14)
+    if name == "grid5x6":  # constant spectra: every spectral distance ties at 0
+        return HsiCube(data=np.ones((2, 30)), height=5, width=6), {"neighbors": 6}
+    if name == "grid17x9":
+        cube = HsiCube(data=rng.random((100, 153)), height=17, width=9)
+        return cube, {"neighbors": 4, "sigma_s": 1.3}
+    if name == "duplicated":  # quarter-step values, every pixel twice
+        data = rng.integers(0, 4, size=(3, 100)) / 4.0
+        data[:, 50:] = data[:, :50]
+        return HsiCube(data=data, height=10, width=10), {"neighbors": 8}
+    return _random_cube(rng, 24, 24, bands=100), {"neighbors": 10}
+
+
+class TestDenseOracleEquivalence:
+    @pytest.mark.parametrize("case", ["grid5x6", "grid17x9", "duplicated", "random24"])
+    def test_graphs_match_dense_builder(self, case):
+        cube, kw = _oracle_case(case)
+        graphs = build_multi_order_graphs(cube, K=3, **kw).all_graphs()
+        oracle = _dense_multi_order(cube, K=3, **kw)
+        assert len(graphs) == len(oracle) == 6
+        for g, dense in zip(graphs, oracle):
+            W = g.W.toarray()
+            if g.order == 1:
+                assert np.array_equal(W, dense), (g.kind, g.order)
+            else:
+                assert np.array_equal(W != 0, dense != 0), (g.kind, g.order)
+                assert np.max(np.abs(W - dense)) <= 1e-12, (g.kind, g.order)
+
+    def test_abundance_step_matches_dense_consensus(self):
+        cube, kw = _oracle_case("random24")
+        _, state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"]))
+        rng = np.random.default_rng(15)
+        S = rng.random((4, cube.pixel_count))
+        A = rng.random((cube.band_count, 4))
+        args = (S, A, cube.data, None, 0.3, 0.05)
+        sparse = update_abundances(*args, state.Wm.W, state.Dm)
+        dense = update_abundances(*args, state.Wm.W.toarray(), state.Dm)
+        assert np.max(np.abs(sparse - dense)) <= 1e-12
+
+
 class TestHeatKernelGraphs:
     def test_two_adjacent_pixels_weight(self):
         cube = HsiCube(data=np.ones((3, 2)), height=1, width=2)
@@ -71,7 +143,7 @@ class TestHeatKernelGraphs:
     def test_grid_weights_bounded_by_kernel_at_unit_distance(self):
         rng = np.random.default_rng(0)
         cube = _random_cube(rng, 4, 4)
-        w = spatial_weights(cube, sigma_s=1.0, neighbors=3).W
+        w = spatial_weights(cube, sigma_s=1.0, neighbors=3).W.toarray()
         positive = w[w > 0]
         assert positive.max() <= np.exp(-0.5) + 1e-12
         assert positive.min() > 0.0
@@ -79,7 +151,7 @@ class TestHeatKernelGraphs:
     def test_large_sigma_limit(self):
         rng = np.random.default_rng(1)
         cube = _random_cube(rng, 3, 3)
-        w = spatial_weights(cube, sigma_s=1e9, neighbors=4).W
+        w = spatial_weights(cube, sigma_s=1e9, neighbors=4).W.toarray()
         assert np.allclose(w[w > 0], 1.0, atol=1e-12)
 
     def test_duplicate_pixels_weight_one(self):
@@ -101,7 +173,7 @@ class TestHeatKernelGraphs:
     def test_weights_decrease_with_spectral_distance(self):
         data = np.array([[0.0, 1.0, 2.5, 7.0]])
         cube = HsiCube(data=data, height=1, width=4)
-        w = spectral_weights(cube, sigma_l=2.0, neighbors=3).W
+        w = spectral_weights(cube, sigma_l=2.0, neighbors=3).W.toarray()
         row = w[0]
         assert row[1] > row[2] > row[3] > 0.0
 
@@ -112,7 +184,7 @@ class TestHeatKernelGraphs:
             (spectral_weights, {"sigma_l": "auto"}),
         ]:
             cube = _random_cube(rng, 5, 4)
-            w = builder(cube, neighbors=4, **kw).W
+            w = builder(cube, neighbors=4, **kw).W.toarray()
             assert np.array_equal(w, w.T)
             assert w.min() >= 0.0 and w.max() <= 1.0
             assert np.all(np.diag(w) == 0.0)
@@ -128,7 +200,7 @@ class TestHeatKernelGraphs:
         # a grid has 4-way ties (e.g. at distance 2); ties go to the lower index
         cube = HsiCube(data=np.ones((2, 30)), height=5, width=6)
         grid = np.array(np.divmod(np.arange(30), 6), dtype=np.float64)
-        w = spatial_weights(cube, neighbors=neighbors).W
+        w = spatial_weights(cube, neighbors=neighbors).W.toarray()
         assert np.array_equal(w, _knn_oracle(grid, neighbors))
 
     @pytest.mark.parametrize("neighbors", [4, 8])
@@ -138,7 +210,7 @@ class TestHeatKernelGraphs:
         data = rng.integers(0, 4, size=(3, 30)) / 4.0
         data[:, 15:] = data[:, :15]
         cube = HsiCube(data=data, height=5, width=6)
-        w = spectral_weights(cube, neighbors=neighbors).W
+        w = spectral_weights(cube, neighbors=neighbors).W.toarray()
         oracle = _knn_oracle(data, neighbors)
         assert np.array_equal(w != 0, oracle != 0)
         assert np.allclose(w, oracle, rtol=0.0, atol=1e-12)
@@ -153,12 +225,12 @@ class TestGraphPowers:
     def test_identity_idempotent(self):
         W = WeightMatrix(W=np.eye(4), kind="spatial")
         for g in graph_powers(W, 3):
-            assert np.array_equal(g.W, np.eye(4))
+            assert np.array_equal(g.W.toarray(), np.eye(4))
 
     def test_two_node_swap_squares_to_identity(self):
         W = WeightMatrix(W=np.array([[0.0, 1.0], [1.0, 0.0]]), kind="spatial")
         powers = graph_powers(W, 2)
-        assert np.array_equal(powers[1].W, np.eye(2))
+        assert np.array_equal(powers[1].W.toarray(), np.eye(2))
 
     def test_matches_naive_product_oracle(self):
         rng = np.random.default_rng(3)
@@ -166,7 +238,7 @@ class TestGraphPowers:
         W = WeightMatrix(W=(raw + raw.T) / 2 - np.diag(np.diag(raw)), kind="spectral")
         powers = graph_powers(W, 3, normalize=False)
         for k, g in enumerate(powers, start=1):
-            assert np.allclose(g.W, _naive_power(W.W, k), atol=1e-10)
+            assert np.allclose(g.W.toarray(), _naive_power(W.W.toarray(), k), atol=1e-10)
 
     def test_normalized_powers_match_scaled_oracle(self):
         rng = np.random.default_rng(4)
@@ -174,10 +246,10 @@ class TestGraphPowers:
         W = WeightMatrix(W=(raw + raw.T) / 2, kind="spatial")
         powers = graph_powers(W, 3, normalize=True)
         for k, g in enumerate(powers, start=1):
-            expected = _naive_power(W.W, k)
+            expected = _naive_power(W.W.toarray(), k)
             if k > 1:
                 expected = expected / expected.max()
-            assert np.allclose(g.W, expected, atol=1e-10)
+            assert np.allclose(g.W.toarray(), expected, atol=1e-10)
         assert all(g.W.max() <= 1.0 + 1e-12 for g in powers[1:])
 
     def test_invalid_order_rejected(self):
@@ -189,12 +261,12 @@ class TestGraphPowers:
 class TestLaplacian:
     def test_zero_graph(self):
         lap = laplacian(np.zeros((4, 4)))
-        assert np.array_equal(lap.L, np.zeros((4, 4)))
+        assert np.array_equal(lap.L.toarray(), np.zeros((4, 4)))
         assert np.array_equal(lap.D, np.zeros(4))
 
     def test_two_node_hand_oracle(self):
         lap = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.array_equal(lap.L, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert np.array_equal(lap.L.toarray(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_row_sums_zero_and_psd(self):
         rng = np.random.default_rng(5)
@@ -202,9 +274,10 @@ class TestLaplacian:
         W = (raw + raw.T) / 2
         np.fill_diagonal(W, 0.0)
         lap = laplacian(W)
-        assert np.max(np.abs(lap.L.sum(axis=1))) <= 1e-10 * max(lap.D.max(), 1.0)
-        eigs = np.linalg.eigvalsh(lap.L)
-        assert eigs.min() >= -1e-8 * np.linalg.norm(lap.L)
+        L = lap.L.toarray()
+        assert np.max(np.abs(L.sum(axis=1))) <= 1e-10 * max(lap.D.max(), 1.0)
+        eigs = np.linalg.eigvalsh(L)
+        assert eigs.min() >= -1e-8 * np.linalg.norm(L)
 
     def test_connected_graph_single_zero_eigenvalue(self):
         rng = np.random.default_rng(6)
@@ -212,7 +285,7 @@ class TestLaplacian:
         W = rng.uniform(0.2, 1.0, size=(n, n))
         W = (W + W.T) / 2
         np.fill_diagonal(W, 0.0)
-        eigs = np.sort(np.linalg.eigvalsh(laplacian(W).L))
+        eigs = np.sort(np.linalg.eigvalsh(laplacian(W).L.toarray()))
         assert abs(eigs[0]) <= 1e-8
         assert eigs[1] > 1e-8
 
@@ -279,7 +352,7 @@ class TestMultiOrderBuild:
         graphs = build_multi_order_graphs(
             cube, K=1, neighbors=3, neighbors_spatial=2, neighbors_spectral=5
         )
-        w_spa, w_spe = (view[0].W for view in graphs.views)
+        w_spa, w_spe = (view[0].W.toarray() for view in graphs.views)
         # row degree (nonzero count) reflects the per-view neighbor budget
         assert np.count_nonzero(w_spa[0]) <= 2 * 2
         assert np.count_nonzero(w_spe[0]) >= 5
@@ -303,3 +376,9 @@ class TestPeakMemory:
         cube = _random_cube(np.random.default_rng(13), 24, 24, bands=20)
         assert _peak_in_n2_doubles(consensus_graph, cube, UnmixParams(neighbors=4)) < 7.5
         assert _peak_in_n2_doubles(spectral_weights, cube, neighbors=4) < 4.0
+
+    def test_spectral_build_holds_no_n2_array(self):
+        # distances live in row blocks and the graph in CSR, so the peak
+        # stays below one N x N array of doubles (the dense build needed ~3)
+        cube = _random_cube(np.random.default_rng(16), 48, 48, bands=20)
+        assert _peak_in_n2_doubles(spectral_weights, cube) < 1.0
