@@ -572,6 +572,8 @@ def _float_list(ctx, param, value) -> list[float] | None:
         values = [float(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(f"expected a comma list of numbers, got {value!r}") from exc
+    if np.isnan(values).any():
+        raise click.BadParameter(f"NaN entry in {value!r}")
     # sweep run directories are named by f"{value:g}"
     if len({f"{v:g}" for v in _distinct(values, value)}) != len(values):
         raise click.BadParameter(f"entries of {value!r} print alike in run names")

@@ -217,7 +217,12 @@ def build_multi_order_graphs(
 
     ``orders`` restricts the returned set to a subset of orders (used by
     single-order ablation variants); K still bounds the powers computed.
+    Each order must lie in 1..K and appear once.
     """
+    if orders is not None and (
+        any(not 1 <= k <= K for k in orders) or len(set(orders)) != len(orders)
+    ):
+        raise ParamError(f"orders must be distinct and within 1..{K}, got {list(orders)}")
     c_spa = neighbors_spatial if neighbors_spatial is not None else neighbors
     c_spe = neighbors_spectral if neighbors_spectral is not None else neighbors
     w_spa = spatial_weights(cube, sigma_s=sigma_s, neighbors=c_spa)

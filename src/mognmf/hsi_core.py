@@ -141,28 +141,25 @@ class UnmixParams:
     order_norm: bool = True
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma < 0:
-            raise ParamError("gamma must be nonnegative")
+        # the chained bounds also reject NaN, which fails every comparison
+        if self.gamma is not None and not 0 <= self.gamma < np.inf:
+            raise ParamError("gamma must be nonnegative and finite")
         for name in ("beta", "lam", "mu", "alpha"):
-            if getattr(self, name) < 0:
-                raise ParamError(f"{name} must be nonnegative")
-        if self.delta <= 0:
-            raise ParamError("delta must be positive")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ParamError(f"{name} must be nonnegative and finite")
+        for name in ("delta", "sigma_s", "sigma_l", "eps1", "eps2"):
+            value = getattr(self, name)
+            if name.startswith("sigma") and isinstance(value, str):
+                if value != "auto":
+                    raise ParamError(f'{name} must be positive or "auto"')
+            elif not 0 < value < np.inf:
+                raise ParamError(f"{name} must be positive and finite")
         if self.order < 1:
             raise ParamError("graph order must be >= 1")
         for name in ("neighbors", "neighbors_spatial", "neighbors_spectral"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ParamError(f"{name} must be >= 1")
-        for name in ("sigma_s", "sigma_l"):
-            value = getattr(self, name)
-            if isinstance(value, str):
-                if value != "auto":
-                    raise ParamError(f'{name} must be positive or "auto"')
-            elif value <= 0:
-                raise ParamError(f"{name} must be positive")
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ParamError("eps1 and eps2 must be positive")
         if self.t1 < 1 or self.t2 < 1:
             raise ParamError("iteration caps t1, t2 must be >= 1")
 

@@ -3,17 +3,19 @@
 The full model factorizes X ~ A S + E under nonnegativity, a soft
 sum-to-one constraint on abundances, an l1/2 sparsity penalty on S, an
 l2,1 row-sparsity penalty on E, and a consensus-graph smoothness
-penalty Tr(S L_m S^T).  All three block updates have closed forms:
+penalty Tr(S L_m S^T).  All three block updates have closed forms in
+R = max(X - E, 0) and T = X - A S, which ``run_solver`` forms once per
+iteration:
 
-* A <- A .* ((X-E) S^T) ./ (A S S^T)
-* S <- S .* (A^T (X-E) + lam S W_m)
+* A <- A .* (R S^T) ./ (A S S^T)
+* S <- S .* (A^T R + lam S W_m)
        ./ (A^T A S + (gamma/2) S^(-1/2) + lam S D_m)
-* E <- row-wise soft threshold of X - A S at level beta
+* E <- row-wise soft threshold of T at level beta
 
 Ablation variants drop individual terms; the plain-NMF baseline is the
 classic two-factor multiplicative rule with no constraints beyond
 nonnegativity.  The sum-to-one constraint is realized purely through
-the delta-row augmentation of (X-E, A) ahead of the S update, never by
+the delta-row augmentation of (R, A) ahead of the S update, never by
 renormalizing S, so the multiplicative convergence behavior is kept.
 """
 
@@ -215,31 +217,24 @@ def init_fcls(cube: HsiCube, A0: np.ndarray, delta: float = 15.0) -> np.ndarray:
     return S0
 
 
-def update_endmembers(A, S, X, E=None) -> np.ndarray:
-    """One multiplicative step on the endmember matrix."""
-    A = np.asarray(A, dtype=np.float64)
-    S = np.asarray(S, dtype=np.float64)
-    residual = X if E is None else X - E
-    residual = np.maximum(residual, 0.0)  # keep the numerator nonnegative
-    num = residual @ S.T
+def update_endmembers(A, S, R) -> np.ndarray:
+    """One multiplicative step on A against the residual R = max(X - E, 0)."""
+    num = R @ S.T
     den = A @ (S @ S.T) + _DEN_GUARD
     return A * (num / den)
 
 
 def update_abundances(
-    S, A, X, E=None, gamma: float = 0.0, lam: float = 0.0, Wm=None, Dm=None
+    S, A, R, gamma: float = 0.0, lam: float = 0.0, Wm=None, Dm=None
 ) -> np.ndarray:
-    """One multiplicative step on the abundance matrix.
+    """One multiplicative step on S against the residual R = max(X - E, 0).
 
+    R and A come delta-augmented when the variant enforces sum-to-one.
     ``Wm``/``Dm`` are the consensus weight matrix (CSR) and its degree
     vector; they are required when lam != 0.  Entries of S below 1e-10 are
     floored before the S^(-1/2) term so the update stays finite.
     """
-    S = np.asarray(S, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    residual = X if E is None else X - E
-    residual = np.maximum(residual, 0.0)
-    num = A.T @ residual
+    num = A.T @ R
     den = (A.T @ A) @ S
     if lam != 0.0:
         if Wm is None or Dm is None:
@@ -252,15 +247,14 @@ def update_abundances(
     return S * (num / den)
 
 
-def update_noise(X, A, S, beta: float) -> np.ndarray:
-    """Row-wise soft threshold of the reconstruction residual.
+def update_noise(T, beta: float) -> np.ndarray:
+    """Row-wise soft threshold of the reconstruction residual T = X - A S.
 
-    Rows of X - A S with l2 norm below beta are zeroed; the rest shrink
-    by (norm - beta)/norm.  beta = 0 returns the residual unchanged.
+    Rows of T with l2 norm below beta are zeroed; the rest shrink by
+    (norm - beta)/norm.  beta = 0 returns T unchanged.
     """
     if beta < 0:
         raise ParamError("beta must be nonnegative")
-    T = X - A @ S
     norms = np.sqrt((T * T).sum(axis=1))
     scale = np.zeros_like(norms)
     hit = norms > 0
@@ -330,9 +324,10 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     """Run the configured variant to convergence.
 
     Graphs are constructed and fused once, before the loop.  Each outer
-    iteration updates A, then S (against the delta-augmented system when
-    the variant enforces sum-to-one), then E for variants with the noise
-    term, and records ||X - A S||_F^2.  Stops when the trace change
+    iteration forms R = max(X - E, 0) and updates A, then S (against the
+    delta-augmented (R, A) when the variant enforces sum-to-one), then
+    forms T = X - A S once, soft-thresholds it into E for variants with
+    the noise term, and records ||T||_F^2.  Stops when the trace change
     drops below eps1 (relative to 1 + previous value, or absolute with
     the corresponding flag) or after t1 iterations.
     """
@@ -370,16 +365,14 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     converged = False
     it = 0
     for it in range(1, p.t1 + 1):
-        A = update_endmembers(A, S, X, E)
-        if traits.asc:
-            residual = X if E is None else X - E
-            res_aug, A_aug = augment_for_asc(residual, A, p.delta)
-            S = update_abundances(S, A_aug, res_aug, None, gamma, lam, Wm, Dm)
-        else:
-            S = update_abundances(S, A, X, E, gamma, lam, Wm, Dm)
+        R = X if E is None else np.maximum(X - E, 0.0)
+        A = update_endmembers(A, S, R)
+        R_s, A_s = augment_for_asc(R, A, p.delta) if traits.asc else (R, A)
+        S = update_abundances(S, A_s, R_s, gamma, lam, Wm, Dm)
+        T = X - A @ S
         if traits.noise:
-            E = update_noise(X, A, S, p.beta)
-        objective = float(np.sum((X - A @ S) ** 2))
+            E = update_noise(T, p.beta)
+        objective = float(np.sum(T**2))
         if not np.isfinite(objective):
             raise DivergenceError(
                 f"objective became non-finite at iteration {it}", iteration=it

@@ -305,8 +305,8 @@ def test_criterion_08_mur_unit_oracles():
         A = rng.uniform(0.1, 1.0, size=(L, 3))
         S = rng.uniform(0.0, 1.0, size=(3, N))
         beta = float(rng.uniform(0.0, 2.0))
-        E = update_noise(X, A, S, beta)
         T = X - A @ S
+        E = update_noise(T, beta)
         for i in range(L):
             norm = float(np.sqrt((T[i] * T[i]).sum()))
             expected = T[i] * ((norm - beta) / norm) if norm >= beta and norm > 0 else np.zeros(N)

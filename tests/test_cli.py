@@ -115,6 +115,18 @@ class TestUnmix:
         assert stats["max"] > 0
         assert 0 < stats["nnz"] <= 36 * 36
 
+    def test_nan_parameter_exits_2_before_writing(self, runner, tmp_path):
+        scene = _tiny_scene_dir(tmp_path)
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3",
+             "--lambda", "nan", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "lam must be nonnegative and finite" in result.output
+        assert not out.exists()
+
     def test_missing_cube_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -342,6 +354,7 @@ class TestOptions:
             ("sweep", "--variants", "nmf,nmf"),
             ("sweep", "--lambdas", "0.1,0.1000001"),
             ("sweep", "--snrs", "30,30.000001"),
+            ("sweep", "--lambdas", "nan"),
         ],
     )
     def test_malformed_value_exits_2(self, runner, tmp_path, command, option, value):

@@ -127,7 +127,7 @@ class TestDenseOracleEquivalence:
         rng = np.random.default_rng(15)
         S = rng.random((4, cube.pixel_count))
         A = rng.random((cube.band_count, 4))
-        args = (S, A, cube.data, None, 0.3, 0.05)
+        args = (S, A, cube.data, 0.3, 0.05)
         sparse = update_abundances(*args, state.Wm.W, state.Dm)
         dense = update_abundances(*args, state.Wm.W.toarray(), state.Dm)
         assert np.max(np.abs(sparse - dense)) <= 1e-12
@@ -345,6 +345,12 @@ class TestMultiOrderBuild:
         graphs = build_multi_order_graphs(cube, K=2, neighbors=3, orders=[2])
         assert graphs.K == 1
         assert [g.order for g in graphs.all_graphs()] == [2, 2]
+
+    @pytest.mark.parametrize("K, orders", [(3, [0]), (1, [2]), (3, [4]), (3, [3, 3])])
+    def test_invalid_orders_rejected(self, K, orders):
+        cube = _random_cube(np.random.default_rng(12), 4, 4)
+        with pytest.raises(ParamError):
+            build_multi_order_graphs(cube, K=K, neighbors=3, orders=orders)
 
     def test_per_view_neighbor_override(self):
         rng = np.random.default_rng(11)

@@ -150,6 +150,17 @@ class TestUnmixParams:
             {"eps1": 0.0},
             {"sigma_s": "median"},
             {"beta": -1.0},
+            {"lam": float("nan")},
+            {"gamma": float("nan")},
+            {"beta": float("inf")},
+            {"mu": float("nan")},
+            {"alpha": float("nan")},
+            {"delta": float("inf")},
+            {"sigma_s": float("nan")},
+            {"sigma_l": float("inf")},
+            {"eps1": float("nan")},
+            {"eps2": float("inf")},
+            {"lam": float("-inf")},
         ],
     )
     def test_invalid_values_rejected(self, kw):

@@ -4,10 +4,13 @@ import pytest
 from mognmf.errors import DataError, DivergenceError, InitError, ParamError
 from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.metrics import match_endmembers
-from mognmf.simgen import build_simu2_layout, synthetic_library
+from mognmf.simgen import build_simu1_scene, build_simu2_layout, synthetic_library
 from mognmf.unmix import (
+    VARIANTS,
     SolverConfig,
+    consensus_graph,
     estimate_gamma,
+    fused_orders,
     init_fcls,
     init_vca,
     run_solver,
@@ -142,7 +145,8 @@ class TestUpdateEndmembers:
             X = rng.uniform(0.0, 1.0, size=(4, 5))
             E = rng.uniform(0.0, 0.05, size=(4, 5))
             before = 0.5 * np.sum((X - E - A @ S) ** 2)
-            after = 0.5 * np.sum((X - E - update_endmembers(A, S, X, E) @ S) ** 2)
+            A_next = update_endmembers(A, S, np.maximum(X - E, 0.0))
+            after = 0.5 * np.sum((X - E - A_next @ S) ** 2)
             assert after <= before + 1e-12 * (1 + before)
 
 
@@ -186,15 +190,14 @@ class TestUpdateAbundances:
 
 class TestUpdateNoise:
     def test_row_above_threshold_scaled(self):
-        X = np.zeros((1, 9))
-        X[0, 0] = 3.0  # residual row norm 3
-        A, S = np.zeros((1, 1)), np.zeros((1, 9))
-        E = update_noise(X, A, S, beta=1.0)
-        assert np.allclose(E, X * (2.0 / 3.0))
+        T = np.zeros((1, 9))
+        T[0, 0] = 3.0  # residual row norm 3
+        E = update_noise(T, beta=1.0)
+        assert np.allclose(E, T * (2.0 / 3.0))
 
     def test_row_below_threshold_zeroed(self):
-        X = np.full((1, 4), 0.25)  # norm 0.5
-        E = update_noise(X, np.zeros((1, 1)), np.zeros((1, 4)), beta=1.0)
+        T = np.full((1, 4), 0.25)  # norm 0.5
+        E = update_noise(T, beta=1.0)
         assert np.array_equal(E, np.zeros((1, 4)))
 
     def test_zero_beta_returns_residual(self):
@@ -202,7 +205,7 @@ class TestUpdateNoise:
         X = rng.uniform(size=(5, 7))
         A = rng.uniform(size=(5, 2))
         S = rng.uniform(size=(2, 7))
-        E = update_noise(X, A, S, beta=0.0)
+        E = update_noise(X - A @ S, beta=0.0)
         assert np.array_equal(E, X - A @ S)
 
 
@@ -218,6 +221,57 @@ def _plain_mur_oracle(X, M, A0, S0, eps1, t1):
             break
         prev = obj
     return obj
+
+
+# (sparsity, noise, asc) of each variant, transcribed from the model
+_LOOP_ORACLE_TRAITS = {
+    "mognmf": (True, True, True),
+    "nmf": (False, False, False),
+    "snmf": (True, False, True),
+    "case_ii": (True, False, True),
+    "case_iii": (True, False, True),
+    "case_iv": (True, True, True),
+    "case_v": (True, True, True),
+}
+
+
+def _loop_oracle(X, A, S, variant, p, gamma, Wm, Dm):
+    # the solver loop with every step forming and clipping its own residual
+    sparsity, noise, asc = _LOOP_ORACLE_TRAITS[variant]
+    gamma = gamma if sparsity else 0.0
+    lam = p.lam if Wm is not None else 0.0
+    L, N = X.shape
+    M = A.shape[1]
+    E = np.zeros((L, N)) if noise else None
+    trace, prev = [], None
+    for _ in range(p.t1):
+        res = np.maximum(X if E is None else X - E, 0.0)
+        A = A * ((res @ S.T) / (A @ (S @ S.T) + 1e-12))
+        res, A_s = (X if E is None else X - E), A
+        if asc:
+            res = np.vstack([res, np.full((1, N), p.delta)])
+            A_s = np.vstack([A, np.full((1, M), p.delta)])
+        res = np.maximum(res, 0.0)
+        num, den = A_s.T @ res, (A_s.T @ A_s) @ S
+        if lam != 0.0:
+            num = num + lam * (S @ Wm)
+            den = den + lam * (S * np.asarray(Dm)[None, :])
+        if gamma != 0.0:
+            den = den + 0.5 * gamma / np.sqrt(np.maximum(S, 1e-10))
+        S = S * (num / (den + 1e-12))
+        if noise:
+            T = X - A @ S
+            norms = np.sqrt((T * T).sum(axis=1))
+            scale = np.zeros_like(norms)
+            hit = norms > 0
+            scale[hit] = np.maximum(norms[hit] - p.beta, 0.0) / norms[hit]
+            E = T * scale[:, None]
+        objective = float(np.sum((X - A @ S) ** 2))
+        trace.append(objective)
+        if prev is not None and abs(objective - prev) < p.eps1 * (1.0 + prev):
+            break
+        prev = objective
+    return A, S, E, np.array(trace)
 
 
 class TestRunSolver:
@@ -342,3 +396,26 @@ class TestRunSolver:
             assert model.fusion is not None
             assert model.fusion.H.shape == (2, 1)
             assert model.fusion.Wm.W.shape == (64, 64)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loop_matches_transcribed_oracle(self, variant):
+        lib = synthetic_library(band_count=24, entries=5, seed=0)
+        cube = build_simu1_scene(lib, M=3, height=6, width=8, target_snr_db=10.0, seed=0).cube
+        params = UnmixParams(neighbors=4, beta=0.01, t1=25, eps1=1e-12)
+        A0 = init_vca(cube, 3, params.seed)
+        S0 = np.maximum(init_fcls(cube, A0, params.delta), 1e-8)
+        config = SolverConfig(
+            params=params, variant=variant, init_endmembers=A0, init_abundances=S0
+        )
+        model = run_solver(cube, 3, config)
+        orders = fused_orders(variant, params.order)
+        state = consensus_graph(cube, params, list(orders))[1] if orders else None
+        A, S, E, trace = _loop_oracle(
+            cube.data, A0, S0, variant, params, estimate_gamma(cube),
+            state.Wm.W if state else None, state.Dm if state else None,
+        )
+        assert model.iterations == len(trace)
+        assert np.array_equal(model.endmembers, A)
+        assert np.array_equal(model.abundances, S)
+        assert np.array_equal(model.noise, np.zeros_like(cube.data) if E is None else E)
+        assert np.array_equal(model.objective_trace, trace)
