@@ -25,12 +25,10 @@ from .hsi_core import (
     save_cube,
 )
 from .graph import (
-    LaplacianMatrix,
     MultiOrderGraphSet,
     WeightMatrix,
     build_multi_order_graphs,
     graph_powers,
-    laplacian,
     laplacian_quadratic,
     spatial_weights,
     spectral_weights,

@@ -217,7 +217,7 @@ def cmd_unmix(
     if model.fusion is not None:
         _save_matrix(out_dir / "H.csv", model.fusion.H)
         outputs.append("H.csv")
-        W = model.fusion.Wm.W
+        W = model.fusion.Wm
         wm_stats = {
             "min": float(W.min()),
             "max": float(W.max()),
@@ -319,7 +319,7 @@ def cmd_fuse(
     _save_matrix(out_dir / "fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     outputs = ["H.csv", "fusion_objective.csv"]
     if dump_wm:
-        _save_matrix(out_dir / "Wm.csv", state.Wm.W.toarray())
+        _save_matrix(out_dir / "Wm.csv", state.Wm.toarray())
         outputs.append("Wm.csv")
     if dump_graphs:
         for g in graphs.all_graphs():
@@ -372,8 +372,9 @@ def _single_run(job: dict) -> dict:
     return row
 
 
-def _run_jobs(jobs: list[dict]) -> list[dict]:
-    workers = min(_thread_cap(), len(jobs)) if jobs else 1
+def _run_jobs(jobs: list[dict], cap: int) -> list[dict]:
+    # cap is _thread_cap(), read before the command writes anything
+    workers = min(cap, len(jobs))
     if workers <= 1:
         return [_single_run(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -398,6 +399,7 @@ def cmd_ablate(
     plus a mean +/- std summary per (case, K).
     """
     t0 = time.perf_counter()
+    cap = _thread_cap()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = params or UnmixParams()
@@ -415,7 +417,7 @@ def cmd_ablate(
                 _job(cube_path, truth_dir, runs / f"caseI_K{k}_seed{seed}", m, "mognmf",
                      init, seeded.replace(order=k), case="I")
             )
-    rows = _run_jobs(jobs)
+    rows = _run_jobs(jobs, cap)
 
     run_columns = ("case",) + EVAL_COLUMNS
     with open(out_dir / "ablation_runs.csv", "w", newline="") as fh:
@@ -483,37 +485,37 @@ def cmd_sweep(
     and beta the run used.
     """
     t0 = time.perf_counter()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = params or UnmixParams()
     lambdas = list(lambdas) if lambdas else [params.lam]
     betas = list(betas) if betas else [params.beta]
-    jobs = []
-    for snr in snrs:
-        for seed in seeds:
-            scene_dir = out_dir / "scenes" / f"snr{snr:g}_seed{seed}"
-            cmd_simulate(
-                scene_dir,
-                preset=preset,
-                m=m,
-                snr_db=snr,
-                seed=seed,
-                height=height,
-                width=width,
-                smoothness=smoothness,
-                library_path=library_path,
-                bands=bands,
-            )
-            for variant in variants:
-                for lam in lambdas:
-                    for beta in betas:
-                        name = f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}"
-                        jobs.append(
-                            _job(scene_dir / "cube.raw", scene_dir, out_dir / "runs" / name,
-                                 m, variant, init, params.replace(seed=seed, lam=lam, beta=beta),
-                                 **{"lambda": f"{lam:g}", "beta": f"{beta:g}"})
-                        )
-    rows = _run_jobs(jobs)
+    out_dir = Path(out_dir)
+    scenes = {(snr, seed): out_dir / "scenes" / f"snr{snr:g}_seed{seed}"
+              for snr in snrs for seed in seeds}
+    # every run's parameters and the worker cap are validated before anything is written
+    jobs = [
+        _job(scene / "cube.raw", scene,
+             out_dir / "runs" / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
+             m, variant, init, params.replace(seed=seed, lam=lam, beta=beta),
+             **{"lambda": f"{lam:g}", "beta": f"{beta:g}"})
+        for (snr, seed), scene in scenes.items()
+        for variant in variants for lam in lambdas for beta in betas
+    ]
+    cap = _thread_cap()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (snr, seed), scene in scenes.items():
+        cmd_simulate(
+            scene,
+            preset=preset,
+            m=m,
+            snr_db=snr,
+            seed=seed,
+            height=height,
+            width=width,
+            smoothness=smoothness,
+            library_path=library_path,
+            bands=bands,
+        )
+    rows = _run_jobs(jobs, cap)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=EVAL_COLUMNS + ("lambda", "beta"), extrasaction="ignore"

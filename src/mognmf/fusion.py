@@ -14,12 +14,13 @@ generic QP solver is needed.  Because each half-step minimizes a convex
 subproblem exactly, the fusion objective is non-increasing.  The
 consensus step needs no max(0, .) projection: the graphs are
 nonnegative and H lies on the simplex, so W_m is already nonnegative.
-The solver reads W_m and its degree vector D_m; the Laplacian
-L_m = diag(D_m) - W_m is implied by them and not stored.
+The result is W_m (CSR) and its degree vector D_m; the Laplacian
+L_m = diag(D_m) - W_m is never formed (``graph.laplacian_quadratic``).
 
 All graphs, W_m included, are CSR arrays: the consensus is a sparse
 sum whose pattern is the union of the fused graphs, the Gram entries
 <W_i, W_j> are sums over the common nonzeros, and D_m is a 1-D vector.
+W_m is symmetric by construction, so it is not re-validated.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParamError, ShapeError
-from .graph import MultiOrderGraphSet, WeightMatrix
+from .graph import MultiOrderGraphSet
 
 __all__ = [
     "FusionState",
@@ -44,10 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FusionState:
-    """Learned consensus graph plus the weights that produced it."""
+    """Consensus graph W_m, its degree vector D_m, and the weights H.
+
+    H is the weight step computed against W_m, half a sweep after it.
+    """
 
     H: np.ndarray  # V x K, >= 0, entries sum to 1
-    Wm: WeightMatrix
+    Wm: sp.csr_array  # N x N consensus graph
     Dm: np.ndarray  # degree vector of Wm
     objective_trace: np.ndarray
     iterations: int = 0
@@ -162,7 +166,7 @@ def fuse_graphs(
         wm_sq = float(h @ gh) / (1.0 + mu) ** 2
         cross = gh / (1.0 + mu)  # <Wm, W_j>
         P = wm_sq - 2.0 * cross + norms_sq
-        h = project_simplex(-P / (2.0 * alpha))
+        h = update_weights(P, alpha)
         obj = _fusion_objective(h, P, wm_sq, mu, alpha)
         trace.append(obj)
         if prev is not None and abs(obj - prev) < eps2:
@@ -176,7 +180,7 @@ def fuse_graphs(
     Wm = update_consensus(h_cons.reshape(V, K), graphs, mu)
     return FusionState(
         H=H,
-        Wm=WeightMatrix(W=Wm, kind="fused", order=0),
+        Wm=Wm,
         Dm=Wm.sum(axis=1),
         objective_trace=np.asarray(trace),
         iterations=iterations,

@@ -1,4 +1,4 @@
-"""Spatial/spectral k-NN heat-kernel graphs, their powers, and Laplacians.
+"""Spatial/spectral k-NN heat-kernel graphs, their powers, and their penalty.
 
 Both views share one recipe over a matrix of point columns (grid
 coordinates for the spatial view, spectra for the spectral view):
@@ -13,7 +13,7 @@ Every graph is a scipy CSR array, so memory is O(nnz): a k-NN graph
 has about C*N nonzeros, and its powers stay far from dense at the
 orders fused (the order-3 spectral power of a 64x64 scene is 16%
 dense).  The distances are computed over blocks of rows and never
-held as one N x N array.
+held as one N x N array.  No Laplacian is ever formed.
 """
 
 from __future__ import annotations
@@ -29,16 +29,13 @@ from .hsi_core import HsiCube
 __all__ = [
     "WeightMatrix",
     "MultiOrderGraphSet",
-    "LaplacianMatrix",
     "spatial_weights",
     "spectral_weights",
     "graph_powers",
-    "laplacian",
     "laplacian_quadratic",
     "build_multi_order_graphs",
 ]
 
-VIEWS = ("spatial", "spectral")
 _BLOCK = 128  # rows of the distance matrix held at once
 
 
@@ -50,7 +47,7 @@ class WeightMatrix:
     """
 
     W: sp.csr_array
-    kind: str  # spatial | spectral | fused
+    kind: str  # spatial | spectral
     order: int = 1
 
     def __post_init__(self):
@@ -78,18 +75,6 @@ class MultiOrderGraphSet:
     @property
     def view_count(self) -> int:
         return len(self.views)
-
-
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """L = diag(D) - W (CSR) with D the row sums of W."""
-
-    L: sp.csr_array
-    D: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "L", sp.csr_array(self.L, dtype=np.float64))
-        object.__setattr__(self, "D", np.asarray(self.D, dtype=np.float64))
 
 
 def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[sp.csr_array, float]:
@@ -183,23 +168,21 @@ def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[Weight
     return out
 
 
-def laplacian(W) -> LaplacianMatrix:
-    """Degree vector and combinatorial Laplacian (CSR) of a weight matrix."""
-    M = W.W if isinstance(W, WeightMatrix) else sp.csr_array(W, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeError("laplacian expects a square matrix")
-    D = M.sum(axis=1)
-    return LaplacianMatrix(L=(sp.diags_array(D) - M).tocsr(), D=D)
+def laplacian_quadratic(S: np.ndarray, W) -> float:
+    """Tr(S L S^T), L = diag(D) - W with D the row sums of W (CSR, dense or WeightMatrix).
 
-
-def laplacian_quadratic(S: np.ndarray, lap: LaplacianMatrix) -> float:
-    """Tr(S L S^T): the graph smoothness penalty on abundance rows."""
+    Read as sum S.*(S D) - sum S.*(S W): the products the S update forms.
+    """
+    W = W.W if isinstance(W, WeightMatrix) else sp.csr_array(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ShapeError("laplacian_quadratic expects a square weight matrix")
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] != lap.L.shape[0]:
+    if S.ndim != 2 or S.shape[1] != W.shape[0]:
         raise ShapeError(
-            f"abundance column count {S.shape} does not match graph size {lap.L.shape[0]}"
+            f"abundance column count {S.shape} does not match graph size {W.shape[0]}"
         )
-    return float(np.sum((S @ lap.L) * S))
+    D = W.sum(axis=1)
+    return float(np.sum(S * (S * D[None, :])) - np.sum(S * (S @ W)))
 
 
 def build_multi_order_graphs(

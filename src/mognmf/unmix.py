@@ -4,8 +4,8 @@ The full model factorizes X ~ A S + E under nonnegativity, a soft
 sum-to-one constraint on abundances, an l1/2 sparsity penalty on S, an
 l2,1 row-sparsity penalty on E, and a consensus-graph smoothness
 penalty Tr(S L_m S^T).  All three block updates have closed forms in
-R = max(X - E, 0) and T = X - A S, which ``run_solver`` forms once per
-iteration:
+R = X - E (never negative, see ``run_solver``) and T = X - A S,
+formed once per iteration:
 
 * A <- A .* (R S^T) ./ (A S S^T)
 * S <- S .* (A^T R + lam S W_m)
@@ -218,7 +218,7 @@ def init_fcls(cube: HsiCube, A0: np.ndarray, delta: float = 15.0) -> np.ndarray:
 
 
 def update_endmembers(A, S, R) -> np.ndarray:
-    """One multiplicative step on A against the residual R = max(X - E, 0)."""
+    """One multiplicative step on A against the residual R = X - E."""
     num = R @ S.T
     den = A @ (S @ S.T) + _DEN_GUARD
     return A * (num / den)
@@ -227,7 +227,7 @@ def update_endmembers(A, S, R) -> np.ndarray:
 def update_abundances(
     S, A, R, gamma: float = 0.0, lam: float = 0.0, Wm=None, Dm=None
 ) -> np.ndarray:
-    """One multiplicative step on S against the residual R = max(X - E, 0).
+    """One multiplicative step on S against the residual R = X - E.
 
     R and A come delta-augmented when the variant enforces sum-to-one.
     ``Wm``/``Dm`` are the consensus weight matrix (CSR) and its degree
@@ -324,7 +324,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     """Run the configured variant to convergence.
 
     Graphs are constructed and fused once, before the loop.  Each outer
-    iteration forms R = max(X - E, 0) and updates A, then S (against the
+    iteration forms R = X - E and updates A, then S (against the
     delta-augmented (R, A) when the variant enforces sum-to-one), then
     forms T = X - A S once, soft-thresholds it into E for variants with
     the noise term, and records ||T||_F^2.  Stops when the trace change
@@ -353,7 +353,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     if orders and p.lam > 0.0:
         # only W_m and D_m are kept; the per-order graphs are freed here
         fusion_state = consensus_graph(cube, p, list(orders))[1]
-        Wm = fusion_state.Wm.W
+        Wm = fusion_state.Wm
         Dm = fusion_state.Dm
         lam = p.lam
 
@@ -364,8 +364,12 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     prev = None
     converged = False
     it = 0
+    # R = X - E needs no clip at zero: E is T scaled row-wise by a factor
+    # in [0, 1], and T = X - A S <= X because A S >= 0, so E <= X
+    # elementwise (where T < 0, E <= 0 <= X).  Rounding is monotone, so
+    # this also holds in floating point.
     for it in range(1, p.t1 + 1):
-        R = X if E is None else np.maximum(X - E, 0.0)
+        R = X if E is None else X - E
         A = update_endmembers(A, S, R)
         R_s, A_s = augment_for_asc(R, A, p.delta) if traits.asc else (R, A)
         S = update_abundances(S, A_s, R_s, gamma, lam, Wm, Dm)

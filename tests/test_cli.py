@@ -265,7 +265,7 @@ class TestFuse:
         # fuse and unmix share one params -> graphs -> fusion path
         model = run_solver(cube, 3, SolverConfig(params=UnmixParams(neighbors=4, t1=1)))
         assert np.array_equal(H, model.fusion.H)
-        assert np.array_equal(Wm, model.fusion.Wm.W.toarray())
+        assert np.array_equal(Wm, model.fusion.Wm.toarray())
 
 
 class TestAblate:
@@ -321,6 +321,23 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 1 snr x 2 seeds x 2 variants
         assert {r["variant"] for r in rows} == {"nmf", "snmf"}
+
+    @pytest.mark.parametrize(
+        "threads, extra",
+        [("1", ["--lambdas", "-1"]), ("zero", [])],
+        ids=["negative_lambda", "bad_thread_env"],
+    )
+    def test_invalid_sweep_writes_nothing(self, runner, tmp_path, monkeypatch, threads, extra):
+        monkeypatch.setenv("MOGNMF_THREADS", threads)
+        out = tmp_path / "sw"
+        result = runner.invoke(
+            main,
+            ["sweep", "--snrs", "30", "--seeds", "0", "--variants", "nmf",
+             "--height", "6", "--width", "6", "--bands", "12", "--t1", "5",
+             "--c", "4", "--out", str(out), *extra],
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
 
     def test_bad_thread_env_rejected(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("MOGNMF_THREADS", "zero")

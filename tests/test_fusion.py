@@ -236,7 +236,7 @@ class TestFuseGraphs:
         graphs = _graph_set([W.copy() for _ in range(6)], 2, 3)
         state = fuse_graphs(graphs, mu=0.0, alpha=0.1)
         assert state.iterations <= 2
-        assert np.allclose(state.Wm.W.toarray(), W, atol=1e-12)
+        assert np.allclose(state.Wm.toarray(), W, atol=1e-12)
 
     def test_matches_naive_alternation(self):
         rng = np.random.default_rng(12)
@@ -244,7 +244,7 @@ class TestFuseGraphs:
         state = fuse_graphs(graphs, mu=0.2, alpha=0.5, eps2=1e-9, t2=25)
         H_ref, Wm_ref, trace_ref = _naive_fuse(graphs, 0.2, 0.5, 1e-9, 25)
         assert np.allclose(state.H, H_ref, atol=1e-9)
-        assert np.allclose(state.Wm.W.toarray(), Wm_ref, atol=1e-9)
+        assert np.allclose(state.Wm.toarray(), Wm_ref, atol=1e-9)
         assert len(state.objective_trace) == len(trace_ref)
         assert np.allclose(state.objective_trace, trace_ref, rtol=1e-9, atol=1e-9)
 
@@ -273,4 +273,4 @@ class TestFuseGraphs:
         assert np.array_equal(a.H, b.H)
         assert np.all(a.H >= 0.0)
         assert abs(a.H.sum() - 1.0) <= 1e-10
-        assert np.array_equal(a.Dm, a.Wm.W.sum(axis=1))
+        assert np.array_equal(a.Dm, a.Wm.sum(axis=1))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mognmf.errors import ParamError, ShapeError
+import scipy.sparse as sp
+
 from mognmf.graph import (
-    LaplacianMatrix,
     WeightMatrix,
     build_multi_order_graphs,
     graph_powers,
-    laplacian,
     laplacian_quadratic,
     spatial_weights,
     spectral_weights,
@@ -128,9 +128,24 @@ class TestDenseOracleEquivalence:
         S = rng.random((4, cube.pixel_count))
         A = rng.random((cube.band_count, 4))
         args = (S, A, cube.data, 0.3, 0.05)
-        sparse = update_abundances(*args, state.Wm.W, state.Dm)
-        dense = update_abundances(*args, state.Wm.W.toarray(), state.Dm)
+        sparse = update_abundances(*args, state.Wm, state.Dm)
+        dense = update_abundances(*args, state.Wm.toarray(), state.Dm)
         assert np.max(np.abs(sparse - dense)) <= 1e-12
+
+
+class TestFusedConsensus:
+    """W_m is symmetric and nonnegative by construction, with D_m its row sums."""
+
+    @pytest.mark.parametrize("alpha, one_hot", [(0.1, True), (1e6, False)])
+    def test_consensus_is_symmetric_nonnegative_with_row_sum_degrees(self, alpha, one_hot):
+        cube, kw = _oracle_case("random24")
+        _, state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"], alpha=alpha))
+        assert (np.count_nonzero(state.H) == 1) == one_hot
+        Wm = state.Wm
+        assert isinstance(Wm, sp.csr_array)
+        assert (Wm != Wm.T).nnz == 0
+        assert Wm.data.min() >= 0
+        assert np.array_equal(state.Dm, Wm.sum(axis=1))
 
 
 class TestHeatKernelGraphs:
@@ -258,73 +273,105 @@ class TestGraphPowers:
             graph_powers(W, 0)
 
 
+def _random_symmetric(rng, n, low=0.0):
+    W = rng.uniform(low, 1.0, size=(n, n))
+    W = (W + W.T) / 2
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+def _dense_quadratic(S, W):
+    # test-local oracle: the explicit Laplacian diag(D) - W
+    return float(np.sum((S @ (np.diag(W.sum(1)) - W)) * S))
+
+
 class TestLaplacian:
+    """Properties of L = diag(D) - W, read through laplacian_quadratic."""
+
     def test_zero_graph(self):
-        lap = laplacian(np.zeros((4, 4)))
-        assert np.array_equal(lap.L.toarray(), np.zeros((4, 4)))
-        assert np.array_equal(lap.D, np.zeros(4))
+        S = np.random.default_rng(4).random((3, 4))
+        assert laplacian_quadratic(S, np.zeros((4, 4))) == 0.0
 
     def test_two_node_hand_oracle(self):
-        lap = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.array_equal(lap.L.toarray(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        W = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for a, b in [(1.0, 0.0), (0.3, 0.8), (2.5, 2.5)]:
+            S = np.array([[a, b]])
+            assert laplacian_quadratic(S, W) == pytest.approx((a - b) ** 2, abs=1e-12)
 
     def test_row_sums_zero_and_psd(self):
         rng = np.random.default_rng(5)
-        raw = rng.random((12, 12))
-        W = (raw + raw.T) / 2
-        np.fill_diagonal(W, 0.0)
-        lap = laplacian(W)
-        L = lap.L.toarray()
-        assert np.max(np.abs(L.sum(axis=1))) <= 1e-10 * max(lap.D.max(), 1.0)
-        eigs = np.linalg.eigvalsh(L)
-        assert eigs.min() >= -1e-8 * np.linalg.norm(L)
+        W = _random_symmetric(rng, 12)
+        # zero row sums: constant abundance rows carry no penalty
+        S = np.outer(rng.random(3), np.ones(12))
+        assert abs(laplacian_quadratic(S, W)) <= 1e-12 * np.sum(S * S) * W.max()
+        # positive semidefinite: the form is nonnegative for every S
+        for _ in range(50):
+            S = rng.standard_normal((int(rng.integers(1, 5)), 12))
+            assert laplacian_quadratic(S, W) >= -1e-12 * np.sum(S * S) * W.max()
 
     def test_connected_graph_single_zero_eigenvalue(self):
         rng = np.random.default_rng(6)
         n = 9
-        W = rng.uniform(0.2, 1.0, size=(n, n))
-        W = (W + W.T) / 2
-        np.fill_diagonal(W, 0.0)
-        eigs = np.sort(np.linalg.eigvalsh(laplacian(W).L.toarray()))
-        assert abs(eigs[0]) <= 1e-8
-        assert eigs[1] > 1e-8
+        W = _random_symmetric(rng, n, low=0.2)
+        # the null space is the constant vector alone: constant rows give 0,
+        # any row orthogonal to the constants gives a strictly positive value
+        assert laplacian_quadratic(np.ones((1, n)), W) == pytest.approx(0.0, abs=1e-12)
+        for _ in range(20):
+            s = rng.standard_normal(n)
+            s -= s.mean()
+            s /= np.linalg.norm(s)
+            assert laplacian_quadratic(s[None, :], W) > 1e-8
 
 
 class TestLaplacianQuadratic:
     def test_constant_columns_give_zero(self):
         rng = np.random.default_rng(7)
-        W = rng.random((5, 5))
-        W = (W + W.T) / 2
-        np.fill_diagonal(W, 0.0)
+        W = _random_symmetric(rng, 5)
         S = np.outer(rng.random(3), np.ones(5))
-        assert laplacian_quadratic(S, laplacian(W)) == pytest.approx(0.0, abs=1e-12)
+        assert laplacian_quadratic(S, W) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_hand_value(self):
-        lap = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        W = np.array([[0.0, 1.0], [1.0, 0.0]])
         S = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert laplacian_quadratic(S, lap) == pytest.approx(1.0, abs=1e-12)
+        assert laplacian_quadratic(S, W) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_pairwise_sum_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = int(rng.integers(3, 30))
             m = int(rng.integers(1, 5))
-            raw = rng.random((n, n))
-            W = (raw + raw.T) / 2
-            np.fill_diagonal(W, 0.0)
+            W = _random_symmetric(rng, n)
             S = rng.random((m, n))
             # brute-force pairwise form: 0.5 sum_ij ||s_i - s_j||^2 W_ij
             oracle = 0.0
             for i in range(n):
                 for j in range(n):
                     oracle += 0.5 * W[i, j] * np.sum((S[:, i] - S[:, j]) ** 2)
-            got = laplacian_quadratic(S, laplacian(W))
+            got = laplacian_quadratic(S, W)
             assert got == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("form", ["csr", "dense", "weight_matrix"])
+    def test_matches_dense_laplacian(self, form):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            n = int(rng.integers(3, 40))
+            W = _random_symmetric(rng, n)
+            W[rng.random((n, n)) < 0.5] = 0.0
+            W = np.maximum(W, W.T)
+            S = rng.random((int(rng.integers(1, 6)), n))
+            graph = {
+                "csr": sp.csr_array(W),
+                "dense": W,
+                "weight_matrix": WeightMatrix(W=W, kind="spatial"),
+            }[form]
+            oracle = _dense_quadratic(S, W)
+            assert abs(laplacian_quadratic(S, graph) - oracle) <= 1e-12 * abs(oracle)
+
     def test_shape_mismatch_rejected(self):
-        lap = laplacian(np.zeros((4, 4)))
         with pytest.raises(ShapeError):
-            laplacian_quadratic(np.ones((2, 5)), lap)
+            laplacian_quadratic(np.ones((2, 5)), np.zeros((4, 4)))
+        with pytest.raises(ShapeError):
+            laplacian_quadratic(np.ones((2, 4)), np.zeros((4, 5)))
 
 
 class TestMultiOrderBuild:

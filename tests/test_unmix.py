@@ -395,7 +395,7 @@ class TestRunSolver:
             model = run_solver(scene.cube, 3, SolverConfig(params=params, variant=variant))
             assert model.fusion is not None
             assert model.fusion.H.shape == (2, 1)
-            assert model.fusion.Wm.W.shape == (64, 64)
+            assert model.fusion.Wm.shape == (64, 64)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_loop_matches_transcribed_oracle(self, variant):
@@ -412,7 +412,7 @@ class TestRunSolver:
         state = consensus_graph(cube, params, list(orders))[1] if orders else None
         A, S, E, trace = _loop_oracle(
             cube.data, A0, S0, variant, params, estimate_gamma(cube),
-            state.Wm.W if state else None, state.Dm if state else None,
+            state.Wm if state else None, state.Dm if state else None,
         )
         assert model.iterations == len(trace)
         assert np.array_equal(model.endmembers, A)
