@@ -25,6 +25,7 @@ from .hsi_core import (
     save_cube,
 )
 from .graph import (
+    ConsensusOperator,
     MultiOrderGraphSet,
     WeightMatrix,
     build_multi_order_graphs,

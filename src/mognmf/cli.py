@@ -28,7 +28,7 @@ import click
 import numpy as np
 
 from . import simgen
-from .errors import DivergenceError, ParamError, ShapeError, UnmixingError
+from .errors import DivergenceError, IoError, ParamError, ParseError, ShapeError, UnmixingError
 from .hsi_core import UnmixParams, load_cube, save_abundance_maps, save_cube
 from .metrics import evaluate_model
 from .unmix import SolverConfig, VARIANTS, consensus_graph, fused_orders, run_solver
@@ -64,7 +64,12 @@ def _save_matrix(path: Path, matrix: np.ndarray) -> None:
 
 
 def _load_matrix(path: Path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+    try:
+        return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path} is not a numeric CSV: {exc}") from exc
 
 
 def _write_manifest(out_dir: Path, payload: dict) -> Path:
@@ -196,12 +201,12 @@ def cmd_unmix(
 ) -> dict:
     """Unmix a cube and write A/S/E/objective CSVs, PGM maps, manifest."""
     t0 = time.perf_counter()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = params or UnmixParams()
     cube = load_cube(cube_path, format=cube_format)
     config = SolverConfig(params=params, variant=variant, init=init)
     model = run_solver(cube, m, config)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     _save_matrix(out_dir / "A.csv", model.endmembers)
     _save_matrix(out_dir / "S.csv", model.abundances)
@@ -214,22 +219,22 @@ def cmd_unmix(
     outputs += [f"maps/{p.name}" for p in map_paths]
 
     wm_stats = None
-    if model.fusion is not None:
-        _save_matrix(out_dir / "H.csv", model.fusion.H)
+    sigmas = {}
+    fusion = model.fusion
+    if fusion is not None:
+        _save_matrix(out_dir / "H.csv", fusion.H)
         outputs.append("H.csv")
-        W = model.fusion.Wm
+        # read from D_m and the fusion Gram matrix: W_m itself is never formed
         wm_stats = {
-            "min": float(W.min()),
-            "max": float(W.max()),
-            "mean": float(W.mean()),
-            "frobenius": float(np.linalg.norm(W.data)),
-            "nnz": int(W.nnz),
-            "degree_min": float(model.fusion.Dm.min()),
-            "degree_max": float(model.fusion.Dm.max()),
-            "fusion_iterations": int(model.fusion.iterations),
+            "mean": float(fusion.Dm.sum()) / cube.pixel_count**2,
+            "frobenius": fusion.wm_norm,
+            "degree_min": float(fusion.Dm.min()),
+            "degree_max": float(fusion.Dm.max()),
+            "fusion_iterations": int(fusion.iterations),
         }
+        sigmas = fusion.sigmas
         if dump_wm:
-            _save_matrix(out_dir / "Wm.csv", W.toarray())
+            _save_matrix(out_dir / "Wm.csv", fusion.Wm.tocsr().toarray())
             outputs.append("Wm.csv")
 
     manifest = {
@@ -242,8 +247,11 @@ def cmd_unmix(
         "outputs": outputs,
         "iterations": int(model.iterations),
         "converged": bool(model.converged),
+        "stop_reason": "tolerance" if model.converged else "max_iterations",
         "final_objective": float(model.objective_trace[-1]),
         "gamma_used": model.gamma,
+        "sigma_s_used": sigmas.get("spatial"),
+        "sigma_l_used": sigmas.get("spectral"),
         "wm_stats": wm_stats,
         "wall_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
@@ -254,8 +262,6 @@ def cmd_unmix(
 def cmd_evaluate(result_dir, truth_dir, out_dir) -> dict:
     """Score an unmixing run against ground truth; write JSON + CSV row."""
     result_dir, truth_dir = Path(result_dir), Path(truth_dir)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     A_est = _load_matrix(result_dir / "A.csv")
     S_est = _load_matrix(result_dir / "S.csv")
     A_true = _load_matrix(truth_dir / "A_true.csv")
@@ -270,6 +276,8 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> dict:
     orders = fused_orders(result_manifest.get("variant", ""), config.order)
     report = evaluate_model(A_true, S_true, A_est, S_est)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     snr_db = truth_manifest.get("snr_db")
     row = {
@@ -310,19 +318,19 @@ def cmd_fuse(
 ) -> dict:
     """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m, graphs)."""
     t0 = time.perf_counter()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = params or UnmixParams()
     cube = load_cube(cube_path, format=cube_format)
     graphs, state = consensus_graph(cube, params)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _save_matrix(out_dir / "H.csv", state.H)
     _save_matrix(out_dir / "fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     outputs = ["H.csv", "fusion_objective.csv"]
     if dump_wm:
-        _save_matrix(out_dir / "Wm.csv", state.Wm.toarray())
+        _save_matrix(out_dir / "Wm.csv", state.Wm.tocsr().toarray())
         outputs.append("Wm.csv")
     if dump_graphs:
-        for g in graphs.all_graphs():
+        for g in graphs.powers():
             name = f"W_{g.kind}_{g.order}.csv"
             _save_matrix(out_dir / name, g.W.toarray())
             outputs.append(name)
@@ -334,6 +342,8 @@ def cmd_fuse(
         "fusion_iterations": int(state.iterations),
         "fusion_converged": bool(state.converged),
         "final_objective": float(state.objective_trace[-1]),
+        "sigma_s_used": state.sigmas["spatial"],
+        "sigma_l_used": state.sigmas["spectral"],
         "wall_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     _write_manifest(out_dir, manifest)

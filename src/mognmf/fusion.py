@@ -14,24 +14,30 @@ generic QP solver is needed.  Because each half-step minimizes a convex
 subproblem exactly, the fusion objective is non-increasing.  The
 consensus step needs no max(0, .) projection: the graphs are
 nonnegative and H lies on the simplex, so W_m is already nonnegative.
-The result is W_m (CSR) and its degree vector D_m; the Laplacian
-L_m = diag(D_m) - W_m is never formed (``graph.laplacian_quadratic``).
 
-All graphs, W_m included, are CSR arrays: the consensus is a sparse
-sum whose pattern is the union of the fused graphs, the Gram entries
-<W_i, W_j> are sums over the common nonzeros, and D_m is a 1-D vector.
-W_m is symmetric by construction, so it is not re-validated.
+The loop runs in Gram space: with G_ij = <W_i, W_j>, every residual and
+objective value is a quadratic form in the weights.  Each W_k^v is the
+order-k power of a view's order-1 graph over its normalizer s_vk, so G
+and the max-entry normalizers are accumulated over row blocks of the
+powers, rows_B(W^k) = ((W[B] @ W) @ W)..., and no whole power is held.
+W_m = sum_vk c_vk W_v^k with c_vk = H_vk / (s_vk (1 + mu)) is a
+polynomial in the order-1 graphs, returned as a ``ConsensusOperator``
+with its degree vector D_m; neither W_m nor the Laplacian
+L_m = diag(D_m) - W_m is formed (``graph.laplacian_quadratic``).
+``update_consensus`` and ``compute_residuals`` form the stack
+explicitly; they are the reference the Gram-space loop is checked
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParamError, ShapeError
-from .graph import MultiOrderGraphSet
+from .graph import ConsensusOperator, MultiOrderGraphSet
 
 __all__ = [
     "FusionState",
@@ -43,6 +49,9 @@ __all__ = [
 ]
 
 
+_ROW_BLOCK = 1024  # rows of each fused power held at once by fuse_graphs
+
+
 @dataclass(frozen=True)
 class FusionState:
     """Consensus graph W_m, its degree vector D_m, and the weights H.
@@ -51,11 +60,13 @@ class FusionState:
     """
 
     H: np.ndarray  # V x K, >= 0, entries sum to 1
-    Wm: sp.csr_array  # N x N consensus graph
+    Wm: ConsensusOperator  # N x N consensus graph
     Dm: np.ndarray  # degree vector of Wm
     objective_trace: np.ndarray
     iterations: int = 0
     converged: bool = False
+    wm_norm: float = 0.0  # ||W_m||_F, read from the Gram matrix
+    sigmas: dict = field(default_factory=dict)  # heat-kernel width of each view's graph, by kind
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -76,11 +87,14 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
 
 
 def update_consensus(H: np.ndarray, graphs: MultiOrderGraphSet, mu: float) -> sp.csr_array:
-    """Closed-form consensus update: sum H_vk W_k^v / (1 + mu), as CSR."""
+    """Closed-form consensus update: sum H_vk W_k^v / (1 + mu), as CSR.
+
+    Forms every power of the stack; a reference for ``fuse_graphs``.
+    """
     if mu < 0:
         raise ParamError("mu must be nonnegative")
     H = np.asarray(H, dtype=np.float64)
-    stack = graphs.all_graphs()
+    stack = graphs.powers()
     if H.size != len(stack):
         raise ShapeError("H shape does not match the graph set")
     Wm = sp.csr_array(stack[0].W.shape)
@@ -93,16 +107,18 @@ def update_consensus(H: np.ndarray, graphs: MultiOrderGraphSet, mu: float) -> sp
 
 
 def compute_residuals(Wm, graphs: MultiOrderGraphSet) -> np.ndarray:
-    """P_vk = ||W_m - W_k^v||_F^2 as a V x K matrix (W_m sparse or dense)."""
+    """P_vk = ||W_m - W_k^v||_F^2 as a V x K matrix (W_m sparse or dense).
+
+    Forms every power of the stack; a reference for ``fuse_graphs``.
+    """
     Wm = sp.csr_array(Wm, dtype=np.float64)
-    out = np.empty((graphs.view_count, graphs.K))
-    for v, view in enumerate(graphs.views):
-        for k, g in enumerate(view):
-            if g.W.shape != Wm.shape:
-                raise ShapeError("consensus and view graphs differ in size")
-            diff = (Wm - g.W).data
-            out[v, k] = float(np.dot(diff, diff))
-    return out
+    out = []
+    for g in graphs.powers():
+        if g.W.shape != Wm.shape:
+            raise ShapeError("consensus and view graphs differ in size")
+        diff = (Wm - g.W).data
+        out.append(float(np.dot(diff, diff)))
+    return np.array(out).reshape(graphs.view_count, graphs.K)
 
 
 def update_weights(P: np.ndarray, alpha: float) -> np.ndarray:
@@ -120,6 +136,43 @@ def _fusion_objective(H, P, wm_sq, mu, alpha) -> float:
     return float(np.sum(H * P) + mu * wm_sq + alpha * np.sum(H * H))
 
 
+def _gram_and_normalizers(graphs: MultiOrderGraphSet) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix <W_i, W_j> of the fused stack and the normalizer s_i of each member.
+
+    Both come from one pass over row blocks of the raw powers; s_i is
+    the maximum entry for orders >= 2 under ``normalize``, else 1.
+    """
+    mats = [g.W for g in graphs.views]
+    n = mats[0].shape[0]
+    top = max(graphs.orders)
+    m = len(mats) * graphs.K
+    gram = np.zeros((m, m))
+    peaks = np.zeros(m)
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = []
+        for W in mats:
+            # a product leaves its indices unsorted, and an elementwise
+            # product sorts unsorted operands each time; CSC comes out sorted
+            R = W[lo : lo + _ROW_BLOCK]
+            powers = {}
+            for k in range(1, top + 1):
+                if k > 1:
+                    R = R @ W
+                if k in graphs.orders:
+                    powers[k] = R.tocsc()
+            rows += [powers[k] for k in graphs.orders]
+        for i, R in enumerate(rows):
+            peaks[i] = max(peaks[i], R.max())
+            for j in range(i, m):
+                gram[i, j] += R.multiply(rows[j]).sum()
+    gram = np.triu(gram) + np.triu(gram, 1).T
+    order = np.tile(graphs.orders, len(mats))
+    scale = np.ones(m)
+    if graphs.normalize:
+        scale = np.where((order >= 2) & (peaks > 0), peaks, 1.0)
+    return gram / np.outer(scale, scale), scale
+
+
 def fuse_graphs(
     graphs: MultiOrderGraphSet,
     mu: float = 0.1,
@@ -130,10 +183,9 @@ def fuse_graphs(
     """Alternate consensus and weight updates until the objective settles.
 
     Stops when |L2(j) - L2(j-1)| < eps2 or after t2 sweeps.  The loop is
-    evaluated through the Gram matrix of the stacked graphs: with
-    G_ij = <W_i, W_j>, every residual and objective value is a
-    quadratic form in the current weights, which avoids materializing
-    W_m each sweep.  The result is identical to the direct alternation.
+    evaluated through the Gram matrix of the stack (module docstring),
+    so no power and no W_m is formed; it matches the direct alternation
+    through ``update_consensus`` and ``compute_residuals`` up to rounding.
     """
     if mu < 0:
         raise ParamError("mu must be nonnegative")
@@ -141,19 +193,16 @@ def fuse_graphs(
         raise ParamError("alpha must be positive")
     if t2 < 1:
         raise ParamError("t2 must be >= 1")
-    stack = graphs.all_graphs()
-    m = len(stack)
-    if m == 0:
+    if not graphs.views:
         raise ShapeError("empty graph set")
-    gram = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j] = gram[j, i] = float(stack[i].W.multiply(stack[j].W).sum())
+    gram, scale = _gram_and_normalizers(graphs)
     norms_sq = np.diag(gram).copy()
 
     V, K = graphs.view_count, graphs.K
+    m = V * K
     h = np.full(m, 1.0 / m)  # H_vk = 1/(V K) start
     h_cons = h
+    wm_sq = 0.0
     trace = []
     prev = None
     converged = False
@@ -174,15 +223,19 @@ def fuse_graphs(
             break
         prev = obj
 
-    H = h.reshape(V, K)
-    # materialize the consensus from the last consensus step (the loop
-    # ends half a sweep after it, with H freshly updated against it)
-    Wm = update_consensus(h_cons.reshape(V, K), graphs, mu)
+    # the consensus of the last consensus step (the loop ends half a
+    # sweep after it, with H freshly updated against it), as coefficients
+    # of the order-1 graphs' powers
+    coef = np.zeros((V, max(graphs.orders)))
+    coef[:, np.array(graphs.orders) - 1] = (h_cons / scale).reshape(V, K) / (1.0 + mu)
+    Wm = ConsensusOperator([g.W for g in graphs.views], coef)
     return FusionState(
-        H=H,
+        H=h.reshape(V, K),
         Wm=Wm,
-        Dm=Wm.sum(axis=1),
+        Dm=Wm.degree,
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
+        wm_norm=float(np.sqrt(wm_sq)),
+        sigmas={g.kind: g.sigma for g in graphs.views},
     )

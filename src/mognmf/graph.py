@@ -9,11 +9,15 @@ Order-k graphs are plain matrix powers of the order-1 graph; powers of
 order >= 2 are divided by their maximum entry so all orders live on a
 comparable scale before fusion (raw powers grow without bound).
 
-Every graph is a scipy CSR array, so memory is O(nnz): a k-NN graph
-has about C*N nonzeros, and its powers stay far from dense at the
-orders fused (the order-3 spectral power of a 64x64 scene is 16%
-dense).  The distances are computed over blocks of rows and never
-held as one N x N array.  No Laplacian is ever formed.
+Every graph is a scipy CSR array, so memory is O(nnz).  The distances
+are computed over blocks of rows and never held as one N x N array.
+Only the order-1 graph of each view is stored: a k-NN graph has about
+C*N nonzeros, while its powers fill in fast (the order-3 spectral power
+of a 64x64 scene is 16% dense).  The consensus graph, a polynomial in
+the order-1 graphs, is a ``ConsensusOperator`` applied by repeated
+sparse products; ``graph_powers`` and ``ConsensusOperator.tocsr`` form
+the matrices only for dumps and oracle checks.  No Laplacian is ever
+formed.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .hsi_core import HsiCube
 __all__ = [
     "WeightMatrix",
     "MultiOrderGraphSet",
+    "ConsensusOperator",
     "spatial_weights",
     "spectral_weights",
     "graph_powers",
@@ -49,6 +54,7 @@ class WeightMatrix:
     W: sp.csr_array
     kind: str  # spatial | spectral
     order: int = 1
+    sigma: float | None = None  # heat-kernel width of a built order-1 graph
 
     def __post_init__(self):
         W = sp.csr_array(self.W, dtype=np.float64)
@@ -63,18 +69,102 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class MultiOrderGraphSet:
-    """Order 1..K weight matrices for each view, in (spatial, spectral) order."""
+    """The order-1 graph of each view and the graph orders fused from it.
 
-    views: tuple  # tuple of lists of WeightMatrix
-    K: int
+    The fused stack is W_v^k for each view v, in (spatial, spectral)
+    order, and each k in ``orders``, view-major: the row-major layout of
+    H.  With ``normalize`` a power of order >= 2 enters divided by its
+    maximum entry.  Only the order-1 graphs are stored.
+    """
 
-    def all_graphs(self) -> list[WeightMatrix]:
-        """Flatten in view-major order; matches the row-major layout of H."""
-        return [g for view in self.views for g in view]
+    views: tuple  # one order-1 WeightMatrix per view
+    orders: tuple = (1,)
+    normalize: bool = True
+
+    @property
+    def K(self) -> int:
+        """Orders fused per view: the column count of H."""
+        return len(self.orders)
 
     @property
     def view_count(self) -> int:
         return len(self.views)
+
+    def all_graphs(self) -> list[WeightMatrix]:
+        """The stored graphs: the order-1 graph of each view."""
+        return list(self.views)
+
+    def powers(self) -> list[WeightMatrix]:
+        """The fused stack as matrices, in the row-major layout of H.
+
+        Holds every power at once; for dumps and oracle checks only.
+        """
+        out = []
+        for w in self.views:
+            powers = graph_powers(w, max(self.orders), normalize=self.normalize)
+            out += [powers[k - 1] for k in self.orders]
+        return out
+
+
+class ConsensusOperator:
+    """W = sum_v sum_k coef[v, k-1] W_v^k over symmetric CSR graphs W_v, never formed.
+
+    ``S @ op`` evaluates each view's polynomial in Horner form: one
+    product of an N x M block with W_v per order, against about C*N
+    stored entries.  ``degree`` is the operator applied to a vector of
+    ones (W is symmetric, so it is the row sums).  ``tocsr`` forms W,
+    for dumps and oracle checks only.
+    """
+
+    __array_ufunc__ = None  # ndarray @ op defers to __rmatmul__
+
+    def __init__(self, graphs, coef):
+        self.graphs = tuple(graphs)
+        self.coef = np.asarray(coef, dtype=np.float64)
+        if self.coef.ndim != 2 or self.coef.shape[0] != len(self.graphs):
+            raise ShapeError("one coefficient row per graph is required")
+        self.shape = self.graphs[0].shape
+
+    def _terms(self):
+        """(W_v, coefficients up to the highest nonzero order) per active view."""
+        for W, c in zip(self.graphs, self.coef):
+            nz = np.flatnonzero(c)
+            if nz.size:
+                yield W, c[: nz[-1] + 1]
+
+    def __rmatmul__(self, S) -> np.ndarray:
+        S = np.asarray(S, dtype=np.float64)
+        if S.ndim != 2 or S.shape[1] != self.shape[0]:
+            raise ShapeError(f"cannot apply a {self.shape} graph to {S.shape}")
+        # S W_v^k = (W_v^k S^T)^T for symmetric W_v: each product is a CSR
+        # times a dense block, with no transpose of the graph
+        St = S.T
+        out = np.zeros(St.shape)
+        for W, c in self._terms():
+            t = c[-1] * St
+            for ck in c[-2::-1]:
+                t = W @ t
+                if ck:
+                    t += ck * St
+            out += W @ t
+        return out.T
+
+    @property
+    def degree(self) -> np.ndarray:
+        """The operator applied to a vector of ones: the row sums of W."""
+        return (np.ones((1, self.shape[0])) @ self)[0]
+
+    def tocsr(self) -> sp.csr_array:
+        """W as one CSR array, symmetrized against product rounding."""
+        out = sp.csr_array(self.shape)
+        for W, c in self._terms():
+            Wk = W
+            for k, ck in enumerate(c):
+                if k:
+                    Wk = Wk @ W
+                if ck:
+                    out = out + ck * Wk
+        return sp.csr_array(0.5 * (out + out.T))
 
 
 def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[sp.csr_array, float]:
@@ -132,14 +222,14 @@ def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[sp.csr_
 def spatial_weights(cube: HsiCube, sigma_s="auto", neighbors: int = 10) -> WeightMatrix:
     """Heat-kernel affinity over Euclidean grid distance between pixels."""
     grid = np.divmod(np.arange(cube.pixel_count), cube.width)
-    W, _ = _knn_heat_kernel(np.array(grid, dtype=np.float64), sigma_s, neighbors)
-    return WeightMatrix(W=W, kind="spatial", order=1)
+    W, sigma = _knn_heat_kernel(np.array(grid, dtype=np.float64), sigma_s, neighbors)
+    return WeightMatrix(W=W, kind="spatial", order=1, sigma=sigma)
 
 
 def spectral_weights(cube: HsiCube, sigma_l="auto", neighbors: int = 10) -> WeightMatrix:
     """Heat-kernel affinity over Euclidean distance between pixel spectra."""
-    W, _ = _knn_heat_kernel(cube.data, sigma_l, neighbors)
-    return WeightMatrix(W=W, kind="spectral", order=1)
+    W, sigma = _knn_heat_kernel(cube.data, sigma_l, neighbors)
+    return WeightMatrix(W=W, kind="spectral", order=1, sigma=sigma)
 
 
 def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[WeightMatrix]:
@@ -169,19 +259,23 @@ def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[Weight
 
 
 def laplacian_quadratic(S: np.ndarray, W) -> float:
-    """Tr(S L S^T), L = diag(D) - W with D the row sums of W (CSR, dense or WeightMatrix).
+    """Tr(S L S^T), L = diag(D) - W with D the row sums of W.
 
+    W is a CSR or dense matrix, a WeightMatrix or a ConsensusOperator.
     Read as sum S.*(S D) - sum S.*(S W): the products the S update forms.
     """
-    W = W.W if isinstance(W, WeightMatrix) else sp.csr_array(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+    if isinstance(W, WeightMatrix):
+        W = W.W
+    elif not isinstance(W, ConsensusOperator):
+        W = sp.csr_array(W, dtype=np.float64)
+    if len(W.shape) != 2 or W.shape[0] != W.shape[1]:
         raise ShapeError("laplacian_quadratic expects a square weight matrix")
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[1] != W.shape[0]:
         raise ShapeError(
             f"abundance column count {S.shape} does not match graph size {W.shape[0]}"
         )
-    D = W.sum(axis=1)
+    D = W.degree if isinstance(W, ConsensusOperator) else W.sum(axis=1)
     return float(np.sum(S * (S * D[None, :])) - np.sum(S * (S @ W)))
 
 
@@ -196,25 +290,21 @@ def build_multi_order_graphs(
     normalize: bool = True,
     orders: list[int] | None = None,
 ) -> MultiOrderGraphSet:
-    """Construct spatial and spectral graphs of orders 1..K.
+    """Construct the spatial and spectral order-1 graphs, fused at orders 1..K.
 
-    ``orders`` restricts the returned set to a subset of orders (used by
-    single-order ablation variants); K still bounds the powers computed.
-    Each order must lie in 1..K and appear once.
+    ``orders`` restricts the fused orders to a subset (used by
+    single-order ablation variants).  Each order must lie in 1..K and
+    appear once.
     """
-    if orders is not None and (
-        any(not 1 <= k <= K for k in orders) or len(set(orders)) != len(orders)
-    ):
+    if K < 1:
+        raise ParamError("graph order K must be >= 1")
+    orders = tuple(range(1, K + 1)) if orders is None else tuple(orders)
+    if not orders or any(not 1 <= k <= K for k in orders) or len(set(orders)) != len(orders):
         raise ParamError(f"orders must be distinct and within 1..{K}, got {list(orders)}")
     c_spa = neighbors_spatial if neighbors_spatial is not None else neighbors
     c_spe = neighbors_spectral if neighbors_spectral is not None else neighbors
-    w_spa = spatial_weights(cube, sigma_s=sigma_s, neighbors=c_spa)
-    w_spe = spectral_weights(cube, sigma_l=sigma_l, neighbors=c_spe)
-    views = []
-    for w1 in (w_spa, w_spe):
-        powers = graph_powers(w1, K, normalize=normalize)
-        if orders is not None:
-            powers = [powers[k - 1] for k in orders]
-        views.append(powers)
-    k_eff = len(views[0])
-    return MultiOrderGraphSet(views=tuple(views), K=k_eff)
+    views = (
+        spatial_weights(cube, sigma_s=sigma_s, neighbors=c_spa),
+        spectral_weights(cube, sigma_l=sigma_l, neighbors=c_spe),
+    )
+    return MultiOrderGraphSet(views=views, orders=orders, normalize=normalize)

@@ -12,6 +12,10 @@ formed once per iteration:
        ./ (A^T A S + (gamma/2) S^(-1/2) + lam S D_m)
 * E <- row-wise soft threshold of T at level beta
 
+W_m is a polynomial in the two order-1 k-NN graphs
+(``graph.ConsensusOperator``): S W_m costs one sparse product per
+graph order and view, and neither W_m nor any power is stored.
+
 Ablation variants drop individual terms; the plain-NMF baseline is the
 classic two-factor multiplicative rule with no constraints beyond
 nonnegativity.  The sum-to-one constraint is realized purely through
@@ -230,8 +234,9 @@ def update_abundances(
     """One multiplicative step on S against the residual R = X - E.
 
     R and A come delta-augmented when the variant enforces sum-to-one.
-    ``Wm``/``Dm`` are the consensus weight matrix (CSR) and its degree
-    vector; they are required when lam != 0.  Entries of S below 1e-10 are
+    ``Wm``/``Dm`` are the consensus graph (a ConsensusOperator, or any
+    matrix ``S @ Wm`` accepts) and its degree vector; they are required
+    when lam != 0.  Entries of S below 1e-10 are
     floored before the S^(-1/2) term so the update stays finite.
     """
     num = A.T @ R
@@ -351,7 +356,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     fusion_state: FusionState | None = None
     orders = fused_orders(config.variant, p.order)
     if orders and p.lam > 0.0:
-        # only W_m and D_m are kept; the per-order graphs are freed here
+        # only W_m and D_m are kept: an operator over the order-1 graphs
         fusion_state = consensus_graph(cube, p, list(orders))[1]
         Wm = fusion_state.Wm
         Dm = fusion_state.Dm

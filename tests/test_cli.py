@@ -16,7 +16,7 @@ from mognmf.cli import (
     main,
 )
 from mognmf.errors import DivergenceError
-from mognmf.graph import build_multi_order_graphs
+from mognmf.graph import build_multi_order_graphs, spatial_weights, spectral_weights
 from mognmf.hsi_core import HsiCube, UnmixParams, load_cube, save_cube
 from mognmf.unmix import SolverConfig, run_solver
 
@@ -112,8 +112,55 @@ class TestUnmix:
         manifest = json.loads((out / "manifest.json").read_text())
         stats = manifest["wm_stats"]
         assert stats is not None
-        assert stats["max"] > 0
-        assert 0 < stats["nnz"] <= 36 * 36
+        assert set(stats) == {
+            "mean", "frobenius", "degree_min", "degree_max", "fusion_iterations"
+        }
+        assert 0 < stats["degree_min"] <= stats["degree_max"]
+
+    def test_wm_stats_match_dumped_consensus(self, tmp_path):
+        # wm_stats are read from D_m and the fusion Gram matrix; the
+        # dumped W_m is formed, so it is the oracle
+        scene = _tiny_scene_dir(tmp_path)
+        out = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 3, out, params=UnmixParams(t1=3, neighbors=4),
+                  dump_wm=True)
+        stats = json.loads((out / "manifest.json").read_text())["wm_stats"]
+        Wm = np.loadtxt(out / "Wm.csv", delimiter=",")
+        degree = Wm.sum(axis=1)
+        assert stats["mean"] == pytest.approx(Wm.mean(), rel=1e-12)
+        assert stats["frobenius"] == pytest.approx(np.linalg.norm(Wm), rel=1e-12)
+        assert stats["degree_min"] == pytest.approx(degree.min(), rel=1e-12)
+        assert stats["degree_max"] == pytest.approx(degree.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("t1, eps1, reason", [(2, 1e-12, "max_iterations"),
+                                                  (500, 1e-2, "tolerance")])
+    def test_stop_reason(self, tmp_path, t1, eps1, reason):
+        scene = _tiny_scene_dir(tmp_path)
+        manifest = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", variant="snmf",
+                             params=UnmixParams(t1=t1, eps1=eps1))
+        assert manifest["stop_reason"] == reason
+        assert manifest["converged"] == (reason == "tolerance")
+
+    def test_resolved_sigmas_recorded(self, tmp_path):
+        scene = _tiny_scene_dir(tmp_path)
+        cube = load_cube(scene / "cube.raw")
+        params = UnmixParams(t1=2, neighbors=4, sigma_s=1.3)
+        manifest = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", params=params)
+        assert manifest["sigma_s_used"] == 1.3
+        # sigma_l "auto" resolves to the median retained spectral distance
+        assert manifest["sigma_l_used"] == spectral_weights(cube, neighbors=4).sigma
+        graph_free = cmd_unmix(scene / "cube.raw", 3, tmp_path / "snmf", variant="snmf",
+                               params=params)
+        assert graph_free["sigma_s_used"] is None and graph_free["sigma_l_used"] is None
+
+    def test_bad_input_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(tmp_path / "nope.raw"), "--m", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
 
     def test_nan_parameter_exits_2_before_writing(self, runner, tmp_path):
         scene = _tiny_scene_dir(tmp_path)
@@ -239,6 +286,24 @@ class TestEvaluate:
         )
         assert result.exit_code == 2
 
+    def test_bad_input_writes_nothing(self, runner, tmp_path):
+        scene = _tiny_scene_dir(tmp_path)
+        run = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 2, run, variant="nmf", params=UnmixParams(t1=5))
+        out = tmp_path / "eval"
+        result = runner.invoke(
+            main, ["evaluate", "--result", str(run), "--truth", str(scene), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output  # 2 endmembers against 3 in the truth
+        assert not out.exists()
+        (run / "S.csv").unlink()
+        result = runner.invoke(
+            main, ["evaluate", "--result", str(run), "--truth", str(scene), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "cannot read" in result.output
+        assert not out.exists()
+
 
 class TestFuse:
     def test_h_csv_and_dump(self, runner, tmp_path):
@@ -258,14 +323,25 @@ class TestFuse:
         # the dumped graphs are the ones fusion saw, written losslessly
         cube = load_cube(scene / "cube.raw")
         graphs = build_multi_order_graphs(cube, K=3, neighbors=4)
-        for g in graphs.all_graphs():
+        for g in graphs.powers():
             W = np.loadtxt(out / f"W_{g.kind}_{g.order}.csv", delimiter=",")
             assert W.shape == (36, 36)
             assert np.array_equal(W, g.W.toarray())
         # fuse and unmix share one params -> graphs -> fusion path
         model = run_solver(cube, 3, SolverConfig(params=UnmixParams(neighbors=4, t1=1)))
         assert np.array_equal(H, model.fusion.H)
-        assert np.array_equal(Wm, model.fusion.Wm.toarray())
+        assert np.array_equal(Wm, model.fusion.Wm.tocsr().toarray())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["sigma_s_used"] == spatial_weights(cube, neighbors=4).sigma
+        assert manifest["sigma_l_used"] == spectral_weights(cube, neighbors=4).sigma
+
+    def test_bad_input_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "fusion"
+        result = runner.invoke(
+            main, ["fuse", "--cube", str(tmp_path / "nope.raw"), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
 
 
 class TestAblate:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mognmf import fusion
 from mognmf.errors import ParamError, ShapeError
 from mognmf.fusion import (
     compute_residuals,
@@ -40,24 +41,22 @@ def _simplex_project_enumeration(y):
     return best
 
 
-def _graph_set(matrices, V, K):
-    views, it = [], iter(matrices)
-    for v in range(V):
-        kind = "spatial" if v == 0 else "spectral"
-        views.append(
-            [WeightMatrix(W=next(it), kind=kind, order=k + 1) for k in range(K)]
-        )
-    return MultiOrderGraphSet(views=tuple(views), K=K)
+def _graph_set(matrices, K):
+    """Two order-1 graphs (spatial, spectral), fused at orders 1..K."""
+    views = tuple(
+        WeightMatrix(W=W, kind=kind) for W, kind in zip(matrices, ("spatial", "spectral"))
+    )
+    return MultiOrderGraphSet(views=views, orders=tuple(range(1, K + 1)))
 
 
-def _random_graph_set(rng, n=5, V=2, K=3):
+def _random_graph_set(rng, n=5, K=3):
     mats = []
-    for _ in range(V * K):
+    for _ in range(2):
         raw = rng.random((n, n))
         W = (raw + raw.T) / 2
         np.fill_diagonal(W, 0.0)
         mats.append(W)
-    return _graph_set(mats, V, K)
+    return _graph_set(mats, K)
 
 
 class TestProjectSimplex:
@@ -97,7 +96,8 @@ class TestUpdateConsensus:
         H = np.zeros((2, 3))
         H[1, 2] = 1.0
         Wm = update_consensus(H, graphs, mu=0.0)
-        assert np.allclose(Wm.toarray(), graphs.views[1][2].W.toarray(), atol=1e-14)
+        spectral_order_3 = graphs.powers()[5]
+        assert np.allclose(Wm.toarray(), spectral_order_3.W.toarray(), atol=1e-14)
 
     def test_large_mu_shrinks_to_zero(self):
         rng = np.random.default_rng(2)
@@ -115,7 +115,7 @@ class TestUpdateConsensus:
 
         def objective(W):
             total = mu * np.sum(W**2)
-            for h, g in zip(H.ravel(), graphs.all_graphs()):
+            for h, g in zip(H.ravel(), graphs.powers()):
                 total += h * np.sum((W - g.W.toarray()) ** 2)
             return total
 
@@ -141,7 +141,7 @@ class TestComputeResiduals:
     def test_zero_residual_at_matching_graph(self):
         rng = np.random.default_rng(5)
         graphs = _random_graph_set(rng, n=4)
-        P = compute_residuals(graphs.views[0][1].W, graphs)
+        P = compute_residuals(graphs.powers()[1].W, graphs)  # spatial order 2
         assert P[0, 1] == pytest.approx(0.0, abs=1e-14)
         assert np.all(P >= 0.0)
 
@@ -149,7 +149,7 @@ class TestComputeResiduals:
         rng = np.random.default_rng(6)
         graphs = _random_graph_set(rng, n=4)
         P = compute_residuals(np.zeros((4, 4)), graphs)
-        for (v, k), g in zip(np.ndindex(2, 3), graphs.all_graphs()):
+        for (v, k), g in zip(np.ndindex(2, 3), graphs.powers()):
             assert P[v, k] == pytest.approx(np.sum(g.W.toarray() ** 2), rel=1e-14)
 
     def test_matches_elementwise_sum_oracle(self):
@@ -158,7 +158,7 @@ class TestComputeResiduals:
         Wm = rng.random((3, 3))
         Wm = (Wm + Wm.T) / 2
         P = compute_residuals(Wm, graphs)
-        for (v, k), g in zip(np.ndindex(2, 3), graphs.all_graphs()):
+        for (v, k), g in zip(np.ndindex(2, 3), graphs.powers()):
             oracle = sum(
                 (Wm[i, j] - g.W.toarray()[i, j]) ** 2 for i in range(3) for j in range(3)
             )
@@ -229,14 +229,15 @@ def _naive_fuse(graphs, mu, alpha, eps2, t2):
 
 class TestFuseGraphs:
     def test_identical_graphs_converge_to_common(self):
-        rng = np.random.default_rng(11)
-        raw = rng.random((5, 5))
-        W = (raw + raw.T) / 2
-        np.fill_diagonal(W, 0.0)
-        graphs = _graph_set([W.copy() for _ in range(6)], 2, 3)
+        # W = u u^T / max(u)^2 has W^k = |u|^(2k-2) W / max(u)^(2k-2), so
+        # every max-normalized power is W again: six identical graphs
+        u = np.random.default_rng(11).uniform(0.1, 1.0, size=5)
+        W = np.outer(u, u) / u.max() ** 2
+        graphs = _graph_set([W, W], 3)
+        assert all(np.allclose(g.W.toarray(), W, atol=1e-15) for g in graphs.powers())
         state = fuse_graphs(graphs, mu=0.0, alpha=0.1)
         assert state.iterations <= 2
-        assert np.allclose(state.Wm.toarray(), W, atol=1e-12)
+        assert np.allclose(state.Wm.tocsr().toarray(), W, atol=1e-12)
 
     def test_matches_naive_alternation(self):
         rng = np.random.default_rng(12)
@@ -244,7 +245,7 @@ class TestFuseGraphs:
         state = fuse_graphs(graphs, mu=0.2, alpha=0.5, eps2=1e-9, t2=25)
         H_ref, Wm_ref, trace_ref = _naive_fuse(graphs, 0.2, 0.5, 1e-9, 25)
         assert np.allclose(state.H, H_ref, atol=1e-9)
-        assert np.allclose(state.Wm.toarray(), Wm_ref, atol=1e-9)
+        assert np.allclose(state.Wm.tocsr().toarray(), Wm_ref, atol=1e-9)
         assert len(state.objective_trace) == len(trace_ref)
         assert np.allclose(state.objective_trace, trace_ref, rtol=1e-9, atol=1e-9)
 
@@ -273,4 +274,25 @@ class TestFuseGraphs:
         assert np.array_equal(a.H, b.H)
         assert np.all(a.H >= 0.0)
         assert abs(a.H.sum() - 1.0) <= 1e-10
-        assert np.array_equal(a.Dm, a.Wm.sum(axis=1))
+        # D_m is the operator applied to ones: the row sums of W_m up to rounding
+        assert np.array_equal(a.Dm, b.Dm)
+        assert np.array_equal(a.Dm, a.Wm.degree)
+        assert np.allclose(a.Dm, a.Wm.tocsr().sum(axis=1), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_row_blocks_do_not_change_the_result(self, monkeypatch, normalize):
+        # Gram entries and normalizers accumulate over row blocks of the
+        # powers; a 3-row block over 10 nodes covers a remainder block too
+        rng = np.random.default_rng(15)
+        base = _random_graph_set(rng, n=10)
+        graphs = MultiOrderGraphSet(views=base.views, orders=(3, 1), normalize=normalize)
+        whole = fuse_graphs(graphs, mu=0.2, alpha=50.0)
+        monkeypatch.setattr(fusion, "_ROW_BLOCK", 3)
+        blocks = fuse_graphs(graphs, mu=0.2, alpha=50.0)
+        assert whole.iterations == blocks.iterations
+        assert np.allclose(blocks.H, whole.H, rtol=0.0, atol=1e-12)
+        assert np.allclose(blocks.objective_trace, whole.objective_trace, rtol=1e-12)
+        assert np.allclose(blocks.Wm.coef, whole.Wm.coef, rtol=1e-12, atol=0.0)
+        H_ref, Wm_ref, _ = _naive_fuse(graphs, 0.2, 50.0, 1e-6, 50)
+        assert np.allclose(blocks.H, H_ref, atol=1e-9)
+        assert np.allclose(blocks.Wm.tocsr().toarray(), Wm_ref, atol=1e-9)

@@ -6,7 +6,9 @@ import pytest
 from mognmf.errors import ParamError, ShapeError
 import scipy.sparse as sp
 
+from mognmf.fusion import FusionState, compute_residuals, update_consensus, update_weights
 from mognmf.graph import (
+    ConsensusOperator,
     WeightMatrix,
     build_multi_order_graphs,
     graph_powers,
@@ -79,7 +81,7 @@ def _dense_knn_heat_kernel(points, sigma, neighbors):
 
 
 def _dense_multi_order(cube, K, neighbors, sigma_s="auto", sigma_l="auto"):
-    """Dense max-normalized powers 1..K of both views, in all_graphs() order."""
+    """Dense max-normalized powers 1..K of both views, in powers() order."""
     grid = np.array(np.divmod(np.arange(cube.pixel_count), cube.width), dtype=np.float64)
     out = []
     for points, sigma in ((grid, sigma_s), (cube.data, sigma_l)):
@@ -110,7 +112,7 @@ class TestDenseOracleEquivalence:
     @pytest.mark.parametrize("case", ["grid5x6", "grid17x9", "duplicated", "random24"])
     def test_graphs_match_dense_builder(self, case):
         cube, kw = _oracle_case(case)
-        graphs = build_multi_order_graphs(cube, K=3, **kw).all_graphs()
+        graphs = build_multi_order_graphs(cube, K=3, **kw).powers()
         oracle = _dense_multi_order(cube, K=3, **kw)
         assert len(graphs) == len(oracle) == 6
         for g, dense in zip(graphs, oracle):
@@ -129,7 +131,7 @@ class TestDenseOracleEquivalence:
         A = rng.random((cube.band_count, 4))
         args = (S, A, cube.data, 0.3, 0.05)
         sparse = update_abundances(*args, state.Wm, state.Dm)
-        dense = update_abundances(*args, state.Wm.toarray(), state.Dm)
+        dense = update_abundances(*args, state.Wm.tocsr().toarray(), state.Dm)
         assert np.max(np.abs(sparse - dense)) <= 1e-12
 
 
@@ -141,11 +143,83 @@ class TestFusedConsensus:
         cube, kw = _oracle_case("random24")
         _, state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"], alpha=alpha))
         assert (np.count_nonzero(state.H) == 1) == one_hot
-        Wm = state.Wm
+        Wm = state.Wm.tocsr()
         assert isinstance(Wm, sp.csr_array)
         assert (Wm != Wm.T).nnz == 0
         assert Wm.data.min() >= 0
-        assert np.array_equal(state.Dm, Wm.sum(axis=1))
+        # D_m is the operator applied to ones: the row sums up to rounding
+        assert np.array_equal(state.Dm, state.Wm.degree)
+        assert np.allclose(state.Dm, Wm.sum(axis=1), rtol=1e-12, atol=0.0)
+
+
+def _stored_power_fusion(graphs, params, sweeps):
+    """H and W_m of the direct alternation over the formed stack."""
+    H = np.full((graphs.view_count, graphs.K), 1.0 / (graphs.view_count * graphs.K))
+    for _ in range(sweeps):
+        Wm = update_consensus(H, graphs, params.mu)
+        H = update_weights(compute_residuals(Wm, graphs), params.alpha)
+    return H, Wm
+
+
+def _csr_arrays(obj):
+    """Every CSR array reachable from obj through fields, attributes and containers."""
+    if isinstance(obj, sp.sparray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    elif hasattr(obj, "__dict__"):
+        children = vars(obj).values()
+    else:
+        return []
+    return [m for child in children for m in _csr_arrays(child)]
+
+
+class TestConsensusOperator:
+    """The operator against the stored-power consensus on the random24 oracle cube."""
+
+    CASES = {
+        "one_hot": (0.1, None),
+        "spread": (1e6, None),
+        "case_iv": (0.1, [2]),
+        "case_v": (0.1, [1]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_stored_power_consensus(self, case):
+        alpha, orders = self.CASES[case]
+        cube, kw = _oracle_case("random24")
+        params = UnmixParams(neighbors=kw["neighbors"], alpha=alpha)
+        graphs, state = consensus_graph(cube, params, orders)
+        H_ref, Wm_ref = _stored_power_fusion(graphs, params, state.iterations)
+        assert np.allclose(state.H, H_ref, rtol=0.0, atol=1e-12)
+        Wm = state.Wm.tocsr()
+        assert np.array_equal(Wm.toarray() != 0, Wm_ref.toarray() != 0)
+        assert abs(Wm - Wm_ref).max() <= 1e-12
+        S = np.random.default_rng(17).random((4, cube.pixel_count))
+        SW = S @ Wm
+        assert np.max(np.abs(S @ state.Wm - SW)) <= 1e-12 * np.max(SW)
+        assert np.max(np.abs(state.Wm.degree - Wm.sum(axis=1))) <= 1e-12 * np.max(state.Dm)
+
+    def test_default_consensus_stores_no_power(self):
+        cube, kw = _oracle_case("random24")
+        graphs, state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"]))
+        assert isinstance(state, FusionState)
+        assert isinstance(state.Wm, ConsensusOperator)
+        order1 = sum(g.W.nnz for g in graphs.all_graphs())
+        held = _csr_arrays(graphs) + _csr_arrays(state)
+        assert held and max(W.nnz for W in held) <= order1
+        # the order-3 spectral power this consensus puts its weight on is far larger
+        assert graphs.powers()[5].W.nnz > 10 * order1
+
+    def test_rmatmul_validates_shape(self):
+        op = ConsensusOperator([sp.csr_array(np.eye(3))], [[1.0]])
+        assert np.array_equal(np.ones((2, 3)) @ op, np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            np.ones((2, 4)) @ op
+        with pytest.raises(ShapeError):
+            ConsensusOperator([sp.csr_array(np.eye(3))], [1.0])
 
 
 class TestHeatKernelGraphs:
@@ -350,7 +424,7 @@ class TestLaplacianQuadratic:
             got = laplacian_quadratic(S, W)
             assert got == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
-    @pytest.mark.parametrize("form", ["csr", "dense", "weight_matrix"])
+    @pytest.mark.parametrize("form", ["csr", "dense", "weight_matrix", "operator"])
     def test_matches_dense_laplacian(self, form):
         rng = np.random.default_rng(10)
         for _ in range(20):
@@ -359,11 +433,15 @@ class TestLaplacianQuadratic:
             W[rng.random((n, n)) < 0.5] = 0.0
             W = np.maximum(W, W.T)
             S = rng.random((int(rng.integers(1, 6)), n))
-            graph = {
-                "csr": sp.csr_array(W),
-                "dense": W,
-                "weight_matrix": WeightMatrix(W=W, kind="spatial"),
-            }[form]
+            if form == "operator":  # 0.5 W + 0.25 W^2, applied without forming it
+                graph = ConsensusOperator([sp.csr_array(W)], [[0.5, 0.25]])
+                W = 0.5 * W + 0.25 * (W @ W)
+            else:
+                graph = {
+                    "csr": sp.csr_array(W),
+                    "dense": W,
+                    "weight_matrix": WeightMatrix(W=W, kind="spatial"),
+                }[form]
             oracle = _dense_quadratic(S, W)
             assert abs(laplacian_quadratic(S, graph) - oracle) <= 1e-12 * abs(oracle)
 
@@ -381,8 +459,12 @@ class TestMultiOrderBuild:
         graphs = build_multi_order_graphs(cube, K=3, neighbors=4)
         assert graphs.view_count == 2
         assert graphs.K == 3
-        kinds = [g.kind for g in graphs.all_graphs()]
-        orders = [g.order for g in graphs.all_graphs()]
+        # only the order-1 graphs are stored; powers() forms the fused stack
+        assert [(g.kind, g.order) for g in graphs.all_graphs()] == [
+            ("spatial", 1), ("spectral", 1)
+        ]
+        kinds = [g.kind for g in graphs.powers()]
+        orders = [g.order for g in graphs.powers()]
         assert kinds == ["spatial"] * 3 + ["spectral"] * 3
         assert orders == [1, 2, 3, 1, 2, 3]
 
@@ -391,7 +473,8 @@ class TestMultiOrderBuild:
         cube = _random_cube(rng, 4, 4)
         graphs = build_multi_order_graphs(cube, K=2, neighbors=3, orders=[2])
         assert graphs.K == 1
-        assert [g.order for g in graphs.all_graphs()] == [2, 2]
+        assert [g.order for g in graphs.all_graphs()] == [1, 1]
+        assert [g.order for g in graphs.powers()] == [2, 2]
 
     @pytest.mark.parametrize("K, orders", [(3, [0]), (1, [2]), (3, [4]), (3, [3, 3])])
     def test_invalid_orders_rejected(self, K, orders):
@@ -405,7 +488,7 @@ class TestMultiOrderBuild:
         graphs = build_multi_order_graphs(
             cube, K=1, neighbors=3, neighbors_spatial=2, neighbors_spectral=5
         )
-        w_spa, w_spe = (view[0].W.toarray() for view in graphs.views)
+        w_spa, w_spe = (g.W.toarray() for g in graphs.views)
         # row degree (nonzero count) reflects the per-view neighbor budget
         assert np.count_nonzero(w_spa[0]) <= 2 * 2
         assert np.count_nonzero(w_spe[0]) >= 5
