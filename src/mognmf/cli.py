@@ -1,16 +1,19 @@
 """Command-line pipeline: simulate, unmix, evaluate, ablate, fuse, sweep.
 
 Every command reads an optional JSON config file, applies flag
-overrides on top (flags win), writes its artifacts into --out, and
-drops a manifest.json recording the full config snapshot, input hashes,
-output names, timings, iteration counts, and the final objective.
-Numeric artifacts (CSV, PGM, raw cubes) are bit-identical across runs
-with the same config and seed; manifests additionally carry wall-clock
-timings.
+overrides on top (flags win), and writes its artifacts into --out
+through one writer, which creates --out on the first artifact written:
+a command that fails before that leaves no --out behind.  The writer
+also drops a manifest.json recording the command, its outputs in write
+order, the wall-clock time ``wall_ms`` and, where the command has them,
+input hashes; each command adds its config snapshot, iteration counts
+and final objective.  Numeric artifacts (CSV, PGM, raw cubes) are
+bit-identical across runs with the same config and seed; manifests
+additionally carry wall-clock timings.
 
-Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
-The MOGNMF_THREADS environment variable caps sweep parallelism
-(default: available cores).
+Exit codes: 0 success, 2 usage/validation error (a wrong-typed config
+value included), 3 numerical failure.  The MOGNMF_THREADS environment
+variable caps sweep parallelism (default: available cores).
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 EVAL_COLUMNS = ("variant", "K", "seed", "snr_db", "mean_sad", "rmse", "iters", "wall_ms")
+SUMMARY_COLUMNS = (
+    "case", "K", "n_seeds", "mean_sad_mean", "mean_sad_std", "rmse_mean", "rmse_std"
+)
 
 ABLATION_CASES = (
     ("I", "mognmf"),
@@ -72,17 +78,57 @@ def _load_matrix(path: Path) -> np.ndarray:
         raise ParseError(f"{path} is not a numeric CSV: {exc}") from exc
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> Path:
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+class _Outputs:
+    """One command's --out: its timer, its artifact list and its manifest.
+
+    The directory is created by the first ``path`` call, so a command
+    that fails before writing an artifact leaves no --out behind.
+    """
+
+    def __init__(self, out_dir, command: str):
+        self.t0 = time.perf_counter()
+        self.dir = Path(out_dir)
+        self.command = command
+        self.names: list[str] = []
+
+    def path(self, name: str, *beside: str) -> Path:
+        """Where artifact ``name`` goes; records it, then ``beside`` (files its writer adds)."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.names += [name, *beside]
+        return self.dir / name
+
+    def matrix(self, name: str, matrix: np.ndarray) -> None:
+        _save_matrix(self.path(name), matrix)
+
+    def table(self, name: str, columns, rows) -> None:
+        """A CSV with a header; columns a row holds beyond ``columns`` are dropped."""
+        with open(self.path(name), "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+
+    def manifest(self, inputs=(), **fields) -> dict:
+        """Writes manifest.json: ``fields``, the outputs so far, ``wall_ms`` and input hashes."""
+        manifest = {"command": self.command, "outputs": self.names, **fields}
+        if inputs:
+            manifest["inputs"] = {str(p): _sha256(Path(p)) for p in inputs}
+        manifest["wall_ms"] = round(1000 * (time.perf_counter() - self.t0), 3)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (self.dir / "manifest.json").write_text(text)
+        return manifest
 
 
 def _read_manifest(directory: Path) -> dict:
     path = directory / "manifest.json"
     if not path.exists():
         raise ParamError(f"no manifest.json in {directory}")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    return manifest
 
 
 def _thread_cap() -> int:
@@ -105,8 +151,6 @@ def _build_params(config_path, **overrides) -> UnmixParams:
             base = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ParamError(f"cannot read config {config_path}: {exc}") from exc
-        if not isinstance(base, dict):
-            raise ParamError("config file must hold a JSON object")
     params = UnmixParams.from_dict(base)
     changes = {k: v for k, v in overrides.items() if v is not None}
     if changes:
@@ -148,9 +192,7 @@ def cmd_simulate(
     bands: int = 100,
 ) -> dict:
     """Generate a synthetic scene and write cube + ground truth + manifest."""
-    t0 = time.perf_counter()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = _Outputs(out_dir, "simulate")
     library, library_desc = _resolve_library(library_path, bands, seed)
     if preset == "simu1":
         scene = simgen.build_simu1_scene(
@@ -165,28 +207,22 @@ def cmd_simulate(
     else:
         raise ParamError(f"unknown preset {preset!r} (expected simu1 or simu2)")
 
-    save_cube(scene.cube, out_dir / "cube.raw", format="raw-f32")
-    _save_matrix(out_dir / "A_true.csv", scene.A_true)
-    _save_matrix(out_dir / "S_true.csv", scene.S_true)
-    outputs = ["cube.raw", "cube.raw.json", "A_true.csv", "S_true.csv"]
-    manifest = {
-        "command": "simulate",
-        "preset": preset,
-        "m": m,
-        "snr_db": snr_db,
-        "seed": seed,
-        "height": height,
-        "width": width,
-        "smoothness": smoothness if preset == "simu1" else None,
-        "library": library_desc,
-        "library_hash": _sha256(Path(library_path)) if library_path else None,
-        "endmember_names": list(scene.endmember_names),
-        "clamp_fraction": scene.clamp_fraction,
-        "outputs": outputs,
-        "wall_ms": round(1000 * (time.perf_counter() - t0), 3),
-    }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    save_cube(scene.cube, out.path("cube.raw", "cube.raw.json"), format="raw-f32")
+    out.matrix("A_true.csv", scene.A_true)
+    out.matrix("S_true.csv", scene.S_true)
+    return out.manifest(
+        preset=preset,
+        m=m,
+        snr_db=snr_db,
+        seed=seed,
+        height=height,
+        width=width,
+        smoothness=smoothness if preset == "simu1" else None,
+        library=library_desc,
+        library_hash=_sha256(Path(library_path)) if library_path else None,
+        endmember_names=list(scene.endmember_names),
+        clamp_fraction=scene.clamp_fraction,
+    )
 
 
 def cmd_unmix(
@@ -195,35 +231,27 @@ def cmd_unmix(
     out_dir,
     variant: str = "mognmf",
     init: str = "vca_fcls",
-    params: UnmixParams | None = None,
+    params: UnmixParams = UnmixParams(),
     cube_format: str = "raw-f32",
     dump_wm: bool = False,
 ) -> dict:
     """Unmix a cube and write A/S/E/objective CSVs, PGM maps, manifest."""
-    t0 = time.perf_counter()
-    params = params or UnmixParams()
+    out = _Outputs(out_dir, "unmix")
     cube = load_cube(cube_path, format=cube_format)
-    config = SolverConfig(params=params, variant=variant, init=init)
-    model = run_solver(cube, m, config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    model = run_solver(cube, m, SolverConfig(params=params, variant=variant, init=init))
 
-    _save_matrix(out_dir / "A.csv", model.endmembers)
-    _save_matrix(out_dir / "S.csv", model.abundances)
-    _save_matrix(out_dir / "E.csv", model.noise)
-    _save_matrix(out_dir / "objective.csv", model.objective_trace.reshape(-1, 1))
-    map_paths = save_abundance_maps(
-        model.abundances, cube.height, cube.width, out_dir / "maps"
-    )
-    outputs = ["A.csv", "S.csv", "E.csv", "objective.csv"]
-    outputs += [f"maps/{p.name}" for p in map_paths]
+    out.matrix("A.csv", model.endmembers)
+    out.matrix("S.csv", model.abundances)
+    out.matrix("E.csv", model.noise)
+    out.matrix("objective.csv", model.objective_trace.reshape(-1, 1))
+    maps = save_abundance_maps(model.abundances, cube.height, cube.width, out.dir / "maps")
+    out.names += [f"maps/{p.name}" for p in maps]
 
     wm_stats = None
     sigmas = {}
     fusion = model.fusion
     if fusion is not None:
-        _save_matrix(out_dir / "H.csv", fusion.H)
-        outputs.append("H.csv")
+        out.matrix("H.csv", fusion.H)
         # read from D_m and the fusion Gram matrix: W_m itself is never formed
         wm_stats = {
             "mean": float(fusion.Dm.sum()) / cube.pixel_count**2,
@@ -234,33 +262,28 @@ def cmd_unmix(
         }
         sigmas = fusion.sigmas
         if dump_wm:
-            _save_matrix(out_dir / "Wm.csv", fusion.Wm.tocsr().toarray())
-            outputs.append("Wm.csv")
+            out.matrix("Wm.csv", fusion.Wm.tocsr().toarray())
 
-    manifest = {
-        "command": "unmix",
-        "variant": variant,
-        "init": init,
-        "m": m,
-        "config": params.to_dict(),
-        "inputs": {str(cube_path): _sha256(Path(cube_path))},
-        "outputs": outputs,
-        "iterations": int(model.iterations),
-        "converged": bool(model.converged),
-        "stop_reason": "tolerance" if model.converged else "max_iterations",
-        "final_objective": float(model.objective_trace[-1]),
-        "gamma_used": model.gamma,
-        "sigma_s_used": sigmas.get("spatial"),
-        "sigma_l_used": sigmas.get("spectral"),
-        "wm_stats": wm_stats,
-        "wall_ms": round(1000 * (time.perf_counter() - t0), 3),
-    }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    return out.manifest(
+        inputs=[cube_path],
+        variant=variant,
+        init=init,
+        m=m,
+        config=params.to_dict(),
+        iterations=int(model.iterations),
+        converged=bool(model.converged),
+        stop_reason="tolerance" if model.converged else "max_iterations",
+        final_objective=float(model.objective_trace[-1]),
+        gamma_used=model.gamma,
+        sigma_s_used=sigmas.get("spatial"),
+        sigma_l_used=sigmas.get("spectral"),
+        wm_stats=wm_stats,
+    )
 
 
 def cmd_evaluate(result_dir, truth_dir, out_dir) -> dict:
     """Score an unmixing run against ground truth; write JSON + CSV row."""
+    out = _Outputs(out_dir, "evaluate")
     result_dir, truth_dir = Path(result_dir), Path(truth_dir)
     A_est = _load_matrix(result_dir / "A.csv")
     S_est = _load_matrix(result_dir / "S.csv")
@@ -276,9 +299,7 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> dict:
     orders = fused_orders(result_manifest.get("variant", ""), config.order)
     report = evaluate_model(A_true, S_true, A_est, S_est)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report.to_json() + "\n")
+    out.path("report.json").write_text(report.to_json() + "\n")
     snr_db = truth_manifest.get("snr_db")
     row = {
         "variant": result_manifest.get("variant", ""),
@@ -290,64 +311,42 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> dict:
         "iters": result_manifest.get("iterations", ""),
         "wall_ms": result_manifest.get("wall_ms", ""),
     }
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=EVAL_COLUMNS)
-        writer.writeheader()
-        writer.writerow(row)
-    manifest = {
-        "command": "evaluate",
-        "inputs": {
-            str(result_dir / "A.csv"): _sha256(result_dir / "A.csv"),
-            str(truth_dir / "A_true.csv"): _sha256(truth_dir / "A_true.csv"),
-        },
-        "outputs": ["report.json", "report.csv"],
-        "mean_sad": report.mean_sad,
-        "rmse": report.rmse,
-    }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    out.table("report.csv", EVAL_COLUMNS, [row])
+    return out.manifest(
+        inputs=[result_dir / "A.csv", truth_dir / "A_true.csv"],
+        mean_sad=report.mean_sad,
+        rmse=report.rmse,
+    )
 
 
 def cmd_fuse(
     cube_path,
     out_dir,
-    params: UnmixParams | None = None,
+    params: UnmixParams = UnmixParams(),
     cube_format: str = "raw-f32",
     dump_wm: bool = False,
     dump_graphs: bool = False,
 ) -> dict:
     """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m, graphs)."""
-    t0 = time.perf_counter()
-    params = params or UnmixParams()
+    out = _Outputs(out_dir, "fuse")
     cube = load_cube(cube_path, format=cube_format)
     graphs, state = consensus_graph(cube, params)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _save_matrix(out_dir / "H.csv", state.H)
-    _save_matrix(out_dir / "fusion_objective.csv", state.objective_trace.reshape(-1, 1))
-    outputs = ["H.csv", "fusion_objective.csv"]
+    out.matrix("H.csv", state.H)
+    out.matrix("fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     if dump_wm:
-        _save_matrix(out_dir / "Wm.csv", state.Wm.tocsr().toarray())
-        outputs.append("Wm.csv")
+        out.matrix("Wm.csv", state.Wm.tocsr().toarray())
     if dump_graphs:
         for g in graphs.powers():
-            name = f"W_{g.kind}_{g.order}.csv"
-            _save_matrix(out_dir / name, g.W.toarray())
-            outputs.append(name)
-    manifest = {
-        "command": "fuse",
-        "config": params.to_dict(),
-        "inputs": {str(cube_path): _sha256(Path(cube_path))},
-        "outputs": outputs,
-        "fusion_iterations": int(state.iterations),
-        "fusion_converged": bool(state.converged),
-        "final_objective": float(state.objective_trace[-1]),
-        "sigma_s_used": state.sigmas["spatial"],
-        "sigma_l_used": state.sigmas["spectral"],
-        "wall_ms": round(1000 * (time.perf_counter() - t0), 3),
-    }
-    _write_manifest(out_dir, manifest)
-    return manifest
+            out.matrix(f"W_{g.kind}_{g.order}.csv", g.W.toarray())
+    return out.manifest(
+        inputs=[cube_path],
+        config=params.to_dict(),
+        fusion_iterations=int(state.iterations),
+        fusion_converged=bool(state.converged),
+        final_objective=float(state.objective_trace[-1]),
+        sigma_s_used=state.sigmas["spatial"],
+        sigma_l_used=state.sigmas["spectral"],
+    )
 
 
 def _job(cube_path, truth_dir, run_dir, m, variant, init, params, **row) -> dict:
@@ -397,7 +396,7 @@ def cmd_ablate(
     out_dir,
     seeds: list[int],
     m: int,
-    params: UnmixParams | None = None,
+    params: UnmixParams = UnmixParams(),
     init: str = "vca_fcls",
 ) -> dict:
     """Run the regularization cases and the order study over several seeds.
@@ -408,12 +407,12 @@ def cmd_ablate(
     configured one, whose rows are Case I.  Writes per-seed rows
     plus a mean +/- std summary per (case, K).
     """
-    t0 = time.perf_counter()
+    out = _Outputs(out_dir, "ablate")
     cap = _thread_cap()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params = params or UnmixParams()
-    runs = out_dir / "runs"
+    truth_m = _load_matrix(Path(truth_dir) / "A_true.csv").shape[1]
+    if m != truth_m:
+        raise ShapeError(f"m={m} but the truth in {truth_dir} holds {truth_m} endmembers")
+    runs = out.dir / "runs"
     jobs = []
     for seed in seeds:
         seeded = params.replace(seed=seed)
@@ -428,45 +427,20 @@ def cmd_ablate(
                      init, seeded.replace(order=k), case="I")
             )
     rows = _run_jobs(jobs, cap)
-
-    run_columns = ("case",) + EVAL_COLUMNS
-    with open(out_dir / "ablation_runs.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=run_columns, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
+    out.table("ablation_runs.csv", ("case",) + EVAL_COLUMNS, rows)
 
     groups: dict = {}
     for row in rows:
         groups.setdefault((row["case"], row["K"]), []).append(row)
-    with open(out_dir / "ablation_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["case", "K", "n_seeds", "mean_sad_mean", "mean_sad_std", "rmse_mean", "rmse_std"]
-        )
-        for (case, k), grp in sorted(groups.items()):
-            sads = np.array([float(r["mean_sad"]) for r in grp])
-            rmses = np.array([float(r["rmse"]) for r in grp])
-            writer.writerow(
-                [
-                    case,
-                    k,
-                    len(grp),
-                    f"{sads.mean():.17g}",
-                    f"{sads.std():.17g}",
-                    f"{rmses.mean():.17g}",
-                    f"{rmses.std():.17g}",
-                ]
-            )
-    manifest = {
-        "command": "ablate",
-        "inputs": {str(cube_path): _sha256(Path(cube_path))},
-        "outputs": ["ablation_runs.csv", "ablation_summary.csv"],
-        "seeds": list(seeds),
-        "config": params.to_dict(),
-        "wall_ms": round(1000 * (time.perf_counter() - t0), 3),
-    }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    summary = []
+    for (case, k), grp in sorted(groups.items()):
+        sads = np.array([float(r["mean_sad"]) for r in grp])
+        rmses = np.array([float(r["rmse"]) for r in grp])
+        stats = (sads.mean(), sads.std(), rmses.mean(), rmses.std())
+        values = (case, k, len(grp), *(f"{v:.17g}" for v in stats))
+        summary.append(dict(zip(SUMMARY_COLUMNS, values)))
+    out.table("ablation_summary.csv", SUMMARY_COLUMNS, summary)
+    return out.manifest(inputs=[cube_path], seeds=list(seeds), config=params.to_dict())
 
 
 REGULARIZATION_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
@@ -479,7 +453,7 @@ def cmd_sweep(
     snrs: list[float],
     seeds: list[int],
     variants: list[str],
-    params: UnmixParams | None = None,
+    params: UnmixParams = UnmixParams(),
     init: str = "vca_fcls",
     height: int = 64,
     width: int = 64,
@@ -494,24 +468,21 @@ def cmd_sweep(
     One sweep.csv row per run: the eval columns followed by the lambda
     and beta the run used.
     """
-    t0 = time.perf_counter()
-    params = params or UnmixParams()
+    out = _Outputs(out_dir, "sweep")
     lambdas = list(lambdas) if lambdas else [params.lam]
     betas = list(betas) if betas else [params.beta]
-    out_dir = Path(out_dir)
-    scenes = {(snr, seed): out_dir / "scenes" / f"snr{snr:g}_seed{seed}"
+    scenes = {(snr, seed): out.dir / "scenes" / f"snr{snr:g}_seed{seed}"
               for snr in snrs for seed in seeds}
     # every run's parameters and the worker cap are validated before anything is written
     jobs = [
         _job(scene / "cube.raw", scene,
-             out_dir / "runs" / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
+             out.dir / "runs" / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
              m, variant, init, params.replace(seed=seed, lam=lam, beta=beta),
              **{"lambda": f"{lam:g}", "beta": f"{beta:g}"})
         for (snr, seed), scene in scenes.items()
         for variant in variants for lam in lambdas for beta in betas
     ]
     cap = _thread_cap()
-    out_dir.mkdir(parents=True, exist_ok=True)
     for (snr, seed), scene in scenes.items():
         cmd_simulate(
             scene,
@@ -526,26 +497,16 @@ def cmd_sweep(
             bands=bands,
         )
     rows = _run_jobs(jobs, cap)
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=EVAL_COLUMNS + ("lambda", "beta"), extrasaction="ignore"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    manifest = {
-        "command": "sweep",
-        "outputs": ["sweep.csv"],
-        "preset": preset,
-        "snrs": list(snrs),
-        "seeds": list(seeds),
-        "variants": list(variants),
-        "lambdas": lambdas,
-        "betas": betas,
-        "config": params.to_dict(),
-        "wall_ms": round(1000 * (time.perf_counter() - t0), 3),
-    }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    out.table("sweep.csv", EVAL_COLUMNS + ("lambda", "beta"), rows)
+    return out.manifest(
+        preset=preset,
+        snrs=list(snrs),
+        seeds=list(seeds),
+        variants=list(variants),
+        lambdas=lambdas,
+        betas=betas,
+        config=params.to_dict(),
+    )
 
 
 # ---------------------------------------------------------------------------

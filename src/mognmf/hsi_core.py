@@ -13,7 +13,7 @@ Shape conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,18 @@ class UnmixModel:
         )
 
 
+# What each annotation in UnmixParams admits.  bool is not taken for a
+# number, and numpy scalars other than float64 (a float) are refused
+# because the manifest's JSON config snapshot cannot hold them.
+_FIELD_KINDS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "None": lambda v: v is None,
+}
+
+
 @dataclass(frozen=True)
 class UnmixParams:
     """All scalar knobs of the pipeline.
@@ -141,6 +153,11 @@ class UnmixParams:
     order_norm: bool = True
 
     def __post_init__(self):
+        # types first, from the annotation strings: a config file can hold any JSON value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not any(_FIELD_KINDS[kind](value) for kind in f.type.split(" | ")):
+                raise ParamError(f"{f.name} must be {f.type}, got {value!r}")
         # the chained bounds also reject NaN, which fails every comparison
         if self.gamma is not None and not 0 <= self.gamma < np.inf:
             raise ParamError("gamma must be nonnegative and finite")
@@ -174,6 +191,8 @@ class UnmixParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnmixParams":
+        if not isinstance(d, dict):
+            raise ParamError(f"parameters must be a JSON object, got {d!r}")
         d = dict(d)
         if "lambda" in d:
             d["lam"] = d.pop("lambda")

@@ -64,6 +64,18 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--m", "1", "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("source", ["synthetic", "non_numeric_csv"])
+    def test_bad_input_writes_nothing(self, runner, tmp_path, source):
+        # 30 endmembers against the 8-entry synthetic library, or a library CSV
+        # with a non-numeric reflectance
+        library = tmp_path / "lib.csv"
+        library.write_text("a,0.1,0.2\nb,0.3,x\n")
+        extra = ["--m", "30"] if source == "synthetic" else ["--m", "2", "--library", str(library)]
+        out = tmp_path / "scene"
+        result = runner.invoke(main, ["simulate", *extra, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
     def test_simu2_preset_and_noiseless(self, runner, tmp_path):
         out = tmp_path / "scene2"
         result = runner.invoke(
@@ -196,6 +208,28 @@ class TestUnmix:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"beta": None}, {"lambda": "x"}, {"order": 2.5}, {"t1": 10.5},
+         {"gamma_as_written": "no"}, {"seed": "0"}, {"t2": True},
+         {"neighbors_spatial": 4.0}, {"sigma_s": True}, {"gamma": False}],
+        ids=lambda config: "{}={!r}".format(*next(iter(config.items()))),
+    )
+    def test_wrong_typed_config_exits_2_before_writing(self, runner, tmp_path, config):
+        scene = _tiny_scene_dir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--variant", "nmf",
+             "--t1", "3", "--config", str(path), "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        field = next(iter(config)).replace("lambda", "lam")
+        assert f"error: {field} must be" in result.output
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         scene = _tiny_scene_dir(tmp_path)
         config = tmp_path / "config.json"
@@ -304,6 +338,21 @@ class TestEvaluate:
         assert "cannot read" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", ["{broken", "[]"], ids=["malformed", "not_object"])
+    @pytest.mark.parametrize("side", ["result", "truth"])
+    def test_bad_manifest_exits_2(self, runner, tmp_path, side, content):
+        scene = _tiny_scene_dir(tmp_path)
+        run = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 3, run, variant="nmf", params=UnmixParams(t1=3))
+        ({"result": run, "truth": scene}[side] / "manifest.json").write_text(content)
+        out = tmp_path / "eval"
+        result = runner.invoke(
+            main, ["evaluate", "--result", str(run), "--truth", str(scene), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "manifest.json" in result.output
+        assert not out.exists()
+
 
 class TestFuse:
     def test_h_csv_and_dump(self, runner, tmp_path):
@@ -380,6 +429,18 @@ class TestAblate:
         assert sorted(r["K"] for r in case_i) == ["1", "2", "3"]
         assert all(r["n_seeds"] == "1" for r in case_i)
 
+    def test_m_mismatch_writes_nothing(self, runner, tmp_path):
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        out = tmp_path / "ablation"
+        result = runner.invoke(
+            main,
+            ["ablate", "--cube", str(scene / "cube.raw"), "--truth", str(scene),
+             "--m", "5", "--seeds", "0", "--t1", "3", "--c", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "3 endmembers" in result.output
+        assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_table(self, runner, tmp_path, monkeypatch):
@@ -426,6 +487,32 @@ class TestSweep:
              "--out", str(out)],
         )
         assert result.exit_code == 2
+
+
+def _files_under(directory):
+    return sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*")
+                  if p.is_file())
+
+
+def test_manifest_outputs_are_the_files_written(runner, tmp_path):
+    scene, run = tmp_path / "scene", tmp_path / "run"
+    commands = {
+        scene: ["simulate", "--m", "3", "--height", "6", "--width", "6", "--bands", "12"],
+        run: ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--t1", "3",
+              "--c", "4", "--dump-wm"],
+        tmp_path / "eval": ["evaluate", "--result", str(run), "--truth", str(scene)],
+        tmp_path / "fusion": ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4",
+                              "--dump-wm", "--dump-graphs"],
+    }
+    for out, args in commands.items():
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == args[0]
+        assert sorted(manifest["outputs"]) == [
+            name for name in _files_under(out) if name != "manifest.json"
+        ], args[0]
+        assert manifest["wall_ms"] >= 0
 
 
 class TestOptions:

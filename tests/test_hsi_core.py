@@ -161,6 +161,8 @@ class TestUnmixParams:
             {"eps1": float("nan")},
             {"eps2": float("inf")},
             {"lam": float("-inf")},
+            {"seed": np.int64(1)},  # the manifest's JSON config cannot hold it
+            {"lam": np.float32(0.1)},
         ],
     )
     def test_invalid_values_rejected(self, kw):
@@ -170,3 +172,8 @@ class TestUnmixParams:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParamError):
             UnmixParams.from_dict({"gammma": 1.0})
+
+    @pytest.mark.parametrize("d", [[], "x", None])
+    def test_non_object_rejected(self, d):
+        with pytest.raises(ParamError):
+            UnmixParams.from_dict(d)
