@@ -13,7 +13,8 @@ additionally carry wall-clock timings.
 
 Exit codes: 0 success, 2 usage/validation error (a wrong-typed config
 value included), 3 numerical failure.  The MOGNMF_THREADS environment
-variable caps sweep parallelism (default: available cores).
+variable caps the worker processes of ablate and sweep (default:
+available cores).
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ class _Outputs:
         return manifest
 
 
-def _read_manifest(directory: Path) -> dict:
+def _read_manifest(directory: Path, *required: str) -> dict:
+    """The JSON object in ``directory``/manifest.json, holding every ``required`` key."""
     path = directory / "manifest.json"
     if not path.exists():
         raise ParamError(f"no manifest.json in {directory}")
@@ -128,6 +130,9 @@ def _read_manifest(directory: Path) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ParseError(f"{path} must hold a JSON object")
+    missing = [key for key in required if key not in manifest]
+    if missing:
+        raise ParseError(f"{path} has no {', '.join(map(repr, missing))} field")
     return manifest
 
 
@@ -281,8 +286,11 @@ def cmd_unmix(
     )
 
 
-def cmd_evaluate(result_dir, truth_dir, out_dir) -> dict:
-    """Score an unmixing run against ground truth; write JSON + CSV row."""
+def cmd_evaluate(result_dir, truth_dir, out_dir) -> tuple[dict, dict]:
+    """Score an unmixing run against ground truth; write JSON + CSV row.
+
+    Returns the manifest and the row written to report.csv.
+    """
     out = _Outputs(out_dir, "evaluate")
     result_dir, truth_dir = Path(result_dir), Path(truth_dir)
     A_est = _load_matrix(result_dir / "A.csv")
@@ -293,30 +301,31 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> dict:
         raise ShapeError(
             f"endmember count mismatch: truth {A_true.shape} vs estimate {A_est.shape}"
         )
-    result_manifest = _read_manifest(result_dir)
+    result_manifest = _read_manifest(result_dir, "variant", "config", "iterations", "wall_ms")
     truth_manifest = _read_manifest(truth_dir)
-    config = UnmixParams.from_dict(result_manifest.get("config", {}))
-    orders = fused_orders(result_manifest.get("variant", ""), config.order)
+    config = UnmixParams.from_dict(result_manifest["config"])
+    orders = fused_orders(result_manifest["variant"], config.order)
     report = evaluate_model(A_true, S_true, A_est, S_est)
 
     out.path("report.json").write_text(report.to_json() + "\n")
     snr_db = truth_manifest.get("snr_db")
     row = {
-        "variant": result_manifest.get("variant", ""),
+        "variant": result_manifest["variant"],
         "K": max(orders, default=config.order),
         "seed": config.seed,
         "snr_db": "" if snr_db is None else snr_db,
         "mean_sad": f"{report.mean_sad:.17g}",
         "rmse": f"{report.rmse:.17g}",
-        "iters": result_manifest.get("iterations", ""),
-        "wall_ms": result_manifest.get("wall_ms", ""),
+        "iters": result_manifest["iterations"],
+        "wall_ms": result_manifest["wall_ms"],
     }
     out.table("report.csv", EVAL_COLUMNS, [row])
-    return out.manifest(
+    manifest = out.manifest(
         inputs=[result_dir / "A.csv", truth_dir / "A_true.csv"],
         mean_sad=report.mean_sad,
         rmse=report.rmse,
     )
+    return manifest, row
 
 
 def cmd_fuse(
@@ -349,39 +358,18 @@ def cmd_fuse(
     )
 
 
-def _job(cube_path, truth_dir, run_dir, m, variant, init, params, **row) -> dict:
-    """One ablate/sweep run; ``row`` holds extra report columns for its table."""
-    return {
-        "cube_path": cube_path,
-        "truth_dir": truth_dir,
-        "run_dir": run_dir,
-        "m": m,
-        "variant": variant,
-        "init": init,
-        "params": params,
-        "row": row,
-    }
+def _single_run(job: tuple) -> dict:
+    """One ablate/sweep run; ``job`` is (cmd_unmix arguments, truth dir, extra columns).
+
+    Returns the run's report.csv row plus the extra columns.
+    """
+    unmix, truth_dir, extra = job
+    cmd_unmix(**unmix)
+    _, row = cmd_evaluate(unmix["out_dir"], truth_dir, unmix["out_dir"] / "eval")
+    return {**row, **extra}
 
 
-def _single_run(job: dict) -> dict:
-    """Unmix + evaluate one job; returns its report row plus ``job["row"]``."""
-    run_dir = job["run_dir"]
-    cmd_unmix(
-        job["cube_path"],
-        job["m"],
-        run_dir,
-        variant=job["variant"],
-        init=job["init"],
-        params=job["params"],
-    )
-    cmd_evaluate(run_dir, job["truth_dir"], run_dir / "eval")
-    with open(run_dir / "eval" / "report.csv", newline="") as fh:
-        row = next(csv.DictReader(fh))
-    row.update(job["row"])
-    return row
-
-
-def _run_jobs(jobs: list[dict], cap: int) -> list[dict]:
+def _run_jobs(jobs: list[tuple], cap: int) -> list[dict]:
     # cap is _thread_cap(), read before the command writes anything
     workers = min(cap, len(jobs))
     if workers <= 1:
@@ -412,24 +400,23 @@ def cmd_ablate(
     truth_m = _load_matrix(Path(truth_dir) / "A_true.csv").shape[1]
     if m != truth_m:
         raise ShapeError(f"m={m} but the truth in {truth_dir} holds {truth_m} endmembers")
-    runs = out.dir / "runs"
-    jobs = []
+    runs = []  # (run name, case, variant, params)
     for seed in seeds:
         seeded = params.replace(seed=seed)
-        for case, variant in ABLATION_CASES:
-            jobs.append(
-                _job(cube_path, truth_dir, runs / f"case{case}_seed{seed}", m, variant,
-                     init, seeded, case=case)
-            )
-        for k in sorted({1, 2, 3} - {params.order}):  # the configured K is the Case I row
-            jobs.append(
-                _job(cube_path, truth_dir, runs / f"caseI_K{k}_seed{seed}", m, "mognmf",
-                     init, seeded.replace(order=k), case="I")
-            )
+        runs += [(f"case{case}_seed{seed}", case, variant, seeded)
+                 for case, variant in ABLATION_CASES]
+        # the configured K is the Case I row
+        runs += [(f"caseI_K{k}_seed{seed}", "I", "mognmf", seeded.replace(order=k))
+                 for k in sorted({1, 2, 3} - {params.order})]
+    jobs = [
+        (dict(cube_path=cube_path, m=m, out_dir=out.dir / "runs" / name, variant=variant,
+              init=init, params=p), truth_dir, {"case": case})
+        for name, case, variant, p in runs
+    ]
     rows = _run_jobs(jobs, cap)
     out.table("ablation_runs.csv", ("case",) + EVAL_COLUMNS, rows)
 
-    groups: dict = {}
+    groups: dict = {}  # keyed by (case, K), K the integer graph order
     for row in rows:
         groups.setdefault((row["case"], row["K"]), []).append(row)
     summary = []
@@ -455,47 +442,34 @@ def cmd_sweep(
     variants: list[str],
     params: UnmixParams = UnmixParams(),
     init: str = "vca_fcls",
-    height: int = 64,
-    width: int = 64,
-    smoothness: float = 4.0,
-    library_path=None,
-    bands: int = 100,
     lambdas: list[float] | None = None,
     betas: list[float] | None = None,
+    **scene,
 ) -> dict:
     """Grid sweep over SNRs, seeds, variants, and optionally lambda/beta.
 
-    One sweep.csv row per run: the eval columns followed by the lambda
-    and beta the run used.
+    ``scene`` holds the other cmd_simulate arguments (height, width,
+    smoothness, library_path, bands).  One sweep.csv row per run: the
+    eval columns followed by the lambda and beta the run used.
     """
     out = _Outputs(out_dir, "sweep")
     lambdas = list(lambdas) if lambdas else [params.lam]
     betas = list(betas) if betas else [params.beta]
     scenes = {(snr, seed): out.dir / "scenes" / f"snr{snr:g}_seed{seed}"
               for snr in snrs for seed in seeds}
+    runs = out.dir / "runs"
     # every run's parameters and the worker cap are validated before anything is written
     jobs = [
-        _job(scene / "cube.raw", scene,
-             out.dir / "runs" / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
-             m, variant, init, params.replace(seed=seed, lam=lam, beta=beta),
-             **{"lambda": f"{lam:g}", "beta": f"{beta:g}"})
-        for (snr, seed), scene in scenes.items()
+        (dict(cube_path=truth / "cube.raw", m=m,
+              out_dir=runs / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
+              variant=variant, init=init, params=params.replace(seed=seed, lam=lam, beta=beta)),
+         truth, {"lambda": f"{lam:g}", "beta": f"{beta:g}"})
+        for (snr, seed), truth in scenes.items()
         for variant in variants for lam in lambdas for beta in betas
     ]
     cap = _thread_cap()
-    for (snr, seed), scene in scenes.items():
-        cmd_simulate(
-            scene,
-            preset=preset,
-            m=m,
-            snr_db=snr,
-            seed=seed,
-            height=height,
-            width=width,
-            smoothness=smoothness,
-            library_path=library_path,
-            bands=bands,
-        )
+    for (snr, seed), truth in scenes.items():
+        cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed, **scene)
     rows = _run_jobs(jobs, cap)
     out.table("sweep.csv", EVAL_COLUMNS + ("lambda", "beta"), rows)
     return out.manifest(
@@ -576,6 +550,13 @@ def _sigma(ctx, param, value):
         raise click.BadParameter(f'must be a number or "auto", got {value!r}') from exc
 
 
+def _stack(fn, options: list):
+    """``fn`` decorated with ``options``, which list in --help in the given order."""
+    for option in reversed(options):
+        fn = option(fn)
+    return fn
+
+
 def _param_options(fn):
     """Adds --config and one flag per UnmixParams field; ``fn`` receives them as ``params=``."""
 
@@ -584,7 +565,7 @@ def _param_options(fn):
         overrides = {name: kw.pop(name) for name in UnmixParams.__dataclass_fields__}
         return fn(params=_guarded(_build_params, config_path, **overrides), **kw)
 
-    options = [
+    return _stack(command, [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="JSON config file; flags override its values."),
         click.option("--gamma", type=float, default=None),
@@ -610,10 +591,20 @@ def _param_options(fn):
                      help="Interpret eps1 as an absolute objective change."),
         click.option("--no-order-norm", "order_norm", flag_value=False, default=None,
                      help="Keep raw graph powers (no per-order max normalization)."),
-    ]
-    for option in reversed(options):
-        command = option(command)
-    return command
+    ])
+
+
+def _scene_options(fn):
+    """Adds the scene flags cmd_simulate takes besides --snr and --seed."""
+    return _stack(fn, [
+        click.option("--preset", type=click.Choice(["simu1", "simu2"]), default="simu1"),
+        click.option("--m", type=int, default=4, help="number of endmembers (>= 2)"),
+        click.option("--height", type=int, default=64),
+        click.option("--width", type=int, default=64),
+        click.option("--smoothness", type=float, default=4.0),
+        click.option("--library", "library_path", type=click.Path(exists=True), default=None),
+        click.option("--bands", type=int, default=100, help="bands for the synthetic library"),
+    ])
 
 
 @click.group()
@@ -622,16 +613,10 @@ def main():
 
 
 @main.command()
-@click.option("--preset", type=click.Choice(["simu1", "simu2"]), default="simu1")
-@click.option("--m", type=int, default=4, help="number of endmembers (>= 2)")
+@_scene_options
 @click.option("--snr", "snr_db", type=float, default=30.0)
 @click.option("--noiseless", is_flag=True, default=False)
 @click.option("--seed", type=int, default=0)
-@click.option("--height", type=int, default=64)
-@click.option("--width", type=int, default=64)
-@click.option("--smoothness", type=float, default=4.0)
-@click.option("--library", "library_path", type=click.Path(exists=True), default=None)
-@click.option("--bands", type=int, default=100, help="bands for the synthetic library")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def simulate(snr_db, noiseless, **kw):
     """Generate a synthetic scene with ground truth."""
@@ -666,7 +651,7 @@ def unmix(**kw):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def evaluate(**kw):
     """Score an unmixing run against ground truth."""
-    manifest = _guarded(cmd_evaluate, **kw)
+    manifest, _ = _guarded(cmd_evaluate, **kw)
     click.echo(f"mean SAD {manifest['mean_sad']:.6f}, RMSE {manifest['rmse']:.6f}")
 
 
@@ -703,8 +688,7 @@ def ablate(**kw):
 
 
 @main.command()
-@click.option("--preset", type=click.Choice(["simu1", "simu2"]), default="simu1")
-@click.option("--m", type=int, default=4)
+@_scene_options
 @click.option("--snrs", type=str, default="10,20,30,40", callback=_float_list)
 @click.option("--seeds", type=str, default="0..4", callback=_int_list)
 @click.option("--variants", type=str, default="mognmf,nmf,snmf", callback=_variant_list)
@@ -713,11 +697,6 @@ def ablate(**kw):
 @click.option("--betas", type=str, default=None, callback=_reg_grid,
               help='comma list of beta values, or "grid" for the 1e-3..1e3 set')
 @click.option("--init", type=click.Choice(["vca_fcls", "random"]), default="vca_fcls")
-@click.option("--height", type=int, default=64)
-@click.option("--width", type=int, default=64)
-@click.option("--smoothness", type=float, default=4.0)
-@click.option("--library", "library_path", type=click.Path(exists=True), default=None)
-@click.option("--bands", type=int, default=100)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
 def sweep(**kw):

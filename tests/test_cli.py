@@ -165,6 +165,19 @@ class TestUnmix:
                                params=params)
         assert graph_free["sigma_s_used"] is None and graph_free["sigma_l_used"] is None
 
+    def test_solver_flags_recorded_in_config(self, runner, tmp_path):
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--t1", "3",
+             "--c", "4", "--absolute-eps1", "--no-order-norm", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["absolute_eps1"] is True
+        assert config["order_norm"] is False
+
     def test_bad_input_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "run"
         result = runner.invoke(
@@ -289,13 +302,16 @@ class TestEvaluate:
         run = tmp_path / "run"
         cmd_unmix(scene / "cube.raw", 3, run, variant="nmf",
                   params=UnmixParams(seed=0, t1=10))
-        cmd_evaluate(run, scene, tmp_path / "eval")
+        _, returned = cmd_evaluate(run, scene, tmp_path / "eval")
         with open(tmp_path / "eval" / "report.csv", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             row = next(reader)
         assert tuple(header) == EVAL_COLUMNS
         assert len(row) == len(EVAL_COLUMNS)
+        # the returned row is the one written, as ablate and sweep tabulate it
+        assert set(returned) == set(EVAL_COLUMNS)
+        assert [str(returned[name]) for name in EVAL_COLUMNS] == row
 
     @pytest.mark.parametrize("variant, k", [("case_iv", "2"), ("case_v", "1"), ("snmf", "3")])
     def test_k_column_is_largest_fused_order(self, tmp_path, variant, k):
@@ -338,19 +354,32 @@ class TestEvaluate:
         assert "cannot read" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("content", ["{broken", "[]"], ids=["malformed", "not_object"])
-    @pytest.mark.parametrize("side", ["result", "truth"])
+    @pytest.mark.parametrize(
+        "side, content",
+        [("result", "{broken"), ("result", "[]"), ("truth", "{broken"), ("truth", "[]"),
+         ("result", None)],
+        ids=["result-malformed", "result-not_object", "truth-malformed", "truth-not_object",
+             "result-no_variant"],
+    )
     def test_bad_manifest_exits_2(self, runner, tmp_path, side, content):
         scene = _tiny_scene_dir(tmp_path)
         run = tmp_path / "run"
         cmd_unmix(scene / "cube.raw", 3, run, variant="nmf", params=UnmixParams(t1=3))
-        ({"result": run, "truth": scene}[side] / "manifest.json").write_text(content)
+        path = {"result": run, "truth": scene}[side] / "manifest.json"
+        no_variant = content is None  # a run manifest without the variant K is read from
+        if no_variant:
+            manifest = json.loads(path.read_text())
+            del manifest["variant"]
+            content = json.dumps(manifest)
+        path.write_text(content)
         out = tmp_path / "eval"
         result = runner.invoke(
             main, ["evaluate", "--result", str(run), "--truth", str(scene), "--out", str(out)]
         )
         assert result.exit_code == 2, result.output
         assert "manifest.json" in result.output
+        if no_variant:
+            assert "has no 'variant' field" in result.output
         assert not out.exists()
 
 
@@ -429,6 +458,16 @@ class TestAblate:
         assert sorted(r["K"] for r in case_i) == ["1", "2", "3"]
         assert all(r["n_seeds"] == "1" for r in case_i)
 
+    def test_summary_sorts_by_numeric_k(self, tmp_path):
+        # K=12 configured: Case I is the K=12 row, after the order study's 1, 2, 3
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        out = tmp_path / "ablation"
+        params = UnmixParams(order=12, t1=5, neighbors=4)
+        cmd_ablate(scene / "cube.raw", scene, out, seeds=[0], m=3, params=params)
+        with open(out / "ablation_summary.csv", newline="") as fh:
+            case_i = [r["K"] for r in csv.DictReader(fh) if r["case"] == "I"]
+        assert case_i == ["1", "2", "3", "12"]
+
     def test_m_mismatch_writes_nothing(self, runner, tmp_path):
         scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
         out = tmp_path / "ablation"
@@ -458,6 +497,26 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 1 snr x 2 seeds x 2 variants
         assert {r["variant"] for r in rows} == {"nmf", "snmf"}
+
+    def test_process_pool_matches_serial(self, runner, tmp_path, monkeypatch):
+        # the runs are pickled to worker processes when MOGNMF_THREADS > 1
+        tables = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MOGNMF_THREADS", threads)
+            out = tmp_path / f"sweep{threads}"
+            result = runner.invoke(
+                main,
+                ["sweep", "--m", "3", "--snrs", "30", "--seeds", "0..1",
+                 "--variants", "mognmf,nmf", "--lambdas", "0.01,0.1", "--height", "6",
+                 "--width", "6", "--bands", "12", "--t1", "5", "--c", "4",
+                 "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            with open(out / "sweep.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            tables.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
+        assert len(tables[0]) == 8  # 2 seeds x 2 variants x 2 lambdas
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize(
         "threads, extra",

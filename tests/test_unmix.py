@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mognmf.errors import DataError, DivergenceError, InitError, ParamError
+from mognmf.fusion import fuse_graphs
+from mognmf.graph import build_multi_order_graphs
 from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.metrics import match_endmembers
 from mognmf.simgen import build_simu1_scene, build_simu2_layout, synthetic_library
@@ -366,6 +368,23 @@ class TestRunSolver:
                 run_solver(cube, 3, config)
         assert err.value.iteration is not None
 
+    def test_absolute_eps1_stops_at_first_small_change(self):
+        lib = synthetic_library(band_count=24, entries=5, seed=0)
+        cube = build_simu1_scene(lib, M=3, height=6, width=8, target_snr_db=10.0, seed=0).cube
+        params = UnmixParams(t1=500, eps1=1e-3, absolute_eps1=True)
+        model = run_solver(cube, 3, SolverConfig(params=params, variant="nmf"))
+        trace = model.objective_trace
+        change = np.abs(np.diff(trace))
+        assert model.converged
+        assert change[-1] < params.eps1
+        assert np.all(change[:-1] >= params.eps1)
+        # the relative test, eps1 * (1 + previous value), stops earlier on the same trace
+        relative = run_solver(
+            cube, 3, SolverConfig(params=params.replace(absolute_eps1=False), variant="nmf")
+        )
+        assert relative.iterations < model.iterations
+        assert np.array_equal(relative.objective_trace, trace[: relative.iterations])
+
     def test_endmember_count_validated(self):
         scene = _pure_pixel_scene(seed=8, M=3)
         params = UnmixParams(seed=0)
@@ -419,3 +438,21 @@ class TestRunSolver:
         assert np.array_equal(model.abundances, S)
         assert np.array_equal(model.noise, np.zeros_like(cube.data) if E is None else E)
         assert np.array_equal(model.objective_trace, trace)
+
+
+class TestConsensusGraph:
+    def test_order_norm_off_fuses_raw_powers(self):
+        scene = _pure_pixel_scene(seed=9, M=3, L=24, height=8, width=8)
+        params = UnmixParams(neighbors=4, order_norm=False)
+        graphs, state = consensus_graph(scene.cube, params)
+        raw = build_multi_order_graphs(scene.cube, K=3, neighbors=4, normalize=False)
+        oracle = fuse_graphs(raw, mu=params.mu, alpha=params.alpha, eps2=params.eps2,
+                             t2=params.t2)
+        for g, r in zip(graphs.powers(), raw.powers(), strict=True):
+            assert np.array_equal(g.W.toarray(), r.W.toarray())
+        assert np.array_equal(state.H, oracle.H)
+        assert np.array_equal(state.Dm, oracle.Dm)
+        assert np.array_equal(state.Wm.tocsr().toarray(), oracle.Wm.tocsr().toarray())
+        # the flag matters here: the max-normalized powers give another W_m
+        normalized = consensus_graph(scene.cube, params.replace(order_norm=True))[1]
+        assert not np.array_equal(normalized.Wm.tocsr().toarray(), state.Wm.tocsr().toarray())
