@@ -36,10 +36,8 @@ from .graph import (
 )
 from .fusion import (
     FusionState,
-    compute_residuals,
     fuse_graphs,
     project_simplex,
-    update_consensus,
     update_weights,
 )
 from .unmix import (

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import simgen
 from .errors import DivergenceError, IoError, ParamError, ParseError, ShapeError, UnmixingError
+from .fusion import FusionState
 from .hsi_core import UnmixParams, load_cube, save_abundance_maps, save_cube
 from .metrics import evaluate_model
 from .unmix import SolverConfig, VARIANTS, consensus_graph, fused_orders, run_solver
@@ -100,6 +101,19 @@ class _Outputs:
 
     def matrix(self, name: str, matrix: np.ndarray) -> None:
         _save_matrix(self.path(name), matrix)
+
+    def consensus(self, state: FusionState) -> None:
+        """W_m as the solver applies it: each view's order-1 graph and the coefficients.
+
+        ``W_<kind>.csv`` holds one i,j,w row per stored entry of that
+        view's order-1 graph and ``coef.csv`` is V x max order, so
+        W_m = sum_v sum_k coef[v, k-1] W_v^k in O(C N) rows.
+        """
+        # sigmas is keyed by view kind, in the order of Wm.graphs
+        for kind, W in zip(state.sigmas, state.Wm.graphs):
+            coo = W.tocoo()
+            self.matrix(f"W_{kind}.csv", np.column_stack([coo.row, coo.col, coo.data]))
+        self.matrix("coef.csv", state.Wm.coef)
 
     def table(self, name: str, columns, rows) -> None:
         """A CSV with a header; columns a row holds beyond ``columns`` are dropped."""
@@ -242,6 +256,9 @@ def cmd_unmix(
 ) -> dict:
     """Unmix a cube and write A/S/E/objective CSVs, PGM maps, manifest."""
     out = _Outputs(out_dir, "unmix")
+    if dump_wm and not (fused_orders(variant, params.order) and params.lam > 0):
+        raise ParamError(f"--dump-wm needs a graph term, which variant {variant} "
+                         f"at lambda {params.lam:g} does not have")
     cube = load_cube(cube_path, format=cube_format)
     model = run_solver(cube, m, SolverConfig(params=params, variant=variant, init=init))
 
@@ -267,7 +284,7 @@ def cmd_unmix(
         }
         sigmas = fusion.sigmas
         if dump_wm:
-            out.matrix("Wm.csv", fusion.Wm.tocsr().toarray())
+            out.consensus(fusion)
 
     return out.manifest(
         inputs=[cube_path],
@@ -334,19 +351,15 @@ def cmd_fuse(
     params: UnmixParams = UnmixParams(),
     cube_format: str = "raw-f32",
     dump_wm: bool = False,
-    dump_graphs: bool = False,
 ) -> dict:
-    """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m, graphs)."""
+    """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m)."""
     out = _Outputs(out_dir, "fuse")
     cube = load_cube(cube_path, format=cube_format)
-    graphs, state = consensus_graph(cube, params)
+    state = consensus_graph(cube, params)
     out.matrix("H.csv", state.H)
     out.matrix("fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     if dump_wm:
-        out.matrix("Wm.csv", state.Wm.tocsr().toarray())
-    if dump_graphs:
-        for g in graphs.powers():
-            out.matrix(f"W_{g.kind}_{g.order}.csv", g.W.toarray())
+        out.consensus(state)
     return out.manifest(
         inputs=[cube_path],
         config=params.to_dict(),
@@ -563,6 +576,9 @@ def _param_options(fn):
     @functools.wraps(fn)
     def command(config_path, **kw):
         overrides = {name: kw.pop(name) for name in UnmixParams.__dataclass_fields__}
+        if "seeds" in kw and overrides["seed"] is not None:
+            # ablate and sweep give every run its seed from --seeds
+            raise click.BadOptionUsage("seed", "--seed is not used here; pass --seeds")
         return fn(params=_guarded(_build_params, config_path, **overrides), **kw)
 
     return _stack(command, [
@@ -607,6 +623,12 @@ def _scene_options(fn):
     ])
 
 
+_DUMP_WM = click.option(
+    "--dump-wm", is_flag=True, default=False,
+    help="Write W_m as its order-1 graphs (i,j,w rows) and coef.csv.",
+)
+
+
 @click.group()
 def main():
     """Adaptive multi-order graph regularized NMF unmixing pipeline."""
@@ -633,7 +655,7 @@ def simulate(snr_db, noiseless, **kw):
 @click.option("--m", type=int, required=True)
 @click.option("--variant", type=click.Choice(list(VARIANTS)), default="mognmf")
 @click.option("--init", type=click.Choice(["vca_fcls", "random"]), default="vca_fcls")
-@click.option("--dump-wm", is_flag=True, default=False)
+@_DUMP_WM
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
 def unmix(**kw):
@@ -659,12 +681,11 @@ def evaluate(**kw):
 @click.option("--cube", "cube_path", type=click.Path(), required=True)
 @click.option("--format", "cube_format", type=click.Choice(["raw-f32", "csv"]),
               default="raw-f32")
-@click.option("--dump-wm", is_flag=True, default=False)
-@click.option("--dump-graphs", is_flag=True, default=False)
+@_DUMP_WM
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
 def fuse(**kw):
-    """Learn the consensus graph for a cube and emit H (optionally W_m and graphs)."""
+    """Learn the consensus graph for a cube and emit H (optionally W_m)."""
     manifest = _guarded(cmd_fuse, **kw)
     click.echo(
         f"fusion converged={manifest['fusion_converged']} "

@@ -24,9 +24,6 @@ W_m = sum_vk c_vk W_v^k with c_vk = H_vk / (s_vk (1 + mu)) is a
 polynomial in the order-1 graphs, returned as a ``ConsensusOperator``
 with its degree vector D_m; neither W_m nor the Laplacian
 L_m = diag(D_m) - W_m is formed (``graph.laplacian_quadratic``).
-``update_consensus`` and ``compute_residuals`` form the stack
-explicitly; they are the reference the Gram-space loop is checked
-against.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParamError, ShapeError
 from .graph import ConsensusOperator, MultiOrderGraphSet
@@ -42,8 +38,6 @@ from .graph import ConsensusOperator, MultiOrderGraphSet
 __all__ = [
     "FusionState",
     "project_simplex",
-    "update_consensus",
-    "compute_residuals",
     "update_weights",
     "fuse_graphs",
 ]
@@ -84,41 +78,6 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     rho = rho_candidates[-1]
     tau = (1.0 - cumsum[rho]) / (rho + 1.0)
     return np.maximum(y + tau, 0.0)
-
-
-def update_consensus(H: np.ndarray, graphs: MultiOrderGraphSet, mu: float) -> sp.csr_array:
-    """Closed-form consensus update: sum H_vk W_k^v / (1 + mu), as CSR.
-
-    Forms every power of the stack; a reference for ``fuse_graphs``.
-    """
-    if mu < 0:
-        raise ParamError("mu must be nonnegative")
-    H = np.asarray(H, dtype=np.float64)
-    stack = graphs.powers()
-    if H.size != len(stack):
-        raise ShapeError("H shape does not match the graph set")
-    Wm = sp.csr_array(stack[0].W.shape)
-    for w, g in zip(H.ravel(), stack):
-        if w != 0.0:
-            Wm = Wm + w * g.W
-    # divide the stored entries (a sparse "/ x" multiplies by 1 / x)
-    Wm.data /= 1.0 + mu
-    return Wm
-
-
-def compute_residuals(Wm, graphs: MultiOrderGraphSet) -> np.ndarray:
-    """P_vk = ||W_m - W_k^v||_F^2 as a V x K matrix (W_m sparse or dense).
-
-    Forms every power of the stack; a reference for ``fuse_graphs``.
-    """
-    Wm = sp.csr_array(Wm, dtype=np.float64)
-    out = []
-    for g in graphs.powers():
-        if g.W.shape != Wm.shape:
-            raise ShapeError("consensus and view graphs differ in size")
-        diff = (Wm - g.W).data
-        out.append(float(np.dot(diff, diff)))
-    return np.array(out).reshape(graphs.view_count, graphs.K)
 
 
 def update_weights(P: np.ndarray, alpha: float) -> np.ndarray:
@@ -185,7 +144,7 @@ def fuse_graphs(
     Stops when |L2(j) - L2(j-1)| < eps2 or after t2 sweeps.  The loop is
     evaluated through the Gram matrix of the stack (module docstring),
     so no power and no W_m is formed; it matches the direct alternation
-    through ``update_consensus`` and ``compute_residuals`` up to rounding.
+    over the formed stack up to rounding.
     """
     if mu < 0:
         raise ParamError("mu must be nonnegative")

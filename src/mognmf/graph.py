@@ -15,9 +15,10 @@ Only the order-1 graph of each view is stored: a k-NN graph has about
 C*N nonzeros, while its powers fill in fast (the order-3 spectral power
 of a 64x64 scene is 16% dense).  The consensus graph, a polynomial in
 the order-1 graphs, is a ``ConsensusOperator`` applied by repeated
-sparse products; ``graph_powers`` and ``ConsensusOperator.tocsr`` form
-the matrices only for dumps and oracle checks.  No Laplacian is ever
-formed.
+sparse products, and neither it nor any whole power is formed by the
+pipeline.  ``graph_powers`` forms the powers of one graph, for a
+reader rebuilding the per-order graphs from a dump of the order-1
+graphs.  No Laplacian is ever formed.
 """
 
 from __future__ import annotations
@@ -94,17 +95,6 @@ class MultiOrderGraphSet:
         """The stored graphs: the order-1 graph of each view."""
         return list(self.views)
 
-    def powers(self) -> list[WeightMatrix]:
-        """The fused stack as matrices, in the row-major layout of H.
-
-        Holds every power at once; for dumps and oracle checks only.
-        """
-        out = []
-        for w in self.views:
-            powers = graph_powers(w, max(self.orders), normalize=self.normalize)
-            out += [powers[k - 1] for k in self.orders]
-        return out
-
 
 class ConsensusOperator:
     """W = sum_v sum_k coef[v, k-1] W_v^k over symmetric CSR graphs W_v, never formed.
@@ -112,8 +102,7 @@ class ConsensusOperator:
     ``S @ op`` evaluates each view's polynomial in Horner form: one
     product of an N x M block with W_v per order, against about C*N
     stored entries.  ``degree`` is the operator applied to a vector of
-    ones (W is symmetric, so it is the row sums).  ``tocsr`` forms W,
-    for dumps and oracle checks only.
+    ones (W is symmetric, so it is the row sums).
     """
 
     __array_ufunc__ = None  # ndarray @ op defers to __rmatmul__
@@ -153,18 +142,6 @@ class ConsensusOperator:
     def degree(self) -> np.ndarray:
         """The operator applied to a vector of ones: the row sums of W."""
         return (np.ones((1, self.shape[0])) @ self)[0]
-
-    def tocsr(self) -> sp.csr_array:
-        """W as one CSR array, symmetrized against product rounding."""
-        out = sp.csr_array(self.shape)
-        for W, c in self._terms():
-            Wk = W
-            for k, ck in enumerate(c):
-                if k:
-                    Wk = Wk @ W
-                if ck:
-                    out = out + ck * Wk
-        return sp.csr_array(0.5 * (out + out.T))
 
 
 def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[sp.csr_array, float]:

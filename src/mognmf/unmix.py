@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DataError, DivergenceError, InitError, ParamError
-from .graph import MultiOrderGraphSet, build_multi_order_graphs
+from .graph import build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
 from .hsi_core import HsiCube, UnmixModel, UnmixParams, augment_for_asc
 from .rng import substream
@@ -280,7 +280,7 @@ def fused_orders(variant: str, order: int) -> tuple[int, ...]:
 
 def consensus_graph(
     cube: HsiCube, params: UnmixParams, orders: list[int] | None = None
-) -> tuple[MultiOrderGraphSet, FusionState]:
+) -> FusionState:
     """Build the multi-order graphs ``params`` describe and fuse them.
 
     ``orders`` keeps only those orders (single-order variants); powers
@@ -297,10 +297,9 @@ def consensus_graph(
         normalize=params.order_norm,
         orders=orders,
     )
-    state = fuse_graphs(
+    return fuse_graphs(
         graphs, mu=params.mu, alpha=params.alpha, eps2=params.eps2, t2=params.t2
     )
-    return graphs, state
 
 
 def _initialize(cube: HsiCube, M: int, config: SolverConfig):
@@ -357,7 +356,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     orders = fused_orders(config.variant, p.order)
     if orders and p.lam > 0.0:
         # only W_m and D_m are kept: an operator over the order-1 graphs
-        fusion_state = consensus_graph(cube, p, list(orders))[1]
+        fusion_state = consensus_graph(cube, p, list(orders))
         Wm = fusion_state.Wm
         Dm = fusion_state.Dm
         lam = p.lam

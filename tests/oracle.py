@@ -1,0 +1,82 @@
+"""Reference forms of what the package keeps implicit, for oracle checks.
+
+The pipeline never forms a graph power or the consensus graph W_m: the
+fusion runs in Gram space over row blocks of the powers, and W_m is a
+``ConsensusOperator`` over the two order-1 graphs.  The functions here
+form those matrices whole, so tests can check the implicit forms
+against them on small scenes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from mognmf.errors import ParamError, ShapeError
+from mognmf.graph import build_multi_order_graphs, graph_powers
+
+
+def graph_set(cube, params, orders=None):
+    """The graph set ``unmix.consensus_graph`` fuses for ``params``."""
+    return build_multi_order_graphs(
+        cube,
+        K=params.order if orders is None else max(orders),
+        neighbors=params.neighbors,
+        sigma_s=params.sigma_s,
+        sigma_l=params.sigma_l,
+        neighbors_spatial=params.neighbors_spatial,
+        neighbors_spectral=params.neighbors_spectral,
+        normalize=params.order_norm,
+        orders=orders,
+    )
+
+
+def stack_powers(graphs):
+    """The fused stack of a MultiOrderGraphSet as matrices, in the row-major layout of H."""
+    out = []
+    for w in graphs.views:
+        powers = graph_powers(w, max(graphs.orders), normalize=graphs.normalize)
+        out += [powers[k - 1] for k in graphs.orders]
+    return out
+
+
+def consensus_tocsr(op) -> sp.csr_array:
+    """The W of a ConsensusOperator as one CSR array, symmetrized against product rounding."""
+    out = sp.csr_array(op.shape)
+    for W, c in zip(op.graphs, op.coef):
+        Wk = W
+        for k, ck in enumerate(c):
+            if k:
+                Wk = Wk @ W
+            if ck:
+                out = out + ck * Wk
+    return sp.csr_array(0.5 * (out + out.T))
+
+
+def update_consensus(H, graphs, mu: float) -> sp.csr_array:
+    """Closed-form consensus update over the formed stack: sum H_vk W_k^v / (1 + mu)."""
+    if mu < 0:
+        raise ParamError("mu must be nonnegative")
+    H = np.asarray(H, dtype=np.float64)
+    stack = stack_powers(graphs)
+    if H.size != len(stack):
+        raise ShapeError("H shape does not match the graph set")
+    Wm = sp.csr_array(stack[0].W.shape)
+    for w, g in zip(H.ravel(), stack):
+        if w != 0.0:
+            Wm = Wm + w * g.W
+    # divide the stored entries (a sparse "/ x" multiplies by 1 / x)
+    Wm.data /= 1.0 + mu
+    return Wm
+
+
+def compute_residuals(Wm, graphs) -> np.ndarray:
+    """P_vk = ||W_m - W_k^v||_F^2 over the formed stack (W_m sparse or dense)."""
+    Wm = sp.csr_array(Wm, dtype=np.float64)
+    out = []
+    for g in stack_powers(graphs):
+        if g.W.shape != Wm.shape:
+            raise ShapeError("consensus and view graphs differ in size")
+        diff = (Wm - g.W).data
+        out.append(float(np.dot(diff, diff)))
+    return np.array(out).reshape(graphs.view_count, graphs.K)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from click.testing import CliRunner
 
 import mognmf.cli as cli
@@ -16,9 +17,17 @@ from mognmf.cli import (
     main,
 )
 from mognmf.errors import DivergenceError
-from mognmf.graph import build_multi_order_graphs, spatial_weights, spectral_weights
+from mognmf.graph import (
+    MultiOrderGraphSet,
+    WeightMatrix,
+    build_multi_order_graphs,
+    graph_powers,
+    spatial_weights,
+    spectral_weights,
+)
 from mognmf.hsi_core import HsiCube, UnmixParams, load_cube, save_cube
 from mognmf.unmix import SolverConfig, run_solver
+from oracle import consensus_tocsr, stack_powers
 
 
 @pytest.fixture()
@@ -33,6 +42,21 @@ def _tiny_scene_dir(tmp_path, name="scene", height=8, width=8, m=3, snr=30.0, se
         height=height, width=width, smoothness=2.0, bands=20,
     )
     return out
+
+
+def _read_consensus_dump(directory, n):
+    """The order-1 graphs and coefficients of a --dump-wm directory, and the W_m they give."""
+    views = []
+    for kind in ("spatial", "spectral"):
+        i, j, w = np.loadtxt(directory / f"W_{kind}.csv", delimiter=",", ndmin=2).T
+        W = sp.csr_array((w, (i.astype(int), j.astype(int))), shape=(n, n))
+        views.append(WeightMatrix(W=W, kind=kind))
+    coef = np.loadtxt(directory / "coef.csv", delimiter=",", ndmin=2)
+    Wm = np.zeros((n, n))
+    for view, c in zip(views, coef, strict=True):
+        for g, ck in zip(graph_powers(view, len(c), normalize=False), c):
+            Wm += ck * g.W.toarray()
+    return tuple(views), coef, Wm
 
 
 class TestSimulate:
@@ -130,19 +154,33 @@ class TestUnmix:
         assert 0 < stats["degree_min"] <= stats["degree_max"]
 
     def test_wm_stats_match_dumped_consensus(self, tmp_path):
-        # wm_stats are read from D_m and the fusion Gram matrix; the
-        # dumped W_m is formed, so it is the oracle
+        # wm_stats are read from D_m and the fusion Gram matrix; the W_m
+        # rebuilt from the dump is formed, so it is the oracle
         scene = _tiny_scene_dir(tmp_path)
         out = tmp_path / "run"
         cmd_unmix(scene / "cube.raw", 3, out, params=UnmixParams(t1=3, neighbors=4),
                   dump_wm=True)
         stats = json.loads((out / "manifest.json").read_text())["wm_stats"]
-        Wm = np.loadtxt(out / "Wm.csv", delimiter=",")
+        _, _, Wm = _read_consensus_dump(out, 64)
         degree = Wm.sum(axis=1)
         assert stats["mean"] == pytest.approx(Wm.mean(), rel=1e-12)
         assert stats["frobenius"] == pytest.approx(np.linalg.norm(Wm), rel=1e-12)
         assert stats["degree_min"] == pytest.approx(degree.min(), rel=1e-12)
         assert stats["degree_max"] == pytest.approx(degree.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("variant, extra", [("nmf", []), ("mognmf", ["--lambda", "0"])],
+                             ids=["nmf", "lam0"])
+    def test_dump_wm_without_graph_term_exits_2(self, runner, tmp_path, variant, extra):
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--variant", variant,
+             "--dump-wm", *extra, "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--dump-wm needs a graph term" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("t1, eps1, reason", [(2, 1e-12, "max_iterations"),
                                                   (500, 1e-2, "tolerance")])
@@ -390,25 +428,43 @@ class TestFuse:
         result = runner.invoke(
             main,
             ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4",
-             "--dump-wm", "--dump-graphs", "--out", str(out)],
+             "--dump-wm", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         H = np.atleast_2d(np.loadtxt(out / "H.csv", delimiter=","))
         assert H.shape == (2, 3)
         assert H.sum() == pytest.approx(1.0, abs=1e-9)
-        Wm = np.loadtxt(out / "Wm.csv", delimiter=",")
+        views, coef, Wm = _read_consensus_dump(out, 36)
         assert Wm.shape == (36, 36)
-        # the dumped graphs are the ones fusion saw, written losslessly
+        assert coef.shape == (2, 3)
+        # the dumped graphs are the ones fusion saw, written losslessly,
+        # one line per stored entry
         cube = load_cube(scene / "cube.raw")
         graphs = build_multi_order_graphs(cube, K=3, neighbors=4)
-        for g in graphs.powers():
-            W = np.loadtxt(out / f"W_{g.kind}_{g.order}.csv", delimiter=",")
-            assert W.shape == (36, 36)
-            assert np.array_equal(W, g.W.toarray())
+        for view, g in zip(views, graphs.views, strict=True):
+            lines = (out / f"W_{g.kind}.csv").read_text().splitlines()
+            assert len(lines) == g.W.nnz
+            assert np.array_equal(view.W.toarray(), g.W.toarray())
+        # so the per-order graphs are the powers of the dumped ones
+        dumped = MultiOrderGraphSet(views=views, orders=graphs.orders)
+        for d, g in zip(stack_powers(dumped), stack_powers(graphs), strict=True):
+            assert np.array_equal(d.W.toarray(), g.W.toarray())
         # fuse and unmix share one params -> graphs -> fusion path
         model = run_solver(cube, 3, SolverConfig(params=UnmixParams(neighbors=4, t1=1)))
         assert np.array_equal(H, model.fusion.H)
-        assert np.array_equal(Wm, model.fusion.Wm.tocsr().toarray())
+        assert np.array_equal(coef, model.fusion.Wm.coef)
+        oracle = consensus_tocsr(model.fusion.Wm).toarray()
+        assert np.allclose(Wm, oracle, rtol=1e-12, atol=0.0)
+        # and the unmix dump of the same parameters is the same file set
+        run = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--t1", "1", "--c", "4",
+             "--dump-wm", "--out", str(run)],
+        )
+        assert result.exit_code == 0, result.output
+        for name in ("H.csv", "W_spatial.csv", "W_spectral.csv", "coef.csv"):
+            assert (run / name).read_bytes() == (out / name).read_bytes(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sigma_s_used"] == spatial_weights(cube, neighbors=4).sigma
         assert manifest["sigma_l_used"] == spectral_weights(cube, neighbors=4).sigma
@@ -480,6 +536,20 @@ class TestAblate:
         assert "3 endmembers" in result.output
         assert not out.exists()
 
+    def test_seed_flag_rejected(self, runner, tmp_path):
+        # every run takes its seed from --seeds, so --seed would be recorded but unused
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        out = tmp_path / "ablation"
+        result = runner.invoke(
+            main,
+            ["ablate", "--cube", str(scene / "cube.raw"), "--truth", str(scene),
+             "--m", "3", "--seeds", "0", "--seed", "7", "--t1", "3", "--c", "4",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--seeds" in result.output
+        assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_table(self, runner, tmp_path, monkeypatch):
@@ -517,6 +587,19 @@ class TestSweep:
             tables.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
         assert len(tables[0]) == 8  # 2 seeds x 2 variants x 2 lambdas
         assert tables[0] == tables[1]
+
+    def test_seed_flag_rejected(self, runner, tmp_path):
+        # every run takes its seed from --seeds, so --seed would be recorded but unused
+        out = tmp_path / "sw"
+        result = runner.invoke(
+            main,
+            ["sweep", "--snrs", "30", "--seeds", "0", "--seed", "7", "--variants", "nmf",
+             "--height", "6", "--width", "6", "--bands", "12", "--t1", "5",
+             "--c", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--seeds" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "threads, extra",
@@ -561,7 +644,7 @@ def test_manifest_outputs_are_the_files_written(runner, tmp_path):
               "--c", "4", "--dump-wm"],
         tmp_path / "eval": ["evaluate", "--result", str(run), "--truth", str(scene)],
         tmp_path / "fusion": ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4",
-                              "--dump-wm", "--dump-graphs"],
+                              "--dump-wm"],
     }
     for out, args in commands.items():
         result = runner.invoke(main, args + ["--out", str(out)])

@@ -6,7 +6,7 @@ import pytest
 from mognmf.errors import ParamError, ShapeError
 import scipy.sparse as sp
 
-from mognmf.fusion import FusionState, compute_residuals, update_consensus, update_weights
+from mognmf.fusion import FusionState, update_weights
 from mognmf.graph import (
     ConsensusOperator,
     WeightMatrix,
@@ -18,6 +18,13 @@ from mognmf.graph import (
 )
 from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.unmix import consensus_graph, update_abundances
+from oracle import (
+    compute_residuals,
+    consensus_tocsr,
+    graph_set,
+    stack_powers,
+    update_consensus,
+)
 
 
 def _random_cube(rng, height, width, bands=6):
@@ -81,7 +88,7 @@ def _dense_knn_heat_kernel(points, sigma, neighbors):
 
 
 def _dense_multi_order(cube, K, neighbors, sigma_s="auto", sigma_l="auto"):
-    """Dense max-normalized powers 1..K of both views, in powers() order."""
+    """Dense max-normalized powers 1..K of both views, in the row-major layout of H."""
     grid = np.array(np.divmod(np.arange(cube.pixel_count), cube.width), dtype=np.float64)
     out = []
     for points, sigma in ((grid, sigma_s), (cube.data, sigma_l)):
@@ -112,7 +119,7 @@ class TestDenseOracleEquivalence:
     @pytest.mark.parametrize("case", ["grid5x6", "grid17x9", "duplicated", "random24"])
     def test_graphs_match_dense_builder(self, case):
         cube, kw = _oracle_case(case)
-        graphs = build_multi_order_graphs(cube, K=3, **kw).powers()
+        graphs = stack_powers(build_multi_order_graphs(cube, K=3, **kw))
         oracle = _dense_multi_order(cube, K=3, **kw)
         assert len(graphs) == len(oracle) == 6
         for g, dense in zip(graphs, oracle):
@@ -125,13 +132,13 @@ class TestDenseOracleEquivalence:
 
     def test_abundance_step_matches_dense_consensus(self):
         cube, kw = _oracle_case("random24")
-        _, state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"]))
+        state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"]))
         rng = np.random.default_rng(15)
         S = rng.random((4, cube.pixel_count))
         A = rng.random((cube.band_count, 4))
         args = (S, A, cube.data, 0.3, 0.05)
         sparse = update_abundances(*args, state.Wm, state.Dm)
-        dense = update_abundances(*args, state.Wm.tocsr().toarray(), state.Dm)
+        dense = update_abundances(*args, consensus_tocsr(state.Wm).toarray(), state.Dm)
         assert np.max(np.abs(sparse - dense)) <= 1e-12
 
 
@@ -141,9 +148,9 @@ class TestFusedConsensus:
     @pytest.mark.parametrize("alpha, one_hot", [(0.1, True), (1e6, False)])
     def test_consensus_is_symmetric_nonnegative_with_row_sum_degrees(self, alpha, one_hot):
         cube, kw = _oracle_case("random24")
-        _, state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"], alpha=alpha))
+        state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"], alpha=alpha))
         assert (np.count_nonzero(state.H) == 1) == one_hot
-        Wm = state.Wm.tocsr()
+        Wm = consensus_tocsr(state.Wm)
         assert isinstance(Wm, sp.csr_array)
         assert (Wm != Wm.T).nnz == 0
         assert Wm.data.min() >= 0
@@ -191,10 +198,11 @@ class TestConsensusOperator:
         alpha, orders = self.CASES[case]
         cube, kw = _oracle_case("random24")
         params = UnmixParams(neighbors=kw["neighbors"], alpha=alpha)
-        graphs, state = consensus_graph(cube, params, orders)
+        graphs = graph_set(cube, params, orders)
+        state = consensus_graph(cube, params, orders)
         H_ref, Wm_ref = _stored_power_fusion(graphs, params, state.iterations)
         assert np.allclose(state.H, H_ref, rtol=0.0, atol=1e-12)
-        Wm = state.Wm.tocsr()
+        Wm = consensus_tocsr(state.Wm)
         assert np.array_equal(Wm.toarray() != 0, Wm_ref.toarray() != 0)
         assert abs(Wm - Wm_ref).max() <= 1e-12
         S = np.random.default_rng(17).random((4, cube.pixel_count))
@@ -204,14 +212,16 @@ class TestConsensusOperator:
 
     def test_default_consensus_stores_no_power(self):
         cube, kw = _oracle_case("random24")
-        graphs, state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"]))
+        params = UnmixParams(neighbors=kw["neighbors"])
+        state = consensus_graph(cube, params)
         assert isinstance(state, FusionState)
         assert isinstance(state.Wm, ConsensusOperator)
+        graphs = graph_set(cube, params)
         order1 = sum(g.W.nnz for g in graphs.all_graphs())
-        held = _csr_arrays(graphs) + _csr_arrays(state)
+        held = _csr_arrays(state)
         assert held and max(W.nnz for W in held) <= order1
         # the order-3 spectral power this consensus puts its weight on is far larger
-        assert graphs.powers()[5].W.nnz > 10 * order1
+        assert stack_powers(graphs)[5].W.nnz > 10 * order1
 
     def test_rmatmul_validates_shape(self):
         op = ConsensusOperator([sp.csr_array(np.eye(3))], [[1.0]])
@@ -459,12 +469,12 @@ class TestMultiOrderBuild:
         graphs = build_multi_order_graphs(cube, K=3, neighbors=4)
         assert graphs.view_count == 2
         assert graphs.K == 3
-        # only the order-1 graphs are stored; powers() forms the fused stack
+        # only the order-1 graphs are stored; the fused stack is their powers
         assert [(g.kind, g.order) for g in graphs.all_graphs()] == [
             ("spatial", 1), ("spectral", 1)
         ]
-        kinds = [g.kind for g in graphs.powers()]
-        orders = [g.order for g in graphs.powers()]
+        kinds = [g.kind for g in stack_powers(graphs)]
+        orders = [g.order for g in stack_powers(graphs)]
         assert kinds == ["spatial"] * 3 + ["spectral"] * 3
         assert orders == [1, 2, 3, 1, 2, 3]
 
@@ -474,7 +484,7 @@ class TestMultiOrderBuild:
         graphs = build_multi_order_graphs(cube, K=2, neighbors=3, orders=[2])
         assert graphs.K == 1
         assert [g.order for g in graphs.all_graphs()] == [1, 1]
-        assert [g.order for g in graphs.powers()] == [2, 2]
+        assert [g.order for g in stack_powers(graphs)] == [2, 2]
 
     @pytest.mark.parametrize("K, orders", [(3, [0]), (1, [2]), (3, [4]), (3, [3, 3])])
     def test_invalid_orders_rejected(self, K, orders):

@@ -20,6 +20,7 @@ from mognmf.unmix import (
     update_endmembers,
     update_noise,
 )
+from oracle import consensus_tocsr
 
 
 def _cube(data, height=1, width=None):
@@ -428,7 +429,7 @@ class TestRunSolver:
         )
         model = run_solver(cube, 3, config)
         orders = fused_orders(variant, params.order)
-        state = consensus_graph(cube, params, list(orders))[1] if orders else None
+        state = consensus_graph(cube, params, list(orders)) if orders else None
         A, S, E, trace = _loop_oracle(
             cube.data, A0, S0, variant, params, estimate_gamma(cube),
             state.Wm if state else None, state.Dm if state else None,
@@ -444,15 +445,17 @@ class TestConsensusGraph:
     def test_order_norm_off_fuses_raw_powers(self):
         scene = _pure_pixel_scene(seed=9, M=3, L=24, height=8, width=8)
         params = UnmixParams(neighbors=4, order_norm=False)
-        graphs, state = consensus_graph(scene.cube, params)
+        state = consensus_graph(scene.cube, params)
         raw = build_multi_order_graphs(scene.cube, K=3, neighbors=4, normalize=False)
         oracle = fuse_graphs(raw, mu=params.mu, alpha=params.alpha, eps2=params.eps2,
                              t2=params.t2)
-        for g, r in zip(graphs.powers(), raw.powers(), strict=True):
-            assert np.array_equal(g.W.toarray(), r.W.toarray())
+        for W, r in zip(state.Wm.graphs, raw.views, strict=True):
+            assert np.array_equal(W.toarray(), r.W.toarray())
         assert np.array_equal(state.H, oracle.H)
         assert np.array_equal(state.Dm, oracle.Dm)
-        assert np.array_equal(state.Wm.tocsr().toarray(), oracle.Wm.tocsr().toarray())
+        assert np.array_equal(state.Wm.coef, oracle.Wm.coef)
+        Wm = consensus_tocsr(state.Wm).toarray()
+        assert np.array_equal(Wm, consensus_tocsr(oracle.Wm).toarray())
         # the flag matters here: the max-normalized powers give another W_m
-        normalized = consensus_graph(scene.cube, params.replace(order_norm=True))[1]
-        assert not np.array_equal(normalized.Wm.tocsr().toarray(), state.Wm.tocsr().toarray())
+        normalized = consensus_graph(scene.cube, params.replace(order_norm=True))
+        assert not np.array_equal(consensus_tocsr(normalized.Wm).toarray(), Wm)
