@@ -163,13 +163,16 @@ def _thread_cap() -> int:
     return value
 
 
-def _build_params(config_path, **overrides) -> UnmixParams:
-    base = {}
-    if config_path is not None:
-        try:
-            base = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParamError(f"cannot read config {config_path}: {exc}") from exc
+def _read_config(config_path):
+    if config_path is None:
+        return {}
+    try:
+        return json.loads(Path(config_path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParamError(f"cannot read config {config_path}: {exc}") from exc
+
+
+def _build_params(base, **overrides) -> UnmixParams:
     params = UnmixParams.from_dict(base)
     changes = {k: v for k, v in overrides.items() if v is not None}
     if changes:
@@ -576,10 +579,14 @@ def _param_options(fn):
     @functools.wraps(fn)
     def command(config_path, **kw):
         overrides = {name: kw.pop(name) for name in UnmixParams.__dataclass_fields__}
-        if "seeds" in kw and overrides["seed"] is not None:
+        base = _guarded(_read_config, config_path)
+        params = _guarded(_build_params, base, **overrides)
+        if "seeds" in kw and (overrides["seed"] is not None or "seed" in base):
             # ablate and sweep give every run its seed from --seeds
-            raise click.BadOptionUsage("seed", "--seed is not used here; pass --seeds")
-        return fn(params=_guarded(_build_params, config_path, **overrides), **kw)
+            raise click.BadOptionUsage(
+                "seed", "--seed and a config-file seed are not used here; pass --seeds"
+            )
+        return fn(params=params, **kw)
 
     return _stack(command, [
         click.option("--config", "config_path", type=click.Path(), default=None,

@@ -24,6 +24,13 @@ W_m = sum_vk c_vk W_v^k with c_vk = H_vk / (s_vk (1 + mu)) is a
 polynomial in the order-1 graphs, returned as a ``ConsensusOperator``
 with its degree vector D_m; neither W_m nor the Laplacian
 L_m = diag(D_m) - W_m is formed (``graph.laplacian_quadratic``).
+
+Within a row block, a member's entries are scattered into a dense
+rows x N buffer of ``_GRAM_BUFFER`` doubles (a fixed budget, which sets
+the block height); each earlier member gathers the buffer at its own
+entries' positions for a dot product, and the buffer is then cleared at
+the same positions.  For symmetric W, <W^a, W^b> = tr(W^(a+b)), so
+within one view the pairs with equal a + b share one value.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ __all__ = [
 ]
 
 
-_ROW_BLOCK = 1024  # rows of each fused power held at once by fuse_graphs
+_GRAM_BUFFER = 1 << 19  # doubles (4 MB) of fuse_graphs' dense scatter buffer
 
 
 @dataclass(frozen=True)
@@ -104,26 +111,54 @@ def _gram_and_normalizers(graphs: MultiOrderGraphSet) -> tuple[np.ndarray, np.nd
     mats = [g.W for g in graphs.views]
     n = mats[0].shape[0]
     top = max(graphs.orders)
-    m = len(mats) * graphs.K
+    # one member per (view, order), in the row-major layout of H
+    members = [(v, k) for v in range(len(mats)) for k in graphs.orders]
+    m = len(members)
     gram = np.zeros((m, m))
     peaks = np.zeros(m)
-    for lo in range(0, n, _ROW_BLOCK):
-        rows = []
+    block = min(n, max(1, _GRAM_BUFFER // n))
+    buf = np.zeros(block * n)
+    for lo in range(0, n, block):
+        # each member's stored entries in the block: flat (row, column)
+        # positions in buf, and values
+        entries = []
         for W in mats:
-            # a product leaves its indices unsorted, and an elementwise
-            # product sorts unsorted operands each time; CSC comes out sorted
-            R = W[lo : lo + _ROW_BLOCK]
+            R = W[lo : lo + block]
             powers = {}
             for k in range(1, top + 1):
                 if k > 1:
                     R = R @ W
                 if k in graphs.orders:
-                    powers[k] = R.tocsc()
-            rows += [powers[k] for k in graphs.orders]
-        for i, R in enumerate(rows):
-            peaks[i] = max(peaks[i], R.max())
-            for j in range(i, m):
-                gram[i, j] += R.multiply(rows[j]).sum()
+                    rows = np.repeat(np.arange(R.shape[0]) * n, np.diff(R.indptr))
+                    powers[k] = (rows + R.indices, R.data)
+            entries += [powers[k] for k in graphs.orders]
+        # <W^a, W^b> over the block's rows is the trace of W^(a+b) over
+        # them for symmetric W: one value per view and order sum a + b,
+        # read from a diagonal entry where there is one
+        traces = {}
+        for (v, a), (_, data) in zip(members, entries):
+            traces[v, 2 * a] = data @ data
+        for j, (pos_j, data_j) in enumerate(entries):
+            v, a = members[j]
+            peaks[j] = max(peaks[j], data_j.max(initial=0.0))
+            gather = []
+            for i, (w, b) in enumerate(members[: j + 1]):
+                if w == v and (v, a + b) in traces:
+                    gram[i, j] += traces[v, a + b]
+                else:
+                    gather.append(i)
+            if not gather:
+                continue
+            # member j goes into the buffer; each earlier member reads it
+            # at the positions of its own entries
+            buf[pos_j] = data_j
+            for i in gather:
+                pos_i, data_i = entries[i]
+                value = data_i @ buf[pos_i]
+                gram[i, j] += value
+                if members[i][0] == v:
+                    traces[v, a + members[i][1]] = value
+            buf[pos_j] = 0.0
     gram = np.triu(gram) + np.triu(gram, 1).T
     order = np.tile(graphs.orders, len(mats))
     scale = np.ones(m)

@@ -1,10 +1,16 @@
 """Spatial/spectral k-NN heat-kernel graphs, their powers, and their penalty.
 
-Both views share one recipe over a matrix of point columns (grid
-coordinates for the spatial view, spectra for the spectral view):
-Euclidean distances, each pixel's C nearest neighbors with ties going to
-the lower index, edges weighted by exp(-d^2 / (2 sigma^2)), and
-symmetrization by elementwise max.
+Both views share one recipe: Euclidean distances, each pixel's C
+nearest neighbors with ties going to the lower index, edges weighted by
+exp(-d^2 / (2 sigma^2)), and symmetrization by elementwise max.  One
+selection path keeps the neighbors from blocks of candidate distances,
+and each view has its own candidate generator.  The spectral view scans
+all N columns (its neighbors can be anywhere).  The spatial view scans
+a (2r+1)^2 window of grid offsets around each pixel, r being just wide
+enough to hold every pixel's C-th nearest distance, so it costs O(C N)
+and its distances are bit-equal to those of a scan of all columns over
+grid coordinates.
+
 Order-k graphs are plain matrix powers of the order-1 graph; powers of
 order >= 2 are divided by their maximum entry so all orders live on a
 comparable scale before fusion (raw powers grow without bound).
@@ -144,25 +150,24 @@ class ConsensusOperator:
         return (np.ones((1, self.shape[0])) @ self)[0]
 
 
-def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[sp.csr_array, float]:
-    """Heat-kernel k-NN graph over the Euclidean distance between columns of ``points``.
+def _row_blocks(n: int):
+    """(lo, hi) of each _BLOCK-row block over n rows; the last block takes the remainder."""
+    # no short last block: a BLAS product over fewer rows can round
+    # differently from the whole-matrix product
+    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
+    return zip(starts, [*starts[1:], n])
 
-    Keeps each node's `neighbors` nearest others (ties go to the lower
-    index), resolves sigma="auto" to the median retained distance, and
-    symmetrizes by elementwise max.  Returns (W, sigma_used).
+
+def _column_candidates(points: np.ndarray):
+    """Every column of ``points`` as a candidate for every column, over row blocks.
+
+    Yields (lo, d, index) per block of rows lo..: the Euclidean
+    distances to all N columns, +inf at each row's own column, and the
+    global column index of each entry.
     """
     n = points.shape[1]
-    if n < 2:
-        raise ParamError("graph construction needs at least 2 pixels")
-    if neighbors >= n:
-        raise ParamError(f"neighbor count C={neighbors} must be < N={n}")
     sq = np.sum(points**2, axis=0)
-    rows, cols, retained = [], [], []
-    # the last block takes the remainder: a BLAS product over fewer rows
-    # can round differently from the whole-matrix product
-    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
-    for lo, hi in zip(starts, [*starts[1:], n]):
-        # on integer grid coordinates every term below is an exact integer
+    for lo, hi in _row_blocks(n):
         gram = points[:, lo:hi].T @ points
         d = sq[lo:hi, None] + sq[None, :]
         gram *= 2.0
@@ -171,13 +176,77 @@ def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[sp.csr_
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        yield lo, d, np.broadcast_to(np.arange(n), d.shape)
+
+
+def _quarter_disk(r: int) -> int:
+    """Pixels other than a grid corner itself within distance r of it."""
+    a = np.arange(r + 1) ** 2
+    return int(np.count_nonzero(a[:, None] + a[None, :] <= r * r)) - 1
+
+
+def _window(r: int):
+    """Offsets (dy, dx) of a (2r+1)^2 window and their Euclidean lengths."""
+    dy, dx = (a.ravel() for a in np.mgrid[-r : r + 1, -r : r + 1])
+    # dy^2 + dx^2 is an exact integer, so each length has the bits of the
+    # distance between integer grid coordinates
+    return dy, dx, np.sqrt(dy * dy + dx * dx)
+
+
+def _grid_candidates(height: int, width: int, neighbors: int):
+    """The pixels in a window of grid offsets around each pixel, over row blocks.
+
+    Yields (lo, d, index) like ``_column_candidates``, one column per
+    offset of a (2r+1)^2 window, with +inf for the pixel itself and for
+    offsets off the grid.  r starts at the smallest radius whose quarter
+    disk around a corner holds `neighbors` pixels, and grows while a
+    row's C-th distance exceeds r.  The disk of radius r lies in the
+    window, so once no C-th distance does, every pixel within it (ties
+    included) is a candidate; a window that covers the grid holds them all.
+    """
+    cover = max(height, width) - 1
+    r = 1
+    while r < cover and _quarter_disk(r) < neighbors:
+        r += 1
+    dy, dx, length = _window(r)
+    for lo, hi in _row_blocks(height * width):
+        y, x = np.divmod(np.arange(lo, hi), width)
+        while True:
+            ny = y[:, None] + dy
+            nx = x[:, None] + dx
+            off = (ny < 0) | (ny >= height) | (nx < 0) | (nx >= width) | (length == 0)
+            d = np.where(off, np.inf, length)
+            if r >= cover or np.count_nonzero(d <= r, axis=1).min() >= neighbors:
+                break
+            r += 1
+            dy, dx, length = _window(r)
+        yield lo, d, ny * width + nx
+
+
+def _knn_heat_kernel(n: int, candidates, sigma, neighbors: int) -> tuple[sp.csr_array, float]:
+    """Heat-kernel k-NN graph over n nodes from row blocks of candidate distances.
+
+    ``candidates`` yields (lo, d, index) per block of rows lo..: the
+    distance d[i, t] from node lo+i to node index[i, t], where each
+    row's candidates hold every node within its C-th smallest distance.
+    Keeps each node's `neighbors` nearest others (ties go to the lower
+    index), resolves sigma="auto" to the median retained distance, and
+    symmetrizes by elementwise max.  Returns (W, sigma_used).
+    """
+    if n < 2:
+        raise ParamError("graph construction needs at least 2 pixels")
+    if neighbors >= n:
+        raise ParamError(f"neighbor count C={neighbors} must be < N={n}")
+    rows, cols, retained = [], [], []
+    for lo, d, index in candidates:
         # candidates: every entry within the row's C-th smallest distance;
-        # ordered by (row, distance, column), each row keeps its first C
+        # ordered by (row, distance, global column), each row keeps its first C
         kth = np.partition(d, neighbors - 1, axis=1)[:, neighbors - 1]
         r, c = np.nonzero(d <= kth[:, None])
         dist = d[r, c]
+        c = index[r, c]
         order = np.lexsort((c, dist, r))
-        counts = np.bincount(r, minlength=hi - lo)
+        counts = np.bincount(r, minlength=d.shape[0])
         first = np.cumsum(counts) - counts
         keep = order[(first[:, None] + np.arange(neighbors)).ravel()]
         rows.append(r[keep] + lo)
@@ -198,14 +267,15 @@ def _knn_heat_kernel(points: np.ndarray, sigma, neighbors: int) -> tuple[sp.csr_
 
 def spatial_weights(cube: HsiCube, sigma_s="auto", neighbors: int = 10) -> WeightMatrix:
     """Heat-kernel affinity over Euclidean grid distance between pixels."""
-    grid = np.divmod(np.arange(cube.pixel_count), cube.width)
-    W, sigma = _knn_heat_kernel(np.array(grid, dtype=np.float64), sigma_s, neighbors)
+    candidates = _grid_candidates(cube.height, cube.width, neighbors)
+    W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, sigma_s, neighbors)
     return WeightMatrix(W=W, kind="spatial", order=1, sigma=sigma)
 
 
 def spectral_weights(cube: HsiCube, sigma_l="auto", neighbors: int = 10) -> WeightMatrix:
     """Heat-kernel affinity over Euclidean distance between pixel spectra."""
-    W, sigma = _knn_heat_kernel(cube.data, sigma_l, neighbors)
+    candidates = _column_candidates(cube.data)
+    W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, sigma_l, neighbors)
     return WeightMatrix(W=W, kind="spectral", order=1, sigma=sigma)
 
 

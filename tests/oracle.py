@@ -14,6 +14,24 @@ import scipy.sparse as sp
 
 from mognmf.errors import ParamError, ShapeError
 from mognmf.graph import build_multi_order_graphs, graph_powers
+from mognmf.hsi_core import HsiCube
+
+ORACLE_CASES = ("grid5x6", "grid17x9", "duplicated", "random24")
+
+
+def oracle_case(name):
+    """A small scene for oracle checks and the build_multi_order_graphs keywords for it."""
+    rng = np.random.default_rng(14)
+    if name == "grid5x6":  # constant spectra: every spectral distance ties at 0
+        return HsiCube(data=np.ones((2, 30)), height=5, width=6), {"neighbors": 6}
+    if name == "grid17x9":
+        cube = HsiCube(data=rng.random((100, 153)), height=17, width=9)
+        return cube, {"neighbors": 4, "sigma_s": 1.3}
+    if name == "duplicated":  # quarter-step values, every pixel twice
+        data = rng.integers(0, 4, size=(3, 100)) / 4.0
+        data[:, 50:] = data[:, :50]
+        return HsiCube(data=data, height=10, width=10), {"neighbors": 8}
+    return HsiCube(data=rng.random((100, 576)), height=24, width=24), {"neighbors": 10}
 
 
 def graph_set(cube, params, orders=None):

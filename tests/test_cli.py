@@ -550,6 +550,22 @@ class TestAblate:
         assert "--seeds" in result.output
         assert not out.exists()
 
+    def test_config_seed_rejected(self, runner, tmp_path):
+        # a seed from --config would be recorded in the manifest but unused
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 7}))
+        out = tmp_path / "ablation"
+        result = runner.invoke(
+            main,
+            ["ablate", "--cube", str(scene / "cube.raw"), "--truth", str(scene),
+             "--m", "3", "--seeds", "0", "--config", str(config), "--t1", "3", "--c", "4",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--seeds" in result.output
+        assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_table(self, runner, tmp_path, monkeypatch):
@@ -596,6 +612,21 @@ class TestSweep:
             ["sweep", "--snrs", "30", "--seeds", "0", "--seed", "7", "--variants", "nmf",
              "--height", "6", "--width", "6", "--bands", "12", "--t1", "5",
              "--c", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--seeds" in result.output
+        assert not out.exists()
+
+    def test_config_seed_rejected(self, runner, tmp_path):
+        # a seed from --config would be recorded in the manifest but unused
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 7}))
+        out = tmp_path / "sw"
+        result = runner.invoke(
+            main,
+            ["sweep", "--snrs", "30", "--seeds", "0", "--config", str(config),
+             "--variants", "nmf", "--height", "6", "--width", "6", "--bands", "12",
+             "--t1", "5", "--c", "4", "--out", str(out)],
         )
         assert result.exit_code == 2, result.output
         assert "--seeds" in result.output

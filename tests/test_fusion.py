@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 from mognmf import fusion
 from mognmf.errors import ParamError, ShapeError
 from mognmf.fusion import fuse_graphs, project_simplex, update_weights
-from mognmf.graph import MultiOrderGraphSet, WeightMatrix
-from oracle import compute_residuals, consensus_tocsr, stack_powers, update_consensus
+from mognmf.graph import MultiOrderGraphSet, WeightMatrix, build_multi_order_graphs
+from oracle import (
+    ORACLE_CASES,
+    compute_residuals,
+    consensus_tocsr,
+    oracle_case,
+    stack_powers,
+    update_consensus,
+)
 
 
 def _simplex_project_enumeration(y):
@@ -277,12 +284,13 @@ class TestFuseGraphs:
     @pytest.mark.parametrize("normalize", [True, False])
     def test_row_blocks_do_not_change_the_result(self, monkeypatch, normalize):
         # Gram entries and normalizers accumulate over row blocks of the
-        # powers; a 3-row block over 10 nodes covers a remainder block too
+        # powers; a 30-double buffer over 10 nodes makes 3-row blocks and a
+        # remainder block
         rng = np.random.default_rng(15)
         base = _random_graph_set(rng, n=10)
         graphs = MultiOrderGraphSet(views=base.views, orders=(3, 1), normalize=normalize)
         whole = fuse_graphs(graphs, mu=0.2, alpha=50.0)
-        monkeypatch.setattr(fusion, "_ROW_BLOCK", 3)
+        monkeypatch.setattr(fusion, "_GRAM_BUFFER", 30)
         blocks = fuse_graphs(graphs, mu=0.2, alpha=50.0)
         assert whole.iterations == blocks.iterations
         assert np.allclose(blocks.H, whole.H, rtol=0.0, atol=1e-12)
@@ -291,3 +299,29 @@ class TestFuseGraphs:
         H_ref, Wm_ref, _ = _naive_fuse(graphs, 0.2, 50.0, 1e-6, 50)
         assert np.allclose(blocks.H, H_ref, atol=1e-9)
         assert np.allclose(consensus_tocsr(blocks.Wm).toarray(), Wm_ref, atol=1e-9)
+
+
+class TestGramPass:
+    """The Gram matrix and normalizers of the fused stack against the formed powers."""
+
+    @pytest.mark.parametrize("orders", [(3, 1), (1, 2, 3)], ids=["3,1", "1,2,3"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_formed_stack(self, monkeypatch, case, orders):
+        # at orders 1, 2, 3 the same-view <W, W^3> is read from <W^2, W^2>
+        cube, kw = oracle_case(case)
+        graphs = build_multi_order_graphs(cube, K=3, orders=orders, normalize=False, **kw)
+        gram, scale = fusion._gram_and_normalizers(graphs)
+        stack = [g.W for g in stack_powers(graphs)]
+        ref = np.array([[a.multiply(b).sum() for b in stack] for a in stack])
+        assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(scale, np.ones(len(stack)))
+        # the normalizers are the peaks of the unsymmetrized products W^k,
+        # read here in 7-row blocks
+        monkeypatch.setattr(fusion, "_GRAM_BUFFER", 7 * cube.pixel_count)
+        normalized = MultiOrderGraphSet(views=graphs.views, orders=orders)
+        _, scale = fusion._gram_and_normalizers(normalized)
+        for s, (W, k) in zip(scale, [(g.W, k) for g in graphs.views for k in orders]):
+            Wk = W
+            for _ in range(k - 1):
+                Wk = Wk @ W
+            assert s == (Wk.max() if k > 1 else 1.0)

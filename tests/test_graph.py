@@ -19,9 +19,11 @@ from mognmf.graph import (
 from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.unmix import consensus_graph, update_abundances
 from oracle import (
+    ORACLE_CASES,
     compute_residuals,
     consensus_tocsr,
     graph_set,
+    oracle_case,
     stack_powers,
     update_consensus,
 )
@@ -72,7 +74,8 @@ def _knn_oracle(points, neighbors):
 
 def _dense_knn_heat_kernel(points, sigma, neighbors):
     """Dense N x N reference for the blockwise CSR builder: whole-matrix
-    distances, a stable argsort per row, then W = max(W, W.T)."""
+    distances, a stable argsort per row, then W = max(W, W.T).  Returns
+    (W, sigma_used)."""
     n = points.shape[1]
     sq = np.sum(points**2, axis=0)
     d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points.T @ points), 0.0))
@@ -84,15 +87,20 @@ def _dense_knn_heat_kernel(points, sigma, neighbors):
         sigma = float(np.median(retained)) or 1.0
     W = np.zeros((n, n))
     W[rows, cols] = np.exp(-(retained**2) / (2.0 * sigma**2))
-    return np.maximum(W, W.T)
+    return np.maximum(W, W.T), sigma
+
+
+def _grid(cube):
+    """Grid coordinates (row, column) of every pixel, as the columns of a 2 x N array."""
+    return np.array(np.divmod(np.arange(cube.pixel_count), cube.width), dtype=np.float64)
 
 
 def _dense_multi_order(cube, K, neighbors, sigma_s="auto", sigma_l="auto"):
     """Dense max-normalized powers 1..K of both views, in the row-major layout of H."""
-    grid = np.array(np.divmod(np.arange(cube.pixel_count), cube.width), dtype=np.float64)
     out = []
-    for points, sigma in ((grid, sigma_s), (cube.data, sigma_l)):
-        W = Wk = _dense_knn_heat_kernel(points, sigma, neighbors)
+    for points, sigma in ((_grid(cube), sigma_s), (cube.data, sigma_l)):
+        W, _ = _dense_knn_heat_kernel(points, sigma, neighbors)
+        Wk = W
         out.append(W)
         for _ in range(2, K + 1):
             Wk = Wk @ W
@@ -101,24 +109,10 @@ def _dense_multi_order(cube, K, neighbors, sigma_s="auto", sigma_l="auto"):
     return out
 
 
-def _oracle_case(name):
-    rng = np.random.default_rng(14)
-    if name == "grid5x6":  # constant spectra: every spectral distance ties at 0
-        return HsiCube(data=np.ones((2, 30)), height=5, width=6), {"neighbors": 6}
-    if name == "grid17x9":
-        cube = HsiCube(data=rng.random((100, 153)), height=17, width=9)
-        return cube, {"neighbors": 4, "sigma_s": 1.3}
-    if name == "duplicated":  # quarter-step values, every pixel twice
-        data = rng.integers(0, 4, size=(3, 100)) / 4.0
-        data[:, 50:] = data[:, :50]
-        return HsiCube(data=data, height=10, width=10), {"neighbors": 8}
-    return _random_cube(rng, 24, 24, bands=100), {"neighbors": 10}
-
-
 class TestDenseOracleEquivalence:
-    @pytest.mark.parametrize("case", ["grid5x6", "grid17x9", "duplicated", "random24"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_graphs_match_dense_builder(self, case):
-        cube, kw = _oracle_case(case)
+        cube, kw = oracle_case(case)
         graphs = stack_powers(build_multi_order_graphs(cube, K=3, **kw))
         oracle = _dense_multi_order(cube, K=3, **kw)
         assert len(graphs) == len(oracle) == 6
@@ -131,7 +125,7 @@ class TestDenseOracleEquivalence:
                 assert np.max(np.abs(W - dense)) <= 1e-12, (g.kind, g.order)
 
     def test_abundance_step_matches_dense_consensus(self):
-        cube, kw = _oracle_case("random24")
+        cube, kw = oracle_case("random24")
         state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"]))
         rng = np.random.default_rng(15)
         S = rng.random((4, cube.pixel_count))
@@ -147,7 +141,7 @@ class TestFusedConsensus:
 
     @pytest.mark.parametrize("alpha, one_hot", [(0.1, True), (1e6, False)])
     def test_consensus_is_symmetric_nonnegative_with_row_sum_degrees(self, alpha, one_hot):
-        cube, kw = _oracle_case("random24")
+        cube, kw = oracle_case("random24")
         state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"], alpha=alpha))
         assert (np.count_nonzero(state.H) == 1) == one_hot
         Wm = consensus_tocsr(state.Wm)
@@ -196,7 +190,7 @@ class TestConsensusOperator:
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_stored_power_consensus(self, case):
         alpha, orders = self.CASES[case]
-        cube, kw = _oracle_case("random24")
+        cube, kw = oracle_case("random24")
         params = UnmixParams(neighbors=kw["neighbors"], alpha=alpha)
         graphs = graph_set(cube, params, orders)
         state = consensus_graph(cube, params, orders)
@@ -211,7 +205,7 @@ class TestConsensusOperator:
         assert np.max(np.abs(state.Wm.degree - Wm.sum(axis=1))) <= 1e-12 * np.max(state.Dm)
 
     def test_default_consensus_stores_no_power(self):
-        cube, kw = _oracle_case("random24")
+        cube, kw = oracle_case("random24")
         params = UnmixParams(neighbors=kw["neighbors"])
         state = consensus_graph(cube, params)
         assert isinstance(state, FusionState)
@@ -301,6 +295,20 @@ class TestHeatKernelGraphs:
         grid = np.array(np.divmod(np.arange(30), 6), dtype=np.float64)
         w = spatial_weights(cube, neighbors=neighbors).W.toarray()
         assert np.array_equal(w, _knn_oracle(grid, neighbors))
+
+    @pytest.mark.parametrize(
+        "height, width, neighbors, sigma_s",
+        [(1, 40, 5, "auto"), (2, 50, 10, "auto"), (2, 50, 10, 1.7), (3, 3, 8, "auto"),
+         (16, 16, 30, "auto")],
+    )
+    def test_spatial_window_growth_matches_dense_builder(self, height, width, neighbors, sigma_s):
+        # thin grids and a large C put some pixel's C-th distance beyond the
+        # window the build starts from; on 3x3 the window ends up covering the grid
+        cube = HsiCube(data=np.ones((2, height * width)), height=height, width=width)
+        w = spatial_weights(cube, sigma_s=sigma_s, neighbors=neighbors)
+        dense, sigma = _dense_knn_heat_kernel(_grid(cube), sigma_s, neighbors)
+        assert np.array_equal(w.W.toarray(), dense)
+        assert w.sigma == sigma
 
     @pytest.mark.parametrize("neighbors", [4, 8])
     def test_spectral_ties_match_oracle(self, neighbors):
@@ -528,3 +536,8 @@ class TestPeakMemory:
         # stays below one N x N array of doubles (the dense build needed ~3)
         cube = _random_cube(np.random.default_rng(16), 48, 48, bands=20)
         assert _peak_in_n2_doubles(spectral_weights, cube) < 1.0
+
+    def test_spatial_build_holds_no_n2_array(self):
+        # candidates come from a window of grid offsets around each pixel
+        cube = _random_cube(np.random.default_rng(16), 48, 48, bands=20)
+        assert _peak_in_n2_doubles(spatial_weights, cube) < 1.0
