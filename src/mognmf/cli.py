@@ -278,11 +278,12 @@ def cmd_unmix(
     if fusion is not None:
         out.matrix("H.csv", fusion.H)
         # read from D_m and the fusion Gram matrix: W_m itself is never formed
+        degree = fusion.Wm.degree
         wm_stats = {
-            "mean": float(fusion.Dm.sum()) / cube.pixel_count**2,
+            "mean": float(degree.sum()) / cube.pixel_count**2,
             "frobenius": fusion.wm_norm,
-            "degree_min": float(fusion.Dm.min()),
-            "degree_max": float(fusion.Dm.max()),
+            "degree_min": float(degree.min()),
+            "degree_max": float(degree.max()),
             "fusion_iterations": int(fusion.iterations),
         }
         sigmas = fusion.sigmas

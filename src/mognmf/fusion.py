@@ -22,15 +22,15 @@ and the max-entry normalizers are accumulated over row blocks of the
 powers, rows_B(W^k) = ((W[B] @ W) @ W)..., and no whole power is held.
 W_m = sum_vk c_vk W_v^k with c_vk = H_vk / (s_vk (1 + mu)) is a
 polynomial in the order-1 graphs, returned as a ``ConsensusOperator``
-with its degree vector D_m; neither W_m nor the Laplacian
+that holds its degree vector D_m; neither W_m nor the Laplacian
 L_m = diag(D_m) - W_m is formed (``graph.laplacian_quadratic``).
 
-Within a row block, a member's entries are scattered into a dense
-rows x N buffer of ``_GRAM_BUFFER`` doubles (a fixed budget, which sets
-the block height); each earlier member gathers the buffer at its own
-entries' positions for a dot product, and the buffer is then cleared at
-the same positions.  For symmetric W, <W^a, W^b> = tr(W^(a+b)), so
-within one view the pairs with equal a + b share one value.
+One rule fills the Gram matrix within a row block.  Each member in
+turn gives its diagonal entry as the dot product of its own entries,
+is scattered into a dense rows x N buffer of ``_GRAM_BUFFER`` doubles
+(a fixed budget, which sets the block height), and is gathered by every
+earlier member at that member's own entries' positions; the buffer is
+then cleared at the same positions.
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ _GRAM_BUFFER = 1 << 19  # doubles (4 MB) of fuse_graphs' dense scatter buffer
 
 @dataclass(frozen=True)
 class FusionState:
-    """Consensus graph W_m, its degree vector D_m, and the weights H.
+    """Consensus graph W_m (with its degree vector) and the weights H.
 
     H is the weight step computed against W_m, half a sweep after it.
     """
 
     H: np.ndarray  # V x K, >= 0, entries sum to 1
     Wm: ConsensusOperator  # N x N consensus graph
-    Dm: np.ndarray  # degree vector of Wm
     objective_trace: np.ndarray
     iterations: int = 0
     converged: bool = False
@@ -111,9 +110,7 @@ def _gram_and_normalizers(graphs: MultiOrderGraphSet) -> tuple[np.ndarray, np.nd
     mats = [g.W for g in graphs.views]
     n = mats[0].shape[0]
     top = max(graphs.orders)
-    # one member per (view, order), in the row-major layout of H
-    members = [(v, k) for v in range(len(mats)) for k in graphs.orders]
-    m = len(members)
+    m = len(mats) * len(graphs.orders)  # one member per (view, order), view-major
     gram = np.zeros((m, m))
     peaks = np.zeros(m)
     block = min(n, max(1, _GRAM_BUFFER // n))
@@ -132,32 +129,14 @@ def _gram_and_normalizers(graphs: MultiOrderGraphSet) -> tuple[np.ndarray, np.nd
                     rows = np.repeat(np.arange(R.shape[0]) * n, np.diff(R.indptr))
                     powers[k] = (rows + R.indices, R.data)
             entries += [powers[k] for k in graphs.orders]
-        # <W^a, W^b> over the block's rows is the trace of W^(a+b) over
-        # them for symmetric W: one value per view and order sum a + b,
-        # read from a diagonal entry where there is one
-        traces = {}
-        for (v, a), (_, data) in zip(members, entries):
-            traces[v, 2 * a] = data @ data
         for j, (pos_j, data_j) in enumerate(entries):
-            v, a = members[j]
             peaks[j] = max(peaks[j], data_j.max(initial=0.0))
-            gather = []
-            for i, (w, b) in enumerate(members[: j + 1]):
-                if w == v and (v, a + b) in traces:
-                    gram[i, j] += traces[v, a + b]
-                else:
-                    gather.append(i)
-            if not gather:
-                continue
+            gram[j, j] += data_j @ data_j
             # member j goes into the buffer; each earlier member reads it
             # at the positions of its own entries
             buf[pos_j] = data_j
-            for i in gather:
-                pos_i, data_i = entries[i]
-                value = data_i @ buf[pos_i]
-                gram[i, j] += value
-                if members[i][0] == v:
-                    traces[v, a + members[i][1]] = value
+            for i, (pos_i, data_i) in enumerate(entries[:j]):
+                gram[i, j] += data_i @ buf[pos_i]
             buf[pos_j] = 0.0
     gram = np.triu(gram) + np.triu(gram, 1).T
     order = np.tile(graphs.orders, len(mats))
@@ -192,7 +171,7 @@ def fuse_graphs(
     gram, scale = _gram_and_normalizers(graphs)
     norms_sq = np.diag(gram).copy()
 
-    V, K = graphs.view_count, graphs.K
+    V, K = len(graphs.views), len(graphs.orders)
     m = V * K
     h = np.full(m, 1.0 / m)  # H_vk = 1/(V K) start
     h_cons = h
@@ -222,11 +201,9 @@ def fuse_graphs(
     # of the order-1 graphs' powers
     coef = np.zeros((V, max(graphs.orders)))
     coef[:, np.array(graphs.orders) - 1] = (h_cons / scale).reshape(V, K) / (1.0 + mu)
-    Wm = ConsensusOperator([g.W for g in graphs.views], coef)
     return FusionState(
         H=h.reshape(V, K),
-        Wm=Wm,
-        Dm=Wm.degree,
+        Wm=ConsensusOperator([g.W for g in graphs.views], coef),
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,

@@ -6,10 +6,11 @@ exp(-d^2 / (2 sigma^2)), and symmetrization by elementwise max.  One
 selection path keeps the neighbors from blocks of candidate distances,
 and each view has its own candidate generator.  The spectral view scans
 all N columns (its neighbors can be anywhere).  The spatial view scans
-a (2r+1)^2 window of grid offsets around each pixel, r being just wide
-enough to hold every pixel's C-th nearest distance, so it costs O(C N)
-and its distances are bit-equal to those of a scan of all columns over
-grid coordinates.
+a (2r+1)^2 window of grid offsets around each pixel, r being a grid
+corner's C-th nearest distance rounded up: no pixel has fewer pixels
+within a radius than a corner, so the window holds every pixel's C
+nearest.  It costs O(C N), and its distances are bit-equal to those of
+a scan of all columns over grid coordinates.
 
 Order-k graphs are plain matrix powers of the order-1 graph; powers of
 order >= 2 are divided by their maximum entry so all orders live on a
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, ParamError, ShapeError
-from .hsi_core import HsiCube
+from .hsi_core import HsiCube, UnmixParams
 
 __all__ = [
     "WeightMatrix",
@@ -88,15 +89,6 @@ class MultiOrderGraphSet:
     orders: tuple = (1,)
     normalize: bool = True
 
-    @property
-    def K(self) -> int:
-        """Orders fused per view: the column count of H."""
-        return len(self.orders)
-
-    @property
-    def view_count(self) -> int:
-        return len(self.views)
-
     def all_graphs(self) -> list[WeightMatrix]:
         """The stored graphs: the order-1 graph of each view."""
         return list(self.views)
@@ -107,8 +99,8 @@ class ConsensusOperator:
 
     ``S @ op`` evaluates each view's polynomial in Horner form: one
     product of an N x M block with W_v per order, against about C*N
-    stored entries.  ``degree`` is the operator applied to a vector of
-    ones (W is symmetric, so it is the row sums).
+    stored entries.  ``degree``, computed once, is the operator applied
+    to a vector of ones (W is symmetric, so it is the row sums).
     """
 
     __array_ufunc__ = None  # ndarray @ op defers to __rmatmul__
@@ -119,6 +111,7 @@ class ConsensusOperator:
         if self.coef.ndim != 2 or self.coef.shape[0] != len(self.graphs):
             raise ShapeError("one coefficient row per graph is required")
         self.shape = self.graphs[0].shape
+        self.degree = (np.ones((1, self.shape[0])) @ self)[0]
 
     def _terms(self):
         """(W_v, coefficients up to the highest nonzero order) per active view."""
@@ -143,11 +136,6 @@ class ConsensusOperator:
                     t += ck * St
             out += W @ t
         return out.T
-
-    @property
-    def degree(self) -> np.ndarray:
-        """The operator applied to a vector of ones: the row sums of W."""
-        return (np.ones((1, self.shape[0])) @ self)[0]
 
 
 def _row_blocks(n: int):
@@ -179,12 +167,6 @@ def _column_candidates(points: np.ndarray):
         yield lo, d, np.broadcast_to(np.arange(n), d.shape)
 
 
-def _quarter_disk(r: int) -> int:
-    """Pixels other than a grid corner itself within distance r of it."""
-    a = np.arange(r + 1) ** 2
-    return int(np.count_nonzero(a[:, None] + a[None, :] <= r * r)) - 1
-
-
 def _window(r: int):
     """Offsets (dy, dx) of a (2r+1)^2 window and their Euclidean lengths."""
     dy, dx = (a.ravel() for a in np.mgrid[-r : r + 1, -r : r + 1])
@@ -198,29 +180,24 @@ def _grid_candidates(height: int, width: int, neighbors: int):
 
     Yields (lo, d, index) like ``_column_candidates``, one column per
     offset of a (2r+1)^2 window, with +inf for the pixel itself and for
-    offsets off the grid.  r starts at the smallest radius whose quarter
-    disk around a corner holds `neighbors` pixels, and grows while a
-    row's C-th distance exceeds r.  The disk of radius r lies in the
-    window, so once no C-th distance does, every pixel within it (ties
-    included) is a candidate; a window that covers the grid holds them all.
+    offsets off the grid.  r is the smallest radius >= 1 within which a
+    grid corner has `neighbors` other pixels, capped where the window
+    covers the grid.  No pixel has fewer pixels within any radius than a
+    corner (along each axis, its sorted offsets are elementwise no
+    larger than the corner's 0, 1, 2, ...), so the disk of radius r,
+    which lies in the window, holds every pixel's C nearest, ties
+    included.
     """
-    cover = max(height, width) - 1
-    r = 1
-    while r < cover and _quarter_disk(r) < neighbors:
-        r += 1
+    corner = np.add.outer(np.arange(height) ** 2, np.arange(width) ** 2).ravel()
+    kth = np.partition(corner, neighbors)[neighbors]  # squared C-th distance
+    r = min(max(1, int(np.ceil(np.sqrt(kth)))), max(height, width) - 1)
     dy, dx, length = _window(r)
     for lo, hi in _row_blocks(height * width):
         y, x = np.divmod(np.arange(lo, hi), width)
-        while True:
-            ny = y[:, None] + dy
-            nx = x[:, None] + dx
-            off = (ny < 0) | (ny >= height) | (nx < 0) | (nx >= width) | (length == 0)
-            d = np.where(off, np.inf, length)
-            if r >= cover or np.count_nonzero(d <= r, axis=1).min() >= neighbors:
-                break
-            r += 1
-            dy, dx, length = _window(r)
-        yield lo, d, ny * width + nx
+        ny = y[:, None] + dy
+        nx = x[:, None] + dx
+        off = (ny < 0) | (ny >= height) | (nx < 0) | (nx >= width) | (length == 0)
+        yield lo, np.where(off, np.inf, length), ny * width + nx
 
 
 def _knn_heat_kernel(n: int, candidates, sigma, neighbors: int) -> tuple[sp.csr_array, float]:
@@ -327,31 +304,20 @@ def laplacian_quadratic(S: np.ndarray, W) -> float:
 
 
 def build_multi_order_graphs(
-    cube: HsiCube,
-    K: int = 3,
-    neighbors: int = 10,
-    sigma_s="auto",
-    sigma_l="auto",
-    neighbors_spatial: int | None = None,
-    neighbors_spectral: int | None = None,
-    normalize: bool = True,
-    orders: list[int] | None = None,
+    cube: HsiCube, params: UnmixParams = UnmixParams(), orders: list[int] | None = None
 ) -> MultiOrderGraphSet:
-    """Construct the spatial and spectral order-1 graphs, fused at orders 1..K.
+    """The spatial and spectral order-1 graphs ``params`` describe, fused at ``orders``.
 
-    ``orders`` restricts the fused orders to a subset (used by
-    single-order ablation variants).  Each order must lie in 1..K and
-    appear once.
+    ``orders`` defaults to 1..``params.order``; single-order ablation
+    variants pass a subset.  Each order must be >= 1 and appear once.
     """
-    if K < 1:
-        raise ParamError("graph order K must be >= 1")
-    orders = tuple(range(1, K + 1)) if orders is None else tuple(orders)
-    if not orders or any(not 1 <= k <= K for k in orders) or len(set(orders)) != len(orders):
-        raise ParamError(f"orders must be distinct and within 1..{K}, got {list(orders)}")
-    c_spa = neighbors_spatial if neighbors_spatial is not None else neighbors
-    c_spe = neighbors_spectral if neighbors_spectral is not None else neighbors
+    orders = tuple(range(1, params.order + 1)) if orders is None else tuple(orders)
+    if not orders or min(orders) < 1 or len(set(orders)) != len(orders):
+        raise ParamError(f"orders must be distinct and >= 1, got {list(orders)}")
+    c_spa = params.neighbors if params.neighbors_spatial is None else params.neighbors_spatial
+    c_spe = params.neighbors if params.neighbors_spectral is None else params.neighbors_spectral
     views = (
-        spatial_weights(cube, sigma_s=sigma_s, neighbors=c_spa),
-        spectral_weights(cube, sigma_l=sigma_l, neighbors=c_spe),
+        spatial_weights(cube, sigma_s=params.sigma_s, neighbors=c_spa),
+        spectral_weights(cube, sigma_l=params.sigma_l, neighbors=c_spe),
     )
-    return MultiOrderGraphSet(views=views, orders=orders, normalize=normalize)
+    return MultiOrderGraphSet(views=views, orders=orders, normalize=params.order_norm)

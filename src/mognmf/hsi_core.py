@@ -40,7 +40,6 @@ class HsiCube:
     data: np.ndarray  # L x N, nonnegative finite reflectance
     height: int
     width: int
-    wavelengths: np.ndarray | None = None  # length L, nm
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -59,8 +58,6 @@ class HsiCube:
         if np.any(data < 0):
             l, j = np.argwhere(data < 0)[0]
             raise DataError(f"negative value at band {l}, pixel {j}")
-        if self.wavelengths is not None and len(self.wavelengths) != data.shape[0]:
-            raise ShapeError("wavelengths length must equal band count")
         object.__setattr__(self, "data", data)
         data.setflags(write=False)
 

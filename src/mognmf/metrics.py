@@ -27,18 +27,14 @@ class EvalReport:
     mean_sad: float
     rmse: float
     permutation: np.ndarray  # permutation[i] = estimate index matched to truth i
-    measured_snr_db: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "per_endmember_sad": [float(v) for v in self.per_endmember_sad],
             "mean_sad": float(self.mean_sad),
             "rmse": float(self.rmse),
             "permutation": [int(v) for v in self.permutation],
         }
-        if self.measured_snr_db is not None:
-            d["measured_snr_db"] = float(self.measured_snr_db)
-        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -116,7 +112,6 @@ def evaluate_model(
     S_true: np.ndarray,
     A_est: np.ndarray,
     S_est: np.ndarray,
-    measured_snr_db: float | None = None,
 ) -> EvalReport:
     """Match endmembers, then report matched SAD and permuted RMSE."""
     perm, matched = match_endmembers(A_true, A_est)
@@ -125,5 +120,4 @@ def evaluate_model(
         mean_sad=float(np.mean(matched)),
         rmse=rmse(S_true, np.asarray(S_est)[perm, :]),
         permutation=perm,
-        measured_snr_db=measured_snr_db,
     )

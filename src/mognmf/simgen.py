@@ -46,7 +46,6 @@ class SpectralLibrary:
 
     names: tuple
     spectra: np.ndarray
-    wavelengths: np.ndarray | None = None
 
     def __post_init__(self):
         spectra = np.asarray(self.spectra, dtype=np.float64)
@@ -118,12 +117,6 @@ def load_library(path) -> SpectralLibrary:
     if len(lengths) != 1:
         raise DataError("library rows must all have the same band count")
     return SpectralLibrary(names=tuple(names), spectra=np.asarray(rows).T)
-
-
-def save_library(library: SpectralLibrary, path) -> None:
-    with open(path, "w") as fh:
-        for name, spectrum in zip(library.names, library.spectra.T):
-            fh.write(name + "," + ",".join(f"{v:.17g}" for v in spectrum) + "\n")
 
 
 def synthetic_library(
@@ -230,7 +223,6 @@ def mix_lmm(A_true: np.ndarray, S_true: np.ndarray) -> np.ndarray:
 def add_noise_at_snr(
     clean: np.ndarray,
     target_snr_db: float,
-    noise_kind: str = "gaussian_white",
     seed: int = 0,
 ):
     """Add white Gaussian noise scaled exactly to the target SNR.
@@ -240,8 +232,6 @@ def add_noise_at_snr(
     clamped fraction is logged because it slightly perturbs the
     effective SNR.  Returns (noisy, noise).
     """
-    if noise_kind != "gaussian_white":
-        raise ParamError(f"unsupported noise kind: {noise_kind!r}")
     clean = np.asarray(clean, dtype=np.float64)
     p_signal = float(np.sum(clean**2))
     if p_signal == 0.0:

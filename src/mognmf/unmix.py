@@ -283,20 +283,10 @@ def consensus_graph(
 ) -> FusionState:
     """Build the multi-order graphs ``params`` describe and fuse them.
 
-    ``orders`` keeps only those orders (single-order variants); powers
-    then run up to the largest of them instead of ``params.order``.
+    ``orders`` keeps only those orders (single-order variants) in place
+    of 1..``params.order``.
     """
-    graphs = build_multi_order_graphs(
-        cube,
-        K=params.order if orders is None else max(orders),
-        neighbors=params.neighbors,
-        sigma_s=params.sigma_s,
-        sigma_l=params.sigma_l,
-        neighbors_spatial=params.neighbors_spatial,
-        neighbors_spectral=params.neighbors_spectral,
-        normalize=params.order_norm,
-        orders=orders,
-    )
+    graphs = build_multi_order_graphs(cube, params, orders)
     return fuse_graphs(
         graphs, mu=params.mu, alpha=params.alpha, eps2=params.eps2, t2=params.t2
     )
@@ -358,7 +348,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
         # only W_m and D_m are kept: an operator over the order-1 graphs
         fusion_state = consensus_graph(cube, p, list(orders))
         Wm = fusion_state.Wm
-        Dm = fusion_state.Dm
+        Dm = Wm.degree
         lam = p.lam
 
     A, S = _initialize(cube, M, config)

@@ -13,14 +13,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from mognmf.errors import ParamError, ShapeError
-from mognmf.graph import build_multi_order_graphs, graph_powers
+from mognmf.graph import graph_powers
 from mognmf.hsi_core import HsiCube
 
 ORACLE_CASES = ("grid5x6", "grid17x9", "duplicated", "random24")
 
 
 def oracle_case(name):
-    """A small scene for oracle checks and the build_multi_order_graphs keywords for it."""
+    """A small scene for oracle checks and the ``UnmixParams`` fields for it."""
     rng = np.random.default_rng(14)
     if name == "grid5x6":  # constant spectra: every spectral distance ties at 0
         return HsiCube(data=np.ones((2, 30)), height=5, width=6), {"neighbors": 6}
@@ -32,21 +32,6 @@ def oracle_case(name):
         data[:, 50:] = data[:, :50]
         return HsiCube(data=data, height=10, width=10), {"neighbors": 8}
     return HsiCube(data=rng.random((100, 576)), height=24, width=24), {"neighbors": 10}
-
-
-def graph_set(cube, params, orders=None):
-    """The graph set ``unmix.consensus_graph`` fuses for ``params``."""
-    return build_multi_order_graphs(
-        cube,
-        K=params.order if orders is None else max(orders),
-        neighbors=params.neighbors,
-        sigma_s=params.sigma_s,
-        sigma_l=params.sigma_l,
-        neighbors_spatial=params.neighbors_spatial,
-        neighbors_spectral=params.neighbors_spectral,
-        normalize=params.order_norm,
-        orders=orders,
-    )
 
 
 def stack_powers(graphs):
@@ -97,4 +82,4 @@ def compute_residuals(Wm, graphs) -> np.ndarray:
             raise ShapeError("consensus and view graphs differ in size")
         diff = (Wm - g.W).data
         out.append(float(np.dot(diff, diff)))
-    return np.array(out).reshape(graphs.view_count, graphs.K)
+    return np.array(out).reshape(len(graphs.views), len(graphs.orders))

@@ -440,7 +440,7 @@ class TestFuse:
         # the dumped graphs are the ones fusion saw, written losslessly,
         # one line per stored entry
         cube = load_cube(scene / "cube.raw")
-        graphs = build_multi_order_graphs(cube, K=3, neighbors=4)
+        graphs = build_multi_order_graphs(cube, UnmixParams(neighbors=4))
         for view, g in zip(views, graphs.views, strict=True):
             lines = (out / f"W_{g.kind}.csv").read_text().splitlines()
             assert len(lines) == g.W.nnz

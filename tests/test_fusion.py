@@ -9,6 +9,7 @@ from mognmf import fusion
 from mognmf.errors import ParamError, ShapeError
 from mognmf.fusion import fuse_graphs, project_simplex, update_weights
 from mognmf.graph import MultiOrderGraphSet, WeightMatrix, build_multi_order_graphs
+from mognmf.hsi_core import UnmixParams
 from oracle import (
     ORACLE_CASES,
     compute_residuals,
@@ -213,7 +214,7 @@ class TestUpdateWeights:
 def _naive_fuse(graphs, mu, alpha, eps2, t2):
     """Direct alternation through the op functions; reference for the
     Gram-space implementation."""
-    V, K = graphs.view_count, graphs.K
+    V, K = len(graphs.views), len(graphs.orders)
     H = np.full((V, K), 1.0 / (V * K))
     trace = []
     prev = None
@@ -277,9 +278,8 @@ class TestFuseGraphs:
         assert np.all(a.H >= 0.0)
         assert abs(a.H.sum() - 1.0) <= 1e-10
         # D_m is the operator applied to ones: the row sums of W_m up to rounding
-        assert np.array_equal(a.Dm, b.Dm)
-        assert np.array_equal(a.Dm, a.Wm.degree)
-        assert np.allclose(a.Dm, consensus_tocsr(a.Wm).sum(axis=1), rtol=1e-12, atol=0.0)
+        assert np.array_equal(a.Wm.degree, b.Wm.degree)
+        assert np.allclose(a.Wm.degree, consensus_tocsr(a.Wm).sum(axis=1), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_row_blocks_do_not_change_the_result(self, monkeypatch, normalize):
@@ -307,9 +307,9 @@ class TestGramPass:
     @pytest.mark.parametrize("orders", [(3, 1), (1, 2, 3)], ids=["3,1", "1,2,3"])
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_formed_stack(self, monkeypatch, case, orders):
-        # at orders 1, 2, 3 the same-view <W, W^3> is read from <W^2, W^2>
         cube, kw = oracle_case(case)
-        graphs = build_multi_order_graphs(cube, K=3, orders=orders, normalize=False, **kw)
+        params = UnmixParams(order_norm=False, **kw)
+        graphs = build_multi_order_graphs(cube, params, orders)
         gram, scale = fusion._gram_and_normalizers(graphs)
         stack = [g.W for g in stack_powers(graphs)]
         ref = np.array([[a.multiply(b).sum() for b in stack] for a in stack])

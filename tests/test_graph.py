@@ -6,6 +6,7 @@ import pytest
 from mognmf.errors import ParamError, ShapeError
 import scipy.sparse as sp
 
+from mognmf import graph
 from mognmf.fusion import FusionState, update_weights
 from mognmf.graph import (
     ConsensusOperator,
@@ -22,7 +23,6 @@ from oracle import (
     ORACLE_CASES,
     compute_residuals,
     consensus_tocsr,
-    graph_set,
     oracle_case,
     stack_powers,
     update_consensus,
@@ -113,7 +113,7 @@ class TestDenseOracleEquivalence:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_graphs_match_dense_builder(self, case):
         cube, kw = oracle_case(case)
-        graphs = stack_powers(build_multi_order_graphs(cube, K=3, **kw))
+        graphs = stack_powers(build_multi_order_graphs(cube, UnmixParams(**kw)))
         oracle = _dense_multi_order(cube, K=3, **kw)
         assert len(graphs) == len(oracle) == 6
         for g, dense in zip(graphs, oracle):
@@ -131,8 +131,8 @@ class TestDenseOracleEquivalence:
         S = rng.random((4, cube.pixel_count))
         A = rng.random((cube.band_count, 4))
         args = (S, A, cube.data, 0.3, 0.05)
-        sparse = update_abundances(*args, state.Wm, state.Dm)
-        dense = update_abundances(*args, consensus_tocsr(state.Wm).toarray(), state.Dm)
+        sparse = update_abundances(*args, state.Wm, state.Wm.degree)
+        dense = update_abundances(*args, consensus_tocsr(state.Wm).toarray(), state.Wm.degree)
         assert np.max(np.abs(sparse - dense)) <= 1e-12
 
 
@@ -149,13 +149,13 @@ class TestFusedConsensus:
         assert (Wm != Wm.T).nnz == 0
         assert Wm.data.min() >= 0
         # D_m is the operator applied to ones: the row sums up to rounding
-        assert np.array_equal(state.Dm, state.Wm.degree)
-        assert np.allclose(state.Dm, Wm.sum(axis=1), rtol=1e-12, atol=0.0)
+        assert np.allclose(state.Wm.degree, Wm.sum(axis=1), rtol=1e-12, atol=0.0)
 
 
 def _stored_power_fusion(graphs, params, sweeps):
     """H and W_m of the direct alternation over the formed stack."""
-    H = np.full((graphs.view_count, graphs.K), 1.0 / (graphs.view_count * graphs.K))
+    V, K = len(graphs.views), len(graphs.orders)
+    H = np.full((V, K), 1.0 / (V * K))
     for _ in range(sweeps):
         Wm = update_consensus(H, graphs, params.mu)
         H = update_weights(compute_residuals(Wm, graphs), params.alpha)
@@ -192,7 +192,7 @@ class TestConsensusOperator:
         alpha, orders = self.CASES[case]
         cube, kw = oracle_case("random24")
         params = UnmixParams(neighbors=kw["neighbors"], alpha=alpha)
-        graphs = graph_set(cube, params, orders)
+        graphs = build_multi_order_graphs(cube, params, orders)
         state = consensus_graph(cube, params, orders)
         H_ref, Wm_ref = _stored_power_fusion(graphs, params, state.iterations)
         assert np.allclose(state.H, H_ref, rtol=0.0, atol=1e-12)
@@ -202,7 +202,7 @@ class TestConsensusOperator:
         S = np.random.default_rng(17).random((4, cube.pixel_count))
         SW = S @ Wm
         assert np.max(np.abs(S @ state.Wm - SW)) <= 1e-12 * np.max(SW)
-        assert np.max(np.abs(state.Wm.degree - Wm.sum(axis=1))) <= 1e-12 * np.max(state.Dm)
+        assert np.max(np.abs(state.Wm.degree - Wm.sum(axis=1))) <= 1e-12 * np.max(state.Wm.degree)
 
     def test_default_consensus_stores_no_power(self):
         cube, kw = oracle_case("random24")
@@ -210,12 +210,18 @@ class TestConsensusOperator:
         state = consensus_graph(cube, params)
         assert isinstance(state, FusionState)
         assert isinstance(state.Wm, ConsensusOperator)
-        graphs = graph_set(cube, params)
+        graphs = build_multi_order_graphs(cube, params)
         order1 = sum(g.W.nnz for g in graphs.all_graphs())
         held = _csr_arrays(state)
         assert held and max(W.nnz for W in held) <= order1
         # the order-3 spectral power this consensus puts its weight on is far larger
         assert stack_powers(graphs)[5].W.nnz > 10 * order1
+
+    def test_degree_is_computed_once(self):
+        cube, kw = oracle_case("random24")
+        op = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"])).Wm
+        assert op.degree is op.degree
+        assert np.array_equal(op.degree, (np.ones((1, cube.pixel_count)) @ op)[0])
 
     def test_rmatmul_validates_shape(self):
         op = ConsensusOperator([sp.csr_array(np.eye(3))], [[1.0]])
@@ -301,14 +307,19 @@ class TestHeatKernelGraphs:
         [(1, 40, 5, "auto"), (2, 50, 10, "auto"), (2, 50, 10, 1.7), (3, 3, 8, "auto"),
          (16, 16, 30, "auto")],
     )
-    def test_spatial_window_growth_matches_dense_builder(self, height, width, neighbors, sigma_s):
-        # thin grids and a large C put some pixel's C-th distance beyond the
-        # window the build starts from; on 3x3 the window ends up covering the grid
+    def test_spatial_window_growth_matches_dense_builder(
+        self, height, width, neighbors, sigma_s, monkeypatch
+    ):
+        # thin grids and a large C put a corner's C-th distance far out; on 3x3
+        # the window covers the grid.  7-row blocks also check blocks that hold
+        # no corner pixel, whose window comes from the corner all the same
         cube = HsiCube(data=np.ones((2, height * width)), height=height, width=width)
-        w = spatial_weights(cube, sigma_s=sigma_s, neighbors=neighbors)
         dense, sigma = _dense_knn_heat_kernel(_grid(cube), sigma_s, neighbors)
-        assert np.array_equal(w.W.toarray(), dense)
-        assert w.sigma == sigma
+        for block in (graph._BLOCK, 7):
+            monkeypatch.setattr(graph, "_BLOCK", block)
+            w = spatial_weights(cube, sigma_s=sigma_s, neighbors=neighbors)
+            assert np.array_equal(w.W.toarray(), dense), block
+            assert w.sigma == sigma, block
 
     @pytest.mark.parametrize("neighbors", [4, 8])
     def test_spectral_ties_match_oracle(self, neighbors):
@@ -474,9 +485,9 @@ class TestMultiOrderBuild:
     def test_views_and_orders(self):
         rng = np.random.default_rng(9)
         cube = _random_cube(rng, 4, 5)
-        graphs = build_multi_order_graphs(cube, K=3, neighbors=4)
-        assert graphs.view_count == 2
-        assert graphs.K == 3
+        graphs = build_multi_order_graphs(cube, UnmixParams(order=3, neighbors=4))
+        assert len(graphs.views) == 2
+        assert graphs.orders == (1, 2, 3)
         # only the order-1 graphs are stored; the fused stack is their powers
         assert [(g.kind, g.order) for g in graphs.all_graphs()] == [
             ("spatial", 1), ("spectral", 1)
@@ -489,23 +500,22 @@ class TestMultiOrderBuild:
     def test_order_subset(self):
         rng = np.random.default_rng(10)
         cube = _random_cube(rng, 4, 4)
-        graphs = build_multi_order_graphs(cube, K=2, neighbors=3, orders=[2])
-        assert graphs.K == 1
+        graphs = build_multi_order_graphs(cube, UnmixParams(neighbors=3), orders=[2])
+        assert graphs.orders == (2,)
         assert [g.order for g in graphs.all_graphs()] == [1, 1]
         assert [g.order for g in stack_powers(graphs)] == [2, 2]
 
-    @pytest.mark.parametrize("K, orders", [(3, [0]), (1, [2]), (3, [4]), (3, [3, 3])])
+    @pytest.mark.parametrize("K, orders", [(3, [0]), (3, [3, 3]), (3, [])])
     def test_invalid_orders_rejected(self, K, orders):
         cube = _random_cube(np.random.default_rng(12), 4, 4)
         with pytest.raises(ParamError):
-            build_multi_order_graphs(cube, K=K, neighbors=3, orders=orders)
+            build_multi_order_graphs(cube, UnmixParams(order=K, neighbors=3), orders)
 
     def test_per_view_neighbor_override(self):
         rng = np.random.default_rng(11)
         cube = _random_cube(rng, 4, 4)
-        graphs = build_multi_order_graphs(
-            cube, K=1, neighbors=3, neighbors_spatial=2, neighbors_spectral=5
-        )
+        params = UnmixParams(order=1, neighbors=3, neighbors_spatial=2, neighbors_spectral=5)
+        graphs = build_multi_order_graphs(cube, params)
         w_spa, w_spe = (g.W.toarray() for g in graphs.views)
         # row degree (nonzero count) reflects the per-view neighbor budget
         assert np.count_nonzero(w_spa[0]) <= 2 * 2

@@ -157,13 +157,12 @@ class TestEvaluateModel:
         rng = np.random.default_rng(12)
         A = rng.uniform(0.1, 1.0, size=(6, 2))
         S = rng.dirichlet(np.ones(2), size=4).T
-        report = evaluate_model(A, S, A, S, measured_snr_db=25.0)
+        report = evaluate_model(A, S, A, S)
         d = report.to_dict()
         assert set(d) == {
             "per_endmember_sad",
             "mean_sad",
             "rmse",
             "permutation",
-            "measured_snr_db",
         }
         assert report.to_json().startswith("{")

