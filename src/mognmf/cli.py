@@ -14,7 +14,7 @@ additionally carry wall-clock timings.
 Exit codes: 0 success, 2 usage/validation error (a wrong-typed config
 value included), 3 numerical failure.  The MOGNMF_THREADS environment
 variable caps the worker processes of ablate and sweep (default:
-available cores).
+available cores); each worker runs one BLAS thread.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import csv
 import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -391,8 +392,22 @@ def _run_jobs(jobs: list[tuple], cap: int) -> list[dict]:
     workers = min(cap, len(jobs))
     if workers <= 1:
         return [_single_run(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_single_run, jobs))
+    # one BLAS thread per worker, or the workers oversubscribe the cores.
+    # numpy reads OPENBLAS_NUM_THREADS when it is imported, so the workers
+    # are spawned (a fresh import each) with it set, and the caller's
+    # environment is restored once the pool is shut down
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            return list(pool.map(_single_run, jobs))
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
 def cmd_ablate(

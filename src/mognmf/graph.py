@@ -167,9 +167,9 @@ def _column_candidates(points: np.ndarray):
         yield lo, d, np.broadcast_to(np.arange(n), d.shape)
 
 
-def _window(r: int):
-    """Offsets (dy, dx) of a (2r+1)^2 window and their Euclidean lengths."""
-    dy, dx = (a.ravel() for a in np.mgrid[-r : r + 1, -r : r + 1])
+def _window(ry: int, rx: int):
+    """Offsets (dy, dx) of a (2ry+1) x (2rx+1) window and their Euclidean lengths."""
+    dy, dx = (a.ravel() for a in np.mgrid[-ry : ry + 1, -rx : rx + 1])
     # dy^2 + dx^2 is an exact integer, so each length has the bits of the
     # distance between integer grid coordinates
     return dy, dx, np.sqrt(dy * dy + dx * dx)
@@ -179,19 +179,20 @@ def _grid_candidates(height: int, width: int, neighbors: int):
     """The pixels in a window of grid offsets around each pixel, over row blocks.
 
     Yields (lo, d, index) like ``_column_candidates``, one column per
-    offset of a (2r+1)^2 window, with +inf for the pixel itself and for
-    offsets off the grid.  r is the smallest radius >= 1 within which a
-    grid corner has `neighbors` other pixels, capped where the window
-    covers the grid.  No pixel has fewer pixels within any radius than a
+    offset of the window |dy| <= min(r, height-1), |dx| <= min(r, width-1),
+    with +inf for the pixel itself and for offsets off the grid.  r is
+    the smallest radius >= 1 within which a grid corner has `neighbors`
+    other pixels.  No pixel has fewer pixels within any radius than a
     corner (along each axis, its sorted offsets are elementwise no
-    larger than the corner's 0, 1, 2, ...), so the disk of radius r,
-    which lies in the window, holds every pixel's C nearest, ties
-    included.
+    larger than the corner's 0, 1, 2, ...), so the disk of radius r
+    holds every pixel's C nearest, ties included.  The window holds the
+    part of that disk on the grid: an offset of more than height-1 rows
+    or width-1 columns is off the grid from every pixel.
     """
     corner = np.add.outer(np.arange(height) ** 2, np.arange(width) ** 2).ravel()
     kth = np.partition(corner, neighbors)[neighbors]  # squared C-th distance
-    r = min(max(1, int(np.ceil(np.sqrt(kth)))), max(height, width) - 1)
-    dy, dx, length = _window(r)
+    r = max(1, int(np.ceil(np.sqrt(kth))))
+    dy, dx, length = _window(min(r, height - 1), min(r, width - 1))
     for lo, hi in _row_blocks(height * width):
         y, x = np.divmod(np.arange(lo, hi), width)
         ny = y[:, None] + dy

@@ -4,13 +4,20 @@ The full model factorizes X ~ A S + E under nonnegativity, a soft
 sum-to-one constraint on abundances, an l1/2 sparsity penalty on S, an
 l2,1 row-sparsity penalty on E, and a consensus-graph smoothness
 penalty Tr(S L_m S^T).  All three block updates have closed forms in
-R = X - E (never negative, see ``run_solver``) and T = X - A S,
-formed once per iteration:
+R = X - E and T = X - A S:
 
 * A <- A .* (R S^T) ./ (A S S^T)
 * S <- S .* (A^T R + lam S W_m)
        ./ (A^T A S + (gamma/2) S^(-1/2) + lam S D_m)
 * E <- row-wise soft threshold of T at level beta
+
+The loop runs them in Gram space, with no L x N matrix inside it.
+The soft threshold makes E a row scaling of T, E = diag(s) (X - A S),
+so the solver carries s (length L) in place of E, and
+R = diag(1 - s) X + diag(s) A S.  X is then read only through the two
+skinny products X S^T (L x M) and ((1 - s) .* A)^T X (M x N) per
+iteration; each row's fit ||T_l||^2 comes from X S^T, S S^T and the
+precomputed ||x_l||^2, and E is formed once, on exit.
 
 W_m is a polynomial in the two order-1 k-NN graphs
 (``graph.ConsensusOperator``): S W_m costs one sparse product per
@@ -18,9 +25,10 @@ graph order and view, and neither W_m nor any power is stored.
 
 Ablation variants drop individual terms; the plain-NMF baseline is the
 classic two-factor multiplicative rule with no constraints beyond
-nonnegativity.  The sum-to-one constraint is realized purely through
-the delta-row augmentation of (R, A) ahead of the S update, never by
-renormalizing S, so the multiplicative convergence behavior is kept.
+nonnegativity.  The sum-to-one constraint is a delta row appended to
+(R, A) ahead of the S update, never a renormalization of S, so the
+multiplicative convergence behavior is kept.  The loop folds that row
+into the products as + delta^2 on A^T R and on A^T A.
 """
 
 from __future__ import annotations
@@ -221,26 +229,24 @@ def init_fcls(cube: HsiCube, A0: np.ndarray, delta: float = 15.0) -> np.ndarray:
     return S0
 
 
-def update_endmembers(A, S, R) -> np.ndarray:
-    """One multiplicative step on A against the residual R = X - E."""
-    num = R @ S.T
-    den = A @ (S @ S.T) + _DEN_GUARD
-    return A * (num / den)
+def update_endmembers(A, RSt, SSt) -> np.ndarray:
+    """One multiplicative step on A from R S^T and S S^T, with R = X - E."""
+    return A * (RSt / (A @ SSt + _DEN_GUARD))
 
 
 def update_abundances(
-    S, A, R, gamma: float = 0.0, lam: float = 0.0, Wm=None, Dm=None
+    S, AtR, AtA, gamma: float = 0.0, lam: float = 0.0, Wm=None, Dm=None
 ) -> np.ndarray:
-    """One multiplicative step on S against the residual R = X - E.
+    """One multiplicative step on S from A^T R and A^T A, with R = X - E.
 
-    R and A come delta-augmented when the variant enforces sum-to-one.
-    ``Wm``/``Dm`` are the consensus graph (a ConsensusOperator, or any
-    matrix ``S @ Wm`` accepts) and its degree vector; they are required
-    when lam != 0.  Entries of S below 1e-10 are
-    floored before the S^(-1/2) term so the update stays finite.
+    Both products include the delta row when the variant enforces
+    sum-to-one.  ``Wm``/``Dm`` are the consensus graph (a
+    ConsensusOperator, or any matrix ``S @ Wm`` accepts) and its degree
+    vector; they are required when lam != 0.  Entries of S below 1e-10
+    are floored before the S^(-1/2) term so the update stays finite.
     """
-    num = A.T @ R
-    den = (A.T @ A) @ S
+    num = AtR
+    den = AtA @ S
     if lam != 0.0:
         if Wm is None or Dm is None:
             raise ParamError("graph term requires Wm and Dm")
@@ -252,19 +258,20 @@ def update_abundances(
     return S * (num / den)
 
 
-def update_noise(T, beta: float) -> np.ndarray:
-    """Row-wise soft threshold of the reconstruction residual T = X - A S.
+def update_noise(row_sq, beta: float) -> np.ndarray:
+    """Row scale s of the soft threshold E = diag(s) T, T = X - A S.
 
-    Rows of T with l2 norm below beta are zeroed; the rest shrink by
-    (norm - beta)/norm.  beta = 0 returns T unchanged.
+    ``row_sq`` holds the squared row norms ||T_l||^2.  Rows with norm
+    below beta get s = 0; the rest shrink by s = (norm - beta)/norm.
+    beta = 0 gives s = 1 on every nonzero row, beta = inf gives s = 0.
     """
     if beta < 0:
         raise ParamError("beta must be nonnegative")
-    norms = np.sqrt((T * T).sum(axis=1))
+    norms = np.sqrt(row_sq)
     scale = np.zeros_like(norms)
     hit = norms > 0
     scale[hit] = np.maximum(norms[hit] - beta, 0.0) / norms[hit]
-    return T * scale[:, None]
+    return scale
 
 
 def fused_orders(variant: str, order: int) -> tuple[int, ...]:
@@ -318,12 +325,18 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     """Run the configured variant to convergence.
 
     Graphs are constructed and fused once, before the loop.  Each outer
-    iteration forms R = X - E and updates A, then S (against the
-    delta-augmented (R, A) when the variant enforces sum-to-one), then
-    forms T = X - A S once, soft-thresholds it into E for variants with
-    the noise term, and records ||T||_F^2.  Stops when the trace change
-    drops below eps1 (relative to 1 + previous value, or absolute with
-    the corresponding flag) or after t1 iterations.
+    iteration updates A, then S (with the delta row folded in as
+    + delta^2 on A^T R and A^T A when the variant enforces sum-to-one),
+    then forms X S^T and S S^T, which give every row's fit
+    ||T_l||^2 = ||x_l||^2 - 2 a_l . (X S^T)_l + a_l (S S^T) a_l^T
+    (clamped at 0) and carry over into the next A step.  Their sum is
+    the recorded ||X - A S||_F^2, and their square roots give the noise
+    row scale s, E = diag(s) (X - A S).  Variants without the noise term
+    keep s = 0 (beta = inf), those without sum-to-one fold delta^2 = 0,
+    and adding +0.0 is exact, so every variant runs the same loop.  E is
+    formed once, on exit.  Stops when the trace change drops below eps1
+    (relative to 1 + previous value, or absolute with the corresponding
+    flag) or after t1 iterations.
     """
     traits = _VARIANT_TRAITS[config.variant]
     p = config.params
@@ -351,26 +364,33 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
         Dm = Wm.degree
         lam = p.lam
 
+    # beta = inf thresholds every row to zero: E = 0 without the noise term
+    beta = p.beta if traits.noise else np.inf
+    delta_sq = p.delta**2 if traits.asc else 0.0
+
     A, S = _initialize(cube, M, config)
-    E = np.zeros((L, N)) if traits.noise else None
+    x_sq = np.einsum("ln,ln->l", X, X)
+    s = np.zeros(L)
+    XSt, SSt = X @ S.T, S @ S.T
 
     trace = np.empty(p.t1)
     prev = None
     converged = False
     it = 0
-    # R = X - E needs no clip at zero: E is T scaled row-wise by a factor
-    # in [0, 1], and T = X - A S <= X because A S >= 0, so E <= X
-    # elementwise (where T < 0, E <= 0 <= X).  Rounding is monotone, so
-    # this also holds in floating point.
+    # R = diag(1 - s) X + diag(s) A S is never negative: s lies in [0, 1]
+    # and X, A, S are nonnegative, so no product below needs a clip
     for it in range(1, p.t1 + 1):
-        R = X if E is None else X - E
-        A = update_endmembers(A, S, R)
-        R_s, A_s = augment_for_asc(R, A, p.delta) if traits.asc else (R, A)
-        S = update_abundances(S, A_s, R_s, gamma, lam, Wm, Dm)
-        T = X - A @ S
-        if traits.noise:
-            E = update_noise(T, p.beta)
-        objective = float(np.sum(T**2))
+        keep = 1.0 - s
+        A_prev = A
+        A = update_endmembers(A, keep[:, None] * XSt + s[:, None] * (A_prev @ SSt), SSt)
+        AtR = (keep[:, None] * A).T @ X + ((A.T * s) @ A_prev) @ S + delta_sq
+        S = update_abundances(S, AtR, A.T @ A + delta_sq, gamma, lam, Wm, Dm)
+        XSt, SSt = X @ S.T, S @ S.T
+        row_sq = x_sq - 2.0 * np.einsum("lm,lm->l", A, XSt)
+        row_sq += np.einsum("lm,lm->l", A @ SSt, A)
+        np.maximum(row_sq, 0.0, out=row_sq)
+        s = update_noise(row_sq, beta)
+        objective = float(row_sq.sum())
         if not np.isfinite(objective):
             raise DivergenceError(
                 f"objective became non-finite at iteration {it}", iteration=it
@@ -383,10 +403,16 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
                 break
         prev = objective
 
+    # E = diag(s) (X - A S), formed in place; rows with s = 0 are set to
+    # +0.0, where the product leaves -0.0 wherever A S exceeds X
+    E = A @ S
+    np.subtract(X, E, out=E)
+    E *= s[:, None]
+    E[s == 0] = 0.0
     return UnmixModel(
         endmembers=A,
         abundances=S,
-        noise=E if E is not None else np.zeros((L, N)),
+        noise=E,
         objective_trace=trace[:it].copy(),
         fusion=fusion_state,
         gamma=gamma if traits.sparsity else None,

@@ -306,7 +306,7 @@ def test_criterion_08_mur_unit_oracles():
         S = rng.uniform(0.0, 1.0, size=(3, N))
         beta = float(rng.uniform(0.0, 2.0))
         T = X - A @ S
-        E = update_noise(T, beta)
+        E = T * update_noise((T * T).sum(axis=1), beta)[:, None]
         for i in range(L):
             norm = float(np.sqrt((T[i] * T[i]).sum()))
             expected = T[i] * ((norm - beta) / norm) if norm >= beta and norm > 0 else np.zeros(N)
@@ -317,7 +317,7 @@ def test_criterion_08_mur_unit_oracles():
         S = rng.uniform(0.1, 1.0, size=(3, 6))
         X = rng.uniform(0.1, 1.0, size=(5, 6))
         gamma = float(rng.uniform(0.05, 0.5))
-        ours = update_abundances(S, A, X, gamma=gamma, lam=0.0)
+        ours = update_abundances(S, A.T @ X, A.T @ A, gamma=gamma, lam=0.0)
         oracle = S * (A.T @ X) / (A.T @ A @ S + 0.5 * gamma * S ** (-0.5))
         worst_snmf = max(worst_snmf, float(np.max(np.abs(ours - oracle))))
     elapsed = time.perf_counter() - t0

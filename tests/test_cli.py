@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -587,6 +588,7 @@ class TestSweep:
     def test_process_pool_matches_serial(self, runner, tmp_path, monkeypatch):
         # the runs are pickled to worker processes when MOGNMF_THREADS > 1
         tables = []
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         for threads in ("1", "2"):
             monkeypatch.setenv("MOGNMF_THREADS", threads)
             out = tmp_path / f"sweep{threads}"
@@ -603,6 +605,8 @@ class TestSweep:
             tables.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
         assert len(tables[0]) == 8  # 2 seeds x 2 variants x 2 lambdas
         assert tables[0] == tables[1]
+        # the pool sets one BLAS thread for its workers, not for the caller
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
     def test_seed_flag_rejected(self, runner, tmp_path):
         # every run takes its seed from --seeds, so --seed would be recorded but unused

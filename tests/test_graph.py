@@ -130,7 +130,7 @@ class TestDenseOracleEquivalence:
         rng = np.random.default_rng(15)
         S = rng.random((4, cube.pixel_count))
         A = rng.random((cube.band_count, 4))
-        args = (S, A, cube.data, 0.3, 0.05)
+        args = (S, A.T @ cube.data, A.T @ A, 0.3, 0.05)
         sparse = update_abundances(*args, state.Wm, state.Wm.degree)
         dense = update_abundances(*args, consensus_tocsr(state.Wm).toarray(), state.Wm.degree)
         assert np.max(np.abs(sparse - dense)) <= 1e-12
@@ -305,7 +305,7 @@ class TestHeatKernelGraphs:
     @pytest.mark.parametrize(
         "height, width, neighbors, sigma_s",
         [(1, 40, 5, "auto"), (2, 50, 10, "auto"), (2, 50, 10, 1.7), (3, 3, 8, "auto"),
-         (16, 16, 30, "auto")],
+         (16, 16, 30, "auto"), (7, 3, 20, "auto"), (40, 1, 7, "auto"), (1, 12, 11, "auto")],
     )
     def test_spatial_window_growth_matches_dense_builder(
         self, height, width, neighbors, sigma_s, monkeypatch
@@ -320,6 +320,19 @@ class TestHeatKernelGraphs:
             w = spatial_weights(cube, sigma_s=sigma_s, neighbors=neighbors)
             assert np.array_equal(w.W.toarray(), dense), block
             assert w.sigma == sigma, block
+
+    @pytest.mark.parametrize(
+        "height, width, neighbors",
+        [(1, 40, 5), (2, 50, 10), (7, 3, 20), (40, 1, 7), (3, 3, 8), (16, 16, 30), (32, 32, 10)],
+    )
+    def test_spatial_window_clipped_to_grid(self, height, width, neighbors):
+        # r: the smallest radius >= 1 holding a corner's C nearest; each axis
+        # keeps only offsets that are on the grid from some pixel
+        corner = sorted(y * y + x * x for y in range(height) for x in range(width))
+        r = max(1, int(np.ceil(np.sqrt(corner[neighbors]))))
+        ry, rx = min(r, height - 1), min(r, width - 1)
+        for _, d, index in graph._grid_candidates(height, width, neighbors):
+            assert d.shape[1] == index.shape[1] == (2 * ry + 1) * (2 * rx + 1)
 
     @pytest.mark.parametrize("neighbors", [4, 8])
     def test_spectral_ties_match_oracle(self, neighbors):

@@ -127,7 +127,7 @@ class TestUpdateEndmembers:
         A = rng.uniform(0.1, 1.0, size=(6, 3))
         S = rng.dirichlet(np.ones(3), size=10).T
         X = A @ S
-        A_next = update_endmembers(A, S, X)
+        A_next = update_endmembers(A, X @ S.T, S @ S.T)
         assert np.allclose(A_next, A, rtol=1e-9)
 
     def test_zero_entries_stay_zero(self):
@@ -136,7 +136,7 @@ class TestUpdateEndmembers:
         A[2, 1] = 0.0
         S = rng.uniform(0.1, 1.0, size=(3, 8))
         X = rng.uniform(0.1, 1.0, size=(5, 8))
-        A_next = update_endmembers(A, S, X)
+        A_next = update_endmembers(A, X @ S.T, S @ S.T)
         assert A_next[2, 1] == 0.0
 
     def test_empirical_descent_of_fit(self):
@@ -148,7 +148,8 @@ class TestUpdateEndmembers:
             X = rng.uniform(0.0, 1.0, size=(4, 5))
             E = rng.uniform(0.0, 0.05, size=(4, 5))
             before = 0.5 * np.sum((X - E - A @ S) ** 2)
-            A_next = update_endmembers(A, S, np.maximum(X - E, 0.0))
+            R = np.maximum(X - E, 0.0)
+            A_next = update_endmembers(A, R @ S.T, S @ S.T)
             after = 0.5 * np.sum((X - E - A_next @ S) ** 2)
             assert after <= before + 1e-12 * (1 + before)
 
@@ -166,7 +167,7 @@ class TestUpdateAbundances:
         A = rng.uniform(0.1, 1.0, size=(6, 3))
         S = rng.dirichlet(np.ones(3), size=10).T
         X = A @ S
-        S_next = update_abundances(S, A, X)
+        S_next = update_abundances(S, A.T @ X, A.T @ A)
         assert np.allclose(S_next, S, rtol=1e-8)
 
     def test_matches_snmf_rule_oracle(self):
@@ -176,31 +177,36 @@ class TestUpdateAbundances:
             S = rng.uniform(0.1, 1.0, size=(3, 6))
             X = rng.uniform(0.1, 1.0, size=(5, 6))
             gamma = float(rng.uniform(0.05, 0.5))
-            got = update_abundances(S, A, X, gamma=gamma)
+            got = update_abundances(S, A.T @ X, A.T @ A, gamma=gamma)
             assert np.max(np.abs(got - _snmf_rule_oracle(S, A, X, gamma))) <= 1e-12
 
     def test_floored_entry_stays_finite(self):
         A = np.ones((4, 2))
         S = np.array([[1e-15, 0.5], [0.2, 0.3]])
         X = np.ones((4, 2))
-        out = update_abundances(S, A, X, gamma=0.3)
+        out = update_abundances(S, A.T @ X, A.T @ A, gamma=0.3)
         assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
 
     def test_graph_term_requires_matrices(self):
         with pytest.raises(ParamError):
-            update_abundances(np.ones((2, 3)), np.ones((4, 2)), np.ones((4, 3)), lam=0.1)
+            update_abundances(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 2)), lam=0.1)
+
+
+def _soft_threshold(T, beta):
+    # E = diag(s) T with s the row scale update_noise returns
+    return T * update_noise((T * T).sum(axis=1), beta)[:, None]
 
 
 class TestUpdateNoise:
     def test_row_above_threshold_scaled(self):
         T = np.zeros((1, 9))
         T[0, 0] = 3.0  # residual row norm 3
-        E = update_noise(T, beta=1.0)
+        E = _soft_threshold(T, beta=1.0)
         assert np.allclose(E, T * (2.0 / 3.0))
 
     def test_row_below_threshold_zeroed(self):
         T = np.full((1, 4), 0.25)  # norm 0.5
-        E = update_noise(T, beta=1.0)
+        E = _soft_threshold(T, beta=1.0)
         assert np.array_equal(E, np.zeros((1, 4)))
 
     def test_zero_beta_returns_residual(self):
@@ -208,8 +214,13 @@ class TestUpdateNoise:
         X = rng.uniform(size=(5, 7))
         A = rng.uniform(size=(5, 2))
         S = rng.uniform(size=(2, 7))
-        E = update_noise(X - A @ S, beta=0.0)
+        E = _soft_threshold(X - A @ S, beta=0.0)
         assert np.array_equal(E, X - A @ S)
+
+    def test_infinite_beta_gives_zero_scale(self):
+        # the variants without the noise term run the same loop at beta = inf
+        s = update_noise(np.array([0.0, 1e-30, 4.0, 1e300]), beta=np.inf)
+        assert np.array_equal(s, np.zeros(4))
 
 
 def _plain_mur_oracle(X, M, A0, S0, eps1, t1):
@@ -417,11 +428,11 @@ class TestRunSolver:
             assert model.fusion.H.shape == (2, 1)
             assert model.fusion.Wm.shape == (64, 64)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_loop_matches_transcribed_oracle(self, variant):
+    @staticmethod
+    def _oracle_run(variant, t1):
         lib = synthetic_library(band_count=24, entries=5, seed=0)
         cube = build_simu1_scene(lib, M=3, height=6, width=8, target_snr_db=10.0, seed=0).cube
-        params = UnmixParams(neighbors=4, beta=0.01, t1=25, eps1=1e-12)
+        params = UnmixParams(neighbors=4, beta=0.01, t1=t1, eps1=1e-12)
         A0 = init_vca(cube, 3, params.seed)
         S0 = np.maximum(init_fcls(cube, A0, params.delta), 1e-8)
         config = SolverConfig(
@@ -434,11 +445,59 @@ class TestRunSolver:
             cube.data, A0, S0, variant, params, estimate_gamma(cube),
             state.Wm if state else None, state.Wm.degree if state else None,
         )
+        E = np.zeros_like(cube.data) if E is None else E
+        return model, A, S, E, trace
+
+    @staticmethod
+    def _assert_near_oracle(model, A, S, E, trace):
+        # the loop reads X through Gram products and folds the delta row, so
+        # rounding differs from the oracle's residual form: relative bounds
+        def rel(got, want):
+            scale = np.abs(want).max()
+            return np.abs(got - want).max() / scale if scale > 0 else np.abs(got).max()
+
         assert model.iterations == len(trace)
-        assert np.array_equal(model.endmembers, A)
-        assert np.array_equal(model.abundances, S)
-        assert np.array_equal(model.noise, np.zeros_like(cube.data) if E is None else E)
-        assert np.array_equal(model.objective_trace, trace)
+        assert rel(model.endmembers, A) <= 1e-12
+        assert rel(model.abundances, S) <= 1e-12
+        assert rel(model.noise, E) <= 1e-10
+        assert rel(model.objective_trace, trace) <= 1e-12
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loop_matches_transcribed_oracle(self, variant):
+        model, A, S, E, trace = self._oracle_run(variant, t1=25)
+        self._assert_near_oracle(model, A, S, E, trace)
+        if variant == "nmf":
+            # no noise and no delta row: the products are the oracle's BLAS calls
+            assert np.array_equal(model.endmembers, A)
+            assert np.array_equal(model.abundances, S)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_oracle_deviation_does_not_grow(self, variant):
+        self._assert_near_oracle(*self._oracle_run(variant, t1=300))
+
+    @pytest.mark.parametrize("variant", ["mognmf", "nmf"])
+    def test_exact_data_trace_matches_direct_fit(self, variant):
+        rng = np.random.default_rng(16)
+        A_star = rng.uniform(0.1, 1.0, size=(20, 3))
+        S_star = rng.dirichlet(np.ones(3), size=48).T
+        cube = _cube(A_star @ S_star, height=6, width=8)
+        X = cube.data
+        params = UnmixParams(neighbors=4, beta=0.01, t1=12, eps1=1e-12)
+        model = run_solver(cube, 3, SolverConfig(params=params, variant=variant))
+        trace = model.objective_trace
+        assert np.all(trace >= 0.0)
+        for k in range(1, len(trace) + 1):
+            # a run capped at k iterations stops at the k-th iterate of the full run
+            capped = run_solver(cube, 3, SolverConfig(params=params.replace(t1=k), variant=variant))
+            direct = np.sum((X - capped.endmembers @ capped.abundances) ** 2)
+            assert abs(trace[k - 1] - direct) <= 1e-12 * np.sum(X**2)
+        # E is a row scaling of X - A S by factors in [0, 1]
+        T = X - model.endmembers @ model.abundances
+        norm_sq = (T * T).sum(axis=1)
+        scale = np.divide((model.noise * T).sum(axis=1), norm_sq,
+                          out=np.zeros_like(norm_sq), where=norm_sq > 0)
+        assert np.all((scale >= 0.0) & (scale <= 1.0 + 1e-15))
+        assert np.abs(model.noise - scale[:, None] * T).max() <= 1e-15 * np.abs(X).max()
 
 
 class TestConsensusGraph:
