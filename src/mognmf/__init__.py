@@ -19,7 +19,6 @@ from .hsi_core import (
     HsiCube,
     UnmixModel,
     UnmixParams,
-    augment_for_asc,
     load_cube,
     save_abundance_maps,
     save_cube,

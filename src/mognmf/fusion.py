@@ -15,9 +15,13 @@ subproblem exactly, the fusion objective is non-increasing.  The
 consensus step needs no max(0, .) projection: the graphs are
 nonnegative and H lies on the simplex, so W_m is already nonnegative.
 
+mu, alpha, eps2, t2 and ``order_norm`` are read from an ``UnmixParams``,
+which has validated them.
+
 The loop runs in Gram space: with G_ij = <W_i, W_j>, every residual and
 objective value is a quadratic form in the weights.  Each W_k^v is the
-order-k power of a view's order-1 graph over its normalizer s_vk, so G
+order-k power of a view's order-1 graph over its normalizer s_vk (its
+maximum entry for k >= 2 under ``order_norm``, else 1), so G
 and the max-entry normalizers are accumulated over row blocks of the
 powers, rows_B(W^k) = ((W[B] @ W) @ W)..., and no whole power is held.
 W_m = sum_vk c_vk W_v^k with c_vk = H_vk / (s_vk (1 + mu)) is a
@@ -41,6 +45,7 @@ import numpy as np
 
 from .errors import ParamError, ShapeError
 from .graph import ConsensusOperator, MultiOrderGraphSet
+from .hsi_core import UnmixParams
 
 __all__ = [
     "FusionState",
@@ -101,7 +106,9 @@ def _fusion_objective(H, P, wm_sq, mu, alpha) -> float:
     return float(np.sum(H * P) + mu * wm_sq + alpha * np.sum(H * H))
 
 
-def _gram_and_normalizers(graphs: MultiOrderGraphSet) -> tuple[np.ndarray, np.ndarray]:
+def _gram_and_normalizers(
+    graphs: MultiOrderGraphSet, normalize: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix <W_i, W_j> of the fused stack and the normalizer s_i of each member.
 
     Both come from one pass over row blocks of the raw powers; s_i is
@@ -141,18 +148,12 @@ def _gram_and_normalizers(graphs: MultiOrderGraphSet) -> tuple[np.ndarray, np.nd
     gram = np.triu(gram) + np.triu(gram, 1).T
     order = np.tile(graphs.orders, len(mats))
     scale = np.ones(m)
-    if graphs.normalize:
+    if normalize:
         scale = np.where((order >= 2) & (peaks > 0), peaks, 1.0)
     return gram / np.outer(scale, scale), scale
 
 
-def fuse_graphs(
-    graphs: MultiOrderGraphSet,
-    mu: float = 0.1,
-    alpha: float = 0.1,
-    eps2: float = 1e-6,
-    t2: int = 50,
-) -> FusionState:
+def fuse_graphs(graphs: MultiOrderGraphSet, params: UnmixParams = UnmixParams()) -> FusionState:
     """Alternate consensus and weight updates until the objective settles.
 
     Stops when |L2(j) - L2(j-1)| < eps2 or after t2 sweeps.  The loop is
@@ -160,15 +161,10 @@ def fuse_graphs(
     so no power and no W_m is formed; it matches the direct alternation
     over the formed stack up to rounding.
     """
-    if mu < 0:
-        raise ParamError("mu must be nonnegative")
-    if alpha <= 0:
-        raise ParamError("alpha must be positive")
-    if t2 < 1:
-        raise ParamError("t2 must be >= 1")
     if not graphs.views:
         raise ShapeError("empty graph set")
-    gram, scale = _gram_and_normalizers(graphs)
+    mu, alpha = params.mu, params.alpha
+    gram, scale = _gram_and_normalizers(graphs, params.order_norm)
     norms_sq = np.diag(gram).copy()
 
     V, K = len(graphs.views), len(graphs.orders)
@@ -180,7 +176,7 @@ def fuse_graphs(
     prev = None
     converged = False
     iterations = 0
-    for _ in range(t2):
+    for _ in range(params.t2):
         iterations += 1
         # consensus step in Gram space: Wm = (sum h_i W_i) / (1 + mu)
         h_cons = h
@@ -191,7 +187,7 @@ def fuse_graphs(
         h = update_weights(P, alpha)
         obj = _fusion_objective(h, P, wm_sq, mu, alpha)
         trace.append(obj)
-        if prev is not None and abs(obj - prev) < eps2:
+        if prev is not None and abs(obj - prev) < params.eps2:
             converged = True
             break
         prev = obj

@@ -12,9 +12,11 @@ within a radius than a corner, so the window holds every pixel's C
 nearest.  It costs O(C N), and its distances are bit-equal to those of
 a scan of all columns over grid coordinates.
 
-Order-k graphs are plain matrix powers of the order-1 graph; powers of
-order >= 2 are divided by their maximum entry so all orders live on a
-comparable scale before fusion (raw powers grow without bound).
+Order-k graphs are plain matrix powers of the order-1 graph; under
+``UnmixParams.order_norm`` powers of order >= 2 are divided by their
+maximum entry so all orders live on a comparable scale before fusion
+(raw powers grow without bound).  The graph settings (C per view and
+sigma) are read from an ``UnmixParams``, which has validated them.
 
 Every graph is a scipy CSR array, so memory is O(nnz).  The distances
 are computed over blocks of rows and never held as one N x N array.
@@ -23,9 +25,9 @@ C*N nonzeros, while its powers fill in fast (the order-3 spectral power
 of a 64x64 scene is 16% dense).  The consensus graph, a polynomial in
 the order-1 graphs, is a ``ConsensusOperator`` applied by repeated
 sparse products, and neither it nor any whole power is formed by the
-pipeline.  ``graph_powers`` forms the powers of one graph, for a
-reader rebuilding the per-order graphs from a dump of the order-1
-graphs.  No Laplacian is ever formed.
+pipeline.  ``graph_powers`` forms the powers of one graph as CSR
+arrays, for a reader rebuilding the per-order graphs from a dump of the
+order-1 graphs.  No Laplacian is ever formed.
 """
 
 from __future__ import annotations
@@ -54,14 +56,13 @@ _BLOCK = 128  # rows of the distance matrix held at once
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric nonnegative affinity matrix tagged with view and order.
+    """Symmetric nonnegative order-1 affinity matrix tagged with its view.
 
     ``W`` is stored as a CSR array; dense input is converted.
     """
 
     W: sp.csr_array
     kind: str  # spatial | spectral
-    order: int = 1
     sigma: float | None = None  # heat-kernel width of a built order-1 graph
 
     def __post_init__(self):
@@ -81,13 +82,13 @@ class MultiOrderGraphSet:
 
     The fused stack is W_v^k for each view v, in (spatial, spectral)
     order, and each k in ``orders``, view-major: the row-major layout of
-    H.  With ``normalize`` a power of order >= 2 enters divided by its
-    maximum entry.  Only the order-1 graphs are stored.
+    H.  Only the order-1 graphs are stored; whether a power of order
+    >= 2 enters divided by its maximum entry is ``UnmixParams.order_norm``,
+    read by the fusion.
     """
 
     views: tuple  # one order-1 WeightMatrix per view
     orders: tuple = (1,)
-    normalize: bool = True
 
     def all_graphs(self) -> list[WeightMatrix]:
         """The stored graphs: the order-1 graph of each view."""
@@ -100,7 +101,8 @@ class ConsensusOperator:
     ``S @ op`` evaluates each view's polynomial in Horner form: one
     product of an N x M block with W_v per order, against about C*N
     stored entries.  ``degree``, computed once, is the operator applied
-    to a vector of ones (W is symmetric, so it is the row sums).
+    to a vector of ones (W is symmetric, so it is the row sums): D in
+    L = diag(D) - W.  A single graph W is ``ConsensusOperator([W], [[1.0]])``.
     """
 
     __array_ufunc__ = None  # ndarray @ op defers to __rmatmul__
@@ -111,6 +113,8 @@ class ConsensusOperator:
         if self.coef.ndim != 2 or self.coef.shape[0] != len(self.graphs):
             raise ShapeError("one coefficient row per graph is required")
         self.shape = self.graphs[0].shape
+        if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
+            raise ShapeError(f"graph must be square, got shape {self.shape}")
         self.degree = (np.ones((1, self.shape[0])) @ self)[0]
 
     def _terms(self):
@@ -209,7 +213,8 @@ def _knn_heat_kernel(n: int, candidates, sigma, neighbors: int) -> tuple[sp.csr_
     row's candidates hold every node within its C-th smallest distance.
     Keeps each node's `neighbors` nearest others (ties go to the lower
     index), resolves sigma="auto" to the median retained distance, and
-    symmetrizes by elementwise max.  Returns (W, sigma_used).
+    symmetrizes by elementwise max.  ``sigma`` is "auto" or positive, as
+    ``UnmixParams`` admits.  Returns (W, sigma_used).
     """
     if n < 2:
         raise ParamError("graph construction needs at least 2 pixels")
@@ -231,34 +236,38 @@ def _knn_heat_kernel(n: int, candidates, sigma, neighbors: int) -> tuple[sp.csr_
         cols.append(c[keep])
         retained.append(dist[keep])
     rows, cols, retained = (np.concatenate(a) for a in (rows, cols, retained))
-    if isinstance(sigma, str):
-        if sigma != "auto":
-            raise ParamError(f'sigma must be positive or "auto", got {sigma!r}')
+    if sigma == "auto":
         med = float(np.median(retained))
         sigma = med if med > 0 else 1.0
-    elif sigma <= 0:
-        raise ParamError("sigma must be positive")
     w = np.exp(-(retained**2) / (2.0 * sigma**2))
     W = sp.csr_array((w, (rows, cols)), shape=(n, n))
     return W.maximum(W.T), float(sigma)
 
 
-def spatial_weights(cube: HsiCube, sigma_s="auto", neighbors: int = 10) -> WeightMatrix:
-    """Heat-kernel affinity over Euclidean grid distance between pixels."""
-    candidates = _grid_candidates(cube.height, cube.width, neighbors)
-    W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, sigma_s, neighbors)
-    return WeightMatrix(W=W, kind="spatial", order=1, sigma=sigma)
+def spatial_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> WeightMatrix:
+    """Heat-kernel affinity over Euclidean grid distance between pixels.
+
+    Reads ``params.sigma_s`` and the spatial neighbor count C.
+    """
+    c = params.neighbors if params.neighbors_spatial is None else params.neighbors_spatial
+    candidates = _grid_candidates(cube.height, cube.width, c)
+    W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, params.sigma_s, c)
+    return WeightMatrix(W=W, kind="spatial", sigma=sigma)
 
 
-def spectral_weights(cube: HsiCube, sigma_l="auto", neighbors: int = 10) -> WeightMatrix:
-    """Heat-kernel affinity over Euclidean distance between pixel spectra."""
+def spectral_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> WeightMatrix:
+    """Heat-kernel affinity over Euclidean distance between pixel spectra.
+
+    Reads ``params.sigma_l`` and the spectral neighbor count C.
+    """
+    c = params.neighbors if params.neighbors_spectral is None else params.neighbors_spectral
     candidates = _column_candidates(cube.data)
-    W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, sigma_l, neighbors)
-    return WeightMatrix(W=W, kind="spectral", order=1, sigma=sigma)
+    W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, params.sigma_l, c)
+    return WeightMatrix(W=W, kind="spectral", sigma=sigma)
 
 
-def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[WeightMatrix]:
-    """Return [W^1, ..., W^K] as WeightMatrix objects.
+def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[sp.csr_array]:
+    """Return [W^1, ..., W^K] as CSR arrays, W^k at index k-1.
 
     With ``normalize=True`` every power of order >= 2 is divided by its
     maximum entry; the order-1 graph is returned unchanged (its kernel
@@ -266,7 +275,7 @@ def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[Weight
     """
     if K < 1:
         raise ParamError("graph order K must be >= 1")
-    out = [W]
+    out = [W.W]
     Wk = W.W
     for k in range(2, K + 1):
         Wk = Wk @ W.W
@@ -279,29 +288,18 @@ def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[Weight
                 # by the reciprocal, which rounds differently)
                 scaled = Wk.copy()
                 scaled.data /= peak
-        out.append(WeightMatrix(W=scaled, kind=W.kind, order=k))
+        out.append(scaled)
     return out
 
 
-def laplacian_quadratic(S: np.ndarray, W) -> float:
-    """Tr(S L S^T), L = diag(D) - W with D the row sums of W.
+def laplacian_quadratic(S: np.ndarray, Wm: ConsensusOperator) -> float:
+    """Tr(S L S^T), L = diag(D) - W, for the operator's W and degree D.
 
-    W is a CSR or dense matrix, a WeightMatrix or a ConsensusOperator.
     Read as sum S.*(S D) - sum S.*(S W): the products the S update forms.
     """
-    if isinstance(W, WeightMatrix):
-        W = W.W
-    elif not isinstance(W, ConsensusOperator):
-        W = sp.csr_array(W, dtype=np.float64)
-    if len(W.shape) != 2 or W.shape[0] != W.shape[1]:
-        raise ShapeError("laplacian_quadratic expects a square weight matrix")
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] != W.shape[0]:
-        raise ShapeError(
-            f"abundance column count {S.shape} does not match graph size {W.shape[0]}"
-        )
-    D = W.degree if isinstance(W, ConsensusOperator) else W.sum(axis=1)
-    return float(np.sum(S * (S * D[None, :])) - np.sum(S * (S @ W)))
+    SW = S @ Wm  # ShapeError unless S has one column per node
+    return float(np.sum(S * (S * Wm.degree[None, :])) - np.sum(S * SW))
 
 
 def build_multi_order_graphs(
@@ -315,10 +313,5 @@ def build_multi_order_graphs(
     orders = tuple(range(1, params.order + 1)) if orders is None else tuple(orders)
     if not orders or min(orders) < 1 or len(set(orders)) != len(orders):
         raise ParamError(f"orders must be distinct and >= 1, got {list(orders)}")
-    c_spa = params.neighbors if params.neighbors_spatial is None else params.neighbors_spatial
-    c_spe = params.neighbors if params.neighbors_spectral is None else params.neighbors_spectral
-    views = (
-        spatial_weights(cube, sigma_s=params.sigma_s, neighbors=c_spa),
-        spectral_weights(cube, sigma_l=params.sigma_l, neighbors=c_spe),
-    )
-    return MultiOrderGraphSet(views=views, orders=orders, normalize=params.order_norm)
+    views = (spatial_weights(cube, params), spectral_weights(cube, params))
+    return MultiOrderGraphSet(views=views, orders=orders)

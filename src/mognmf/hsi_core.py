@@ -24,11 +24,8 @@ __all__ = [
     "HsiCube",
     "UnmixModel",
     "UnmixParams",
-    "pixel_coords",
-    "pixel_index",
     "load_cube",
     "save_cube",
-    "augment_for_asc",
     "save_abundance_maps",
 ]
 
@@ -158,10 +155,10 @@ class UnmixParams:
         # the chained bounds also reject NaN, which fails every comparison
         if self.gamma is not None and not 0 <= self.gamma < np.inf:
             raise ParamError("gamma must be nonnegative and finite")
-        for name in ("beta", "lam", "mu", "alpha"):
+        for name in ("beta", "lam", "mu"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ParamError(f"{name} must be nonnegative and finite")
-        for name in ("delta", "sigma_s", "sigma_l", "eps1", "eps2"):
+        for name in ("alpha", "delta", "sigma_s", "sigma_l", "eps1", "eps2"):
             value = getattr(self, name)
             if name.startswith("sigma") and isinstance(value, str):
                 if value != "auto":
@@ -198,16 +195,6 @@ class UnmixParams:
         if unknown:
             raise ParamError(f"unknown parameter(s): {sorted(unknown)}")
         return cls(**d)
-
-
-def pixel_coords(j: int, width: int) -> tuple[int, int]:
-    """Grid coordinates (u, n) of pixel column j (row-major)."""
-    return j // width, j % width
-
-
-def pixel_index(u: int, n: int, width: int) -> int:
-    """Inverse of pixel_coords."""
-    return u * width + n
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -314,26 +301,6 @@ def save_cube(cube: HsiCube, path, format: str = "raw-f32") -> None:
             raise ParamError(f"unknown cube format: {format!r}")
     except OSError as exc:
         raise IoError(f"failed to write {path}: {exc}") from exc
-
-
-def augment_for_asc(residual: np.ndarray, endmembers: np.ndarray, delta: float):
-    """Append a constant delta row to both matrices.
-
-    The appended row softly enforces the sum-to-one constraint on
-    abundances solved against the augmented system; existing rows are
-    returned unchanged.
-    """
-    if delta <= 0:
-        raise ParamError("delta must be positive")
-    residual = np.asarray(residual, dtype=np.float64)
-    endmembers = np.asarray(endmembers, dtype=np.float64)
-    if residual.ndim != 2 or endmembers.ndim != 2:
-        raise ShapeError("augment_for_asc expects 2-D matrices")
-    if residual.shape[0] != endmembers.shape[0]:
-        raise ShapeError("residual and endmembers must share the band dimension")
-    res_row = np.full((1, residual.shape[1]), delta)
-    end_row = np.full((1, endmembers.shape[1]), delta)
-    return np.vstack([residual, res_row]), np.vstack([endmembers, end_row])
 
 
 def save_abundance_maps(S: np.ndarray, height: int, width: int, out_dir) -> list[Path]:

@@ -61,10 +61,6 @@ class SpectralLibrary:
         object.__setattr__(self, "spectra", spectra)
 
     @property
-    def band_count(self) -> int:
-        return self.spectra.shape[0]
-
-    @property
     def entry_count(self) -> int:
         return self.spectra.shape[1]
 

@@ -20,8 +20,10 @@ iteration; each row's fit ||T_l||^2 comes from X S^T, S S^T and the
 precomputed ||x_l||^2, and E is formed once, on exit.
 
 W_m is a polynomial in the two order-1 k-NN graphs
-(``graph.ConsensusOperator``): S W_m costs one sparse product per
-graph order and view, and neither W_m nor any power is stored.
+(``graph.ConsensusOperator``), which also holds the degree vector D_m:
+S W_m costs one sparse product per graph order and view, and neither
+W_m nor any power is stored.  Graph and fusion settings reach the
+graph build and the fusion in the one ``UnmixParams`` of the run.
 
 Ablation variants drop individual terms; the plain-NMF baseline is the
 classic two-factor multiplicative rule with no constraints beyond
@@ -38,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import DataError, DivergenceError, InitError, ParamError
+from .errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from .graph import build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
-from .hsi_core import HsiCube, UnmixModel, UnmixParams, augment_for_asc
+from .hsi_core import HsiCube, UnmixModel, UnmixParams
 from .rng import substream
 
 __all__ = [
@@ -213,18 +215,25 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
 def init_fcls(cube: HsiCube, A0: np.ndarray, delta: float = 15.0) -> np.ndarray:
     """Per-pixel nonnegative least squares on the delta-augmented system.
 
-    The appended delta row pulls each abundance column toward sum one;
-    columns are solved independently and are exactly nonnegative.
+    A constant delta row appended to X and to A0 pulls each abundance
+    column toward sum one; columns are solved independently and are
+    exactly nonnegative.
     """
+    if delta <= 0:
+        raise ParamError("delta must be positive")
     A0 = np.asarray(A0, dtype=np.float64)
+    if A0.ndim != 2 or A0.shape[0] != cube.data.shape[0]:
+        raise ShapeError(f"initial endmembers must be L x M with L={cube.data.shape[0]}")
     if np.any(A0 < 0):
         raise InitError("initial endmembers must be nonnegative")
     M = A0.shape[1]
     if np.linalg.matrix_rank(A0) < M:
         raise InitError("initial endmember matrix is rank deficient")
-    Xb, Ab = augment_for_asc(cube.data, A0, delta)
-    S0 = np.empty((M, cube.pixel_count))
-    for j in range(cube.pixel_count):
+    N = cube.pixel_count
+    Xb = np.vstack([cube.data, np.full((1, N), delta)])
+    Ab = np.vstack([A0, np.full((1, M), delta)])
+    S0 = np.empty((M, N))
+    for j in range(N):
         S0[:, j] = nnls(Ab, Xb[:, j])[0]
     return S0
 
@@ -234,24 +243,22 @@ def update_endmembers(A, RSt, SSt) -> np.ndarray:
     return A * (RSt / (A @ SSt + _DEN_GUARD))
 
 
-def update_abundances(
-    S, AtR, AtA, gamma: float = 0.0, lam: float = 0.0, Wm=None, Dm=None
-) -> np.ndarray:
+def update_abundances(S, AtR, AtA, gamma: float = 0.0, lam: float = 0.0, Wm=None) -> np.ndarray:
     """One multiplicative step on S from A^T R and A^T A, with R = X - E.
 
     Both products include the delta row when the variant enforces
-    sum-to-one.  ``Wm``/``Dm`` are the consensus graph (a
-    ConsensusOperator, or any matrix ``S @ Wm`` accepts) and its degree
-    vector; they are required when lam != 0.  Entries of S below 1e-10
-    are floored before the S^(-1/2) term so the update stays finite.
+    sum-to-one.  ``Wm`` is the consensus graph, a ConsensusOperator
+    whose ``degree`` is D_m; it is required when lam != 0.  Entries of
+    S below 1e-10 are floored before the S^(-1/2) term so the update
+    stays finite.
     """
     num = AtR
     den = AtA @ S
     if lam != 0.0:
-        if Wm is None or Dm is None:
-            raise ParamError("graph term requires Wm and Dm")
+        if Wm is None:
+            raise ParamError("graph term requires Wm")
         num = num + lam * (S @ Wm)
-        den = den + lam * (S * np.asarray(Dm)[None, :])
+        den = den + lam * (S * Wm.degree[None, :])
     if gamma != 0.0:
         den = den + 0.5 * gamma / np.sqrt(np.maximum(S, _S_FLOOR))
     den = den + _DEN_GUARD
@@ -293,10 +300,7 @@ def consensus_graph(
     ``orders`` keeps only those orders (single-order variants) in place
     of 1..``params.order``.
     """
-    graphs = build_multi_order_graphs(cube, params, orders)
-    return fuse_graphs(
-        graphs, mu=params.mu, alpha=params.alpha, eps2=params.eps2, t2=params.t2
-    )
+    return fuse_graphs(build_multi_order_graphs(cube, params, orders), params)
 
 
 def _initialize(cube: HsiCube, M: int, config: SolverConfig):
@@ -354,14 +358,13 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
         )
 
     lam = 0.0
-    Wm = Dm = None
+    Wm = None
     fusion_state: FusionState | None = None
     orders = fused_orders(config.variant, p.order)
     if orders and p.lam > 0.0:
         # only W_m and D_m are kept: an operator over the order-1 graphs
         fusion_state = consensus_graph(cube, p, list(orders))
         Wm = fusion_state.Wm
-        Dm = Wm.degree
         lam = p.lam
 
     # beta = inf thresholds every row to zero: E = 0 without the noise term
@@ -384,7 +387,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
         A_prev = A
         A = update_endmembers(A, keep[:, None] * XSt + s[:, None] * (A_prev @ SSt), SSt)
         AtR = (keep[:, None] * A).T @ X + ((A.T * s) @ A_prev) @ S + delta_sq
-        S = update_abundances(S, AtR, A.T @ A + delta_sq, gamma, lam, Wm, Dm)
+        S = update_abundances(S, AtR, A.T @ A + delta_sq, gamma, lam, Wm)
         XSt, SSt = X @ S.T, S @ S.T
         row_sq = x_sq - 2.0 * np.einsum("lm,lm->l", A, XSt)
         row_sq += np.einsum("lm,lm->l", A @ SSt, A)

@@ -34,11 +34,14 @@ def oracle_case(name):
     return HsiCube(data=rng.random((100, 576)), height=24, width=24), {"neighbors": 10}
 
 
-def stack_powers(graphs):
-    """The fused stack of a MultiOrderGraphSet as matrices, in the row-major layout of H."""
+def stack_powers(graphs, normalize: bool = True) -> list[sp.csr_array]:
+    """The fused stack of a MultiOrderGraphSet as CSR arrays, in the row-major layout of H.
+
+    ``normalize`` is the ``order_norm`` the stack is fused under.
+    """
     out = []
     for w in graphs.views:
-        powers = graph_powers(w, max(graphs.orders), normalize=graphs.normalize)
+        powers = graph_powers(w, max(graphs.orders), normalize=normalize)
         out += [powers[k - 1] for k in graphs.orders]
     return out
 
@@ -56,30 +59,30 @@ def consensus_tocsr(op) -> sp.csr_array:
     return sp.csr_array(0.5 * (out + out.T))
 
 
-def update_consensus(H, graphs, mu: float) -> sp.csr_array:
+def update_consensus(H, graphs, mu: float, normalize: bool = True) -> sp.csr_array:
     """Closed-form consensus update over the formed stack: sum H_vk W_k^v / (1 + mu)."""
     if mu < 0:
         raise ParamError("mu must be nonnegative")
     H = np.asarray(H, dtype=np.float64)
-    stack = stack_powers(graphs)
+    stack = stack_powers(graphs, normalize)
     if H.size != len(stack):
         raise ShapeError("H shape does not match the graph set")
-    Wm = sp.csr_array(stack[0].W.shape)
+    Wm = sp.csr_array(stack[0].shape)
     for w, g in zip(H.ravel(), stack):
         if w != 0.0:
-            Wm = Wm + w * g.W
+            Wm = Wm + w * g
     # divide the stored entries (a sparse "/ x" multiplies by 1 / x)
     Wm.data /= 1.0 + mu
     return Wm
 
 
-def compute_residuals(Wm, graphs) -> np.ndarray:
+def compute_residuals(Wm, graphs, normalize: bool = True) -> np.ndarray:
     """P_vk = ||W_m - W_k^v||_F^2 over the formed stack (W_m sparse or dense)."""
     Wm = sp.csr_array(Wm, dtype=np.float64)
     out = []
-    for g in stack_powers(graphs):
-        if g.W.shape != Wm.shape:
+    for g in stack_powers(graphs, normalize):
+        if g.shape != Wm.shape:
             raise ShapeError("consensus and view graphs differ in size")
-        diff = (Wm - g.W).data
+        diff = (Wm - g).data
         out.append(float(np.dot(diff, diff)))
     return np.array(out).reshape(len(graphs.views), len(graphs.orders))

@@ -13,10 +13,11 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mognmf.cli import cmd_unmix
 from mognmf.fusion import fuse_graphs, project_simplex, update_weights
-from mognmf.graph import laplacian_quadratic
+from mognmf.graph import ConsensusOperator, laplacian_quadratic
 from mognmf.hsi_core import UnmixParams
 from mognmf.metrics import evaluate_model, match_endmembers, measure_snr, rmse
 from mognmf.simgen import (
@@ -117,7 +118,7 @@ def test_criterion_02_laplacian_identity():
         for i in range(n):
             for j in range(n):
                 pairwise += 0.5 * W[i, j] * np.sum((S[:, i] - S[:, j]) ** 2)
-        trace_form = laplacian_quadratic(S, W)
+        trace_form = laplacian_quadratic(S, ConsensusOperator([sp.csr_array(W)], [[1.0]]))
         worst = max(worst, abs(trace_form - pairwise) / max(abs(pairwise), 1e-30))
     elapsed = time.perf_counter() - t0
     _verdict(

@@ -56,7 +56,7 @@ def _read_consensus_dump(directory, n):
     Wm = np.zeros((n, n))
     for view, c in zip(views, coef, strict=True):
         for g, ck in zip(graph_powers(view, len(c), normalize=False), c):
-            Wm += ck * g.W.toarray()
+            Wm += ck * g.toarray()
     return tuple(views), coef, Wm
 
 
@@ -199,7 +199,7 @@ class TestUnmix:
         manifest = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", params=params)
         assert manifest["sigma_s_used"] == 1.3
         # sigma_l "auto" resolves to the median retained spectral distance
-        assert manifest["sigma_l_used"] == spectral_weights(cube, neighbors=4).sigma
+        assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4)).sigma
         graph_free = cmd_unmix(scene / "cube.raw", 3, tmp_path / "snmf", variant="snmf",
                                params=params)
         assert graph_free["sigma_s_used"] is None and graph_free["sigma_l_used"] is None
@@ -449,7 +449,7 @@ class TestFuse:
         # so the per-order graphs are the powers of the dumped ones
         dumped = MultiOrderGraphSet(views=views, orders=graphs.orders)
         for d, g in zip(stack_powers(dumped), stack_powers(graphs), strict=True):
-            assert np.array_equal(d.W.toarray(), g.W.toarray())
+            assert np.array_equal(d.toarray(), g.toarray())
         # fuse and unmix share one params -> graphs -> fusion path
         model = run_solver(cube, 3, SolverConfig(params=UnmixParams(neighbors=4, t1=1)))
         assert np.array_equal(H, model.fusion.H)
@@ -467,8 +467,8 @@ class TestFuse:
         for name in ("H.csv", "W_spatial.csv", "W_spectral.csv", "coef.csv"):
             assert (run / name).read_bytes() == (out / name).read_bytes(), name
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["sigma_s_used"] == spatial_weights(cube, neighbors=4).sigma
-        assert manifest["sigma_l_used"] == spectral_weights(cube, neighbors=4).sigma
+        assert manifest["sigma_s_used"] == spatial_weights(cube, UnmixParams(neighbors=4)).sigma
+        assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4)).sigma
 
     def test_bad_input_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "fusion"
@@ -638,8 +638,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "threads, extra",
-        [("1", ["--lambdas", "-1"]), ("zero", [])],
-        ids=["negative_lambda", "bad_thread_env"],
+        [("1", ["--lambdas", "-1"]), ("zero", []), ("1", ["--alpha", "0"])],
+        ids=["negative_lambda", "bad_thread_env", "alpha_zero"],
     )
     def test_invalid_sweep_writes_nothing(self, runner, tmp_path, monkeypatch, threads, extra):
         monkeypatch.setenv("MOGNMF_THREADS", threads)

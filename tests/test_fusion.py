@@ -100,7 +100,7 @@ class TestUpdateConsensus:
         H[1, 2] = 1.0
         Wm = update_consensus(H, graphs, mu=0.0)
         spectral_order_3 = stack_powers(graphs)[5]
-        assert np.allclose(Wm.toarray(), spectral_order_3.W.toarray(), atol=1e-14)
+        assert np.allclose(Wm.toarray(), spectral_order_3.toarray(), atol=1e-14)
 
     def test_large_mu_shrinks_to_zero(self):
         rng = np.random.default_rng(2)
@@ -119,7 +119,7 @@ class TestUpdateConsensus:
         def objective(W):
             total = mu * np.sum(W**2)
             for h, g in zip(H.ravel(), stack_powers(graphs)):
-                total += h * np.sum((W - g.W.toarray()) ** 2)
+                total += h * np.sum((W - g.toarray()) ** 2)
             return total
 
         eps = 1e-6
@@ -144,7 +144,7 @@ class TestComputeResiduals:
     def test_zero_residual_at_matching_graph(self):
         rng = np.random.default_rng(5)
         graphs = _random_graph_set(rng, n=4)
-        P = compute_residuals(stack_powers(graphs)[1].W, graphs)  # spatial order 2
+        P = compute_residuals(stack_powers(graphs)[1], graphs)  # spatial order 2
         assert P[0, 1] == pytest.approx(0.0, abs=1e-14)
         assert np.all(P >= 0.0)
 
@@ -153,7 +153,7 @@ class TestComputeResiduals:
         graphs = _random_graph_set(rng, n=4)
         P = compute_residuals(np.zeros((4, 4)), graphs)
         for (v, k), g in zip(np.ndindex(2, 3), stack_powers(graphs)):
-            assert P[v, k] == pytest.approx(np.sum(g.W.toarray() ** 2), rel=1e-14)
+            assert P[v, k] == pytest.approx(np.sum(g.toarray() ** 2), rel=1e-14)
 
     def test_matches_elementwise_sum_oracle(self):
         rng = np.random.default_rng(7)
@@ -163,7 +163,7 @@ class TestComputeResiduals:
         P = compute_residuals(Wm, graphs)
         for (v, k), g in zip(np.ndindex(2, 3), stack_powers(graphs)):
             oracle = sum(
-                (Wm[i, j] - g.W.toarray()[i, j]) ** 2 for i in range(3) for j in range(3)
+                (Wm[i, j] - g.toarray()[i, j]) ** 2 for i in range(3) for j in range(3)
             )
             assert P[v, k] == pytest.approx(oracle, rel=1e-12)
 
@@ -211,7 +211,7 @@ class TestUpdateWeights:
             update_weights(np.ones((2, 2)), alpha=0.0)
 
 
-def _naive_fuse(graphs, mu, alpha, eps2, t2):
+def _naive_fuse(graphs, mu, alpha, eps2, t2, normalize=True):
     """Direct alternation through the op functions; reference for the
     Gram-space implementation."""
     V, K = len(graphs.views), len(graphs.orders)
@@ -219,8 +219,8 @@ def _naive_fuse(graphs, mu, alpha, eps2, t2):
     trace = []
     prev = None
     for _ in range(t2):
-        Wm = update_consensus(H, graphs, mu).toarray()
-        P = compute_residuals(Wm, graphs)
+        Wm = update_consensus(H, graphs, mu, normalize).toarray()
+        P = compute_residuals(Wm, graphs, normalize)
         H = update_weights(P, alpha)
         obj = float(np.sum(H * P) + mu * np.sum(Wm**2) + alpha * np.sum(H**2))
         trace.append(obj)
@@ -237,15 +237,15 @@ class TestFuseGraphs:
         u = np.random.default_rng(11).uniform(0.1, 1.0, size=5)
         W = np.outer(u, u) / u.max() ** 2
         graphs = _graph_set([W, W], 3)
-        assert all(np.allclose(g.W.toarray(), W, atol=1e-15) for g in stack_powers(graphs))
-        state = fuse_graphs(graphs, mu=0.0, alpha=0.1)
+        assert all(np.allclose(g.toarray(), W, atol=1e-15) for g in stack_powers(graphs))
+        state = fuse_graphs(graphs, UnmixParams(mu=0.0, alpha=0.1))
         assert state.iterations <= 2
         assert np.allclose(consensus_tocsr(state.Wm).toarray(), W, atol=1e-12)
 
     def test_matches_naive_alternation(self):
         rng = np.random.default_rng(12)
         graphs = _random_graph_set(rng, n=5)
-        state = fuse_graphs(graphs, mu=0.2, alpha=0.5, eps2=1e-9, t2=25)
+        state = fuse_graphs(graphs, UnmixParams(mu=0.2, alpha=0.5, eps2=1e-9, t2=25))
         H_ref, Wm_ref, trace_ref = _naive_fuse(graphs, 0.2, 0.5, 1e-9, 25)
         assert np.allclose(state.H, H_ref, atol=1e-9)
         assert np.allclose(consensus_tocsr(state.Wm).toarray(), Wm_ref, atol=1e-9)
@@ -256,7 +256,7 @@ class TestFuseGraphs:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             graphs = _random_graph_set(rng, n=4)
-            state = fuse_graphs(graphs, mu=0.1, alpha=0.1)
+            state = fuse_graphs(graphs, UnmixParams(mu=0.1, alpha=0.1))
             tr = state.objective_trace
             slack = 1e-9 * (1 + abs(tr[0]))
             assert np.all(np.diff(tr) <= slack)
@@ -264,7 +264,7 @@ class TestFuseGraphs:
     def test_single_sweep_cap(self):
         rng = np.random.default_rng(13)
         graphs = _random_graph_set(rng, n=4)
-        state = fuse_graphs(graphs, t2=1)
+        state = fuse_graphs(graphs, UnmixParams(t2=1))
         assert state.iterations == 1
         assert len(state.objective_trace) == 1
         assert np.all(state.H >= 0.0)
@@ -272,8 +272,8 @@ class TestFuseGraphs:
     def test_weights_invariants_and_determinism(self):
         rng = np.random.default_rng(14)
         graphs = _random_graph_set(rng, n=5)
-        a = fuse_graphs(graphs, mu=0.1, alpha=0.1)
-        b = fuse_graphs(graphs, mu=0.1, alpha=0.1)
+        a = fuse_graphs(graphs, UnmixParams(mu=0.1, alpha=0.1))
+        b = fuse_graphs(graphs, UnmixParams(mu=0.1, alpha=0.1))
         assert np.array_equal(a.H, b.H)
         assert np.all(a.H >= 0.0)
         assert abs(a.H.sum() - 1.0) <= 1e-10
@@ -288,15 +288,16 @@ class TestFuseGraphs:
         # remainder block
         rng = np.random.default_rng(15)
         base = _random_graph_set(rng, n=10)
-        graphs = MultiOrderGraphSet(views=base.views, orders=(3, 1), normalize=normalize)
-        whole = fuse_graphs(graphs, mu=0.2, alpha=50.0)
+        graphs = MultiOrderGraphSet(views=base.views, orders=(3, 1))
+        params = UnmixParams(mu=0.2, alpha=50.0, order_norm=normalize)
+        whole = fuse_graphs(graphs, params)
         monkeypatch.setattr(fusion, "_GRAM_BUFFER", 30)
-        blocks = fuse_graphs(graphs, mu=0.2, alpha=50.0)
+        blocks = fuse_graphs(graphs, params)
         assert whole.iterations == blocks.iterations
         assert np.allclose(blocks.H, whole.H, rtol=0.0, atol=1e-12)
         assert np.allclose(blocks.objective_trace, whole.objective_trace, rtol=1e-12)
         assert np.allclose(blocks.Wm.coef, whole.Wm.coef, rtol=1e-12, atol=0.0)
-        H_ref, Wm_ref, _ = _naive_fuse(graphs, 0.2, 50.0, 1e-6, 50)
+        H_ref, Wm_ref, _ = _naive_fuse(graphs, 0.2, 50.0, 1e-6, 50, normalize)
         assert np.allclose(blocks.H, H_ref, atol=1e-9)
         assert np.allclose(consensus_tocsr(blocks.Wm).toarray(), Wm_ref, atol=1e-9)
 
@@ -308,18 +309,16 @@ class TestGramPass:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_formed_stack(self, monkeypatch, case, orders):
         cube, kw = oracle_case(case)
-        params = UnmixParams(order_norm=False, **kw)
-        graphs = build_multi_order_graphs(cube, params, orders)
-        gram, scale = fusion._gram_and_normalizers(graphs)
-        stack = [g.W for g in stack_powers(graphs)]
+        graphs = build_multi_order_graphs(cube, UnmixParams(**kw), orders)
+        gram, scale = fusion._gram_and_normalizers(graphs, normalize=False)
+        stack = stack_powers(graphs, normalize=False)
         ref = np.array([[a.multiply(b).sum() for b in stack] for a in stack])
         assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(scale, np.ones(len(stack)))
         # the normalizers are the peaks of the unsymmetrized products W^k,
         # read here in 7-row blocks
         monkeypatch.setattr(fusion, "_GRAM_BUFFER", 7 * cube.pixel_count)
-        normalized = MultiOrderGraphSet(views=graphs.views, orders=orders)
-        _, scale = fusion._gram_and_normalizers(normalized)
+        _, scale = fusion._gram_and_normalizers(graphs, normalize=True)
         for s, (W, k) in zip(scale, [(g.W, k) for g in graphs.views for k in orders]):
             Wk = W
             for _ in range(k - 1):

@@ -116,13 +116,13 @@ class TestDenseOracleEquivalence:
         graphs = stack_powers(build_multi_order_graphs(cube, UnmixParams(**kw)))
         oracle = _dense_multi_order(cube, K=3, **kw)
         assert len(graphs) == len(oracle) == 6
-        for g, dense in zip(graphs, oracle):
-            W = g.W.toarray()
-            if g.order == 1:
-                assert np.array_equal(W, dense), (g.kind, g.order)
+        for (view, k), g, dense in zip(np.ndindex(2, 3), graphs, oracle):
+            W = g.toarray()
+            if k == 0:
+                assert np.array_equal(W, dense), (view, k + 1)
             else:
-                assert np.array_equal(W != 0, dense != 0), (g.kind, g.order)
-                assert np.max(np.abs(W - dense)) <= 1e-12, (g.kind, g.order)
+                assert np.array_equal(W != 0, dense != 0), (view, k + 1)
+                assert np.max(np.abs(W - dense)) <= 1e-12, (view, k + 1)
 
     def test_abundance_step_matches_dense_consensus(self):
         cube, kw = oracle_case("random24")
@@ -131,9 +131,9 @@ class TestDenseOracleEquivalence:
         S = rng.random((4, cube.pixel_count))
         A = rng.random((cube.band_count, 4))
         args = (S, A.T @ cube.data, A.T @ A, 0.3, 0.05)
-        sparse = update_abundances(*args, state.Wm, state.Wm.degree)
-        dense = update_abundances(*args, consensus_tocsr(state.Wm).toarray(), state.Wm.degree)
-        assert np.max(np.abs(sparse - dense)) <= 1e-12
+        sparse = update_abundances(*args, state.Wm)
+        formed = update_abundances(*args, ConsensusOperator([consensus_tocsr(state.Wm)], [[1.0]]))
+        assert np.max(np.abs(sparse - formed)) <= 1e-12
 
 
 class TestFusedConsensus:
@@ -215,7 +215,7 @@ class TestConsensusOperator:
         held = _csr_arrays(state)
         assert held and max(W.nnz for W in held) <= order1
         # the order-3 spectral power this consensus puts its weight on is far larger
-        assert stack_powers(graphs)[5].W.nnz > 10 * order1
+        assert stack_powers(graphs)[5].nnz > 10 * order1
 
     def test_degree_is_computed_once(self):
         cube, kw = oracle_case("random24")
@@ -231,18 +231,22 @@ class TestConsensusOperator:
         with pytest.raises(ShapeError):
             ConsensusOperator([sp.csr_array(np.eye(3))], [1.0])
 
+    def test_rejects_non_square_graph(self):
+        with pytest.raises(ShapeError):
+            ConsensusOperator([sp.csr_array(np.ones((4, 5)))], [[1.0]])
+
 
 class TestHeatKernelGraphs:
     def test_two_adjacent_pixels_weight(self):
         cube = HsiCube(data=np.ones((3, 2)), height=1, width=2)
-        w = spatial_weights(cube, sigma_s=1.0, neighbors=1)
+        w = spatial_weights(cube, UnmixParams(sigma_s=1.0, neighbors=1))
         assert w.W[0, 1] == pytest.approx(np.exp(-0.5), abs=1e-12)
         assert w.W[0, 0] == 0.0 and w.W[1, 1] == 0.0
 
     def test_grid_weights_bounded_by_kernel_at_unit_distance(self):
         rng = np.random.default_rng(0)
         cube = _random_cube(rng, 4, 4)
-        w = spatial_weights(cube, sigma_s=1.0, neighbors=3).W.toarray()
+        w = spatial_weights(cube, UnmixParams(sigma_s=1.0, neighbors=3)).W.toarray()
         positive = w[w > 0]
         assert positive.max() <= np.exp(-0.5) + 1e-12
         assert positive.min() > 0.0
@@ -250,14 +254,14 @@ class TestHeatKernelGraphs:
     def test_large_sigma_limit(self):
         rng = np.random.default_rng(1)
         cube = _random_cube(rng, 3, 3)
-        w = spatial_weights(cube, sigma_s=1e9, neighbors=4).W.toarray()
+        w = spatial_weights(cube, UnmixParams(sigma_s=1e9, neighbors=4)).W.toarray()
         assert np.allclose(w[w > 0], 1.0, atol=1e-12)
 
     def test_duplicate_pixels_weight_one(self):
         data = np.ones((4, 3))
         data[:, 2] = 2.0  # pixels 0 and 1 identical, pixel 2 distinct
         cube = HsiCube(data=data, height=1, width=3)
-        w = spectral_weights(cube, sigma_l=1.0, neighbors=1).W
+        w = spectral_weights(cube, UnmixParams(sigma_l=1.0, neighbors=1)).W
         assert w[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_spectral_kernel_value(self):
@@ -266,24 +270,21 @@ class TestHeatKernelGraphs:
         data[0, 1] = sigma * np.sqrt(2.0)  # distance sigma*sqrt(2) from pixel 0
         data[0, 2] = 10.0
         cube = HsiCube(data=data, height=1, width=3)
-        w = spectral_weights(cube, sigma_l=sigma, neighbors=1).W
+        w = spectral_weights(cube, UnmixParams(sigma_l=sigma, neighbors=1)).W
         assert w[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_weights_decrease_with_spectral_distance(self):
         data = np.array([[0.0, 1.0, 2.5, 7.0]])
         cube = HsiCube(data=data, height=1, width=4)
-        w = spectral_weights(cube, sigma_l=2.0, neighbors=3).W.toarray()
+        w = spectral_weights(cube, UnmixParams(sigma_l=2.0, neighbors=3)).W.toarray()
         row = w[0]
         assert row[1] > row[2] > row[3] > 0.0
 
     def test_symmetry_range_zero_diagonal(self):
         rng = np.random.default_rng(2)
-        for builder, kw in [
-            (spatial_weights, {"sigma_s": "auto"}),
-            (spectral_weights, {"sigma_l": "auto"}),
-        ]:
+        for builder in (spatial_weights, spectral_weights):
             cube = _random_cube(rng, 5, 4)
-            w = builder(cube, neighbors=4, **kw).W.toarray()
+            w = builder(cube, UnmixParams(neighbors=4)).W.toarray()
             assert np.array_equal(w, w.T)
             assert w.min() >= 0.0 and w.max() <= 1.0
             assert np.all(np.diag(w) == 0.0)
@@ -291,7 +292,7 @@ class TestHeatKernelGraphs:
     def test_neighbor_count_validated(self):
         cube = HsiCube(data=np.ones((2, 4)), height=2, width=2)
         with pytest.raises(ParamError):
-            spatial_weights(cube, sigma_s=1.0, neighbors=4)
+            spatial_weights(cube, UnmixParams(sigma_s=1.0, neighbors=4))
 
 
     @pytest.mark.parametrize("neighbors", [6, 10])
@@ -299,7 +300,7 @@ class TestHeatKernelGraphs:
         # a grid has 4-way ties (e.g. at distance 2); ties go to the lower index
         cube = HsiCube(data=np.ones((2, 30)), height=5, width=6)
         grid = np.array(np.divmod(np.arange(30), 6), dtype=np.float64)
-        w = spatial_weights(cube, neighbors=neighbors).W.toarray()
+        w = spatial_weights(cube, UnmixParams(neighbors=neighbors)).W.toarray()
         assert np.array_equal(w, _knn_oracle(grid, neighbors))
 
     @pytest.mark.parametrize(
@@ -317,7 +318,7 @@ class TestHeatKernelGraphs:
         dense, sigma = _dense_knn_heat_kernel(_grid(cube), sigma_s, neighbors)
         for block in (graph._BLOCK, 7):
             monkeypatch.setattr(graph, "_BLOCK", block)
-            w = spatial_weights(cube, sigma_s=sigma_s, neighbors=neighbors)
+            w = spatial_weights(cube, UnmixParams(sigma_s=sigma_s, neighbors=neighbors))
             assert np.array_equal(w.W.toarray(), dense), block
             assert w.sigma == sigma, block
 
@@ -341,7 +342,7 @@ class TestHeatKernelGraphs:
         data = rng.integers(0, 4, size=(3, 30)) / 4.0
         data[:, 15:] = data[:, :15]
         cube = HsiCube(data=data, height=5, width=6)
-        w = spectral_weights(cube, neighbors=neighbors).W.toarray()
+        w = spectral_weights(cube, UnmixParams(neighbors=neighbors)).W.toarray()
         oracle = _knn_oracle(data, neighbors)
         assert np.array_equal(w != 0, oracle != 0)
         assert np.allclose(w, oracle, rtol=0.0, atol=1e-12)
@@ -351,17 +352,17 @@ class TestGraphPowers:
     def test_single_order_returned_unchanged(self):
         W = WeightMatrix(W=np.array([[0.0, 0.5], [0.5, 0.0]]), kind="spatial")
         (only,) = graph_powers(W, 1)
-        assert only is W
+        assert only is W.W
 
     def test_identity_idempotent(self):
         W = WeightMatrix(W=np.eye(4), kind="spatial")
         for g in graph_powers(W, 3):
-            assert np.array_equal(g.W.toarray(), np.eye(4))
+            assert np.array_equal(g.toarray(), np.eye(4))
 
     def test_two_node_swap_squares_to_identity(self):
         W = WeightMatrix(W=np.array([[0.0, 1.0], [1.0, 0.0]]), kind="spatial")
         powers = graph_powers(W, 2)
-        assert np.array_equal(powers[1].W.toarray(), np.eye(2))
+        assert np.array_equal(powers[1].toarray(), np.eye(2))
 
     def test_matches_naive_product_oracle(self):
         rng = np.random.default_rng(3)
@@ -369,7 +370,7 @@ class TestGraphPowers:
         W = WeightMatrix(W=(raw + raw.T) / 2 - np.diag(np.diag(raw)), kind="spectral")
         powers = graph_powers(W, 3, normalize=False)
         for k, g in enumerate(powers, start=1):
-            assert np.allclose(g.W.toarray(), _naive_power(W.W.toarray(), k), atol=1e-10)
+            assert np.allclose(g.toarray(), _naive_power(W.W.toarray(), k), atol=1e-10)
 
     def test_normalized_powers_match_scaled_oracle(self):
         rng = np.random.default_rng(4)
@@ -380,8 +381,8 @@ class TestGraphPowers:
             expected = _naive_power(W.W.toarray(), k)
             if k > 1:
                 expected = expected / expected.max()
-            assert np.allclose(g.W.toarray(), expected, atol=1e-10)
-        assert all(g.W.max() <= 1.0 + 1e-12 for g in powers[1:])
+            assert np.allclose(g.toarray(), expected, atol=1e-10)
+        assert all(g.max() <= 1.0 + 1e-12 for g in powers[1:])
 
     def test_invalid_order_rejected(self):
         W = WeightMatrix(W=np.eye(2), kind="spatial")
@@ -401,34 +402,40 @@ def _dense_quadratic(S, W):
     return float(np.sum((S @ (np.diag(W.sum(1)) - W)) * S))
 
 
+def _single(W):
+    """One graph W as the operator laplacian_quadratic takes: degree = row sums of W."""
+    return ConsensusOperator([sp.csr_array(W)], [[1.0]])
+
+
 class TestLaplacian:
     """Properties of L = diag(D) - W, read through laplacian_quadratic."""
 
     def test_zero_graph(self):
         S = np.random.default_rng(4).random((3, 4))
-        assert laplacian_quadratic(S, np.zeros((4, 4))) == 0.0
+        assert laplacian_quadratic(S, _single(np.zeros((4, 4)))) == 0.0
 
     def test_two_node_hand_oracle(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
         for a, b in [(1.0, 0.0), (0.3, 0.8), (2.5, 2.5)]:
             S = np.array([[a, b]])
-            assert laplacian_quadratic(S, W) == pytest.approx((a - b) ** 2, abs=1e-12)
+            assert laplacian_quadratic(S, _single(W)) == pytest.approx((a - b) ** 2, abs=1e-12)
 
     def test_row_sums_zero_and_psd(self):
         rng = np.random.default_rng(5)
         W = _random_symmetric(rng, 12)
+        op = _single(W)
         # zero row sums: constant abundance rows carry no penalty
         S = np.outer(rng.random(3), np.ones(12))
-        assert abs(laplacian_quadratic(S, W)) <= 1e-12 * np.sum(S * S) * W.max()
+        assert abs(laplacian_quadratic(S, op)) <= 1e-12 * np.sum(S * S) * W.max()
         # positive semidefinite: the form is nonnegative for every S
         for _ in range(50):
             S = rng.standard_normal((int(rng.integers(1, 5)), 12))
-            assert laplacian_quadratic(S, W) >= -1e-12 * np.sum(S * S) * W.max()
+            assert laplacian_quadratic(S, op) >= -1e-12 * np.sum(S * S) * W.max()
 
     def test_connected_graph_single_zero_eigenvalue(self):
         rng = np.random.default_rng(6)
         n = 9
-        W = _random_symmetric(rng, n, low=0.2)
+        W = _single(_random_symmetric(rng, n, low=0.2))
         # the null space is the constant vector alone: constant rows give 0,
         # any row orthogonal to the constants gives a strictly positive value
         assert laplacian_quadratic(np.ones((1, n)), W) == pytest.approx(0.0, abs=1e-12)
@@ -444,12 +451,12 @@ class TestLaplacianQuadratic:
         rng = np.random.default_rng(7)
         W = _random_symmetric(rng, 5)
         S = np.outer(rng.random(3), np.ones(5))
-        assert laplacian_quadratic(S, W) == pytest.approx(0.0, abs=1e-12)
+        assert laplacian_quadratic(S, _single(W)) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_hand_value(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
         S = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert laplacian_quadratic(S, W) == pytest.approx(1.0, abs=1e-12)
+        assert laplacian_quadratic(S, _single(W)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_pairwise_sum_oracle(self):
         rng = np.random.default_rng(8)
@@ -463,11 +470,11 @@ class TestLaplacianQuadratic:
             for i in range(n):
                 for j in range(n):
                     oracle += 0.5 * W[i, j] * np.sum((S[:, i] - S[:, j]) ** 2)
-            got = laplacian_quadratic(S, W)
+            got = laplacian_quadratic(S, _single(W))
             assert got == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
-    @pytest.mark.parametrize("form", ["csr", "dense", "weight_matrix", "operator"])
-    def test_matches_dense_laplacian(self, form):
+    @pytest.mark.parametrize("coef", [[1.0], [0.5, 0.25]], ids=["single", "operator"])
+    def test_matches_dense_laplacian(self, coef):
         rng = np.random.default_rng(10)
         for _ in range(20):
             n = int(rng.integers(3, 40))
@@ -475,23 +482,17 @@ class TestLaplacianQuadratic:
             W[rng.random((n, n)) < 0.5] = 0.0
             W = np.maximum(W, W.T)
             S = rng.random((int(rng.integers(1, 6)), n))
-            if form == "operator":  # 0.5 W + 0.25 W^2, applied without forming it
-                graph = ConsensusOperator([sp.csr_array(W)], [[0.5, 0.25]])
-                W = 0.5 * W + 0.25 * (W @ W)
-            else:
-                graph = {
-                    "csr": sp.csr_array(W),
-                    "dense": W,
-                    "weight_matrix": WeightMatrix(W=W, kind="spatial"),
-                }[form]
+            # W, or 0.5 W + 0.25 W^2 applied without forming it
+            graph = ConsensusOperator([sp.csr_array(W)], [coef])
+            W = sum(c * np.linalg.matrix_power(W, k) for k, c in enumerate(coef, start=1))
             oracle = _dense_quadratic(S, W)
             assert abs(laplacian_quadratic(S, graph) - oracle) <= 1e-12 * abs(oracle)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            laplacian_quadratic(np.ones((2, 5)), np.zeros((4, 4)))
+            laplacian_quadratic(np.ones((2, 5)), _single(np.zeros((4, 4))))
         with pytest.raises(ShapeError):
-            laplacian_quadratic(np.ones((2, 4)), np.zeros((4, 5)))
+            laplacian_quadratic(np.ones(4), _single(np.zeros((4, 4))))
 
 
 class TestMultiOrderBuild:
@@ -502,21 +503,21 @@ class TestMultiOrderBuild:
         assert len(graphs.views) == 2
         assert graphs.orders == (1, 2, 3)
         # only the order-1 graphs are stored; the fused stack is their powers
-        assert [(g.kind, g.order) for g in graphs.all_graphs()] == [
-            ("spatial", 1), ("spectral", 1)
-        ]
-        kinds = [g.kind for g in stack_powers(graphs)]
-        orders = [g.order for g in stack_powers(graphs)]
-        assert kinds == ["spatial"] * 3 + ["spectral"] * 3
-        assert orders == [1, 2, 3, 1, 2, 3]
+        assert [g.kind for g in graphs.all_graphs()] == ["spatial", "spectral"]
+        # view-major, orders 1, 2, 3 per view; order 1 is the stored graph itself
+        stack = stack_powers(graphs)
+        assert len(stack) == 6
+        assert stack[0] is graphs.views[0].W and stack[3] is graphs.views[1].W
 
     def test_order_subset(self):
         rng = np.random.default_rng(10)
         cube = _random_cube(rng, 4, 4)
         graphs = build_multi_order_graphs(cube, UnmixParams(neighbors=3), orders=[2])
         assert graphs.orders == (2,)
-        assert [g.order for g in graphs.all_graphs()] == [1, 1]
-        assert [g.order for g in stack_powers(graphs)] == [2, 2]
+        # the stack holds each view's max-normalized square alone
+        for view, g in zip(graphs.views, stack_powers(graphs), strict=True):
+            sq = _naive_power(view.W.toarray(), 2)
+            assert np.allclose(g.toarray(), sq / sq.max(), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("K, orders", [(3, [0]), (3, [3, 3]), (3, [])])
     def test_invalid_orders_rejected(self, K, orders):
@@ -552,7 +553,7 @@ class TestPeakMemory:
         # six per-order graphs plus W_m are the dense floor (7 N^2)
         cube = _random_cube(np.random.default_rng(13), 24, 24, bands=20)
         assert _peak_in_n2_doubles(consensus_graph, cube, UnmixParams(neighbors=4)) < 7.5
-        assert _peak_in_n2_doubles(spectral_weights, cube, neighbors=4) < 4.0
+        assert _peak_in_n2_doubles(spectral_weights, cube, UnmixParams(neighbors=4)) < 4.0
 
     def test_spectral_build_holds_no_n2_array(self):
         # distances live in row blocks and the graph in CSR, so the peak

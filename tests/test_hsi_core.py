@@ -5,10 +5,7 @@ from mognmf.errors import DataError, ParamError, ParseError, ShapeError
 from mognmf.hsi_core import (
     HsiCube,
     UnmixParams,
-    augment_for_asc,
     load_cube,
-    pixel_coords,
-    pixel_index,
     save_abundance_maps,
     save_cube,
 )
@@ -63,39 +60,6 @@ class TestHsiCube:
     def test_grid_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             HsiCube(data=np.ones((2, 5)), height=2, width=2)
-
-    def test_pixel_linearization_bijection(self):
-        width = 7
-        for j in range(35):
-            u, n = pixel_coords(j, width)
-            assert pixel_index(u, n, width) == j
-
-
-class TestAugmentForAsc:
-    def test_delta_row_appended(self):
-        residual = np.arange(6, dtype=float).reshape(2, 3)
-        endmembers = np.ones((2, 4))
-        res_aug, end_aug = augment_for_asc(residual, endmembers, 15.0)
-        assert res_aug.shape == (3, 3) and end_aug.shape == (3, 4)
-        assert np.all(res_aug[-1] == 15.0) and np.all(end_aug[-1] == 15.0)
-        assert np.array_equal(res_aug[:2], residual)
-        assert np.array_equal(end_aug[:2], endmembers)
-
-    def test_minimal_shapes(self):
-        res_aug, end_aug = augment_for_asc(np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
-        assert np.array_equal(res_aug, [[0.0], [1.0]])
-        assert np.array_equal(end_aug, [[0.0], [1.0]])
-
-    def test_strip_recovers_inputs(self):
-        rng = np.random.default_rng(3)
-        residual, endmembers = rng.random((4, 5)), rng.random((4, 2))
-        res_aug, end_aug = augment_for_asc(residual, endmembers, 2.5)
-        assert np.array_equal(res_aug[:-1], residual)
-        assert np.array_equal(end_aug[:-1], endmembers)
-
-    def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ParamError):
-            augment_for_asc(np.ones((1, 1)), np.ones((1, 1)), 0.0)
 
 
 class TestAbundanceMaps:
@@ -163,6 +127,7 @@ class TestUnmixParams:
             {"lam": float("-inf")},
             {"seed": np.int64(1)},  # the manifest's JSON config cannot hold it
             {"lam": np.float32(0.1)},
+            {"alpha": 0.0},  # fusion's weight step divides by alpha
         ],
     )
     def test_invalid_values_rejected(self, kw):
