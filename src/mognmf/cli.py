@@ -33,11 +33,14 @@ import click
 import numpy as np
 
 from . import simgen
-from .errors import DivergenceError, IoError, ParamError, ParseError, ShapeError, UnmixingError
+from .errors import DivergenceError, ParamError, ShapeError, UnmixingError
 from .fusion import FusionState
-from .hsi_core import UnmixParams, load_cube, save_abundance_maps, save_cube
+from .graph import neighbor_count
+from .hsi_core import UnmixParams, load_cube, read_json_object, read_matrix
+# _Outputs.matrix calls write_matrix as _save_matrix, the name perfbench/worker.py traces
+from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matrix
 from .metrics import evaluate_model
-from .unmix import SolverConfig, VARIANTS, consensus_graph, fused_orders, run_solver
+from .unmix import SolverConfig, VARIANTS, consensus_graph, fused_orders, graph_orders, run_solver
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -66,19 +69,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _save_matrix(path: Path, matrix: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")
-
-
-def _load_matrix(path: Path) -> np.ndarray:
-    try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{path} is not a numeric CSV: {exc}") from exc
 
 
 class _Outputs:
@@ -134,23 +124,6 @@ class _Outputs:
         return manifest
 
 
-def _read_manifest(directory: Path, *required: str) -> dict:
-    """The JSON object in ``directory``/manifest.json, holding every ``required`` key."""
-    path = directory / "manifest.json"
-    if not path.exists():
-        raise ParamError(f"no manifest.json in {directory}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{path} must hold a JSON object")
-    missing = [key for key in required if key not in manifest]
-    if missing:
-        raise ParseError(f"{path} has no {', '.join(map(repr, missing))} field")
-    return manifest
-
-
 def _thread_cap() -> int:
     raw = os.environ.get("MOGNMF_THREADS")
     if raw is None:
@@ -162,15 +135,6 @@ def _thread_cap() -> int:
     if value < 1:
         raise ParamError("MOGNMF_THREADS must be >= 1")
     return value
-
-
-def _read_config(config_path):
-    if config_path is None:
-        return {}
-    try:
-        return json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParamError(f"cannot read config {config_path}: {exc}") from exc
 
 
 def _build_params(base, **overrides) -> UnmixParams:
@@ -260,7 +224,7 @@ def cmd_unmix(
 ) -> dict:
     """Unmix a cube and write A/S/E/objective CSVs, PGM maps, manifest."""
     out = _Outputs(out_dir, "unmix")
-    if dump_wm and not (fused_orders(variant, params.order) and params.lam > 0):
+    if dump_wm and not graph_orders(variant, params):
         raise ParamError(f"--dump-wm needs a graph term, which variant {variant} "
                          f"at lambda {params.lam:g} does not have")
     cube = load_cube(cube_path, format=cube_format)
@@ -315,16 +279,18 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> tuple[dict, dict]:
     """
     out = _Outputs(out_dir, "evaluate")
     result_dir, truth_dir = Path(result_dir), Path(truth_dir)
-    A_est = _load_matrix(result_dir / "A.csv")
-    S_est = _load_matrix(result_dir / "S.csv")
-    A_true = _load_matrix(truth_dir / "A_true.csv")
-    S_true = _load_matrix(truth_dir / "S_true.csv")
+    A_est = read_matrix(result_dir / "A.csv")
+    S_est = read_matrix(result_dir / "S.csv")
+    A_true = read_matrix(truth_dir / "A_true.csv")
+    S_true = read_matrix(truth_dir / "S_true.csv")
     if A_est.shape != A_true.shape:
         raise ShapeError(
             f"endmember count mismatch: truth {A_true.shape} vs estimate {A_est.shape}"
         )
-    result_manifest = _read_manifest(result_dir, "variant", "config", "iterations", "wall_ms")
-    truth_manifest = _read_manifest(truth_dir)
+    result_manifest = read_json_object(
+        result_dir / "manifest.json", "variant", "config", "iterations", "wall_ms"
+    )
+    truth_manifest = read_json_object(truth_dir / "manifest.json")
     config = UnmixParams.from_dict(result_manifest["config"])
     orders = fused_orders(result_manifest["variant"], config.order)
     report = evaluate_model(A_true, S_true, A_est, S_est)
@@ -429,7 +395,7 @@ def cmd_ablate(
     """
     out = _Outputs(out_dir, "ablate")
     cap = _thread_cap()
-    truth_m = _load_matrix(Path(truth_dir) / "A_true.csv").shape[1]
+    truth_m = read_matrix(Path(truth_dir) / "A_true.csv").shape[1]
     if m != truth_m:
         raise ShapeError(f"m={m} but the truth in {truth_dir} holds {truth_m} endmembers")
     runs = []  # (run name, case, variant, params)
@@ -476,13 +442,15 @@ def cmd_sweep(
     init: str = "vca_fcls",
     lambdas: list[float] | None = None,
     betas: list[float] | None = None,
+    height: int = 64,
+    width: int = 64,
     **scene,
 ) -> dict:
     """Grid sweep over SNRs, seeds, variants, and optionally lambda/beta.
 
-    ``scene`` holds the other cmd_simulate arguments (height, width,
-    smoothness, library_path, bands).  One sweep.csv row per run: the
-    eval columns followed by the lambda and beta the run used.
+    ``scene`` holds the other cmd_simulate arguments (smoothness,
+    library_path, bands).  One sweep.csv row per run: the eval columns
+    followed by the lambda and beta the run used.
     """
     out = _Outputs(out_dir, "sweep")
     lambdas = list(lambdas) if lambdas else [params.lam]
@@ -490,7 +458,8 @@ def cmd_sweep(
     scenes = {(snr, seed): out.dir / "scenes" / f"snr{snr:g}_seed{seed}"
               for snr in snrs for seed in seeds}
     runs = out.dir / "runs"
-    # every run's parameters and the worker cap are validated before anything is written
+    # every run's parameters (a graph run's neighbor counts against the scene's
+    # pixel count included) and the worker cap are validated before anything is written
     jobs = [
         (dict(cube_path=truth / "cube.raw", m=m,
               out_dir=runs / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
@@ -499,9 +468,14 @@ def cmd_sweep(
         for (snr, seed), truth in scenes.items()
         for variant in variants for lam in lambdas for beta in betas
     ]
+    for unmix, _, _ in jobs:
+        if graph_orders(unmix["variant"], unmix["params"]):
+            for view in ("spatial", "spectral"):
+                neighbor_count(unmix["params"], view, height * width)
     cap = _thread_cap()
     for (snr, seed), truth in scenes.items():
-        cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed, **scene)
+        cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed,
+                     height=height, width=width, **scene)
     rows = _run_jobs(jobs, cap)
     out.table("sweep.csv", EVAL_COLUMNS + ("lambda", "beta"), rows)
     return out.manifest(
@@ -595,7 +569,7 @@ def _param_options(fn):
     @functools.wraps(fn)
     def command(config_path, **kw):
         overrides = {name: kw.pop(name) for name in UnmixParams.__dataclass_fields__}
-        base = _guarded(_read_config, config_path)
+        base = {} if config_path is None else _guarded(read_json_object, config_path)
         params = _guarded(_build_params, base, **overrides)
         if "seeds" in kw and (overrides["seed"] is not None or "seed" in base):
             # ablate and sweep give every run its seed from --seeds

@@ -44,6 +44,7 @@ __all__ = [
     "WeightMatrix",
     "MultiOrderGraphSet",
     "ConsensusOperator",
+    "neighbor_count",
     "spatial_weights",
     "spectral_weights",
     "graph_powers",
@@ -218,8 +219,6 @@ def _knn_heat_kernel(n: int, candidates, sigma, neighbors: int) -> tuple[sp.csr_
     """
     if n < 2:
         raise ParamError("graph construction needs at least 2 pixels")
-    if neighbors >= n:
-        raise ParamError(f"neighbor count C={neighbors} must be < N={n}")
     rows, cols, retained = [], [], []
     for lo, d, index in candidates:
         # candidates: every entry within the row's C-th smallest distance;
@@ -244,12 +243,23 @@ def _knn_heat_kernel(n: int, candidates, sigma, neighbors: int) -> tuple[sp.csr_
     return W.maximum(W.T), float(sigma)
 
 
+def neighbor_count(params: UnmixParams, view: str, n: int) -> int:
+    """The k-NN count C of ``view`` ("spatial" or "spectral") in a graph over ``n`` nodes.
+
+    C is the view's override, or ``params.neighbors``, and must be < ``n``.
+    """
+    c = getattr(params, f"neighbors_{view}") or params.neighbors  # overrides are None or >= 1
+    if c >= n:
+        raise ParamError(f"neighbor count C={c} must be < N={n}")
+    return c
+
+
 def spatial_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> WeightMatrix:
     """Heat-kernel affinity over Euclidean grid distance between pixels.
 
     Reads ``params.sigma_s`` and the spatial neighbor count C.
     """
-    c = params.neighbors if params.neighbors_spatial is None else params.neighbors_spatial
+    c = neighbor_count(params, "spatial", cube.pixel_count)
     candidates = _grid_candidates(cube.height, cube.width, c)
     W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, params.sigma_s, c)
     return WeightMatrix(W=W, kind="spatial", sigma=sigma)
@@ -260,7 +270,7 @@ def spectral_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> Weig
 
     Reads ``params.sigma_l`` and the spectral neighbor count C.
     """
-    c = params.neighbors if params.neighbors_spectral is None else params.neighbors_spectral
+    c = neighbor_count(params, "spectral", cube.pixel_count)
     candidates = _column_candidates(cube.data)
     W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, params.sigma_l, c)
     return WeightMatrix(W=W, kind="spectral", sigma=sigma)

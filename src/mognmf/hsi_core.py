@@ -13,6 +13,7 @@ Shape conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -27,6 +28,9 @@ __all__ = [
     "load_cube",
     "save_cube",
     "save_abundance_maps",
+    "read_json_object",
+    "read_matrix",
+    "write_matrix",
 ]
 
 
@@ -197,6 +201,50 @@ class UnmixParams:
         return cls(**d)
 
 
+def write_matrix(target, matrix: np.ndarray) -> None:
+    """Write a 2-D ``matrix`` to a path or open text file: one comma-delimited row per line.
+
+    ``%.17g`` round-trips every float64: ``read_matrix`` returns the same bits.
+    """
+    try:
+        np.savetxt(target, matrix, delimiter=",", fmt="%.17g")
+    except OSError as exc:
+        raise IoError(f"failed to write {target}: {exc}") from exc
+
+
+def read_matrix(source, name=None) -> np.ndarray:
+    """The 2-D array ``write_matrix`` wrote, from a path or an iterable of lines.
+
+    A one-column file reads as a column; ``name`` labels ``source`` in
+    errors.  Raises IoError when the file cannot be opened and
+    ParseError when it holds no row, or a row is not numeric or ragged.
+    """
+    name = name or source
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns, and returns an empty array, on input without rows
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2)
+    except OSError as exc:
+        raise IoError(f"cannot read {name}: {exc}") from exc
+    except (ValueError, UserWarning) as exc:
+        raise ParseError(f"{name} is not a numeric CSV: {exc}") from exc
+
+
+def read_json_object(path, *required: str) -> dict:
+    """The JSON object in file ``path``; ParseError unless it holds every ``required`` key."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path} as JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ParseError(f"{path} has no {', '.join(map(repr, missing))} field")
+    return value
+
+
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
@@ -207,8 +255,8 @@ def load_cube(path, format: str = "raw-f32") -> HsiCube:
     Formats:
       * ``raw-f32``: little-endian float32 binary, band-major, with a
         JSON sidecar ``<path>.json`` holding {"bands", "height", "width"}.
-      * ``csv``: first line ``L,H,W``; then L lines of N comma-separated
-        values.
+      * ``csv``: first line ``L,H,W``; then the L x N matrix as
+        ``write_matrix`` writes it.
 
     Values are read verbatim; no rescaling is applied.
     """
@@ -223,18 +271,10 @@ def load_cube(path, format: str = "raw-f32") -> HsiCube:
 
 
 def _load_raw(path: Path) -> HsiCube:
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise ParseError(f"missing sidecar header: {sidecar}")
+    header = read_json_object(_sidecar_path(path), "bands", "height", "width")
     try:
-        header = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid sidecar JSON: {exc}") from exc
-    try:
-        bands = int(header["bands"])
-        height = int(header["height"])
-        width = int(header["width"])
-    except (KeyError, TypeError, ValueError) as exc:
+        bands, height, width = (int(header[key]) for key in ("bands", "height", "width"))
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"sidecar must carry integer bands/height/width: {exc}") from exc
     if bands <= 0 or height <= 0 or width <= 0:
         raise ParseError("sidecar dimensions must be positive")
@@ -250,33 +290,16 @@ def _load_raw(path: Path) -> HsiCube:
 
 def _load_csv(path: Path) -> HsiCube:
     with open(path, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ParseError(f"empty cube file: {path}")
-    head = lines[0].split(",")
-    if len(head) != 3:
-        raise ParseError(f"header must be 'L,H,W', got {lines[0]!r}")
-    try:
-        bands, height, width = (int(tok) for tok in head)
-    except ValueError as exc:
-        raise ParseError(f"non-integer header field in {lines[0]!r}") from exc
-    if bands <= 0 or height <= 0 or width <= 0:
-        raise ParseError("header dimensions must be positive")
-    if len(lines) - 1 != bands:
-        raise ParseError(f"expected {bands} band rows, found {len(lines) - 1}")
-    n = height * width
-    rows = []
-    for l, line in enumerate(lines[1:]):
-        toks = line.split(",")
-        if len(toks) != n:
-            raise ParseError(
-                f"band {l}: header declares N={n} but {len(toks)} pixel columns present"
-            )
+        head = fh.readline()
         try:
-            rows.append([float(tok) for tok in toks])
+            bands, height, width = (int(tok) for tok in head.split(","))
         except ValueError as exc:
-            raise ParseError(f"band {l}: non-numeric entry: {exc}") from exc
-    data = np.asarray(rows, dtype=np.float64)
+            raise ParseError(f"header must be 'L,H,W' integers, got {head.strip()!r}") from exc
+        if bands <= 0 or height <= 0 or width <= 0:
+            raise ParseError("header dimensions must be positive")
+        data = read_matrix(fh, name=path)
+    if data.shape != (bands, height * width):
+        raise ParseError(f"header declares {bands} x {height * width}, body is {data.shape}")
     return HsiCube(data=data, height=height, width=width)
 
 
@@ -295,8 +318,7 @@ def save_cube(cube: HsiCube, path, format: str = "raw-f32") -> None:
         elif format == "csv":
             with open(path, "w") as fh:
                 fh.write(f"{cube.band_count},{cube.height},{cube.width}\n")
-                for row in cube.data:
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                write_matrix(fh, cube.data)
         else:
             raise ParamError(f"unknown cube format: {format!r}")
     except OSError as exc:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParamError, ShapeError
-from .hsi_core import HsiCube
+from .errors import DataError, ParamError, ParseError, ShapeError
+from .hsi_core import HsiCube, read_matrix
 from .metrics import measure_snr
 from .rng import substream
 
@@ -91,28 +91,17 @@ class SyntheticScene:
 
 
 def load_library(path) -> SpectralLibrary:
-    """Read a library CSV: one row per entry, name followed by L values."""
+    """Read a library CSV: one row per entry, a name field and then its L values.
+
+    The values after the name are numeric CSV, read by ``read_matrix``.
+    """
     path = Path(path)
-    names, rows = [], []
     with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            if len(toks) < 2:
-                raise DataError(f"{path}:{lineno}: entry needs a name and spectra")
-            names.append(toks[0].strip())
-            try:
-                rows.append([float(t) for t in toks[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric reflectance") from exc
-    if not rows:
-        raise DataError(f"empty spectral library: {path}")
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise DataError("library rows must all have the same band count")
-    return SpectralLibrary(names=tuple(names), spectra=np.asarray(rows).T)
+        entries = [line.split(",", 1) for line in fh if line.strip()]
+    if any(len(entry) < 2 or not entry[1].strip() for entry in entries):
+        raise ParseError(f"{path}: every entry needs a name and spectra")
+    spectra = read_matrix((values for _, values in entries), name=path)
+    return SpectralLibrary(names=tuple(name.strip() for name, _ in entries), spectra=spectra.T)
 
 
 def synthetic_library(

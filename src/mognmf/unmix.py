@@ -58,6 +58,7 @@ __all__ = [
     "update_noise",
     "consensus_graph",
     "fused_orders",
+    "graph_orders",
     "run_solver",
 ]
 
@@ -292,6 +293,12 @@ def fused_orders(variant: str, order: int) -> tuple[int, ...]:
     return tuple(range(1, order + 1)) if orders == "all" else orders
 
 
+def graph_orders(variant: str, params: UnmixParams) -> tuple[int, ...]:
+    """Graph orders a ``variant`` run builds and fuses: none without a graph term or at lambda 0."""
+    orders = fused_orders(variant, params.order)
+    return orders if params.lam > 0.0 else ()
+
+
 def consensus_graph(
     cube: HsiCube, params: UnmixParams, orders: list[int] | None = None
 ) -> FusionState:
@@ -360,8 +367,8 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     lam = 0.0
     Wm = None
     fusion_state: FusionState | None = None
-    orders = fused_orders(config.variant, p.order)
-    if orders and p.lam > 0.0:
+    orders = graph_orders(config.variant, p)
+    if orders:
         # only W_m and D_m are kept: an operator over the order-1 graphs
         fusion_state = consensus_graph(cube, p, list(orders))
         Wm = fusion_state.Wm

@@ -26,7 +26,7 @@ from mognmf.graph import (
     spatial_weights,
     spectral_weights,
 )
-from mognmf.hsi_core import HsiCube, UnmixParams, load_cube, save_cube
+from mognmf.hsi_core import HsiCube, UnmixParams, load_cube, save_cube, write_matrix
 from mognmf.unmix import SolverConfig, run_solver
 from oracle import consensus_tocsr, stack_powers
 
@@ -42,6 +42,19 @@ def _tiny_scene_dir(tmp_path, name="scene", height=8, width=8, m=3, snr=30.0, se
         out, preset="simu1", m=m, snr_db=snr, seed=seed,
         height=height, width=width, smoothness=2.0, bands=20,
     )
+    return out
+
+
+def _one_endmember_scene(tmp_path):
+    """A noiseless 6 x 6, 12-band scene of one material, with its truth and manifest."""
+    out = tmp_path / "scene1"
+    out.mkdir()
+    A = np.random.default_rng(0).uniform(0.2, 0.9, size=(12, 1))
+    S = np.ones((1, 36))
+    save_cube(HsiCube(data=A @ S, height=6, width=6), out / "cube.raw")
+    write_matrix(out / "A_true.csv", A)
+    write_matrix(out / "S_true.csv", S)
+    (out / "manifest.json").write_text(json.dumps({"snr_db": None}))
     return out
 
 
@@ -135,6 +148,16 @@ class TestUnmix:
         for name in ("A.csv", "S.csv", "E.csv", "objective.csv"):
             assert (out / name).exists()
         assert len(list((out / "maps").glob("*.pgm"))) == 2
+
+    def test_csv_cube_gives_the_raw_run_bytes(self, tmp_path):
+        # the cube's float32 values survive %.17g, so both formats load the same data
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        save_cube(load_cube(scene / "cube.raw"), tmp_path / "cube.csv", format="csv")
+        params = UnmixParams(t1=5, neighbors=4)
+        cmd_unmix(scene / "cube.raw", 3, tmp_path / "raw", params=params)
+        cmd_unmix(tmp_path / "cube.csv", 3, tmp_path / "csv", params=params, cube_format="csv")
+        for name in ("A.csv", "S.csv", "E.csv", "objective.csv", "H.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "raw" / name).read_bytes()
 
     def test_mognmf_emits_fusion_artifacts(self, runner, tmp_path):
         scene = _tiny_scene_dir(tmp_path)
@@ -363,6 +386,15 @@ class TestEvaluate:
             row = next(csv.DictReader(fh))
         assert row["K"] == k
 
+    def test_one_endmember_run_scores(self, tmp_path):
+        # A.csv is L x 1 and reads back as a column
+        scene = _one_endmember_scene(tmp_path)
+        run = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 1, run, params=UnmixParams(t1=5, neighbors=4))
+        manifest, _ = cmd_evaluate(run, scene, tmp_path / "eval")
+        assert np.isfinite(manifest["mean_sad"]) and np.isfinite(manifest["rmse"])
+        assert manifest["mean_sad"] < 1e-6
+
     def test_m_mismatch_exits_2(self, runner, tmp_path):
         scene = _tiny_scene_dir(tmp_path)
         run = tmp_path / "run"
@@ -525,6 +557,14 @@ class TestAblate:
             case_i = [r["K"] for r in csv.DictReader(fh) if r["case"] == "I"]
         assert case_i == ["1", "2", "3", "12"]
 
+    def test_one_endmember_truth_accepted(self, tmp_path):
+        scene = _one_endmember_scene(tmp_path)
+        out = tmp_path / "ablation"
+        cmd_ablate(scene / "cube.raw", scene, out, seeds=[0], m=1,
+                   params=UnmixParams(t1=3, neighbors=4))
+        with open(out / "ablation_runs.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 7
+
     def test_m_mismatch_writes_nothing(self, runner, tmp_path):
         scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
         out = tmp_path / "ablation"
@@ -652,6 +692,22 @@ class TestSweep:
         )
         assert result.exit_code == 2, result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("variant, code", [("mognmf", 2), ("nmf", 0)])
+    def test_neighbor_count_checked_before_writing(
+        self, runner, tmp_path, monkeypatch, variant, code
+    ):
+        # C=40 leaves no graph on 36 pixels; a graph-free variant never builds one
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        out = tmp_path / "d"
+        result = runner.invoke(
+            main,
+            ["sweep", "--snrs", "30", "--seeds", "0", "--variants", variant,
+             "--height", "6", "--width", "6", "--bands", "12", "--t1", "5",
+             "--c", "40", "--out", str(out)],
+        )
+        assert result.exit_code == code, result.output
+        assert out.exists() == (code == 0)
 
     def test_bad_thread_env_rejected(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("MOGNMF_THREADS", "zero")

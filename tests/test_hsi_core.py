@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from mognmf.errors import DataError, ParamError, ParseError, ShapeError
+from mognmf.errors import DataError, IoError, ParamError, ParseError, ShapeError
 from mognmf.hsi_core import (
     HsiCube,
     UnmixParams,
     load_cube,
+    read_json_object,
+    read_matrix,
     save_abundance_maps,
     save_cube,
+    write_matrix,
 )
 
 
@@ -50,7 +53,7 @@ class TestHsiCube:
         cube = HsiCube(data=data, height=2, width=3)
         save_cube(cube, tmp_path / "cube.csv", format="csv")
         back = load_cube(tmp_path / "cube.csv", format="csv")
-        assert np.max(np.abs(back.data - data) / np.abs(data)) <= 1e-6
+        assert np.array_equal(back.data, data)
 
     def test_missing_sidecar(self, tmp_path):
         (tmp_path / "cube.raw").write_bytes(b"\x00" * 16)
@@ -60,6 +63,46 @@ class TestHsiCube:
     def test_grid_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             HsiCube(data=np.ones((2, 5)), height=2, width=2)
+
+
+class TestMatrixCodec:
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (3, 4), (1, 1)])
+    def test_roundtrip_keeps_shape_and_bits(self, tmp_path, shape):
+        # a one-column file reads as a column, a one-row file as a row
+        data = np.random.default_rng(3).random(shape)
+        data[0, 0] = -0.0
+        write_matrix(tmp_path / "m.csv", data)
+        back = read_matrix(tmp_path / "m.csv")
+        assert back.shape == shape
+        assert np.array_equal(back, data) and np.signbit(back[0, 0])
+        with open(tmp_path / "m.csv") as fh:
+            assert np.array_equal(read_matrix(fh), data)
+
+    def test_missing_file_is_an_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read"):
+            read_matrix(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize(
+        "text", ["1,2\n3,x\n", "1,2\n3\n", "", "\n\n"],
+        ids=["non_numeric", "ragged", "empty", "blank"],
+    )
+    def test_malformed_body_is_a_parse_error(self, tmp_path, text):
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(ParseError, match="not a numeric CSV"):
+            read_matrix(tmp_path / "m.csv")
+
+    @pytest.mark.parametrize(
+        "text, required, problem",
+        [(None, (), "cannot read"), ("{x", (), "cannot read"), ("[1]", (), "JSON object"),
+         ('{"a": 1}', ("a", "b"), "has no 'b' field")],
+        ids=["missing", "malformed", "not_object", "missing_key"],
+    )
+    def test_json_object_errors(self, tmp_path, text, required, problem):
+        path = tmp_path / "f.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ParseError, match=problem):
+            read_json_object(path, *required)
 
 
 class TestAbundanceMaps:

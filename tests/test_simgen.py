@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mognmf.errors import DataError, ParamError, ShapeError
+from mognmf.errors import DataError, ParamError, ParseError, ShapeError
 from mognmf.metrics import measure_snr
 from mognmf.simgen import (
     SpectralLibrary,
@@ -134,7 +134,23 @@ class TestLibraries:
                 fh.write(name + "," + ",".join(f"{v:.17g}" for v in spectrum) + "\n")
         back = load_library(tmp_path / "lib.csv")
         assert back.names == lib.names
-        assert np.allclose(back.spectra, lib.spectra, atol=1e-12)
+        assert np.array_equal(back.spectra, lib.spectra)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a,0.1,0.2\nb,0.3,x\n", "a,0.1,0.2\nb,0.3\n", "a,0.1\nb\n", "a,0.1\nb, \n", "\n"],
+        ids=["non_numeric", "ragged", "no_spectrum", "blank_spectrum", "empty"],
+    )
+    def test_malformed_library_is_a_parse_error(self, tmp_path, text):
+        (tmp_path / "lib.csv").write_text(text)
+        with pytest.raises(ParseError):
+            load_library(tmp_path / "lib.csv")
+
+    def test_single_band_library(self, tmp_path):
+        (tmp_path / "lib.csv").write_text("a,0.25\nb,0.5\n")
+        lib = load_library(tmp_path / "lib.csv")
+        assert lib.names == ("a", "b")
+        assert np.array_equal(lib.spectra, [[0.25, 0.5]])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DataError):
