@@ -130,17 +130,21 @@ class ConsensusOperator:
         if S.ndim != 2 or S.shape[1] != self.shape[0]:
             raise ShapeError(f"cannot apply a {self.shape} graph to {S.shape}")
         # S W_v^k = (W_v^k S^T)^T for symmetric W_v: each product is a CSR
-        # times a dense block, with no transpose of the graph
-        St = S.T
-        out = np.zeros(St.shape)
+        # times a dense block, with no transpose of the graph.  The CSR
+        # product reads the block in C order, so S^T is made C-contiguous once
+        St = np.ascontiguousarray(S.T)
+        out = None
         for W, c in self._terms():
             t = c[-1] * St
             for ck in c[-2::-1]:
                 t = W @ t
                 if ck:
                     t += ck * St
-            out += W @ t
-        return out.T
+            if out is None:
+                out = W @ t
+            else:
+                out += W @ t
+        return np.zeros(S.shape) if out is None else out.T
 
 
 def _row_blocks(n: int):

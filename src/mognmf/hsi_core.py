@@ -258,16 +258,19 @@ def load_cube(path, format: str = "raw-f32") -> HsiCube:
       * ``csv``: first line ``L,H,W``; then the L x N matrix as
         ``write_matrix`` writes it.
 
-    Values are read verbatim; no rescaling is applied.
+    Values are read verbatim; no rescaling is applied.  A path that
+    cannot be read as a file (a directory, say) raises IoError.
     """
     path = Path(path)
     if not path.exists():
         raise IoError(f"cube file not found: {path}")
-    if format == "raw-f32":
-        return _load_raw(path)
-    if format == "csv":
-        return _load_csv(path)
-    raise ParamError(f"unknown cube format: {format!r}")
+    loaders = {"raw-f32": _load_raw, "csv": _load_csv}
+    if format not in loaders:
+        raise ParamError(f"unknown cube format: {format!r}")
+    try:
+        return loaders[format](path)
+    except OSError as exc:
+        raise IoError(f"cannot read cube file {path}: {exc}") from exc
 
 
 def _load_raw(path: Path) -> HsiCube:

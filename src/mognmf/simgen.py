@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParamError, ParseError, ShapeError
+from .errors import DataError, IoError, ParamError, ParseError, ShapeError
 from .hsi_core import HsiCube, read_matrix
 from .metrics import measure_snr
 from .rng import substream
@@ -94,10 +94,14 @@ def load_library(path) -> SpectralLibrary:
     """Read a library CSV: one row per entry, a name field and then its L values.
 
     The values after the name are numeric CSV, read by ``read_matrix``.
+    Raises IoError when ``path`` cannot be read as a file.
     """
     path = Path(path)
-    with open(path, "r") as fh:
-        entries = [line.split(",", 1) for line in fh if line.strip()]
+    try:
+        with open(path, "r") as fh:
+            entries = [line.split(",", 1) for line in fh if line.strip()]
+    except OSError as exc:
+        raise IoError(f"cannot read library file {path}: {exc}") from exc
     if any(len(entry) < 2 or not entry[1].strip() for entry in entries):
         raise ParseError(f"{path}: every entry needs a name and spectra")
     spectra = read_matrix((values for _, values in entries), name=path)

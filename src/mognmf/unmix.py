@@ -16,8 +16,10 @@ The soft threshold makes E a row scaling of T, E = diag(s) (X - A S),
 so the solver carries s (length L) in place of E, and
 R = diag(1 - s) X + diag(s) A S.  X is then read only through the two
 skinny products X S^T (L x M) and ((1 - s) .* A)^T X (M x N) per
-iteration; each row's fit ||T_l||^2 comes from X S^T, S S^T and the
-precomputed ||x_l||^2, and E is formed once, on exit.
+iteration; each row's fit ||T_l||^2 comes from X S^T, A S S^T and the
+precomputed ||x_l||^2, and E is formed once, on exit.  While s is all
+zero (always, for the variants without the noise term) R = X, and the
+loop computes no s-term at all.
 
 W_m is a polynomial in the two order-1 k-NN graphs
 (``graph.ConsensusOperator``), which also holds the degree vector D_m:
@@ -30,7 +32,8 @@ classic two-factor multiplicative rule with no constraints beyond
 nonnegativity.  The sum-to-one constraint is a delta row appended to
 (R, A) ahead of the S update, never a renormalization of S, so the
 multiplicative convergence behavior is kept.  The loop folds that row
-into the products as + delta^2 on A^T R and on A^T A.
+into the products as + delta^2 on A^T R and on A^T A, for those
+variants only.
 """
 
 from __future__ import annotations
@@ -239,9 +242,14 @@ def init_fcls(cube: HsiCube, A0: np.ndarray, delta: float = 15.0) -> np.ndarray:
     return S0
 
 
-def update_endmembers(A, RSt, SSt) -> np.ndarray:
-    """One multiplicative step on A from R S^T and S S^T, with R = X - E."""
-    return A * (RSt / (A @ SSt + _DEN_GUARD))
+def update_endmembers(A, RSt, SSt, *, ASSt=None) -> np.ndarray:
+    """One multiplicative step on A from R S^T and S S^T, with R = X - E.
+
+    ``ASSt`` is A @ SSt when the caller has already formed it.
+    """
+    if ASSt is None:
+        ASSt = A @ SSt
+    return A * (RSt / (ASSt + _DEN_GUARD))
 
 
 def update_abundances(S, AtR, AtA, gamma: float = 0.0, lam: float = 0.0, Wm=None) -> np.ndarray:
@@ -262,7 +270,7 @@ def update_abundances(S, AtR, AtA, gamma: float = 0.0, lam: float = 0.0, Wm=None
         den = den + lam * (S * Wm.degree[None, :])
     if gamma != 0.0:
         den = den + 0.5 * gamma / np.sqrt(np.maximum(S, _S_FLOOR))
-    den = den + _DEN_GUARD
+    den += _DEN_GUARD
     return S * (num / den)
 
 
@@ -338,16 +346,17 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     Graphs are constructed and fused once, before the loop.  Each outer
     iteration updates A, then S (with the delta row folded in as
     + delta^2 on A^T R and A^T A when the variant enforces sum-to-one),
-    then forms X S^T and S S^T, which give every row's fit
-    ||T_l||^2 = ||x_l||^2 - 2 a_l . (X S^T)_l + a_l (S S^T) a_l^T
+    then forms X S^T, S S^T and A S S^T, which give every row's fit
+    ||T_l||^2 = ||x_l||^2 - 2 a_l . (X S^T)_l + a_l . (A S S^T)_l
     (clamped at 0) and carry over into the next A step.  Their sum is
     the recorded ||X - A S||_F^2, and their square roots give the noise
     row scale s, E = diag(s) (X - A S).  Variants without the noise term
-    keep s = 0 (beta = inf), those without sum-to-one fold delta^2 = 0,
-    and adding +0.0 is exact, so every variant runs the same loop.  E is
-    formed once, on exit.  Stops when the trace change drops below eps1
-    (relative to 1 + previous value, or absolute with the corresponding
-    flag) or after t1 iterations.
+    keep s = 0 and never call ``update_noise``.  While s is all zero,
+    R S^T is X S^T and A^T R is A^T X: the s-terms would add exact zeros,
+    so they are skipped, as is delta^2 for variants without sum-to-one.
+    E is formed once, on exit.  Stops when the trace change drops below
+    eps1 (relative to 1 + previous value, or absolute with the
+    corresponding flag) or after t1 iterations.
     """
     traits = _VARIANT_TRAITS[config.variant]
     p = config.params
@@ -374,32 +383,48 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
         Wm = fusion_state.Wm
         lam = p.lam
 
-    # beta = inf thresholds every row to zero: E = 0 without the noise term
-    beta = p.beta if traits.noise else np.inf
     delta_sq = p.delta**2 if traits.asc else 0.0
 
     A, S = _initialize(cube, M, config)
     x_sq = np.einsum("ln,ln->l", X, X)
+    # E = diag(s) (X - A S); s stays 0 without the noise term
     s = np.zeros(L)
+    noisy = False
     XSt, SSt = X @ S.T, S @ S.T
+    ASSt = A @ SSt
 
     trace = np.empty(p.t1)
     prev = None
     converged = False
     it = 0
     # R = diag(1 - s) X + diag(s) A S is never negative: s lies in [0, 1]
-    # and X, A, S are nonnegative, so no product below needs a clip
+    # and X, A, S are nonnegative, so no product below needs a clip.
+    # A C-contiguous A^T gives A^T X its fast BLAS path; A.T @ A stays a
+    # transposed view, which numpy hands to SYRK
     for it in range(1, p.t1 + 1):
-        keep = 1.0 - s
-        A_prev = A
-        A = update_endmembers(A, keep[:, None] * XSt + s[:, None] * (A_prev @ SSt), SSt)
-        AtR = (keep[:, None] * A).T @ X + ((A.T * s) @ A_prev) @ S + delta_sq
-        S = update_abundances(S, AtR, A.T @ A + delta_sq, gamma, lam, Wm)
+        if noisy:
+            keep = 1.0 - s
+            A_prev = A
+            RSt = keep[:, None] * XSt + s[:, None] * ASSt
+            A = update_endmembers(A, RSt, SSt, ASSt=ASSt)
+            AtR = (np.ascontiguousarray(A.T) * keep) @ X
+            AtR += ((A.T * s) @ A_prev) @ S
+        else:
+            A = update_endmembers(A, XSt, SSt, ASSt=ASSt)
+            AtR = np.ascontiguousarray(A.T) @ X
+        AtA = A.T @ A
+        if delta_sq:
+            AtR += delta_sq
+            AtA += delta_sq
+        S = update_abundances(S, AtR, AtA, gamma, lam, Wm)
         XSt, SSt = X @ S.T, S @ S.T
+        ASSt = A @ SSt
         row_sq = x_sq - 2.0 * np.einsum("lm,lm->l", A, XSt)
-        row_sq += np.einsum("lm,lm->l", A @ SSt, A)
+        row_sq += np.einsum("lm,lm->l", ASSt, A)
         np.maximum(row_sq, 0.0, out=row_sq)
-        s = update_noise(row_sq, beta)
+        if traits.noise:
+            s = update_noise(row_sq, p.beta)
+            noisy = bool(s.any())
         objective = float(row_sq.sum())
         if not np.isfinite(objective):
             raise DivergenceError(

@@ -114,6 +114,18 @@ class TestSimulate:
         assert result.exit_code == 2, result.output
         assert not out.exists()
 
+    def test_directory_library_exits_2(self, runner, tmp_path):
+        library = tmp_path / "lib"
+        library.mkdir()
+        out = tmp_path / "scene"
+        result = runner.invoke(
+            main, ["simulate", "--m", "2", "--library", str(library), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "cannot read library file" in result.output
+        assert not out.exists()
+
     def test_simu2_preset_and_noiseless(self, runner, tmp_path):
         out = tmp_path / "scene2"
         result = runner.invoke(
@@ -268,6 +280,22 @@ class TestUnmix:
              "--out", str(tmp_path / "run")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "raw-f32"])
+    def test_directory_cube_exits_2(self, runner, tmp_path, fmt):
+        # a directory in place of the cube file; the raw format finds its sidecar
+        cube = tmp_path / "scene"
+        cube.mkdir()
+        (tmp_path / "scene.json").write_text(json.dumps({"bands": 12, "height": 6, "width": 6}))
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(cube), "--format", fmt, "--m", "3", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "cannot read cube file" in result.output
+        assert not out.exists()
 
     def test_divergence_exits_3(self, runner, tmp_path, monkeypatch):
         scene = _tiny_scene_dir(tmp_path)

@@ -223,6 +223,21 @@ class TestConsensusOperator:
         assert op.degree is op.degree
         assert np.array_equal(op.degree, (np.ones((1, cube.pixel_count)) @ op)[0])
 
+    @pytest.mark.parametrize("case", ["one_hot", "spread"])
+    def test_rmatmul_ignores_memory_order(self, case):
+        cube, kw = oracle_case("random24")
+        params = UnmixParams(neighbors=kw["neighbors"], alpha=self.CASES[case][0])
+        op = consensus_graph(cube, params).Wm
+        S = np.random.default_rng(18).random((4, cube.pixel_count))
+        assert np.array_equal(S @ op, np.asfortranarray(S) @ op)
+
+    def test_all_zero_coefficients_give_zeros(self):
+        W = sp.csr_array(_random_symmetric(np.random.default_rng(19), 6))
+        op = ConsensusOperator([W, W], np.zeros((2, 3)))
+        out = np.ones((4, 6)) @ op
+        assert out.shape == (4, 6) and not out.any()
+        assert op.degree.shape == (6,) and not op.degree.any()
+
     def test_rmatmul_validates_shape(self):
         op = ConsensusOperator([sp.csr_array(np.eye(3))], [[1.0]])
         assert np.array_equal(np.ones((2, 3)) @ op, np.ones((2, 3)))

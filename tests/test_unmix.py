@@ -142,6 +142,15 @@ class TestUpdateEndmembers:
         A_next = update_endmembers(A, X @ S.T, S @ S.T)
         assert np.allclose(A_next, A, rtol=1e-9)
 
+    def test_given_product_is_the_formed_one(self):
+        rng = np.random.default_rng(10)
+        A = rng.uniform(0.1, 1.0, size=(5, 3))
+        S = rng.uniform(0.1, 1.0, size=(3, 8))
+        RSt, SSt = rng.uniform(0.1, 1.0, size=(5, 8)) @ S.T, S @ S.T
+        assert np.array_equal(
+            update_endmembers(A, RSt, SSt, ASSt=A @ SSt), update_endmembers(A, RSt, SSt)
+        )
+
     def test_zero_entries_stay_zero(self):
         rng = np.random.default_rng(9)
         A = rng.uniform(0.1, 1.0, size=(5, 3))
@@ -441,16 +450,20 @@ class TestRunSolver:
             assert model.fusion.Wm.shape == (64, 64)
 
     @staticmethod
-    def _oracle_run(variant, t1):
+    def _oracle_solve(variant, params):
+        """run_solver on the 6 x 8 oracle scene from its VCA-FCLS init: (cube, A0, S0, model)."""
         lib = synthetic_library(band_count=24, entries=5, seed=0)
         cube = build_simu1_scene(lib, M=3, height=6, width=8, target_snr_db=10.0, seed=0).cube
-        params = UnmixParams(neighbors=4, beta=0.01, t1=t1, eps1=1e-12)
         A0 = init_vca(cube, 3, params.seed)
         S0 = np.maximum(init_fcls(cube, A0, params.delta), 1e-8)
         config = SolverConfig(
             params=params, variant=variant, init_endmembers=A0, init_abundances=S0
         )
-        model = run_solver(cube, 3, config)
+        return cube, A0, S0, run_solver(cube, 3, config)
+
+    def _oracle_run(self, variant, t1):
+        params = UnmixParams(neighbors=4, beta=0.01, t1=t1, eps1=1e-12)
+        cube, A0, S0, model = self._oracle_solve(variant, params)
         orders = fused_orders(variant, params.order)
         state = consensus_graph(cube, params, list(orders)) if orders else None
         A, S, E, trace = _loop_oracle(
@@ -482,6 +495,22 @@ class TestRunSolver:
             # no noise and no delta row: the products are the oracle's BLAS calls
             assert np.array_equal(model.endmembers, A)
             assert np.array_equal(model.abundances, S)
+
+    def test_all_zero_noise_runs_as_the_noise_free_variant(self):
+        # beta = 1e300 thresholds every row, so mognmf's s stays 0 and its
+        # model is case_ii's: the loop skips the s-terms for both alike
+        params = UnmixParams(neighbors=4, beta=1e300, t1=40, eps1=1e-12)
+        noisy = self._oracle_solve("mognmf", params)[-1]
+        free = self._oracle_solve("case_ii", params)[-1]
+        assert free.iterations == noisy.iterations > 1
+        assert not noisy.noise.any()
+        for got, want in (
+            (noisy.endmembers, free.endmembers),
+            (noisy.abundances, free.abundances),
+            (noisy.noise, free.noise),
+            (noisy.objective_trace, free.objective_trace),
+        ):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_oracle_deviation_does_not_grow(self, variant):
