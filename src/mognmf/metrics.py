@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import MetricError, ShapeError
 
@@ -73,22 +72,70 @@ def match_endmembers(A_true: np.ndarray, A_est: np.ndarray):
 
     Minimizes total SAD over all bijections (Hungarian algorithm).
     Returns (permutation, matched_sad) where permutation[i] is the
-    estimate column assigned to truth column i.
+    estimate column assigned to truth column i.  Raises MetricError
+    when either matrix holds a NaN or infinite entry.
     """
     A_true = np.asarray(A_true, dtype=np.float64)
     A_est = np.asarray(A_est, dtype=np.float64)
     if A_true.shape != A_est.shape:
         raise ShapeError("endmember matrices must share shape")
+    _require_finite(true_endmembers=A_true, estimated_endmembers=A_est)
     m = A_true.shape[1]
     cost = np.empty((m, m))
     for i in range(m):
         for j in range(m):
             cost[i, j] = sad(A_true[:, i], A_est[:, j])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(m, dtype=np.int64)
-    perm[rows] = cols
+    perm = _assign(cost)
     matched = cost[np.arange(m), perm]
     return perm, matched
+
+
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost perfect matching of a square cost matrix: perm[i] is row i's column.
+
+    The O(m^3) shortest augmenting path form of the Hungarian method
+    (Kuhn-Munkres with Jonker-Volgenant potentials): row i joins
+    through a Dijkstra search over reduced costs, and the potentials
+    u, v keep every reduced cost nonnegative.
+    """
+    m = cost.shape[0]
+    c = cost.tolist()
+    u = [0.0] * m
+    v = [0.0] * m
+    owner = [-1] * (m + 1)  # row matched to each column; column m is the search root
+    for i in range(m):
+        owner[m] = i
+        col = m
+        dist = [float("inf")] * m
+        prev = [m] * m
+        done = [False] * m
+        while True:
+            row = owner[col]
+            step, nxt = float("inf"), -1
+            for j in range(m):
+                if not done[j]:
+                    reduced = c[row][j] - u[row] - v[j]
+                    if reduced < dist[j]:
+                        dist[j], prev[j] = reduced, col
+                    if dist[j] < step:
+                        step, nxt = dist[j], j
+            for j in range(m):
+                if done[j]:
+                    u[owner[j]] += step
+                    v[j] -= step
+                else:
+                    dist[j] -= step
+            u[i] += step
+            done[nxt] = True
+            col = nxt
+            if owner[col] < 0:
+                break
+        while col != m:  # flip the matching along the augmenting path
+            owner[col] = owner[prev[col]]
+            col = prev[col]
+    perm = np.empty(m, dtype=np.int64)
+    perm[owner[:m]] = np.arange(m)
+    return perm
 
 
 def measure_snr(signal: np.ndarray, noise: np.ndarray) -> float:
@@ -113,7 +160,11 @@ def evaluate_model(
     A_est: np.ndarray,
     S_est: np.ndarray,
 ) -> EvalReport:
-    """Match endmembers, then report matched SAD and permuted RMSE."""
+    """Match endmembers, then report matched SAD and permuted RMSE.
+
+    Raises MetricError when any factor holds a NaN or infinite entry.
+    """
+    _require_finite(true_abundances=S_true, estimated_abundances=S_est)
     perm, matched = match_endmembers(A_true, A_est)
     return EvalReport(
         per_endmember_sad=matched,
@@ -121,3 +172,9 @@ def evaluate_model(
         rmse=rmse(S_true, np.asarray(S_est)[perm, :]),
         permutation=perm,
     )
+
+
+def _require_finite(**arrays) -> None:
+    for name, value in arrays.items():
+        if not np.all(np.isfinite(value)):
+            raise MetricError(f"{name.replace('_', ' ')} hold a non-finite value")

@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from .graph import build_multi_order_graphs
@@ -71,6 +70,7 @@ INITS = ("vca_fcls", "random")
 _DEN_GUARD = 1e-12  # added to every multiplicative denominator
 _S_FLOOR = 1e-10  # floor applied before S^(-1/2)
 _INIT_FLOOR = 1e-8  # lift exact zeros out of multiplicative lock at init
+_FCLS_PASSES_PER_ENDMEMBER = 3  # FCLS pass cap; a pixel with k positive abundances needs >= k + 1
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,13 @@ def init_fcls(cube: HsiCube, A0: np.ndarray, delta: float = 15.0) -> np.ndarray:
     """Per-pixel nonnegative least squares on the delta-augmented system.
 
     A constant delta row appended to X and to A0 pulls each abundance
-    column toward sum one; columns are solved independently and are
-    exactly nonnegative.
+    column toward sum one; each column is the exact NNLS solution of
+    its own pixel, so it is exactly nonnegative.  All N columns share
+    one matrix, so they are solved together by the Lawson-Hanson
+    active-set method in the grouped form of Van Benthem & Keenan
+    (J. Chemometrics 2004): from the Gram products Ab^T Ab and
+    Ab^T Xb, formed once, each pass solves the subproblems once per
+    distinct passive set rather than once per pixel.
     """
     if delta <= 0:
         raise ParamError("delta must be positive")
@@ -233,13 +238,75 @@ def init_fcls(cube: HsiCube, A0: np.ndarray, delta: float = 15.0) -> np.ndarray:
     M = A0.shape[1]
     if np.linalg.matrix_rank(A0) < M:
         raise InitError("initial endmember matrix is rank deficient")
-    N = cube.pixel_count
-    Xb = np.vstack([cube.data, np.full((1, N), delta)])
-    Ab = np.vstack([A0, np.full((1, M), delta)])
-    S0 = np.empty((M, N))
-    for j in range(N):
-        S0[:, j] = nnls(Ab, Xb[:, j])[0]
-    return S0
+    # the delta row of Ab and Xb adds delta^2 to every entry of both products
+    G = A0.T @ A0 + delta * delta
+    B = A0.T @ cube.data + delta * delta
+    return _nnls_columns(G, B, _FCLS_PASSES_PER_ENDMEMBER * M)
+
+
+def _nnls_columns(G, B, max_passes: int) -> np.ndarray:
+    """Lawson-Hanson NNLS for every column of B at once, from G = Ab^T Ab and B = Ab^T Xb.
+
+    Each pass adds, to every column not yet optimal, the index whose
+    gradient entry is largest and positive, then re-solves those
+    columns on their passive sets; a column whose solution leaves the
+    orthant steps back to the boundary and drops the indices that
+    reach zero, as in Lawson & Hanson's inner loop.  Raises InitError
+    when columns remain open after ``max_passes`` passes.
+    """
+    M, N = B.shape
+    # gradient entries below this count as zero (Van Benthem & Keenan's tolerance)
+    tol = 10.0 * np.finfo(np.float64).eps * np.abs(G).sum(axis=0).max() * M
+    X = np.zeros((M, N))
+    P = np.zeros((M, N), dtype=bool)
+    cols = np.arange(N)
+    for _ in range(max_passes):
+        grad = B[:, cols] - G @ X[:, cols]
+        grad[P[:, cols]] = -np.inf
+        add = np.argmax(grad, axis=0)
+        still = grad[add, np.arange(cols.size)] > tol
+        cols, add = cols[still], add[still]
+        if cols.size == 0:
+            return X
+        P[add, cols] = True
+        x, p = X[:, cols], P[:, cols]
+        z = _solve_passive(G, B[:, cols], p)
+        out = np.any(p & (z <= 0.0), axis=0)
+        while out.any():
+            xo, zo, po = x[:, out], z[:, out], p[:, out]
+            neg = po & (zo <= 0.0)
+            # step length to the first passive entry that reaches zero; an entry
+            # already at zero (the one just added) gives a zero step
+            ratio = np.where(neg, xo, np.inf)
+            np.divide(xo, xo - zo, out=ratio, where=neg & (xo > 0.0))
+            alpha = ratio.min(axis=0)
+            xo = xo + alpha * (zo - xo)
+            po &= ~(neg & (ratio == alpha)) & (xo > 0.0)
+            x[:, out] = np.where(po, xo, 0.0)
+            p[:, out] = po
+            z[:, out] = _solve_passive(G, B[:, cols[out]], po)
+            out = np.any(p & (z <= 0.0), axis=0)
+        X[:, cols] = z
+        P[:, cols] = p
+    raise InitError(f"FCLS init did not converge in {max_passes} active-set passes")
+
+
+def _solve_passive(G, B, P) -> np.ndarray:
+    """Z with G[p, p] Z[p, j] = B[p, j] on each column's passive set p = P[:, j], zero off it.
+
+    Columns are sorted by passive set, so each distinct set costs one
+    factorization however many columns share it.
+    """
+    M, n = P.shape
+    Z = np.zeros((M, n))
+    order = np.lexsort(P)
+    Ps = P[:, order]
+    starts = np.flatnonzero(np.r_[True, np.any(Ps[:, 1:] != Ps[:, :-1], axis=0)])
+    for lo, hi in zip(starts, np.r_[starts[1:], n]):
+        p, idx = Ps[:, lo], order[lo:hi]
+        if p.any():
+            Z[np.ix_(p, idx)] = np.linalg.solve(G[np.ix_(p, p)], B[np.ix_(p, idx)])
+    return Z
 
 
 def update_endmembers(A, RSt, SSt, *, ASSt=None) -> np.ndarray:

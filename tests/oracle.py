@@ -4,13 +4,16 @@ The pipeline never forms a graph power or the consensus graph W_m: the
 fusion runs in Gram space over row blocks of the powers, and W_m is a
 ``ConsensusOperator`` over the two order-1 graphs.  The functions here
 form those matrices whole, so tests can check the implicit forms
-against them on small scenes.
+against them on small scenes.  ``fcls_per_pixel`` is the FCLS init as
+one ``scipy.optimize.nnls`` call per pixel, the reference for the
+batched active-set solve in ``init_fcls``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import nnls
 
 from mognmf.errors import ParamError, ShapeError
 from mognmf.graph import graph_powers
@@ -86,3 +89,14 @@ def compute_residuals(Wm, graphs, normalize: bool = True) -> np.ndarray:
         diff = (Wm - g).data
         out.append(float(np.dot(diff, diff)))
     return np.array(out).reshape(len(graphs.views), len(graphs.orders))
+
+
+def fcls_per_pixel(cube, A0, delta: float = 15.0) -> np.ndarray:
+    """FCLS abundances: NNLS of each pixel on the delta-augmented system (Ab, Xb)."""
+    N, M = cube.pixel_count, A0.shape[1]
+    Xb = np.vstack([cube.data, np.full((1, N), delta)])
+    Ab = np.vstack([A0, np.full((1, M), delta)])
+    S0 = np.empty((M, N))
+    for j in range(N):
+        S0[:, j] = nnls(Ab, Xb[:, j])[0]
+    return S0

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,14 @@ from mognmf.graph import (
     spatial_weights,
     spectral_weights,
 )
-from mognmf.hsi_core import HsiCube, UnmixParams, load_cube, save_cube, write_matrix
+from mognmf.hsi_core import (
+    HsiCube,
+    UnmixParams,
+    load_cube,
+    read_matrix,
+    save_cube,
+    write_matrix,
+)
 from mognmf.unmix import SolverConfig, run_solver
 from oracle import consensus_tocsr, stack_powers
 
@@ -453,6 +463,22 @@ class TestEvaluate:
         assert "cannot read" in result.output
         assert not out.exists()
 
+    def test_non_finite_factor_exits_2(self, runner, tmp_path):
+        scene = _tiny_scene_dir(tmp_path)
+        run = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 3, run, variant="nmf", params=UnmixParams(t1=3))
+        A = read_matrix(run / "A.csv")
+        A[4, 1] = np.nan
+        write_matrix(run / "A.csv", A)
+        out = tmp_path / "eval"
+        result = runner.invoke(
+            main, ["evaluate", "--result", str(run), "--truth", str(scene), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "non-finite" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "side, content",
         [("result", "{broken"), ("result", "[]"), ("truth", "{broken"), ("truth", "[]"),
@@ -774,6 +800,34 @@ def test_manifest_outputs_are_the_files_written(runner, tmp_path):
             name for name in _files_under(out) if name != "manifest.json"
         ], args[0]
         assert manifest["wall_ms"] >= 0
+
+
+_FOOTPRINT_SCRIPT = """
+import sys
+from pathlib import Path
+
+import mognmf.cli as cli
+from mognmf.hsi_core import UnmixParams
+
+scene, root = Path(sys.argv[1]), Path(sys.argv[2])
+cli.cmd_unmix(scene / "cube.raw", 3, root / "run", params=UnmixParams(t1=5, neighbors=4))
+cli.cmd_evaluate(root / "run", scene, root / "eval")
+sys.exit("scipy.optimize was imported" if "scipy.optimize" in sys.modules else 0)
+"""
+
+
+def test_unmix_and_evaluate_never_import_scipy_optimize(tmp_path):
+    # a fresh interpreter: this one has loaded scipy.optimize for the oracles
+    scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(scene), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "eval" / "report.json").is_file()
 
 
 class TestOptions:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mognmf.errors import MetricError, ShapeError
 from mognmf.metrics import evaluate_model, match_endmembers, measure_snr, rmse, sad
@@ -113,6 +114,40 @@ class TestMatchEndmembers:
             assert total <= cost + 1e-12
 
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_linear_sum_assignment(self, m):
+        # continuous random spectra give a unique optimum with probability one
+        rng = np.random.default_rng(100 + m)
+        for _ in range(50):
+            A, B = rng.random((5, m)), rng.random((5, m))
+            cost = np.array([[sad(A[:, i], B[:, j]) for j in range(m)] for i in range(m)])
+            rows, cols = linear_sum_assignment(cost)
+            perm, matched = match_endmembers(A, B)
+            assert abs(matched.sum() - cost[rows, cols].sum()) <= 1e-12
+            assert np.array_equal(perm, cols)
+
+    def test_tied_costs_take_any_optimal_permutation(self):
+        # truth columns 0/1 and 2/3 coincide: four permutations reach the same total
+        rng = np.random.default_rng(13)
+        A = rng.random((6, 4))
+        A[:, 1], A[:, 3] = A[:, 0], A[:, 2]
+        B = A[:, [2, 0, 3, 1]] * 1.5
+        cost = np.array([[sad(A[:, i], B[:, j]) for j in range(4)] for i in range(4)])
+        rows, cols = linear_sum_assignment(cost)
+        perm, matched = match_endmembers(A, B)
+        assert sorted(perm.tolist()) == [0, 1, 2, 3]
+        assert matched.sum() == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["truth", "estimate"])
+    def test_non_finite_entry_rejected(self, side, value):
+        rng = np.random.default_rng(14)
+        A, B = rng.random((6, 3)), rng.random((6, 3))
+        (A if side == "truth" else B)[2, 1] = value
+        with pytest.raises(MetricError, match="non-finite"):
+            match_endmembers(A, B)
+
+
 class TestMeasureSnr:
     def test_equal_signal_noise(self):
         x = np.random.default_rng(7).random((4, 6)) + 0.1
@@ -166,3 +201,14 @@ class TestEvaluateModel:
             "permutation",
         }
         assert report.to_json().startswith("{")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("factor", ["A_true", "S_true", "A_est", "S_est"])
+    def test_non_finite_factor_rejected(self, factor, value):
+        rng = np.random.default_rng(15)
+        A = rng.uniform(0.1, 1.0, size=(6, 3))
+        S = rng.dirichlet(np.ones(3), size=5).T
+        factors = {"A_true": A, "S_true": S, "A_est": A.copy(), "S_est": S.copy()}
+        factors[factor][1, 2] = value
+        with pytest.raises(MetricError, match="non-finite"):
+            evaluate_model(**factors)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mognmf.unmix as unmix
 from mognmf.errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from mognmf.fusion import update_weights
 from mognmf.graph import build_multi_order_graphs
@@ -20,7 +21,14 @@ from mognmf.unmix import (
     update_endmembers,
     update_noise,
 )
-from oracle import compute_residuals, consensus_tocsr, update_consensus
+from oracle import (
+    ORACLE_CASES,
+    compute_residuals,
+    consensus_tocsr,
+    fcls_per_pixel,
+    oracle_case,
+    update_consensus,
+)
 
 
 def _cube(data, height=1, width=None):
@@ -89,7 +97,72 @@ class TestInitVca:
             init_vca(_cube(rank_two, height=2, width=4), 4, seed=0)
 
 
+def _fcls_deviation(cube, A0):
+    """max |init_fcls - per-pixel scipy NNLS|, relative to the oracle's largest entry."""
+    got, want = init_fcls(cube, A0), fcls_per_pixel(cube, A0)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 class TestInitFcls:
+    @pytest.mark.parametrize("M", [1, 3, 6, 10, 70])
+    def test_random_systems_match_per_pixel_nnls(self, M):
+        # M = 70 passes the 62 indices a passive set packed into one int64 could key
+        rng = np.random.default_rng(M)
+        L = max(30, M + 10)
+        for _ in range(3):
+            A0 = rng.uniform(0.0, 1.0, size=(L, M))
+            cube = _cube(rng.uniform(0.0, 1.0, size=(L, 60)), height=6, width=10)
+            assert _fcls_deviation(cube, A0) <= 1e-10
+
+    def test_simplex_face_pixels_recovered_with_their_zeros(self):
+        rng = np.random.default_rng(17)
+        A0 = rng.uniform(0.1, 1.0, size=(20, 5))
+        S = rng.dirichlet(np.ones(5), size=40).T
+        S[rng.random(S.shape) < 0.4] = 0.0
+        S[0, S.sum(axis=0) == 0] = 1.0
+        S /= S.sum(axis=0)
+        cube = _cube(A0 @ S, height=4, width=10)
+        S0 = init_fcls(cube, A0)
+        assert _fcls_deviation(cube, A0) <= 1e-10
+        assert np.max(np.abs(S0 - S)) <= 1e-10
+
+    def test_zero_and_duplicated_pixels(self):
+        rng = np.random.default_rng(18)
+        A0 = rng.uniform(0.1, 1.0, size=(15, 4))
+        data = rng.uniform(0.0, 1.0, size=(15, 12))
+        data[:, 0] = 0.0
+        data[:, 6:] = data[:, :6]
+        cube = _cube(data, height=3, width=4)
+        S0 = init_fcls(cube, A0)
+        assert _fcls_deviation(cube, A0) <= 1e-10
+        assert np.array_equal(S0[:, 6:], S0[:, :6])
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_oracle_cases_match_per_pixel_nnls(self, name):
+        cube, _ = oracle_case(name)
+        M = min(3, int(np.linalg.matrix_rank(cube.data)))
+        assert _fcls_deviation(cube, init_vca(cube, M, seed=0)) <= 1e-10
+
+    @pytest.mark.parametrize("size, M, smoothness, scenes", [(64, 6, 6.0, 3), (32, 4, 4.0, 12)])
+    def test_benchmark_scenes_match_per_pixel_nnls(self, size, M, smoothness, scenes):
+        # the seed-0 scenes of the unmix64 and converge32 benchmark workloads
+        lib = synthetic_library(band_count=100, entries=8, seed=1)
+        for seed in range(scenes):
+            scene = build_simu1_scene(lib, M=M, height=size, width=size,
+                                      smoothness=smoothness, target_snr_db=20.0, seed=seed)
+            A0 = init_vca(scene.cube, M, seed=seed)
+            assert _fcls_deviation(scene.cube, A0) <= 1e-10
+
+    def test_pass_cap_raises_init_error(self, monkeypatch):
+        # an interior pixel needs M passes to fill its passive set and one more to stop
+        rng = np.random.default_rng(19)
+        A0 = rng.uniform(0.1, 1.0, size=(12, 3))
+        cube = _cube(A0 @ np.full((3, 4), 1.0 / 3.0), height=2, width=2)
+        init_fcls(cube, A0)
+        monkeypatch.setattr(unmix, "_FCLS_PASSES_PER_ENDMEMBER", 1)
+        with pytest.raises(InitError, match="did not converge"):
+            init_fcls(cube, A0)
+
     def test_exact_simplex_recovery(self):
         rng = np.random.default_rng(5)
         A0 = rng.uniform(0.1, 1.0, size=(20, 3))
@@ -101,11 +174,10 @@ class TestInitFcls:
     def test_pure_pixel_gives_unit_vector(self):
         rng = np.random.default_rng(6)
         A0 = rng.uniform(0.1, 1.0, size=(12, 4))
-        cube = _cube(A0[:, [2]], height=1, width=1)
+        cube = _cube(np.repeat(A0, 2, axis=1), height=2, width=4)
         S0 = init_fcls(cube, A0, delta=15.0)
-        expected = np.zeros((4, 1))
-        expected[2] = 1.0
-        assert np.max(np.abs(S0 - expected)) < 1e-6
+        assert np.max(np.abs(S0 - np.repeat(np.eye(4), 2, axis=1))) < 1e-10
+        assert _fcls_deviation(cube, A0) <= 1e-10
 
     def test_nonnegativity_exact(self):
         rng = np.random.default_rng(7)
