@@ -11,10 +11,11 @@ and final objective.  Numeric artifacts (CSV, PGM, raw cubes) are
 bit-identical across runs with the same config and seed; manifests
 additionally carry wall-clock timings.
 
-Exit codes: 0 success, 2 usage/validation error (a wrong-typed config
-value included), 3 numerical failure.  The MOGNMF_THREADS environment
-variable caps the worker processes of ablate and sweep (default:
-available cores); each worker runs one BLAS thread.
+Exit codes, set by ``main`` alone: 0 success, 2 usage/validation or I/O
+error (a wrong-typed config value, an --out beneath a regular file),
+3 numerical failure.  The MOGNMF_THREADS environment variable caps the
+worker processes of ablate and sweep (default: available cores); each
+worker runs one BLAS thread.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from . import simgen
 from .errors import DivergenceError, ParamError, ShapeError, UnmixingError
 from .fusion import FusionState
 from .graph import neighbor_count
-from .hsi_core import UnmixParams, load_cube, read_json_object, read_matrix
+from .hsi_core import CUBE_FORMATS, UnmixParams, load_cube, read_json_object, read_matrix
 # _Outputs.matrix calls write_matrix as _save_matrix, the name perfbench/worker.py traces
 from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matrix
 from .metrics import evaluate_model
-from .unmix import SolverConfig, VARIANTS, consensus_graph, fused_orders, graph_orders, run_solver
+from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, fused_orders, graph_orders
+from .unmix import run_solver
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -93,18 +95,35 @@ class _Outputs:
     def matrix(self, name: str, matrix: np.ndarray) -> None:
         _save_matrix(self.path(name), matrix)
 
-    def consensus(self, state: FusionState) -> None:
-        """W_m as the solver applies it: each view's order-1 graph and the coefficients.
+    def consensus(self, state: FusionState | None, dump_wm: bool) -> dict:
+        """Writes H.csv and, under ``dump_wm``, W_m; returns the manifest's fusion fields.
 
-        ``W_<kind>.csv`` holds one i,j,w row per stored entry of that
-        view's order-1 graph and ``coef.csv`` is V x max order, so
-        W_m = sum_v sum_k coef[v, k-1] W_v^k in O(C N) rows.
+        W_m = sum_v sum_k coef[v, k-1] W_v^k is dumped as ``coef.csv`` and each
+        view's order-1 graph, one i,j,w row per stored entry, as ``W_<kind>.csv``.
+        The fields, None without a graph term, are each view's sigma and
+        ``wm_stats``, read from D_m and the fusion Gram matrix: W_m is never formed.
         """
-        # sigmas is keyed by view kind, in the order of Wm.graphs
-        for kind, W in zip(state.sigmas, state.Wm.graphs):
-            coo = W.tocoo()
-            self.matrix(f"W_{kind}.csv", np.column_stack([coo.row, coo.col, coo.data]))
-        self.matrix("coef.csv", state.Wm.coef)
+        if state is None:
+            return dict.fromkeys(("sigma_s_used", "sigma_l_used", "wm_stats"))
+        self.matrix("H.csv", state.H)
+        if dump_wm:
+            for view in state.graphs.views:
+                coo = view.W.tocoo()
+                self.matrix(f"W_{view.kind}.csv", np.column_stack([coo.row, coo.col, coo.data]))
+            self.matrix("coef.csv", state.Wm.coef)
+        sigma = {view.kind: view.sigma for view in state.graphs.views}
+        degree = state.Wm.degree
+        return {
+            "sigma_s_used": sigma["spatial"],
+            "sigma_l_used": sigma["spectral"],
+            "wm_stats": {
+                "mean": float(degree.sum()) / degree.size**2,
+                "frobenius": state.wm_norm,
+                "degree_min": float(degree.min()),
+                "degree_max": float(degree.max()),
+                "fusion_iterations": int(state.iterations),
+            },
+        }
 
     def table(self, name: str, columns, rows) -> None:
         """A CSV with a header; columns a row holds beyond ``columns`` are dropped."""
@@ -137,29 +156,10 @@ def _thread_cap() -> int:
     return value
 
 
-def _build_params(base, **overrides) -> UnmixParams:
-    params = UnmixParams.from_dict(base)
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    if changes:
-        params = params.replace(**changes)
-    return params
-
-
 def _resolve_library(library_path, bands: int, seed: int):
     if library_path is not None:
         return simgen.load_library(library_path), str(library_path)
     return simgen.synthetic_library(band_count=bands, seed=seed), f"synthetic(bands={bands})"
-
-
-def _guarded(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except DivergenceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_NUMERICAL)
-    except UnmixingError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +236,7 @@ def cmd_unmix(
     out.matrix("objective.csv", model.objective_trace.reshape(-1, 1))
     maps = save_abundance_maps(model.abundances, cube.height, cube.width, out.dir / "maps")
     out.names += [f"maps/{p.name}" for p in maps]
-
-    wm_stats = None
-    sigmas = {}
-    fusion = model.fusion
-    if fusion is not None:
-        out.matrix("H.csv", fusion.H)
-        # read from D_m and the fusion Gram matrix: W_m itself is never formed
-        degree = fusion.Wm.degree
-        wm_stats = {
-            "mean": float(degree.sum()) / cube.pixel_count**2,
-            "frobenius": fusion.wm_norm,
-            "degree_min": float(degree.min()),
-            "degree_max": float(degree.max()),
-            "fusion_iterations": int(fusion.iterations),
-        }
-        sigmas = fusion.sigmas
-        if dump_wm:
-            out.consensus(fusion)
-
+    fusion = out.consensus(model.fusion, dump_wm)
     return out.manifest(
         inputs=[cube_path],
         variant=variant,
@@ -266,9 +248,7 @@ def cmd_unmix(
         stop_reason="tolerance" if model.converged else "max_iterations",
         final_objective=float(model.objective_trace[-1]),
         gamma_used=model.gamma,
-        sigma_s_used=sigmas.get("spatial"),
-        sigma_l_used=sigmas.get("spectral"),
-        wm_stats=wm_stats,
+        **fusion,
     )
 
 
@@ -327,18 +307,15 @@ def cmd_fuse(
     out = _Outputs(out_dir, "fuse")
     cube = load_cube(cube_path, format=cube_format)
     state = consensus_graph(cube, params)
-    out.matrix("H.csv", state.H)
     out.matrix("fusion_objective.csv", state.objective_trace.reshape(-1, 1))
-    if dump_wm:
-        out.consensus(state)
+    fusion = out.consensus(state, dump_wm)
     return out.manifest(
         inputs=[cube_path],
         config=params.to_dict(),
         fusion_iterations=int(state.iterations),
         fusion_converged=bool(state.converged),
         final_objective=float(state.objective_trace[-1]),
-        sigma_s_used=state.sigmas["spatial"],
-        sigma_l_used=state.sigmas["spectral"],
+        **fusion,
     )
 
 
@@ -568,10 +545,11 @@ def _param_options(fn):
 
     @functools.wraps(fn)
     def command(config_path, **kw):
-        overrides = {name: kw.pop(name) for name in UnmixParams.__dataclass_fields__}
-        base = {} if config_path is None else _guarded(read_json_object, config_path)
-        params = _guarded(_build_params, base, **overrides)
-        if "seeds" in kw and (overrides["seed"] is not None or "seed" in base):
+        flags = {name: kw.pop(name) for name in UnmixParams.__dataclass_fields__}
+        overrides = {name: value for name, value in flags.items() if value is not None}
+        base = {} if config_path is None else read_json_object(config_path)
+        params = UnmixParams.from_dict(base).replace(**overrides)
+        if "seeds" in kw and ("seed" in overrides or "seed" in base):
             # ablate and sweep give every run its seed from --seeds
             raise click.BadOptionUsage(
                 "seed", "--seed and a config-file seed are not used here; pass --seeds"
@@ -624,9 +602,26 @@ _DUMP_WM = click.option(
     "--dump-wm", is_flag=True, default=False,
     help="Write W_m as its order-1 graphs (i,j,w rows) and coef.csv.",
 )
+_FORMAT = click.option("--format", "cube_format", type=click.Choice(list(CUBE_FORMATS)),
+                       default="raw-f32")
+_INIT = click.option("--init", type=click.Choice(list(INITS)), default="vca_fcls")
 
 
-@click.group()
+class _Boundary(click.Group):
+    """The command group: a package error or an OSError becomes one line and an exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:  # click's own handling: a closed stdout exits quietly
+            raise
+        except (UnmixingError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = EXIT_NUMERICAL if isinstance(exc, DivergenceError) else EXIT_VALIDATION
+            raise SystemExit(code)
+
+
+@click.group(cls=_Boundary)
 def main():
     """Adaptive multi-order graph regularized NMF unmixing pipeline."""
 
@@ -639,7 +634,7 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def simulate(snr_db, noiseless, **kw):
     """Generate a synthetic scene with ground truth."""
-    manifest = _guarded(cmd_simulate, snr_db=None if noiseless else snr_db, **kw)
+    manifest = cmd_simulate(snr_db=None if noiseless else snr_db, **kw)
     click.echo(
         f"scene written to {kw['out_dir']} (clamp fraction {manifest['clamp_fraction']:.2e})"
     )
@@ -647,17 +642,16 @@ def simulate(snr_db, noiseless, **kw):
 
 @main.command()
 @click.option("--cube", "cube_path", type=click.Path(), required=True)
-@click.option("--format", "cube_format", type=click.Choice(["raw-f32", "csv"]),
-              default="raw-f32")
+@_FORMAT
 @click.option("--m", type=int, required=True)
 @click.option("--variant", type=click.Choice(list(VARIANTS)), default="mognmf")
-@click.option("--init", type=click.Choice(["vca_fcls", "random"]), default="vca_fcls")
+@_INIT
 @_DUMP_WM
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
 def unmix(**kw):
     """Unmix a cube; writes A/S/E/objective CSVs, PGM maps, and a manifest."""
-    manifest = _guarded(cmd_unmix, **kw)
+    manifest = cmd_unmix(**kw)
     click.echo(
         f"{kw['variant']} finished after {manifest['iterations']} iterations, "
         f"objective {manifest['final_objective']:.6e}"
@@ -670,20 +664,19 @@ def unmix(**kw):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def evaluate(**kw):
     """Score an unmixing run against ground truth."""
-    manifest, _ = _guarded(cmd_evaluate, **kw)
+    manifest, _ = cmd_evaluate(**kw)
     click.echo(f"mean SAD {manifest['mean_sad']:.6f}, RMSE {manifest['rmse']:.6f}")
 
 
 @main.command()
 @click.option("--cube", "cube_path", type=click.Path(), required=True)
-@click.option("--format", "cube_format", type=click.Choice(["raw-f32", "csv"]),
-              default="raw-f32")
+@_FORMAT
 @_DUMP_WM
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
 def fuse(**kw):
     """Learn the consensus graph for a cube and emit H (optionally W_m)."""
-    manifest = _guarded(cmd_fuse, **kw)
+    manifest = cmd_fuse(**kw)
     click.echo(
         f"fusion converged={manifest['fusion_converged']} "
         f"after {manifest['fusion_iterations']} sweeps"
@@ -696,12 +689,12 @@ def fuse(**kw):
 @click.option("--m", type=int, required=True)
 @click.option("--seeds", type=str, default="0..4", callback=_int_list,
               help="e.g. 0..9 or 0,3,7")
-@click.option("--init", type=click.Choice(["vca_fcls", "random"]), default="vca_fcls")
+@_INIT
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
 def ablate(**kw):
     """Run regularization cases I-V plus the K=1..3 order study."""
-    _guarded(cmd_ablate, **kw)
+    cmd_ablate(**kw)
     click.echo(f"ablation table written to {kw['out_dir']}")
 
 
@@ -714,12 +707,12 @@ def ablate(**kw):
               help='comma list of lambda values, or "grid" for the 1e-3..1e3 set')
 @click.option("--betas", type=str, default=None, callback=_reg_grid,
               help='comma list of beta values, or "grid" for the 1e-3..1e3 set')
-@click.option("--init", type=click.Choice(["vca_fcls", "random"]), default="vca_fcls")
+@_INIT
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options
 def sweep(**kw):
     """Simulate scenes over an SNR/seed grid and unmix with each variant."""
-    _guarded(cmd_sweep, **kw)
+    cmd_sweep(**kw)
     click.echo(f"sweep table written to {kw['out_dir']}")
 
 

@@ -39,7 +39,7 @@ then cleared at the same positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,18 +60,20 @@ _GRAM_BUFFER = 1 << 19  # doubles (4 MB) of fuse_graphs' dense scatter buffer
 
 @dataclass(frozen=True)
 class FusionState:
-    """Consensus graph W_m (with its degree vector) and the weights H.
+    """Consensus graph W_m (with its degree vector), the weights H and the graphs fused.
 
     H is the weight step computed against W_m, half a sweep after it.
+    ``graphs`` holds each view's order-1 graph (its kind and heat-kernel
+    width sigma) and the fused orders: the rows and columns of H.
     """
 
     H: np.ndarray  # V x K, >= 0, entries sum to 1
     Wm: ConsensusOperator  # N x N consensus graph
+    graphs: MultiOrderGraphSet
     objective_trace: np.ndarray
     iterations: int = 0
     converged: bool = False
     wm_norm: float = 0.0  # ||W_m||_F, read from the Gram matrix
-    sigmas: dict = field(default_factory=dict)  # heat-kernel width of each view's graph, by kind
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -200,9 +202,9 @@ def fuse_graphs(graphs: MultiOrderGraphSet, params: UnmixParams = UnmixParams())
     return FusionState(
         H=h.reshape(V, K),
         Wm=ConsensusOperator([g.W for g in graphs.views], coef),
+        graphs=graphs,
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
         wm_norm=float(np.sqrt(wm_sq)),
-        sigmas={g.kind: g.sigma for g in graphs.views},
     )

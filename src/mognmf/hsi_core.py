@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError, IoError, ParamError, ParseError, ShapeError
 
 __all__ = [
+    "CUBE_FORMATS",
     "HsiCube",
     "UnmixModel",
     "UnmixParams",
@@ -252,7 +253,7 @@ def _sidecar_path(path: Path) -> Path:
 def load_cube(path, format: str = "raw-f32") -> HsiCube:
     """Load a cube from disk.
 
-    Formats:
+    Formats (the keys of ``CUBE_FORMATS``):
       * ``raw-f32``: little-endian float32 binary, band-major, with a
         JSON sidecar ``<path>.json`` holding {"bands", "height", "width"}.
       * ``csv``: first line ``L,H,W``; then the L x N matrix as
@@ -264,13 +265,18 @@ def load_cube(path, format: str = "raw-f32") -> HsiCube:
     path = Path(path)
     if not path.exists():
         raise IoError(f"cube file not found: {path}")
-    loaders = {"raw-f32": _load_raw, "csv": _load_csv}
-    if format not in loaders:
-        raise ParamError(f"unknown cube format: {format!r}")
+    load, _ = _codec(format)
     try:
-        return loaders[format](path)
+        return load(path)
     except OSError as exc:
         raise IoError(f"cannot read cube file {path}: {exc}") from exc
+
+
+def _codec(format: str):
+    """The (load, save) pair of cube format ``format``."""
+    if format not in CUBE_FORMATS:
+        raise ParamError(f"unknown cube format: {format!r}")
+    return CUBE_FORMATS[format]
 
 
 def _load_raw(path: Path) -> HsiCube:
@@ -306,24 +312,28 @@ def _load_csv(path: Path) -> HsiCube:
     return HsiCube(data=data, height=height, width=width)
 
 
+def _save_raw(cube: HsiCube, path: Path) -> None:
+    header = {"bands": cube.band_count, "height": cube.height, "width": cube.width}
+    _sidecar_path(path).write_text(json.dumps(header, sort_keys=True))
+    cube.data.astype("<f4").tofile(path)
+
+
+def _save_csv(cube: HsiCube, path: Path) -> None:
+    with open(path, "w") as fh:
+        fh.write(f"{cube.band_count},{cube.height},{cube.width}\n")
+        write_matrix(fh, cube.data)
+
+
+# every cube format, by name: its loader and its writer
+CUBE_FORMATS = {"raw-f32": (_load_raw, _save_raw), "csv": (_load_csv, _save_csv)}
+
+
 def save_cube(cube: HsiCube, path, format: str = "raw-f32") -> None:
     """Write a cube to disk in the given format (see load_cube)."""
     path = Path(path)
+    _, save = _codec(format)
     try:
-        if format == "raw-f32":
-            header = {
-                "bands": cube.band_count,
-                "height": cube.height,
-                "width": cube.width,
-            }
-            _sidecar_path(path).write_text(json.dumps(header, sort_keys=True))
-            cube.data.astype("<f4").tofile(path)
-        elif format == "csv":
-            with open(path, "w") as fh:
-                fh.write(f"{cube.band_count},{cube.height},{cube.width}\n")
-                write_matrix(fh, cube.data)
-        else:
-            raise ParamError(f"unknown cube format: {format!r}")
+        save(cube, path)
     except OSError as exc:
         raise IoError(f"failed to write {path}: {exc}") from exc
 

@@ -44,12 +44,14 @@ def sad(a: np.ndarray, a_hat: np.ndarray) -> float:
 
     Evaluated through the chord length between the normalized spectra
     (2 asin(|a/|a| - b/|b||/2)), which is exact at zero angle where the
-    arccos form loses half its digits.
+    arccos form loses half its digits.  Raises MetricError for a zero
+    spectrum or one holding a NaN or infinite entry.
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     a_hat = np.asarray(a_hat, dtype=np.float64).ravel()
     if a.shape != a_hat.shape:
         raise ShapeError("spectra must have equal length")
+    _require_finite(spectra=(a, a_hat))
     na, nb = np.linalg.norm(a), np.linalg.norm(a_hat)
     if na == 0 or nb == 0:
         raise MetricError("SAD is undefined for a zero spectrum")
@@ -58,11 +60,15 @@ def sad(a: np.ndarray, a_hat: np.ndarray) -> float:
 
 
 def rmse(S: np.ndarray, S_hat: np.ndarray) -> float:
-    """Root mean square abundance error sqrt(mean_j ||s_j - s_hat_j||^2)."""
+    """Root mean square abundance error sqrt(mean_j ||s_j - s_hat_j||^2).
+
+    Raises MetricError when either matrix holds a NaN or infinite entry.
+    """
     S = np.asarray(S, dtype=np.float64)
     S_hat = np.asarray(S_hat, dtype=np.float64)
     if S.shape != S_hat.shape:
         raise ShapeError(f"abundance shapes differ: {S.shape} vs {S_hat.shape}")
+    _require_finite(abundances=(S, S_hat))
     n = S.shape[1]
     return float(np.sqrt(np.sum((S - S_hat) ** 2) / n))
 

@@ -99,6 +99,9 @@ class SolverConfig:
 
     ``init_endmembers``/``init_abundances`` give an explicit warm start
     (used by tests); when set they take precedence over ``init``.
+    ``init_abundances`` needs ``init_endmembers`` (alone it would be
+    dropped for the FCLS abundances); ``run_solver`` checks that the
+    endmembers are L x M and the abundances M x N.
     """
 
     params: UnmixParams
@@ -112,6 +115,8 @@ class SolverConfig:
             raise ParamError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.init not in INITS:
             raise ParamError(f"init must be one of {INITS}, got {self.init!r}")
+        if self.init_abundances is not None and self.init_endmembers is None:
+            raise ParamError("init_abundances needs init_endmembers")
 
 
 def estimate_gamma(cube: HsiCube, as_written: bool = False) -> float:
@@ -199,21 +204,24 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
     simplex = np.zeros((dim, M))
     simplex[-1, 0] = 1.0
     indices = np.empty(M, dtype=np.int64)
-    chosen = set()
     for i in range(M):
         w = rng.random(dim)
         f = w - simplex @ (np.linalg.pinv(simplex) @ w)
         norm_f = np.linalg.norm(f)
         if norm_f > 0:
             f /= norm_f
-        scores = np.abs(f @ y)
-        for j in np.argsort(scores, kind="stable")[::-1]:
-            if int(j) not in chosen:
-                indices[i] = int(j)
-                chosen.add(int(j))
-                break
+        indices[i] = _best_unchosen(np.abs(f @ y), indices[:i])
         simplex[:, i] = y[:, indices[i]]
     return X[:, indices].copy()
+
+
+def _best_unchosen(scores: np.ndarray, chosen: np.ndarray) -> int:
+    """Index of the largest score outside ``chosen``; the highest such index among ties.
+
+    ``scores`` is overwritten at ``chosen``.
+    """
+    scores[chosen] = -np.inf
+    return scores.size - 1 - int(np.argmax(scores[::-1]))
 
 
 def init_fcls(cube: HsiCube, A0: np.ndarray, delta: float = 15.0) -> np.ndarray:
@@ -387,18 +395,21 @@ def consensus_graph(
 
 def _initialize(cube: HsiCube, M: int, config: SolverConfig):
     p = config.params
+    L, N = cube.data.shape
     if config.init_endmembers is not None:
         A = np.asarray(config.init_endmembers, dtype=np.float64).copy()
-        if config.init_abundances is not None:
-            S = np.asarray(config.init_abundances, dtype=np.float64).copy()
-        else:
-            S = init_fcls(cube, A, p.delta)
+        if A.shape != (L, M):
+            raise ShapeError(f"init_endmembers must be L x M = {L} x {M}, got {A.shape}")
+        if config.init_abundances is None:
+            return A, init_fcls(cube, A, p.delta)
+        S = np.asarray(config.init_abundances, dtype=np.float64).copy()
+        if S.shape != (M, N):
+            raise ShapeError(f"init_abundances must be M x N = {M} x {N}, got {S.shape}")
         return A, S
     if config.init == "vca_fcls":
         A = init_vca(cube, M, p.seed)
         S = np.maximum(init_fcls(cube, A, p.delta), _INIT_FLOOR)
         return A, S
-    L, N = cube.data.shape
     rng_a = substream(p.seed, "init", "endmembers")
     rng_s = substream(p.seed, "init", "abundances")
     A = np.abs(rng_a.standard_normal((L, M))) * float(cube.data.max())
@@ -460,7 +471,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     XSt, SSt = X @ S.T, S @ S.T
     ASSt = A @ SSt
 
-    trace = np.empty(p.t1)
+    trace = []
     prev = None
     converged = False
     it = 0
@@ -497,7 +508,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
             raise DivergenceError(
                 f"objective became non-finite at iteration {it}", iteration=it
             )
-        trace[it - 1] = objective
+        trace.append(objective)
         if prev is not None:
             tol = p.eps1 if p.absolute_eps1 else p.eps1 * (1.0 + prev)
             if abs(objective - prev) < tol:
@@ -515,7 +526,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
         endmembers=A,
         abundances=S,
         noise=E,
-        objective_trace=trace[:it].copy(),
+        objective_trace=np.asarray(trace),
         fusion=fusion_state,
         gamma=gamma if traits.sparsity else None,
         iterations=it,

@@ -6,7 +6,9 @@ fusion runs in Gram space over row blocks of the powers, and W_m is a
 form those matrices whole, so tests can check the implicit forms
 against them on small scenes.  ``fcls_per_pixel`` is the FCLS init as
 one ``scipy.optimize.nnls`` call per pixel, the reference for the
-batched active-set solve in ``init_fcls``.
+batched active-set solve in ``init_fcls``; ``best_unchosen_loop`` is
+``init_vca``'s vertex pick as a walk down the sorted scores, the
+reference for its masked argmax.
 """
 
 from __future__ import annotations
@@ -100,3 +102,12 @@ def fcls_per_pixel(cube, A0, delta: float = 15.0) -> np.ndarray:
     for j in range(N):
         S0[:, j] = nnls(Ab, Xb[:, j])[0]
     return S0
+
+
+def best_unchosen_loop(scores, chosen) -> int:
+    """The best score's index outside ``chosen`` by a descending walk: highest index on ties."""
+    chosen = {int(j) for j in chosen}
+    for j in np.argsort(scores, kind="stable")[::-1]:
+        if int(j) not in chosen:
+            return int(j)
+    raise ShapeError("every index is chosen")

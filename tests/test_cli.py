@@ -359,6 +359,21 @@ class TestUnmix:
         assert manifest["config"]["t1"] == 7  # flag wins
         assert manifest["config"]["lambda"] == 0.2  # file value kept
 
+    @pytest.mark.parametrize("t1", ["10000000000000", "100000000000000000000"])
+    def test_huge_iteration_cap_runs_to_tolerance(self, runner, tmp_path, t1):
+        # the cap only bounds the loop: nothing is allocated by it
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--t1", t1,
+             "--c", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "tolerance"
+        assert manifest["config"]["t1"] == int(t1)
+
     def test_determinism_bit_identical_outputs(self, tmp_path):
         scene = _tiny_scene_dir(tmp_path)
         params = UnmixParams(seed=4, t1=15, neighbors=4)
@@ -555,6 +570,16 @@ class TestFuse:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sigma_s_used"] == spatial_weights(cube, UnmixParams(neighbors=4)).sigma
         assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4)).sigma
+
+    def test_manifest_fusion_fields_match_unmix(self, tmp_path):
+        # fuse and unmix write H, the dump and the fusion's manifest fields alike
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        params = UnmixParams(neighbors=4, t1=1)
+        fused = cmd_fuse(scene / "cube.raw", tmp_path / "fusion", params=params)
+        unmixed = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", params=params)
+        names = ("sigma_s_used", "sigma_l_used", "wm_stats")
+        assert {k: fused[k] for k in names} == {k: unmixed[k] for k in names}
+        assert fused["wm_stats"]["fusion_iterations"] == fused["fusion_iterations"]
 
     def test_bad_input_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "fusion"
@@ -774,6 +799,63 @@ class TestSweep:
              "--out", str(out)],
         )
         assert result.exit_code == 2
+
+
+class TestOutBeneathFile:
+    """An --out that cannot be created exits 2 with one error line, from any command."""
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "unmix", "evaluate", "fuse", "ablate", "sweep", "sweep_runs"]
+    )
+    def test_exits_2_with_one_error_line(self, runner, tmp_path, monkeypatch, command):
+        # two workers: ablate's runs, and sweep's when its runs/ is a file, write from the pool
+        monkeypatch.setenv("MOGNMF_THREADS", "2")
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        run = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 3, run, variant="nmf", params=UnmixParams(t1=3))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        cube = ["--cube", str(scene / "cube.raw")]
+        sweep = ["sweep", "--m", "3", "--snrs", "30", "--seeds", "0..1", "--variants", "nmf",
+                 "--height", "6", "--width", "6", "--bands", "12", "--t1", "3", "--c", "4"]
+        if command == "sweep_runs":
+            # the scenes are written in this process, the runs in the workers
+            out = tmp_path / "sweep"
+            out.mkdir()
+            (out / "runs").write_text("")
+        args = {
+            "simulate": ["simulate", "--m", "3", "--height", "6", "--width", "6",
+                         "--bands", "12"],
+            "unmix": ["unmix", *cube, "--m", "3", "--t1", "3", "--c", "4"],
+            "evaluate": ["evaluate", "--result", str(run), "--truth", str(scene)],
+            "fuse": ["fuse", *cube, "--c", "4"],
+            "ablate": ["ablate", *cube, "--truth", str(scene), "--m", "3", "--seeds", "0",
+                       "--t1", "3", "--c", "4"],
+            "sweep": sweep,
+            "sweep_runs": sweep,
+        }[command]
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+        assert "Not a directory" in lines[0]
+
+    def test_console_stderr_is_one_line(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mognmf.cli", "simulate", "--m", "3", "--height", "6",
+             "--width", "6", "--bands", "12", "--out", str(blocker / "x")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def _files_under(directory):

@@ -25,6 +25,14 @@ class TestSad:
         with pytest.raises(MetricError):
             sad([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_entry_rejected(self, side, value):
+        spectra = [np.array([1.0, 1.0]), np.array([1.0, 1.0])]
+        spectra[side][0] = value
+        with pytest.raises(MetricError, match="non-finite"):
+            sad(*spectra)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         a = rng.uniform(0.1, 1.0, size=12)
@@ -72,6 +80,14 @@ class TestRmse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             rmse(np.ones((2, 3)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_entry_rejected(self, side, value):
+        matrices = [np.ones((2, 3)), np.ones((2, 3))]
+        matrices[side][1, 2] = value
+        with pytest.raises(MetricError, match="non-finite"):
+            rmse(*matrices)
 
 
 class TestMatchEndmembers:
@@ -211,4 +227,18 @@ class TestEvaluateModel:
         factors = {"A_true": A, "S_true": S, "A_est": A.copy(), "S_est": S.copy()}
         factors[factor][1, 2] = value
         with pytest.raises(MetricError, match="non-finite"):
+            evaluate_model(**factors)
+
+    @pytest.mark.parametrize("factor, name", [
+        ("A_true", "true endmembers"), ("S_true", "true abundances"),
+        ("A_est", "estimated endmembers"), ("S_est", "estimated abundances"),
+    ])
+    def test_non_finite_message_names_the_factor(self, factor, name):
+        # sad and rmse reject non-finite input too, but evaluate_model checks first
+        rng = np.random.default_rng(16)
+        A = rng.uniform(0.1, 1.0, size=(6, 3))
+        S = rng.dirichlet(np.ones(3), size=5).T
+        factors = {"A_true": A, "S_true": S, "A_est": A.copy(), "S_est": S.copy()}
+        factors[factor][0, 1] = np.nan
+        with pytest.raises(MetricError, match=f"^{name} hold a non-finite value$"):
             evaluate_model(**factors)

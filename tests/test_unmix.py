@@ -23,6 +23,7 @@ from mognmf.unmix import (
 )
 from oracle import (
     ORACLE_CASES,
+    best_unchosen_loop,
     compute_residuals,
     consensus_tocsr,
     fcls_per_pixel,
@@ -89,6 +90,17 @@ class TestInitVca:
         a = init_vca(scene.cube, 3, seed=11)
         b = init_vca(scene.cube, 3, seed=11)
         assert np.array_equal(a, b)
+
+    def test_tied_scores_pick_like_the_sorting_loop(self):
+        # scores drawn from three values tie often; the pick is the highest
+        # index among the best unchosen scores, as in the sorted walk
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            scores = rng.integers(0, 3, size=n).astype(float)
+            chosen = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+            want = best_unchosen_loop(scores, chosen)
+            assert unmix._best_unchosen(scores.copy(), chosen) == want
 
     def test_rank_deficient_data_rejected(self):
         rank_two = np.outer(np.ones(6), np.linspace(0.1, 1, 8))
@@ -499,6 +511,29 @@ class TestRunSolver:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParamError):
             SolverConfig(params=UnmixParams(), variant="bogus")
+
+    def test_abundances_without_endmembers_rejected(self):
+        # FCLS would compute the abundances, so the given ones would be dropped
+        with pytest.raises(ParamError, match="init_abundances needs init_endmembers"):
+            SolverConfig(params=UnmixParams(), init_abundances=np.full((3, 64), 1 / 3))
+
+    @pytest.mark.parametrize(
+        "a_shape, s_shape, bad",
+        [((20, 4), None, "init_endmembers"), ((19, 3), None, "init_endmembers"),
+         ((20, 3), (3, 63), "init_abundances"), ((20, 3), (4, 64), "init_abundances")],
+        ids=["four_columns", "short_bands", "short_pixels", "four_rows"],
+    )
+    def test_warm_start_shapes_checked(self, a_shape, s_shape, bad):
+        # an 8 x 8 scene of 20 bands at M = 3: A must be 20 x 3 and S 3 x 64
+        rng = np.random.default_rng(17)
+        cube = _cube(rng.uniform(0.1, 1.0, size=(20, 64)), height=8)
+        config = SolverConfig(
+            params=UnmixParams(t1=2), variant="nmf",
+            init_endmembers=rng.uniform(0.1, 1.0, size=a_shape),
+            init_abundances=None if s_shape is None else np.full(s_shape, 1 / 3),
+        )
+        with pytest.raises(ShapeError, match=f"^{bad} must be"):
+            run_solver(cube, 3, config)
 
     def test_case_iii_is_snmf(self):
         scene = _pure_pixel_scene(seed=10, M=3)
