@@ -5,9 +5,10 @@ overrides on top (flags win), and writes its artifacts into --out
 through one writer, which creates --out on the first artifact written:
 a command that fails before that leaves no --out behind.  The writer
 also drops a manifest.json recording the command, its outputs in write
-order, the wall-clock time ``wall_ms`` and, where the command has them,
-input hashes; each command adds its config snapshot, iteration counts
-and final objective.  Numeric artifacts (CSV, PGM, raw cubes) are
+order, the wall-clock time ``wall_ms``, the process's peak resident set
+size ``peak_rss_mb`` and, where the command has them, input hashes;
+each command adds its config snapshot, iteration counts and final
+objective.  Numeric artifacts (CSV, PGM, raw cubes) are
 bit-identical across runs with the same config and seed; manifests
 additionally carry wall-clock timings.
 
@@ -26,6 +27,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -43,6 +45,11 @@ from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matr
 from .metrics import evaluate_model
 from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, fused_orders, graph_orders
 from .unmix import run_solver
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -133,14 +140,27 @@ class _Outputs:
             writer.writerows(rows)
 
     def manifest(self, inputs=(), **fields) -> dict:
-        """Writes manifest.json: ``fields``, the outputs so far, ``wall_ms`` and input hashes."""
+        """Writes manifest.json: ``fields``, the outputs so far, ``wall_ms``,
+        ``peak_rss_mb`` and input hashes."""
         manifest = {"command": self.command, "outputs": self.names, **fields}
         if inputs:
             manifest["inputs"] = {str(p): _sha256(Path(p)) for p in inputs}
         manifest["wall_ms"] = round(1000 * (time.perf_counter() - self.t0), 3)
+        manifest["peak_rss_mb"] = _peak_rss_mb()
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         (self.dir / "manifest.json").write_text(text)
         return manifest
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB (2^20 bytes); None where it is not reported.
+
+    ``ru_maxrss`` is in kilobytes on Linux and in bytes on macOS.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 3)
 
 
 def _thread_cap() -> int:

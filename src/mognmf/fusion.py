@@ -31,10 +31,13 @@ L_m = diag(D_m) - W_m is formed (``graph.laplacian_quadratic``).
 
 One rule fills the Gram matrix within a row block.  Each member in
 turn gives its diagonal entry as the dot product of its own entries,
-is scattered into a dense rows x N buffer of ``_GRAM_BUFFER`` doubles
-(a fixed budget, which sets the block height), and is gathered by every
+is scattered into a dense rows x N buffer, and is gathered by every
 earlier member at that member's own entries' positions; the buffer is
-then cleared at the same positions.
+then cleared at the same positions.  A block holds
+min(N, _BLOCK, _GRAM_BUFFER // N) rows: 128 rows up to N = 4096, fewer
+beyond, so the buffer stays within 4 MB and a block's power rows stay
+small even where a power is dense (the order-3 spectral power of a
+32 x 32 scene is over a third dense).
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ __all__ = [
 ]
 
 
-_GRAM_BUFFER = 1 << 19  # doubles (4 MB) of fuse_graphs' dense scatter buffer
+_GRAM_BUFFER = 1 << 19  # most doubles (4 MB) of fuse_graphs' dense scatter buffer
+_BLOCK = 128  # most rows of the powers formed at once
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def _gram_and_normalizers(
     m = len(mats) * len(graphs.orders)  # one member per (view, order), view-major
     gram = np.zeros((m, m))
     peaks = np.zeros(m)
-    block = min(n, max(1, _GRAM_BUFFER // n))
+    block = min(n, _BLOCK, max(1, _GRAM_BUFFER // n))
     buf = np.zeros(block * n)
     for lo in range(0, n, block):
         # each member's stored entries in the block: flat (row, column)

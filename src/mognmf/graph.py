@@ -20,6 +20,12 @@ sigma) are read from an ``UnmixParams``, which has validated them.
 
 Every graph is a scipy CSR array, so memory is O(nnz).  The distances
 are computed over blocks of rows and never held as one N x N array.
+The spectral view's working set is one 128-row block of the Gram
+product P^T P (128 N doubles) plus sub-blocks of at most 2^17 squared
+distances (1 MB): each row's C-th squared distance is found by
+partition within a sub-block, and only the entries at most a few ulps
+above it are square-rooted and sorted.  Its squared norms are summed
+over column chunks, with no L x N temporary.
 Only the order-1 graph of each view is stored: a k-NN graph has about
 C*N nonzeros, while its powers fill in fast (the order-3 spectral power
 of a 64x64 scene is 16% dense).  The consensus graph, a polynomial in
@@ -52,7 +58,8 @@ __all__ = [
     "build_multi_order_graphs",
 ]
 
-_BLOCK = 128  # rows of the distance matrix held at once
+_BLOCK = 128  # rows of the Gram product of the spectral k-NN, per BLAS call
+_SUB_BLOCK = 1 << 17  # squared distances (1 MB) per selection pass of a k-NN
 
 
 @dataclass(frozen=True)
@@ -156,38 +163,46 @@ def _row_blocks(n: int):
 
 
 def _column_candidates(points: np.ndarray):
-    """Every column of ``points`` as a candidate for every column, over row blocks.
+    """Every column of ``points`` as a candidate for every column, over row sub-blocks.
 
-    Yields (lo, d, index) per block of rows lo..: the Euclidean
-    distances to all N columns, +inf at each row's own column, and the
-    global column index of each entry.
+    Yields (lo, d2, index) per sub-block of rows lo..: the squared
+    Euclidean distances to all N columns (unclamped, so possibly a few
+    ulps below zero), +inf at each row's own column, and the global
+    column index of each entry.  The Gram product runs over _BLOCK-row
+    blocks; each block is then cut into sub-blocks of at most
+    _SUB_BLOCK entries, so one block's product plus one sub-block of
+    distances and their selection temporaries is the working set.
     """
     n = points.shape[1]
-    sq = np.sum(points**2, axis=0)
+    # column chunks never one column wide, so each sum has the bits of
+    # np.sum(points**2, axis=0) without an L x N temporary
+    sq = np.concatenate([np.sum(points[:, lo:hi] ** 2, axis=0) for lo, hi in _row_blocks(n)])
+    index = np.arange(n)
+    step = max(1, _SUB_BLOCK // n)
     for lo, hi in _row_blocks(n):
         gram = points[:, lo:hi].T @ points
-        d = sq[lo:hi, None] + sq[None, :]
         gram *= 2.0
-        d -= gram
-        del gram
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        yield lo, d, np.broadcast_to(np.arange(n), d.shape)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            d2 = sq[a:b, None] + sq[None, :]
+            d2 -= gram[a - lo : b - lo]
+            d2[np.arange(b - a), np.arange(a, b)] = np.inf
+            yield a, d2, np.broadcast_to(index, d2.shape)
+        del gram  # before the next block's product, not after it
 
 
 def _window(ry: int, rx: int):
-    """Offsets (dy, dx) of a (2ry+1) x (2rx+1) window and their Euclidean lengths."""
+    """Offsets (dy, dx) of a (2ry+1) x (2rx+1) window and their squared Euclidean lengths."""
     dy, dx = (a.ravel() for a in np.mgrid[-ry : ry + 1, -rx : rx + 1])
-    # dy^2 + dx^2 is an exact integer, so each length has the bits of the
-    # distance between integer grid coordinates
-    return dy, dx, np.sqrt(dy * dy + dx * dx)
+    # dy^2 + dx^2 is an exact integer, so each length's sqrt has the bits
+    # of the distance between integer grid coordinates
+    return dy, dx, (dy * dy + dx * dx).astype(np.float64)
 
 
 def _grid_candidates(height: int, width: int, neighbors: int):
     """The pixels in a window of grid offsets around each pixel, over row blocks.
 
-    Yields (lo, d, index) like ``_column_candidates``, one column per
+    Yields (lo, d2, index) like ``_column_candidates``, one column per
     offset of the window |dy| <= min(r, height-1), |dx| <= min(r, width-1),
     with +inf for the pixel itself and for offsets off the grid.  r is
     the smallest radius >= 1 within which a grid corner has `neighbors`
@@ -201,38 +216,53 @@ def _grid_candidates(height: int, width: int, neighbors: int):
     corner = np.add.outer(np.arange(height) ** 2, np.arange(width) ** 2).ravel()
     kth = np.partition(corner, neighbors)[neighbors]  # squared C-th distance
     r = max(1, int(np.ceil(np.sqrt(kth))))
-    dy, dx, length = _window(min(r, height - 1), min(r, width - 1))
+    dy, dx, length2 = _window(min(r, height - 1), min(r, width - 1))
     for lo, hi in _row_blocks(height * width):
         y, x = np.divmod(np.arange(lo, hi), width)
         ny = y[:, None] + dy
         nx = x[:, None] + dx
-        off = (ny < 0) | (ny >= height) | (nx < 0) | (nx >= width) | (length == 0)
-        yield lo, np.where(off, np.inf, length), ny * width + nx
+        off = (ny < 0) | (ny >= height) | (nx < 0) | (nx >= width) | (length2 == 0)
+        yield lo, np.where(off, np.inf, length2), ny * width + nx
+
+
+# A bound this far above the C-th squared distance t keeps every squared
+# distance whose distance ties sqrt(t).  Correctly rounded sqrt maps at
+# most 4 ulps of squared distance (< 2^-50 relative) onto one distance,
+# and t * (1 + 2^-48) rounds to more than t (1 + 2^-49).
+_TIE_SLACK = 1.0 + 2.0**-48
 
 
 def _knn_heat_kernel(n: int, candidates, sigma, neighbors: int) -> tuple[sp.csr_array, float]:
-    """Heat-kernel k-NN graph over n nodes from row blocks of candidate distances.
+    """Heat-kernel k-NN graph over n nodes from row blocks of candidate squared distances.
 
-    ``candidates`` yields (lo, d, index) per block of rows lo..: the
-    distance d[i, t] from node lo+i to node index[i, t], where each
-    row's candidates hold every node within its C-th smallest distance.
-    Keeps each node's `neighbors` nearest others (ties go to the lower
-    index), resolves sigma="auto" to the median retained distance, and
-    symmetrizes by elementwise max.  ``sigma`` is "auto" or positive, as
+    ``candidates`` yields (lo, d2, index) per block of rows lo..: the
+    squared distance d2[i, t] from node lo+i to node index[i, t], where
+    each row's candidates hold every node within its C-th smallest
+    distance.  A distance is sqrt(max(d2, 0)).  Keeps each node's
+    `neighbors` nearest others (ties go to the lower index), resolves
+    sigma="auto" to the median retained distance, and symmetrizes by
+    elementwise max.  ``sigma`` is "auto" or positive, as
     ``UnmixParams`` admits.  Returns (W, sigma_used).
+
+    The selection runs on squared distances, and only its survivors are
+    clamped and square-rooted: sqrt(max(., 0)) is monotone, so the C-th
+    distance is the root of the C-th squared distance, and a slightly
+    looser bound on d2 keeps every entry whose distance ties it.  The
+    few survivors beyond the C-th distance sort after at least C others
+    in their row, so they are never kept.
     """
     if n < 2:
         raise ParamError("graph construction needs at least 2 pixels")
     rows, cols, retained = [], [], []
-    for lo, d, index in candidates:
+    for lo, d2, index in candidates:
         # candidates: every entry within the row's C-th smallest distance;
         # ordered by (row, distance, global column), each row keeps its first C
-        kth = np.partition(d, neighbors - 1, axis=1)[:, neighbors - 1]
-        r, c = np.nonzero(d <= kth[:, None])
-        dist = d[r, c]
-        c = index[r, c]
+        kth2 = np.maximum(np.partition(d2, neighbors - 1, axis=1)[:, neighbors - 1], 0.0)
+        r, t = np.divmod(np.flatnonzero(d2 <= (kth2 * _TIE_SLACK)[:, None]), d2.shape[1])
+        dist = np.sqrt(np.maximum(d2[r, t], 0.0))
+        c = index[r, t]
         order = np.lexsort((c, dist, r))
-        counts = np.bincount(r, minlength=d.shape[0])
+        counts = np.bincount(r, minlength=d2.shape[0])
         first = np.cumsum(counts) - counts
         keep = order[(first[:, None] + np.arange(neighbors)).ravel()]
         rows.append(r[keep] + lo)

@@ -158,9 +158,10 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
         raise ParamError("endmember count must be >= 1")
     if M > min(L, N):
         raise InitError(f"M={M} exceeds min(L, N)={min(L, N)}")
-    rank = int(np.linalg.matrix_rank(X))
-    if M > rank:
-        raise InitError(f"M={M} exceeds the data rank proxy {rank}")
+    if not _proves_rank(X, M):
+        rank = int(np.linalg.matrix_rank(X))
+        if M > rank:
+            raise InitError(f"M={M} exceeds the data rank proxy {rank}")
 
     if M == 1:
         u = np.linalg.svd(X, full_matrices=False)[0][:, 0]
@@ -213,6 +214,31 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
         indices[i] = _best_unchosen(np.abs(f @ y), indices[:i])
         simplex[:, i] = y[:, indices[i]]
     return X[:, indices].copy()
+
+
+def _proves_rank(X: np.ndarray, M: int) -> bool:
+    """True only if ``np.linalg.matrix_rank(X) >= M``, read from the smaller Gram matrix.
+
+    matrix_rank counts the computed singular values above
+    sigma_max * max(L, N) * eps.  The eigenvalues of G = X X^T (or X^T X,
+    whichever is smaller) are the squared singular values up to
+    ``slack``: the product's rounding is at most max(L, N) eps ||X||_F^2
+    in 2-norm for any summation order, and eigvalsh adds a backward
+    error of a small multiple of min(L, N) eps ||G||_2 <= ||X||_F^2.
+    The M-th singular value must clear the rank tolerance, with each
+    computed singular value allowed the SVD's own error of about
+    (L + N) eps sigma_max and both bounds doubled.  False means "not
+    proved", and the caller asks matrix_rank, so the decision is
+    matrix_rank's in every case.
+    """
+    L, N = X.shape
+    eps = np.finfo(np.float64).eps
+    err = 4.0 * (L + N) * eps  # relative, both for G's eigenvalues and for the SVD
+    G = X @ X.T if L <= N else X.T @ X
+    eig = np.linalg.eigvalsh(G)
+    slack = err * float(np.trace(G))
+    top = np.sqrt(eig[-1] + slack) * (err + (1.0 + err) * max(L, N) * eps)
+    return bool(eig[-M] - slack > (2.0 * top) ** 2)
 
 
 def _best_unchosen(scores: np.ndarray, chosen: np.ndarray) -> int:

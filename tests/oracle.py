@@ -21,7 +21,7 @@ from mognmf.errors import ParamError, ShapeError
 from mognmf.graph import graph_powers
 from mognmf.hsi_core import HsiCube
 
-ORACLE_CASES = ("grid5x6", "grid17x9", "duplicated", "random24")
+ORACLE_CASES = ("grid5x6", "grid17x9", "duplicated", "random24", "seams33x33")
 
 
 def oracle_case(name):
@@ -36,6 +36,13 @@ def oracle_case(name):
         data = rng.integers(0, 4, size=(3, 100)) / 4.0
         data[:, 50:] = data[:, :50]
         return HsiCube(data=data, height=10, width=10), {"neighbors": 8}
+    if name == "seams33x33":
+        # N = 1089: eight 128-row Gram blocks and a 193-row remainder block,
+        # each cut into 120-row sub-blocks, with a pixel duplicated across a
+        # block seam (127 | 128) and across a sub-block seam (1015 | 1016)
+        data = rng.random((20, 1089))
+        data[:, [128, 1016]] = data[:, [127, 1015]]
+        return HsiCube(data=data, height=33, width=33), {"neighbors": 6}
     return HsiCube(data=rng.random((100, 576)), height=24, width=24), {"neighbors": 10}
 
 

@@ -882,6 +882,18 @@ def test_manifest_outputs_are_the_files_written(runner, tmp_path):
             name for name in _files_under(out) if name != "manifest.json"
         ], args[0]
         assert manifest["wall_ms"] >= 0
+        assert manifest["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize("platform, mb", [("linux", 2048.0), ("darwin", 2.0)])
+def test_peak_rss_unit_per_platform(monkeypatch, platform, mb):
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS
+    class Usage:
+        ru_maxrss = 2**21
+
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    monkeypatch.setattr(cli.resource, "getrusage", lambda who: Usage)
+    assert cli._peak_rss_mb() == mb
 
 
 _FOOTPRINT_SCRIPT = """

@@ -6,8 +6,8 @@ import pytest
 from mognmf.errors import ParamError, ShapeError
 import scipy.sparse as sp
 
-from mognmf import graph
-from mognmf.fusion import FusionState, update_weights
+from mognmf import fusion, graph
+from mognmf.fusion import FusionState, fuse_graphs, update_weights
 from mognmf.graph import (
     ConsensusOperator,
     WeightMatrix,
@@ -75,10 +75,16 @@ def _knn_oracle(points, neighbors):
 def _dense_knn_heat_kernel(points, sigma, neighbors):
     """Dense N x N reference for the blockwise CSR builder: whole-matrix
     distances, a stable argsort per row, then W = max(W, W.T).  Returns
-    (W, sigma_used)."""
+    (W, sigma_used).
+
+    The Gram rows come from the package's 128-row BLAS products: past
+    256 pixels one whole-matrix product (SYRK) can round some entries
+    differently (it does at N = 1089), and the builder's contract is the
+    blocked product.  Everything after it is formed whole."""
     n = points.shape[1]
     sq = np.sum(points**2, axis=0)
-    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points.T @ points), 0.0))
+    gram = np.vstack([points[:, lo:hi].T @ points for lo, hi in graph._row_blocks(n)])
+    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
     np.fill_diagonal(d, np.inf)
     rows = np.repeat(np.arange(n), neighbors)
     cols = np.argsort(d, axis=1, kind="stable")[:, :neighbors].ravel()
@@ -363,6 +369,67 @@ class TestHeatKernelGraphs:
         assert np.allclose(w, oracle, rtol=0.0, atol=1e-12)
 
 
+def _collapsing_pair():
+    """Squared distances a < b one ulp apart whose square roots are equal."""
+    a = 2.0
+    while np.sqrt(a) != np.sqrt(np.nextafter(a, np.inf)):
+        a = np.nextafter(a, np.inf)
+    return a, np.nextafter(a, np.inf)
+
+
+def _select(d2, neighbors, rows_per_block):
+    """The k-NN heat kernel of a full squared-distance matrix fed in row blocks."""
+    n = d2.shape[0]
+    index = np.broadcast_to(np.arange(n), d2.shape)
+    blocks = [(lo, d2[lo : lo + rows_per_block], index[lo : lo + rows_per_block])
+              for lo in range(0, n, rows_per_block)]
+    return graph._knn_heat_kernel(n, blocks, "auto", neighbors)
+
+
+class TestSquaredDistanceSelection:
+    """Selection runs on squared distances; ties are decided on their square roots."""
+
+    def test_sqrt_collapse_tie_goes_to_lower_index(self):
+        # d2[0, 1] is one ulp above d2[0, 2], but both are the same distance:
+        # node 0's one neighbor is node 1.  Nodes 1 and 2 pick node 3, so an
+        # edge 0-2 could only come from node 0
+        a, b = _collapsing_pair()
+        inf = np.inf
+        d2 = np.array([[inf, b, a, 9.0], [b, inf, 9.0, 1.0], [a, 9.0, inf, 1.0],
+                       [9.0, 1.0, 1.0, inf]])
+        W, sigma = _select(d2, 1, 4)
+        assert sorted(zip(*(a.tolist() for a in W.nonzero()))) == [
+            (0, 1), (1, 0), (1, 3), (2, 3), (3, 1), (3, 2)]
+        assert sigma == 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("neighbors, rows_per_block", [(1, 5), (3, 1), (4, 3)])
+    def test_matches_rooted_brute_force(self, seed, neighbors, rows_per_block):
+        # entries from runs of adjacent doubles (neighbors often share a
+        # root) and from values at or just below zero (which clamp to 0)
+        rng = np.random.default_rng(seed)
+        values = [-1e-16, -0.0, 0.0]
+        for start in (0.5, 2.0, 3.0):
+            for _ in range(6):
+                values.append(start)
+                start = np.nextafter(start, np.inf)
+        n = 13
+        d2 = np.triu(rng.choice(values, size=(n, n)), 1)
+        d2 = d2 + d2.T
+        np.fill_diagonal(d2, np.inf)
+        W, sigma = _select(d2, neighbors, rows_per_block)
+        edges = []
+        for i in range(n):
+            ranked = sorted((np.sqrt(max(d2[i, j], 0.0)), j) for j in range(n) if j != i)
+            edges += [(i, j, dist) for dist, j in ranked[:neighbors]]
+        want_sigma = float(np.median([dist for _, _, dist in edges])) or 1.0
+        want = np.zeros((n, n))
+        for i, j, dist in edges:
+            want[i, j] = np.exp(-(dist**2) / (2.0 * want_sigma**2))
+        assert sigma == want_sigma
+        assert np.array_equal(W.toarray(), np.maximum(want, want.T))
+
+
 class TestGraphPowers:
     def test_single_order_returned_unchanged(self):
         W = WeightMatrix(W=np.array([[0.0, 0.5], [0.5, 0.0]]), kind="spatial")
@@ -551,16 +618,21 @@ class TestMultiOrderBuild:
         assert np.count_nonzero(w_spe[0]) >= 5
 
 
-def _peak_in_n2_doubles(fn, *args, **kwargs):
-    """Peak traced allocation of fn(*args, **kwargs) in units of N x N doubles."""
-    n = args[0].pixel_count
+def _peak_bytes(fn, *args, **kwargs):
+    """Peak traced allocation of fn(*args, **kwargs), in bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn(*args, **kwargs)
-        return (tracemalloc.get_traced_memory()[1] - base) / (n * n * 8)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def _peak_in_n2_doubles(fn, *args, **kwargs):
+    """Peak traced allocation of fn(*args, **kwargs) in units of N x N doubles."""
+    n = args[0].pixel_count
+    return _peak_bytes(fn, *args, **kwargs) / (n * n * 8)
 
 
 class TestPeakMemory:
@@ -580,3 +652,23 @@ class TestPeakMemory:
         # candidates come from a window of grid offsets around each pixel
         cube = _random_cube(np.random.default_rng(16), 48, 48, bands=20)
         assert _peak_in_n2_doubles(spatial_weights, cube) < 1.0
+
+    def test_spectral_working_set_at_64x64(self):
+        # one _BLOCK-row Gram product, a sub-block of squared distances
+        # with its partition copy and the next sub-block, and the C N kept
+        # edges with their CSR forms: 9.5 MiB.  Passes over whole 128-row
+        # blocks of distances need about 17 MiB here
+        cube = _random_cube(np.random.default_rng(16), 64, 64, bands=20)
+        n, c = cube.pixel_count, UnmixParams().neighbors
+        budget = (graph._BLOCK * n + 3 * graph._SUB_BLOCK) * 8 + 64 * c * n
+        assert _peak_bytes(spectral_weights, cube) < budget
+
+    def test_fusion_working_set_at_32x32(self):
+        # the dense buffer of at most fusion._BLOCK rows, the block's power
+        # rows as (position, value) pairs (the six members here hold about
+        # 1.1 N^2 entries in all) and the sparse products' temporaries.
+        # 512-row blocks, the 4 MB buffer's height at N = 1024, need 26 slabs
+        cube = _random_cube(np.random.default_rng(16), 32, 32, bands=20)
+        graphs = build_multi_order_graphs(cube, UnmixParams())
+        slab = fusion._BLOCK * cube.pixel_count * 8
+        assert _peak_bytes(fuse_graphs, graphs, UnmixParams()) < 8 * slab

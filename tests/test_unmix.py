@@ -108,6 +108,36 @@ class TestInitVca:
         with pytest.raises(InitError):
             init_vca(_cube(rank_two, height=2, width=4), 4, seed=0)
 
+    def test_rank_proof_never_contradicts_matrix_rank(self):
+        # low-rank products plus perturbations of 1e-18 to 1, scaled by
+        # 1e-100 to 1e100, tall and wide: whenever the Gram eigenvalues
+        # prove rank >= M, matrix_rank's SVD count agrees
+        rng = np.random.default_rng(18)
+        proved = 0
+        for _ in range(400):
+            L, N = int(rng.integers(2, 20)), int(rng.integers(2, 40))
+            r = int(rng.integers(1, min(L, N) + 1))
+            X = rng.random((L, r)) @ rng.random((r, N))
+            X += 10.0 ** rng.uniform(-18, 0) * rng.random((L, N))
+            X *= 10.0 ** rng.uniform(-100, 100)
+            rank = np.linalg.matrix_rank(X)
+            for M in range(1, min(L, N) + 1):
+                if unmix._proves_rank(X, M):
+                    proved += 1
+                    assert rank >= M, (L, N, r, M)
+        assert proved > 1000  # and it decides most of them
+
+    def test_full_rank_scene_needs_no_svd(self, monkeypatch):
+        scene = build_simu1_scene(synthetic_library(band_count=50, seed=1), M=4, height=16,
+                                  width=16, target_snr_db=30.0, seed=3)
+        want = init_vca(scene.cube, 4, seed=0)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+        assert np.array_equal(init_vca(scene.cube, 4, seed=0), want)
+
 
 def _fcls_deviation(cube, A0):
     """max |init_fcls - per-pixel scipy NNLS|, relative to the oracle's largest entry."""
