@@ -14,9 +14,11 @@ additionally carry wall-clock timings.
 
 Exit codes, set by ``main`` alone: 0 success, 2 usage/validation or I/O
 error (a wrong-typed config value, an --out beneath a regular file),
-3 numerical failure.  The MOGNMF_THREADS environment variable caps the
-worker processes of ablate and sweep (default: available cores); each
-worker runs one BLAS thread.
+3 numerical failure; a diverged ``unmix`` still writes its manifest,
+with ``stop_reason`` "diverged".  The MOGNMF_THREADS environment
+variable caps the worker processes of ablate and sweep and the threads
+of the graph stage (default: available cores); each ablate/sweep worker
+runs one BLAS thread and one graph-stage thread.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matr
 from .metrics import evaluate_model
 from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, fused_orders, graph_orders
 from .unmix import run_solver
+from .workers import thread_cap
 
 try:
     import resource
@@ -107,11 +110,13 @@ class _Outputs:
 
         W_m = sum_v sum_k coef[v, k-1] W_v^k is dumped as ``coef.csv`` and each
         view's order-1 graph, one i,j,w row per stored entry, as ``W_<kind>.csv``.
-        The fields, None without a graph term, are each view's sigma and
-        ``wm_stats``, read from D_m and the fusion Gram matrix: W_m is never formed.
+        The fields, None without a graph term, are each view's sigma,
+        ``wm_stats``, read from D_m and the fusion Gram matrix (W_m is never
+        formed), and the graph stage's thread count and wall time.
         """
         if state is None:
-            return dict.fromkeys(("sigma_s_used", "sigma_l_used", "wm_stats"))
+            return dict.fromkeys(
+                ("sigma_s_used", "sigma_l_used", "wm_stats", "graph_workers", "graph_ms"))
         self.matrix("H.csv", state.H)
         if dump_wm:
             for view in state.graphs.views:
@@ -130,6 +135,8 @@ class _Outputs:
                 "degree_max": float(degree.max()),
                 "fusion_iterations": int(state.iterations),
             },
+            "graph_workers": state.graph_workers,
+            "graph_ms": state.graph_ms,
         }
 
     def table(self, name: str, columns, rows) -> None:
@@ -148,6 +155,7 @@ class _Outputs:
         manifest["wall_ms"] = round(1000 * (time.perf_counter() - self.t0), 3)
         manifest["peak_rss_mb"] = _peak_rss_mb()
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        self.dir.mkdir(parents=True, exist_ok=True)  # a diverged unmix writes no artifact
         (self.dir / "manifest.json").write_text(text)
         return manifest
 
@@ -161,19 +169,6 @@ def _peak_rss_mb() -> float | None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 3)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MOGNMF_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ParamError(f"MOGNMF_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ParamError("MOGNMF_THREADS must be >= 1")
-    return value
 
 
 def _resolve_library(library_path, bands: int, seed: int):
@@ -248,7 +243,13 @@ def cmd_unmix(
         raise ParamError(f"--dump-wm needs a graph term, which variant {variant} "
                          f"at lambda {params.lam:g} does not have")
     cube = load_cube(cube_path, format=cube_format)
-    model = run_solver(cube, m, SolverConfig(params=params, variant=variant, init=init))
+    run = dict(variant=variant, init=init, m=m, config=params.to_dict())
+    try:
+        model = run_solver(cube, m, SolverConfig(params=params, variant=variant, init=init))
+    except DivergenceError as exc:
+        out.manifest(inputs=[cube_path], **run, iterations=exc.iteration, converged=False,
+                     stop_reason="diverged")
+        raise
 
     out.matrix("A.csv", model.endmembers)
     out.matrix("S.csv", model.abundances)
@@ -259,10 +260,7 @@ def cmd_unmix(
     fusion = out.consensus(model.fusion, dump_wm)
     return out.manifest(
         inputs=[cube_path],
-        variant=variant,
-        init=init,
-        m=m,
-        config=params.to_dict(),
+        **run,
         iterations=int(model.iterations),
         converged=bool(model.converged),
         stop_reason="tolerance" if model.converged else "max_iterations",
@@ -350,27 +348,32 @@ def _single_run(job: tuple) -> dict:
     return {**row, **extra}
 
 
+# set for ablate/sweep worker processes: one BLAS thread and one graph-stage thread each
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "MOGNMF_THREADS": "1"}
+
+
 def _run_jobs(jobs: list[tuple], cap: int) -> list[dict]:
-    # cap is _thread_cap(), read before the command writes anything
+    # cap is thread_cap(), read before the command writes anything
     workers = min(cap, len(jobs))
     if workers <= 1:
         return [_single_run(job) for job in jobs]
-    # one BLAS thread per worker, or the workers oversubscribe the cores.
+    # one thread per worker, or the workers oversubscribe the cores.
     # numpy reads OPENBLAS_NUM_THREADS when it is imported, so the workers
-    # are spawned (a fresh import each) with it set, and the caller's
-    # environment is restored once the pool is shut down
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # are spawned (a fresh import each) with _WORKER_ENV set, and the
+    # caller's environment is restored once the pool is shut down
+    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
     try:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
             return list(pool.map(_single_run, jobs))
     finally:
-        if saved is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
 
 
 def cmd_ablate(
@@ -391,7 +394,7 @@ def cmd_ablate(
     plus a mean +/- std summary per (case, K).
     """
     out = _Outputs(out_dir, "ablate")
-    cap = _thread_cap()
+    cap = thread_cap()
     truth_m = read_matrix(Path(truth_dir) / "A_true.csv").shape[1]
     if m != truth_m:
         raise ShapeError(f"m={m} but the truth in {truth_dir} holds {truth_m} endmembers")
@@ -469,7 +472,7 @@ def cmd_sweep(
         if graph_orders(unmix["variant"], unmix["params"]):
             for view in ("spatial", "spectral"):
                 neighbor_count(unmix["params"], view, height * width)
-    cap = _thread_cap()
+    cap = thread_cap()
     for (snr, seed), truth in scenes.items():
         cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed,
                      height=height, width=width, **scene)

@@ -22,21 +22,27 @@ The loop runs in Gram space: with G_ij = <W_i, W_j>, every residual and
 objective value is a quadratic form in the weights.  Each W_k^v is the
 order-k power of a view's order-1 graph over its normalizer s_vk (its
 maximum entry for k >= 2 under ``order_norm``, else 1), so G
-and the max-entry normalizers are accumulated over row blocks of the
+and the max-entry normalizers are accumulated over row units of the
 powers, rows_B(W^k) = ((W[B] @ W) @ W)..., and no whole power is held.
 W_m = sum_vk c_vk W_v^k with c_vk = H_vk / (s_vk (1 + mu)) is a
 polynomial in the order-1 graphs, returned as a ``ConsensusOperator``
 that holds its degree vector D_m; neither W_m nor the Laplacian
 L_m = diag(D_m) - W_m is formed (``graph.laplacian_quadratic``).
 
-One rule fills the Gram matrix within a row block.  Each member in
-turn gives its diagonal entry as the dot product of its own entries,
+One rule fills a partial Gram matrix within a row unit.  Each member
+in turn gives its diagonal entry as the dot product of its own entries,
 is scattered into a dense rows x N buffer, and is gathered by every
 earlier member at that member's own entries' positions; the buffer is
-then cleared at the same positions.  A block holds
-min(N, _BLOCK, _GRAM_BUFFER // N) rows: 128 rows up to N = 4096, fewer
-beyond, so the buffer stays within 4 MB and a block's power rows stay
-small even where a power is dense (the order-3 spectral power of a
+then cleared at the same positions.  The dot products are summed by
+``np.einsum``, not by BLAS, whose dot product splits long vectors
+across its threads.  The units run on the graph stage's threads
+(``workers.run_units``), each thread with its own buffer, allocated
+once per stage by the calling thread, and the partial Gram matrices and
+peaks are combined in unit order, so G does not depend on the thread
+count.  At most _BLOCK = 128 rows and _GRAM_BUFFER doubles (4 MB) of
+buffer are in flight: a unit holds max(1, min(_BLOCK, _GRAM_BUFFER // N)
+// 2) rows, 64 up to N = 4096 and fewer beyond, so a unit's power rows
+stay small even where a power is dense (the order-3 spectral power of a
 32 x 32 scene is over a third dense).
 """
 
@@ -49,6 +55,7 @@ import numpy as np
 from .errors import ParamError, ShapeError
 from .graph import ConsensusOperator, MultiOrderGraphSet
 from .hsi_core import UnmixParams
+from .workers import BLOCK as _BLOCK, UNIT as _UNIT, run_units
 
 __all__ = [
     "FusionState",
@@ -58,8 +65,7 @@ __all__ = [
 ]
 
 
-_GRAM_BUFFER = 1 << 19  # most doubles (4 MB) of fuse_graphs' dense scatter buffer
-_BLOCK = 128  # most rows of the powers formed at once
+_GRAM_BUFFER = 1 << 19  # most doubles (4 MB) of fuse_graphs' dense scatter buffers
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,9 @@ class FusionState:
     H is the weight step computed against W_m, half a sweep after it.
     ``graphs`` holds each view's order-1 graph (its kind and heat-kernel
     width sigma) and the fused orders: the rows and columns of H.
+    ``graph_workers`` and ``graph_ms`` describe the graph stage that made
+    it, graph build plus fusion (``unmix.consensus_graph`` sets them):
+    its thread count and its wall time in milliseconds.
     """
 
     H: np.ndarray  # V x K, >= 0, entries sum to 1
@@ -78,6 +87,8 @@ class FusionState:
     iterations: int = 0
     converged: bool = False
     wm_norm: float = 0.0  # ||W_m||_F, read from the Gram matrix
+    graph_workers: int = 1
+    graph_ms: float | None = None
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -117,40 +128,50 @@ def _gram_and_normalizers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix <W_i, W_j> of the fused stack and the normalizer s_i of each member.
 
-    Both come from one pass over row blocks of the raw powers; s_i is
-    the maximum entry for orders >= 2 under ``normalize``, else 1.
+    Both come from one pass over row units of the raw powers; s_i is
+    the maximum entry for orders >= 2 under ``normalize``, else 1.  The
+    units run on the graph stage's threads (``workers.run_units``), each
+    into its own scatter buffer, and their partial Gram matrices and
+    peaks are combined in unit order.
     """
     mats = [g.W for g in graphs.views]
     n = mats[0].shape[0]
     top = max(graphs.orders)
     m = len(mats) * len(graphs.orders)  # one member per (view, order), view-major
-    gram = np.zeros((m, m))
-    peaks = np.zeros(m)
-    block = min(n, _BLOCK, max(1, _GRAM_BUFFER // n))
-    buf = np.zeros(block * n)
-    for lo in range(0, n, block):
-        # each member's stored entries in the block: flat (row, column)
+    # at most _BLOCK rows, and _GRAM_BUFFER doubles of scatter buffer, in flight
+    rows = max(1, min(_BLOCK, _GRAM_BUFFER // n) * _UNIT // _BLOCK)
+
+    def unit(lo, buf):
+        # each member's stored entries in the unit: flat (row, column)
         # positions in buf, and values
         entries = []
         for W in mats:
-            R = W[lo : lo + block]
+            R = W[lo : lo + rows]
             powers = {}
             for k in range(1, top + 1):
                 if k > 1:
                     R = R @ W
                 if k in graphs.orders:
-                    rows = np.repeat(np.arange(R.shape[0]) * n, np.diff(R.indptr))
-                    powers[k] = (rows + R.indices, R.data)
+                    pos = np.repeat(np.arange(R.shape[0]) * n, np.diff(R.indptr))
+                    powers[k] = (pos + R.indices, R.data)
             entries += [powers[k] for k in graphs.orders]
+        gram, peaks = np.zeros((m, m)), np.zeros(m)
+        # einsum sums without BLAS, whose dot products split across its threads
         for j, (pos_j, data_j) in enumerate(entries):
-            peaks[j] = max(peaks[j], data_j.max(initial=0.0))
-            gram[j, j] += data_j @ data_j
+            peaks[j] = data_j.max(initial=0.0)
+            gram[j, j] = np.einsum("i,i->", data_j, data_j)
             # member j goes into the buffer; each earlier member reads it
             # at the positions of its own entries
             buf[pos_j] = data_j
             for i, (pos_i, data_i) in enumerate(entries[:j]):
-                gram[i, j] += data_i @ buf[pos_i]
+                gram[i, j] = np.einsum("i,i->", data_i, buf[pos_i])
             buf[pos_j] = 0.0
+        return gram, peaks
+
+    gram, peaks = np.zeros((m, m)), np.zeros(m)
+    for part, top_k in run_units(unit, range(0, n, rows), lambda: np.zeros(rows * n)):
+        gram += part
+        np.maximum(peaks, top_k, out=peaks)
     gram = np.triu(gram) + np.triu(gram, 1).T
     order = np.tile(graphs.orders, len(mats))
     scale = np.ones(m)

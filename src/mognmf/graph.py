@@ -19,13 +19,19 @@ maximum entry so all orders live on a comparable scale before fusion
 sigma) are read from an ``UnmixParams``, which has validated them.
 
 Every graph is a scipy CSR array, so memory is O(nnz).  The distances
-are computed over blocks of rows and never held as one N x N array.
-The spectral view's working set is one 128-row block of the Gram
-product P^T P (128 N doubles) plus sub-blocks of at most 2^17 squared
-distances (1 MB): each row's C-th squared distance is found by
-partition within a sub-block, and only the entries at most a few ulps
-above it are square-rooted and sorted.  Its squared norms are summed
-over column chunks, with no L x N temporary.
+are computed over work units of _UNIT = 64 rows and never held as one
+N x N array.  The units run on the graph stage's threads
+(``workers.run_units``), at most _BLOCK = 128 rows in flight, and each
+view joins their kept edges in unit order; a unit's edges depend only
+on its rows, so the graph does not depend on the thread count.  A
+spectral unit's working set is its 64 rows of the Gram product P^T P
+(one BLAS call; 64 N doubles) plus sub-blocks of squared distances, at
+most 2^17 (1 MB) over the units in flight: each row's C-th squared
+distance is found by partition within a sub-block, and only the
+entries at most a few ulps above it are square-rooted and sorted.
+These buffers are allocated once per stage, by the calling thread.
+Its squared norms are summed over column chunks, with no L x N
+temporary.
 Only the order-1 graph of each view is stored: a k-NN graph has about
 C*N nonzeros, while its powers fill in fast (the order-3 spectral power
 of a 64x64 scene is 16% dense).  The consensus graph, a polynomial in
@@ -45,6 +51,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, ParamError, ShapeError
 from .hsi_core import HsiCube, UnmixParams
+from .workers import BLOCK as _BLOCK, UNIT as _UNIT, run_units
 
 __all__ = [
     "WeightMatrix",
@@ -58,7 +65,6 @@ __all__ = [
     "build_multi_order_graphs",
 ]
 
-_BLOCK = 128  # rows of the Gram product of the spectral k-NN, per BLAS call
 _SUB_BLOCK = 1 << 17  # squared distances (1 MB) per selection pass of a k-NN
 
 
@@ -154,41 +160,50 @@ class ConsensusOperator:
         return np.zeros(S.shape) if out is None else out.T
 
 
-def _row_blocks(n: int):
-    """(lo, hi) of each _BLOCK-row block over n rows; the last block takes the remainder."""
-    # no short last block: a BLAS product over fewer rows can round
-    # differently from the whole-matrix product
-    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
-    return zip(starts, [*starts[1:], n])
+def _units(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each work unit over n rows: _UNIT rows each, the last one the remainder."""
+    return [(lo, min(lo + _UNIT, n)) for lo in range(0, n, _UNIT)]
 
 
 def _column_candidates(points: np.ndarray):
-    """Every column of ``points`` as a candidate for every column, over row sub-blocks.
+    """Every column of ``points`` as a candidate for every column: (unit, buffers).
 
-    Yields (lo, d2, index) per sub-block of rows lo..: the squared
-    Euclidean distances to all N columns (unclamped, so possibly a few
-    ulps below zero), +inf at each row's own column, and the global
-    column index of each entry.  The Gram product runs over _BLOCK-row
-    blocks; each block is then cut into sub-blocks of at most
-    _SUB_BLOCK entries, so one block's product plus one sub-block of
-    distances and their selection temporaries is the working set.
+    ``unit(lo, hi, b)`` yields (a, d2, index, part) per sub-block of
+    rows a.. of the unit lo..hi: the squared Euclidean distances to all
+    N columns (unclamped, so possibly a few ulps below zero), +inf at
+    each row's own column, the global column index of each entry, and
+    scratch of d2's shape for its partition.  The unit's Gram product is
+    one BLAS call; it is then cut into sub-blocks of at most _SUB_BLOCK
+    entries.  ``buffers()`` makes the arrays a unit fills in place: its
+    Gram rows, one sub-block of distances and the partition scratch.
     """
     n = points.shape[1]
     # column chunks never one column wide, so each sum has the bits of
     # np.sum(points**2, axis=0) without an L x N temporary
-    sq = np.concatenate([np.sum(points[:, lo:hi] ** 2, axis=0) for lo, hi in _row_blocks(n)])
+    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
+    sq = np.concatenate([np.sum(points[:, lo:hi] ** 2, axis=0)
+                         for lo, hi in zip(starts, [*starts[1:], n])])
     index = np.arange(n)
-    step = max(1, _SUB_BLOCK // n)
-    for lo, hi in _row_blocks(n):
-        gram = points[:, lo:hi].T @ points
+    rows = min(n, _UNIT)
+    # sub-blocks of at most _SUB_BLOCK entries over the units in flight
+    step = min(rows, max(1, _SUB_BLOCK * _UNIT // (_BLOCK * n)))
+
+    def buffers():
+        return np.empty((rows, n)), np.empty((step, n)), np.empty((step, n))
+
+    def unit(lo, hi, b):
+        gram, d2, part = b
+        # a unit of all N rows is P^T P, which numpy sends to SYRK
+        gram = np.matmul(points[:, lo:hi].T, points, out=gram[: hi - lo])
         gram *= 2.0
         for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            d2 = sq[a:b, None] + sq[None, :]
-            d2 -= gram[a - lo : b - lo]
-            d2[np.arange(b - a), np.arange(a, b)] = np.inf
-            yield a, d2, np.broadcast_to(index, d2.shape)
-        del gram  # before the next block's product, not after it
+            rows_a = min(step, hi - a)
+            d = np.add(sq[a : a + rows_a, None], sq, out=d2[:rows_a])
+            d -= gram[a - lo : a - lo + rows_a]
+            d[np.arange(rows_a), np.arange(a, a + rows_a)] = np.inf
+            yield a, d, np.broadcast_to(index, d.shape), part[:rows_a]
+
+    return unit, buffers
 
 
 def _window(ry: int, rx: int):
@@ -200,11 +215,12 @@ def _window(ry: int, rx: int):
 
 
 def _grid_candidates(height: int, width: int, neighbors: int):
-    """The pixels in a window of grid offsets around each pixel, over row blocks.
+    """The pixels in a window of grid offsets around each pixel: unit(lo, hi, b).
 
-    Yields (lo, d2, index) like ``_column_candidates``, one column per
-    offset of the window |dy| <= min(r, height-1), |dx| <= min(r, width-1),
-    with +inf for the pixel itself and for offsets off the grid.  r is
+    ``unit`` yields one (lo, d2, index, part) for the rows lo..hi, like
+    ``_column_candidates``, with one column per offset of the window
+    |dy| <= min(r, height-1), |dx| <= min(r, width-1), +inf for the
+    pixel itself and for offsets off the grid, and ``b`` unused.  r is
     the smallest radius >= 1 within which a grid corner has `neighbors`
     other pixels.  No pixel has fewer pixels within any radius than a
     corner (along each axis, its sorted offsets are elementwise no
@@ -217,12 +233,16 @@ def _grid_candidates(height: int, width: int, neighbors: int):
     kth = np.partition(corner, neighbors)[neighbors]  # squared C-th distance
     r = max(1, int(np.ceil(np.sqrt(kth))))
     dy, dx, length2 = _window(min(r, height - 1), min(r, width - 1))
-    for lo, hi in _row_blocks(height * width):
+
+    def unit(lo, hi, b):
         y, x = np.divmod(np.arange(lo, hi), width)
         ny = y[:, None] + dy
         nx = x[:, None] + dx
         off = (ny < 0) | (ny >= height) | (nx < 0) | (nx >= width) | (length2 == 0)
-        yield lo, np.where(off, np.inf, length2), ny * width + nx
+        d2 = np.where(off, np.inf, length2)
+        yield lo, d2, ny * width + nx, np.empty_like(d2)
+
+    return unit
 
 
 # A bound this far above the C-th squared distance t keeps every squared
@@ -232,43 +252,60 @@ def _grid_candidates(height: int, width: int, neighbors: int):
 _TIE_SLACK = 1.0 + 2.0**-48
 
 
-def _knn_heat_kernel(n: int, candidates, sigma, neighbors: int) -> tuple[sp.csr_array, float]:
-    """Heat-kernel k-NN graph over n nodes from row blocks of candidate squared distances.
+def _nearest(a: int, d2, index, part, neighbors: int):
+    """(row, column, distance) of each row's `neighbors` nearest in one sub-block of rows a..
 
-    ``candidates`` yields (lo, d2, index) per block of rows lo..: the
-    squared distance d2[i, t] from node lo+i to node index[i, t], where
-    each row's candidates hold every node within its C-th smallest
-    distance.  A distance is sqrt(max(d2, 0)).  Keeps each node's
-    `neighbors` nearest others (ties go to the lower index), resolves
-    sigma="auto" to the median retained distance, and symmetrizes by
-    elementwise max.  ``sigma`` is "auto" or positive, as
-    ``UnmixParams`` admits.  Returns (W, sigma_used).
-
+    Ordered by (row, distance, column): ties go to the lower column.
     The selection runs on squared distances, and only its survivors are
     clamped and square-rooted: sqrt(max(., 0)) is monotone, so the C-th
     distance is the root of the C-th squared distance, and a slightly
     looser bound on d2 keeps every entry whose distance ties it.  The
     few survivors beyond the C-th distance sort after at least C others
-    in their row, so they are never kept.
+    in their row, so they are never kept.  ``part`` receives d2's
+    partition.
+    """
+    np.copyto(part, d2)
+    part.partition(neighbors - 1, axis=1)
+    kth2 = np.maximum(part[:, neighbors - 1], 0.0)
+    r, t = np.divmod(np.flatnonzero(d2 <= (kth2 * _TIE_SLACK)[:, None]), d2.shape[1])
+    dist = np.sqrt(np.maximum(d2[r, t], 0.0))
+    c = index[r, t]
+    order = np.lexsort((c, dist, r))
+    counts = np.bincount(r, minlength=d2.shape[0])
+    first = np.cumsum(counts) - counts
+    keep = order[(first[:, None] + np.arange(neighbors)).ravel()]
+    return r[keep] + a, c[keep], dist[keep]
+
+
+def _knn_heat_kernel(
+    n: int, candidates, sigma, neighbors: int, buffers=lambda: None
+) -> tuple[sp.csr_array, float]:
+    """Heat-kernel k-NN graph over n nodes from units of candidate squared distances.
+
+    ``candidates(lo, hi, b)`` yields (a, d2, index, part) per sub-block
+    of rows a.. of the unit lo..hi, filling the buffers ``b`` that
+    ``buffers()`` made: the squared distance d2[i, t] from node a+i to
+    node index[i, t], where each row's candidates hold every node within
+    its C-th smallest distance, and scratch ``part`` of d2's shape.  A
+    distance is sqrt(max(d2, 0)).  Keeps each node's `neighbors` nearest
+    others (ties go to the lower index), resolves sigma="auto" to the
+    median retained distance, and symmetrizes by elementwise max.
+    ``sigma`` is "auto" or positive, as ``UnmixParams`` admits.  Returns
+    (W, sigma_used).
+
+    The units run on the graph stage's threads (``workers.run_units``),
+    and their kept edges are joined in unit order.
     """
     if n < 2:
         raise ParamError("graph construction needs at least 2 pixels")
-    rows, cols, retained = [], [], []
-    for lo, d2, index in candidates:
-        # candidates: every entry within the row's C-th smallest distance;
-        # ordered by (row, distance, global column), each row keeps its first C
-        kth2 = np.maximum(np.partition(d2, neighbors - 1, axis=1)[:, neighbors - 1], 0.0)
-        r, t = np.divmod(np.flatnonzero(d2 <= (kth2 * _TIE_SLACK)[:, None]), d2.shape[1])
-        dist = np.sqrt(np.maximum(d2[r, t], 0.0))
-        c = index[r, t]
-        order = np.lexsort((c, dist, r))
-        counts = np.bincount(r, minlength=d2.shape[0])
-        first = np.cumsum(counts) - counts
-        keep = order[(first[:, None] + np.arange(neighbors)).ravel()]
-        rows.append(r[keep] + lo)
-        cols.append(c[keep])
-        retained.append(dist[keep])
-    rows, cols, retained = (np.concatenate(a) for a in (rows, cols, retained))
+
+    def unit(bounds, b):
+        kept = [_nearest(a, d2, index, part, neighbors)
+                for a, d2, index, part in candidates(*bounds, b)]
+        return [np.concatenate(x) for x in zip(*kept)]
+
+    edges = run_units(unit, _units(n), buffers)
+    rows, cols, retained = (np.concatenate(x) for x in zip(*edges))
     if sigma == "auto":
         med = float(np.median(retained))
         sigma = med if med > 0 else 1.0
@@ -305,8 +342,8 @@ def spectral_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> Weig
     Reads ``params.sigma_l`` and the spectral neighbor count C.
     """
     c = neighbor_count(params, "spectral", cube.pixel_count)
-    candidates = _column_candidates(cube.data)
-    W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, params.sigma_l, c)
+    unit, buffers = _column_candidates(cube.data)
+    W, sigma = _knn_heat_kernel(cube.pixel_count, unit, params.sigma_l, c, buffers)
     return WeightMatrix(W=W, kind="spectral", sigma=sigma)
 
 

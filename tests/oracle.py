@@ -37,11 +37,11 @@ def oracle_case(name):
         data[:, 50:] = data[:, :50]
         return HsiCube(data=data, height=10, width=10), {"neighbors": 8}
     if name == "seams33x33":
-        # N = 1089: eight 128-row Gram blocks and a 193-row remainder block,
-        # each cut into 120-row sub-blocks, with a pixel duplicated across a
-        # block seam (127 | 128) and across a sub-block seam (1015 | 1016)
+        # N = 1089: seventeen 64-row units and a 1-row remainder unit, each
+        # cut into 60-row sub-blocks, with a pixel duplicated across a unit
+        # seam (127 | 128) and across a sub-block seam (1019 | 1020)
         data = rng.random((20, 1089))
-        data[:, [128, 1016]] = data[:, [127, 1015]]
+        data[:, [128, 1020]] = data[:, [127, 1019]]
         return HsiCube(data=data, height=33, width=33), {"neighbors": 6}
     return HsiCube(data=rng.random((100, 576)), height=24, width=24), {"neighbors": 10}
 

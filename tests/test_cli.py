@@ -320,6 +320,13 @@ class TestUnmix:
              "--out", str(tmp_path / "run")],
         )
         assert result.exit_code == 3
+        # the run explains itself: a manifest and no factor files
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "diverged"
+        assert manifest["iterations"] == 4
+        assert manifest["converged"] is False
+        assert manifest["outputs"] == []
+        assert _files_under(tmp_path / "run") == ["manifest.json"]
 
     @pytest.mark.parametrize(
         "config",
@@ -577,8 +584,9 @@ class TestFuse:
         params = UnmixParams(neighbors=4, t1=1)
         fused = cmd_fuse(scene / "cube.raw", tmp_path / "fusion", params=params)
         unmixed = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", params=params)
-        names = ("sigma_s_used", "sigma_l_used", "wm_stats")
+        names = ("sigma_s_used", "sigma_l_used", "wm_stats", "graph_workers")
         assert {k: fused[k] for k in names} == {k: unmixed[k] for k in names}
+        assert fused["graph_ms"] >= 0 and unmixed["graph_ms"] >= 0
         assert fused["wm_stats"]["fusion_iterations"] == fused["fusion_iterations"]
 
     def test_bad_input_writes_nothing(self, runner, tmp_path):
@@ -722,10 +730,45 @@ class TestSweep:
             with open(out / "sweep.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             tables.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
+            # a worker process runs its graph stage on one thread
+            run = json.loads(
+                (out / "runs" / "snr30_seed0_mognmf_lam0.1_beta1.5" / "manifest.json").read_text())
+            assert run["graph_workers"] == 1
         assert len(tables[0]) == 8  # 2 seeds x 2 variants x 2 lambdas
         assert tables[0] == tables[1]
         # the pool sets one BLAS thread for its workers, not for the caller
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert os.environ["MOGNMF_THREADS"] == "2"
+
+    @pytest.mark.parametrize("openblas", [None, "3"])
+    def test_pooled_jobs_get_one_thread_each(self, monkeypatch, openblas):
+        # spawned workers inherit the environment the pool is created in
+        seen = []
+
+        class Pool:
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                seen.append({name: os.environ.get(name) for name in cli._WORKER_ENV})
+                return [{} for _ in jobs]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("MOGNMF_THREADS", "2")
+        if openblas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+        assert cli._run_jobs([None, None], 2) == [{}, {}]
+        assert seen == [{"OPENBLAS_NUM_THREADS": "1", "MOGNMF_THREADS": "1"}]
+        assert os.environ["MOGNMF_THREADS"] == "2"
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == openblas
 
     def test_seed_flag_rejected(self, runner, tmp_path):
         # every run takes its seed from --seeds, so --seed would be recorded but unused
@@ -883,6 +926,9 @@ def test_manifest_outputs_are_the_files_written(runner, tmp_path):
         ], args[0]
         assert manifest["wall_ms"] >= 0
         assert manifest["peak_rss_mb"] > 0
+        if args[0] in ("unmix", "fuse"):
+            assert manifest["graph_ms"] >= 0
+            assert manifest["graph_workers"] >= 1
 
 
 @pytest.mark.parametrize("platform, mb", [("linux", 2048.0), ("darwin", 2.0)])

@@ -283,9 +283,8 @@ class TestFuseGraphs:
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_row_blocks_do_not_change_the_result(self, monkeypatch, normalize):
-        # Gram entries and normalizers accumulate over row blocks of the
-        # powers; a 30-double buffer over 10 nodes makes 3-row blocks and a
-        # remainder block
+        # Gram entries and normalizers accumulate over row units of the
+        # powers; a 30-double buffer over 10 nodes makes 1-row units
         rng = np.random.default_rng(15)
         base = _random_graph_set(rng, n=10)
         graphs = MultiOrderGraphSet(views=base.views, orders=(3, 1))
@@ -316,7 +315,7 @@ class TestGramPass:
         assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(scale, np.ones(len(stack)))
         # the normalizers are the peaks of the unsymmetrized products W^k,
-        # read here in 7-row blocks
+        # read here in 3-row units
         monkeypatch.setattr(fusion, "_GRAM_BUFFER", 7 * cube.pixel_count)
         _, scale = fusion._gram_and_normalizers(graphs, normalize=True)
         for s, (W, k) in zip(scale, [(g.W, k) for g in graphs.views for k in orders]):

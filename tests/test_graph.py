@@ -6,7 +6,7 @@ import pytest
 from mognmf.errors import ParamError, ShapeError
 import scipy.sparse as sp
 
-from mognmf import fusion, graph
+from mognmf import fusion, graph, unmix, workers
 from mognmf.fusion import FusionState, fuse_graphs, update_weights
 from mognmf.graph import (
     ConsensusOperator,
@@ -77,13 +77,13 @@ def _dense_knn_heat_kernel(points, sigma, neighbors):
     distances, a stable argsort per row, then W = max(W, W.T).  Returns
     (W, sigma_used).
 
-    The Gram rows come from the package's 128-row BLAS products: past
-    256 pixels one whole-matrix product (SYRK) can round some entries
-    differently (it does at N = 1089), and the builder's contract is the
-    blocked product.  Everything after it is formed whole."""
+    The Gram rows come from the package's 64-row BLAS products: one
+    whole-matrix product (SYRK) can round some entries differently (it
+    does at N = 1089), and the graph build's contract is the product over
+    its work units.  Everything after it is formed whole."""
     n = points.shape[1]
     sq = np.sum(points**2, axis=0)
-    gram = np.vstack([points[:, lo:hi].T @ points for lo, hi in graph._row_blocks(n)])
+    gram = np.vstack([points[:, lo:hi].T @ points for lo, hi in graph._units(n)])
     d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
     np.fill_diagonal(d, np.inf)
     rows = np.repeat(np.arange(n), neighbors)
@@ -333,15 +333,15 @@ class TestHeatKernelGraphs:
         self, height, width, neighbors, sigma_s, monkeypatch
     ):
         # thin grids and a large C put a corner's C-th distance far out; on 3x3
-        # the window covers the grid.  7-row blocks also check blocks that hold
+        # the window covers the grid.  7-row units also check units that hold
         # no corner pixel, whose window comes from the corner all the same
         cube = HsiCube(data=np.ones((2, height * width)), height=height, width=width)
         dense, sigma = _dense_knn_heat_kernel(_grid(cube), sigma_s, neighbors)
-        for block in (graph._BLOCK, 7):
-            monkeypatch.setattr(graph, "_BLOCK", block)
+        for unit in (graph._UNIT, 7):
+            monkeypatch.setattr(graph, "_UNIT", unit)
             w = spatial_weights(cube, UnmixParams(sigma_s=sigma_s, neighbors=neighbors))
-            assert np.array_equal(w.W.toarray(), dense), block
-            assert w.sigma == sigma, block
+            assert np.array_equal(w.W.toarray(), dense), unit
+            assert w.sigma == sigma, unit
 
     @pytest.mark.parametrize(
         "height, width, neighbors",
@@ -353,8 +353,10 @@ class TestHeatKernelGraphs:
         corner = sorted(y * y + x * x for y in range(height) for x in range(width))
         r = max(1, int(np.ceil(np.sqrt(corner[neighbors]))))
         ry, rx = min(r, height - 1), min(r, width - 1)
-        for _, d, index in graph._grid_candidates(height, width, neighbors):
-            assert d.shape[1] == index.shape[1] == (2 * ry + 1) * (2 * rx + 1)
+        unit = graph._grid_candidates(height, width, neighbors)
+        for lo, hi in graph._units(height * width):
+            for _, d, index, _ in unit(lo, hi, None):
+                assert d.shape[1] == index.shape[1] == (2 * ry + 1) * (2 * rx + 1)
 
     @pytest.mark.parametrize("neighbors", [4, 8])
     def test_spectral_ties_match_oracle(self, neighbors):
@@ -381,9 +383,13 @@ def _select(d2, neighbors, rows_per_block):
     """The k-NN heat kernel of a full squared-distance matrix fed in row blocks."""
     n = d2.shape[0]
     index = np.broadcast_to(np.arange(n), d2.shape)
-    blocks = [(lo, d2[lo : lo + rows_per_block], index[lo : lo + rows_per_block])
-              for lo in range(0, n, rows_per_block)]
-    return graph._knn_heat_kernel(n, blocks, "auto", neighbors)
+
+    def candidates(lo, hi, _):
+        for a in range(lo, hi, rows_per_block):
+            b = min(a + rows_per_block, hi)
+            yield a, d2[a:b], index[a:b], np.empty((b - a, n))
+
+    return graph._knn_heat_kernel(n, candidates, "auto", neighbors)
 
 
 class TestSquaredDistanceSelection:
@@ -672,3 +678,56 @@ class TestPeakMemory:
         graphs = build_multi_order_graphs(cube, UnmixParams())
         slab = fusion._BLOCK * cube.pixel_count * 8
         assert _peak_bytes(fuse_graphs, graphs, UnmixParams()) < 8 * slab
+
+
+def _stage_outputs(cube, params):
+    """The graph stage's outputs as bytes: each view's CSR arrays and sigma,
+    the fusion Gram matrix and normalizers, H and the W_m coefficients."""
+    graphs = build_multi_order_graphs(cube, params)
+    gram, scale = fusion._gram_and_normalizers(graphs, params.order_norm)
+    state = fuse_graphs(graphs, params)
+    out = [a.tobytes() for v in graphs.views for a in (v.W.data, v.W.indices, v.W.indptr)]
+    out += [np.float64(v.sigma).tobytes() for v in graphs.views]
+    return out + [a.tobytes() for a in (gram, scale, state.H, state.Wm.coef)]
+
+
+class TestWorkerCount:
+    """The graph stage's units run on 1 or 2 threads with the same bits."""
+
+    @pytest.mark.parametrize("case", [*ORACLE_CASES, "simu64"])
+    def test_outputs_do_not_depend_on_threads(self, monkeypatch, case):
+        if case == "simu64":
+            cube = _random_cube(np.random.default_rng(23), 64, 64, bands=30)
+            params = UnmixParams()
+        else:
+            cube, kw = oracle_case(case)
+            params = UnmixParams(**kw)
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MOGNMF_THREADS", threads)
+            outputs.append(_stage_outputs(cube, params))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_gram_does_not_depend_on_blas_threads(self, monkeypatch):
+        # its entries are summed without BLAS, whose dot products split
+        # long vectors across BLAS threads
+        cube = _random_cube(np.random.default_rng(24), 48, 48, bands=20)
+        graphs = build_multi_order_graphs(cube, UnmixParams())
+        grams = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MOGNMF_THREADS", threads)
+            grams.append(fusion._gram_and_normalizers(graphs, True)[0].tobytes())
+            with workers.blas_pinned():
+                grams.append(fusion._gram_and_normalizers(graphs, True)[0].tobytes())
+        assert len(set(grams)) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stage_records_threads_and_trims_after_a_pool(self, monkeypatch, threads):
+        monkeypatch.setenv("MOGNMF_THREADS", threads)
+        trims = []
+        monkeypatch.setattr(unmix, "trim_heaps", lambda: trims.append(1))
+        cube, kw = oracle_case("random24")
+        state = consensus_graph(cube, UnmixParams(**kw))
+        assert state.graph_workers == workers.pool_size()
+        assert state.graph_ms >= 0
+        assert len(trims) == (state.graph_workers > 1)
