@@ -2,15 +2,14 @@
 
 Both views share one recipe: Euclidean distances, each pixel's C
 nearest neighbors with ties going to the lower index, edges weighted by
-exp(-d^2 / (2 sigma^2)), and symmetrization by elementwise max.  One
-selection path keeps the neighbors from blocks of candidate distances,
-and each view has its own candidate generator.  The spectral view scans
-all N columns (its neighbors can be anywhere).  The spatial view scans
-a (2r+1)^2 window of grid offsets around each pixel, r being a grid
-corner's C-th nearest distance rounded up: no pixel has fewer pixels
-within a radius than a corner, so the window holds every pixel's C
-nearest.  It costs O(C N), and its distances are bit-equal to those of
-a scan of all columns over grid coordinates.
+exp(-d^2 / (2 sigma^2)), and symmetrization by elementwise max; each
+view finds its own edges and one tail weights them.  The spectral view
+scans all N columns (its neighbors can be anywhere).  The spatial view
+needs no search: each pixel keeps its first C on-grid offsets of one
+window sorted by (distance, neighbor index), whose radius is a grid
+corner's C-th nearest distance (no pixel has fewer pixels within a
+radius than a corner).  It costs O(C N), and its distances are
+bit-equal to those of a scan of all columns over grid coordinates.
 
 Order-k graphs are plain matrix powers of the order-1 graph; under
 ``UnmixParams.order_norm`` powers of order >= 2 are divided by their
@@ -18,19 +17,19 @@ maximum entry so all orders live on a comparable scale before fusion
 (raw powers grow without bound).  The graph settings (C per view and
 sigma) are read from an ``UnmixParams``, which has validated them.
 
-Every graph is a scipy CSR array, so memory is O(nnz).  The distances
-are computed over work units of _UNIT = 64 rows and never held as one
-N x N array.  The units run on the graph stage's threads
-(``workers.run_units``), at most _BLOCK = 128 rows in flight, and each
-view joins their kept edges in unit order; a unit's edges depend only
-on its rows, so the graph does not depend on the thread count.  A
-spectral unit's working set is its 64 rows of the Gram product P^T P
-(one BLAS call; 64 N doubles) plus sub-blocks of squared distances, at
-most 2^17 (1 MB) over the units in flight: each row's C-th squared
-distance is found by partition within a sub-block, and only the
-entries at most a few ulps above it are square-rooted and sorted.
-These buffers are allocated once per stage, by the calling thread.
-Its squared norms are summed over column chunks, with no L x N
+Every graph is a scipy CSR array, so memory is O(nnz).  Both views work
+over units of _UNIT = 64 rows, never hold an N x N array, and join the
+units' kept edges in unit order.  The spatial units run in turn in the
+calling thread; the spectral ones run on the graph stage's threads
+(``workers.run_units``), at most _BLOCK = 128 rows in flight, and a
+unit's edges depend only on its rows, so the graph does not depend on
+the thread count.  A spectral unit's working set is its 64 rows of the
+Gram product P^T P (one BLAS call; 64 N doubles) plus sub-blocks of
+squared distances, at most 2^17 (1 MB) over the units in flight: each
+row's C-th squared distance is found by partition within a sub-block,
+and only the entries at most a few ulps above it are square-rooted and
+sorted.  These buffers are allocated once per stage, by the calling
+thread.  Its squared norms are summed over column chunks, with no L x N
 temporary.
 Only the order-1 graph of each view is stored: a k-NN graph has about
 C*N nonzeros, while its powers fill in fast (the order-3 spectral power
@@ -165,84 +164,63 @@ def _units(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _UNIT, n)) for lo in range(0, n, _UNIT)]
 
 
-def _column_candidates(points: np.ndarray):
-    """Every column of ``points`` as a candidate for every column: (unit, buffers).
+def _heat_kernel(n: int, rows, cols, dist, sigma) -> tuple[sp.csr_array, float]:
+    """Heat-kernel graph over n nodes from the kept edges (rows, cols) at distances dist.
 
-    ``unit(lo, hi, b)`` yields (a, d2, index, part) per sub-block of
-    rows a.. of the unit lo..hi: the squared Euclidean distances to all
-    N columns (unclamped, so possibly a few ulps below zero), +inf at
-    each row's own column, the global column index of each entry, and
-    scratch of d2's shape for its partition.  The unit's Gram product is
-    one BLAS call; it is then cut into sub-blocks of at most _SUB_BLOCK
-    entries.  ``buffers()`` makes the arrays a unit fills in place: its
-    Gram rows, one sub-block of distances and the partition scratch.
+    Resolves sigma="auto" to the median kept distance (1.0 where that is
+    0), weights each edge exp(-d^2 / (2 sigma^2)) and symmetrizes by
+    elementwise max.  ``sigma`` is "auto" or positive, as ``UnmixParams``
+    admits.  Returns (W, sigma_used).
     """
-    n = points.shape[1]
-    # column chunks never one column wide, so each sum has the bits of
-    # np.sum(points**2, axis=0) without an L x N temporary
-    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
-    sq = np.concatenate([np.sum(points[:, lo:hi] ** 2, axis=0)
-                         for lo, hi in zip(starts, [*starts[1:], n])])
-    index = np.arange(n)
-    rows = min(n, _UNIT)
-    # sub-blocks of at most _SUB_BLOCK entries over the units in flight
-    step = min(rows, max(1, _SUB_BLOCK * _UNIT // (_BLOCK * n)))
-
-    def buffers():
-        return np.empty((rows, n)), np.empty((step, n)), np.empty((step, n))
-
-    def unit(lo, hi, b):
-        gram, d2, part = b
-        # a unit of all N rows is P^T P, which numpy sends to SYRK
-        gram = np.matmul(points[:, lo:hi].T, points, out=gram[: hi - lo])
-        gram *= 2.0
-        for a in range(lo, hi, step):
-            rows_a = min(step, hi - a)
-            d = np.add(sq[a : a + rows_a, None], sq, out=d2[:rows_a])
-            d -= gram[a - lo : a - lo + rows_a]
-            d[np.arange(rows_a), np.arange(a, a + rows_a)] = np.inf
-            yield a, d, np.broadcast_to(index, d.shape), part[:rows_a]
-
-    return unit, buffers
+    if sigma == "auto":
+        med = float(np.median(dist))
+        sigma = med if med > 0 else 1.0
+    w = np.exp(-(dist**2) / (2.0 * sigma**2))
+    W = sp.csr_array((w, (rows, cols)), shape=(n, n))
+    return W.maximum(W.T), float(sigma)
 
 
-def _window(ry: int, rx: int):
-    """Offsets (dy, dx) of a (2ry+1) x (2rx+1) window and their squared Euclidean lengths."""
-    dy, dx = (a.ravel() for a in np.mgrid[-ry : ry + 1, -rx : rx + 1])
-    # dy^2 + dx^2 is an exact integer, so each length's sqrt has the bits
-    # of the distance between integer grid coordinates
-    return dy, dx, (dy * dy + dx * dx).astype(np.float64)
+def _grid_offsets(height: int, width: int, neighbors: int):
+    """(dy, dx, distance) of the grid offsets that hold every pixel's C nearest.
 
-
-def _grid_candidates(height: int, width: int, neighbors: int):
-    """The pixels in a window of grid offsets around each pixel: unit(lo, hi, b).
-
-    ``unit`` yields one (lo, d2, index, part) for the rows lo..hi, like
-    ``_column_candidates``, with one column per offset of the window
-    |dy| <= min(r, height-1), |dx| <= min(r, width-1), +inf for the
-    pixel itself and for offsets off the grid, and ``b`` unused.  r is
-    the smallest radius >= 1 within which a grid corner has `neighbors`
-    other pixels.  No pixel has fewer pixels within any radius than a
-    corner (along each axis, its sorted offsets are elementwise no
-    larger than the corner's 0, 1, 2, ...), so the disk of radius r
-    holds every pixel's C nearest, ties included.  The window holds the
-    part of that disk on the grid: an offset of more than height-1 rows
-    or width-1 columns is off the grid from every pixel.
+    The window is |dy| <= min(r, height-1), |dx| <= min(r, width-1)
+    without (0, 0), r being the smallest radius >= 1 within which a grid
+    corner has `neighbors` other pixels.  No pixel has fewer pixels
+    within any radius than a corner (along each axis, its sorted offsets
+    are elementwise no larger than the corner's 0, 1, 2, ...), so the
+    window holds every pixel's C nearest, ties included.  Sorted by
+    (squared length, dy, dx): with |dx| < width, the neighbor index
+    i + dy*width + dx grows with (dy, dx), so from every pixel i this is
+    (distance, neighbor index) order.  A squared length is an exact
+    integer, so each distance has the bits of a grid-coordinate distance.
     """
     corner = np.add.outer(np.arange(height) ** 2, np.arange(width) ** 2).ravel()
     kth = np.partition(corner, neighbors)[neighbors]  # squared C-th distance
     r = max(1, int(np.ceil(np.sqrt(kth))))
-    dy, dx, length2 = _window(min(r, height - 1), min(r, width - 1))
+    ry, rx = min(r, height - 1), min(r, width - 1)
+    dy, dx = (a.ravel() for a in np.mgrid[-ry : ry + 1, -rx : rx + 1])
+    length2 = dy * dy + dx * dx
+    order = np.lexsort((dx, dy, length2))[1:]  # (0, 0) alone sorts first
+    return dy[order], dx[order], np.sqrt(length2[order])
 
-    def unit(lo, hi, b):
+
+def _grid_edges(height: int, width: int, neighbors: int) -> list[np.ndarray]:
+    """[rows, columns, distances] of each grid pixel's `neighbors` nearest pixels.
+
+    Each pixel keeps its first C on-grid offsets in ``_grid_offsets``
+    order, so ties go to the lower index.  The units run in turn in the
+    calling thread: each is a few small numpy calls, which two threads
+    would only pass the interpreter lock between.
+    """
+    dy, dx, dist = _grid_offsets(height, width, neighbors)
+    edges = []
+    for lo, hi in _units(height * width):
         y, x = np.divmod(np.arange(lo, hi), width)
-        ny = y[:, None] + dy
-        nx = x[:, None] + dx
-        off = (ny < 0) | (ny >= height) | (nx < 0) | (nx >= width) | (length2 == 0)
-        d2 = np.where(off, np.inf, length2)
-        yield lo, d2, ny * width + nx, np.empty_like(d2)
-
-    return unit
+        ny, nx = y[:, None] + dy, x[:, None] + dx
+        on = (ny >= 0) & (ny < height) & (nx >= 0) & (nx < width)
+        r, t = np.nonzero(on & (np.cumsum(on, axis=1) <= neighbors))
+        edges.append((r + lo, ny[r, t] * width + nx[r, t], dist[t]))
+    return [np.concatenate(x) for x in zip(*edges)]
 
 
 # A bound this far above the C-th squared distance t keeps every squared
@@ -252,24 +230,23 @@ def _grid_candidates(height: int, width: int, neighbors: int):
 _TIE_SLACK = 1.0 + 2.0**-48
 
 
-def _nearest(a: int, d2, index, part, neighbors: int):
+def _nearest(a: int, d2, part, neighbors: int):
     """(row, column, distance) of each row's `neighbors` nearest in one sub-block of rows a..
 
-    Ordered by (row, distance, column): ties go to the lower column.
-    The selection runs on squared distances, and only its survivors are
-    clamped and square-rooted: sqrt(max(., 0)) is monotone, so the C-th
-    distance is the root of the C-th squared distance, and a slightly
-    looser bound on d2 keeps every entry whose distance ties it.  The
-    few survivors beyond the C-th distance sort after at least C others
-    in their row, so they are never kept.  ``part`` receives d2's
-    partition.
+    Column t of d2 is node t.  Ordered by (row, distance, column): ties
+    go to the lower column.  The selection runs on squared distances, and
+    only its survivors are clamped and square-rooted: sqrt(max(., 0)) is
+    monotone, so the C-th distance is the root of the C-th squared
+    distance, and a slightly looser bound on d2 keeps every entry whose
+    distance ties it.  The few survivors beyond the C-th distance sort
+    after at least C others in their row, so they are never kept.
+    ``part`` receives d2's partition.
     """
     np.copyto(part, d2)
     part.partition(neighbors - 1, axis=1)
     kth2 = np.maximum(part[:, neighbors - 1], 0.0)
-    r, t = np.divmod(np.flatnonzero(d2 <= (kth2 * _TIE_SLACK)[:, None]), d2.shape[1])
-    dist = np.sqrt(np.maximum(d2[r, t], 0.0))
-    c = index[r, t]
+    r, c = np.divmod(np.flatnonzero(d2 <= (kth2 * _TIE_SLACK)[:, None]), d2.shape[1])
+    dist = np.sqrt(np.maximum(d2[r, c], 0.0))
     order = np.lexsort((c, dist, r))
     counts = np.bincount(r, minlength=d2.shape[0])
     first = np.cumsum(counts) - counts
@@ -277,41 +254,44 @@ def _nearest(a: int, d2, index, part, neighbors: int):
     return r[keep] + a, c[keep], dist[keep]
 
 
-def _knn_heat_kernel(
-    n: int, candidates, sigma, neighbors: int, buffers=lambda: None
-) -> tuple[sp.csr_array, float]:
-    """Heat-kernel k-NN graph over n nodes from units of candidate squared distances.
+def _spectral_edges(points: np.ndarray, neighbors: int) -> list[np.ndarray]:
+    """[rows, columns, distances] of each column's `neighbors` nearest columns of ``points``.
 
-    ``candidates(lo, hi, b)`` yields (a, d2, index, part) per sub-block
-    of rows a.. of the unit lo..hi, filling the buffers ``b`` that
-    ``buffers()`` made: the squared distance d2[i, t] from node a+i to
-    node index[i, t], where each row's candidates hold every node within
-    its C-th smallest distance, and scratch ``part`` of d2's shape.  A
-    distance is sqrt(max(d2, 0)).  Keeps each node's `neighbors` nearest
-    others (ties go to the lower index), resolves sigma="auto" to the
-    median retained distance, and symmetrizes by elementwise max.
-    ``sigma`` is "auto" or positive, as ``UnmixParams`` admits.  Returns
-    (W, sigma_used).
-
-    The units run on the graph stage's threads (``workers.run_units``),
-    and their kept edges are joined in unit order.
+    A unit's rows of P^T P are one BLAS call (a unit of all N rows is
+    P^T P, which numpy sends to SYRK), cut into sub-blocks of squared
+    distances, unclamped (so possibly a few ulps below zero) and +inf at
+    each row's own column.  The units run on the graph stage's threads
+    (``workers.run_units``) in the buffers they borrow, and their edges
+    are joined in unit order.
     """
-    if n < 2:
-        raise ParamError("graph construction needs at least 2 pixels")
+    n = points.shape[1]
+    # column chunks never one column wide, so each sum has the bits of
+    # np.sum(points**2, axis=0) without an L x N temporary
+    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
+    sq = np.concatenate([np.sum(points[:, lo:hi] ** 2, axis=0)
+                         for lo, hi in zip(starts, [*starts[1:], n])])
+    rows = min(n, _UNIT)
+    # sub-blocks of at most _SUB_BLOCK entries over the units in flight
+    step = min(rows, max(1, _SUB_BLOCK * _UNIT // (_BLOCK * n)))
 
     def unit(bounds, b):
-        kept = [_nearest(a, d2, index, part, neighbors)
-                for a, d2, index, part in candidates(*bounds, b)]
+        (lo, hi), (gram, d2, part) = bounds, b
+        gram = np.matmul(points[:, lo:hi].T, points, out=gram[: hi - lo])
+        gram *= 2.0
+        kept = []
+        for a in range(lo, hi, step):
+            m = min(step, hi - a)
+            d = np.add(sq[a : a + m, None], sq, out=d2[:m])
+            d -= gram[a - lo : a - lo + m]
+            d[np.arange(m), np.arange(a, a + m)] = np.inf
+            kept.append(_nearest(a, d, part[:m], neighbors))
         return [np.concatenate(x) for x in zip(*kept)]
 
+    def buffers():
+        return np.empty((rows, n)), np.empty((step, n)), np.empty((step, n))
+
     edges = run_units(unit, _units(n), buffers)
-    rows, cols, retained = (np.concatenate(x) for x in zip(*edges))
-    if sigma == "auto":
-        med = float(np.median(retained))
-        sigma = med if med > 0 else 1.0
-    w = np.exp(-(retained**2) / (2.0 * sigma**2))
-    W = sp.csr_array((w, (rows, cols)), shape=(n, n))
-    return W.maximum(W.T), float(sigma)
+    return [np.concatenate(x) for x in zip(*edges)]
 
 
 def neighbor_count(params: UnmixParams, view: str, n: int) -> int:
@@ -331,8 +311,8 @@ def spatial_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> Weigh
     Reads ``params.sigma_s`` and the spatial neighbor count C.
     """
     c = neighbor_count(params, "spatial", cube.pixel_count)
-    candidates = _grid_candidates(cube.height, cube.width, c)
-    W, sigma = _knn_heat_kernel(cube.pixel_count, candidates, params.sigma_s, c)
+    edges = _grid_edges(cube.height, cube.width, c)
+    W, sigma = _heat_kernel(cube.pixel_count, *edges, params.sigma_s)
     return WeightMatrix(W=W, kind="spatial", sigma=sigma)
 
 
@@ -342,8 +322,7 @@ def spectral_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> Weig
     Reads ``params.sigma_l`` and the spectral neighbor count C.
     """
     c = neighbor_count(params, "spectral", cube.pixel_count)
-    unit, buffers = _column_candidates(cube.data)
-    W, sigma = _knn_heat_kernel(cube.pixel_count, unit, params.sigma_l, c, buffers)
+    W, sigma = _heat_kernel(cube.pixel_count, *_spectral_edges(cube.data, c), params.sigma_l)
     return WeightMatrix(W=W, kind="spectral", sigma=sigma)
 
 

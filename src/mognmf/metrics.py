@@ -62,12 +62,15 @@ def sad(a: np.ndarray, a_hat: np.ndarray) -> float:
 def rmse(S: np.ndarray, S_hat: np.ndarray) -> float:
     """Root mean square abundance error sqrt(mean_j ||s_j - s_hat_j||^2).
 
-    Raises MetricError when either matrix holds a NaN or infinite entry.
+    Raises ShapeError unless both are M x N matrices of one shape with
+    N >= 1, and MetricError when either holds a NaN or infinite entry.
     """
     S = np.asarray(S, dtype=np.float64)
     S_hat = np.asarray(S_hat, dtype=np.float64)
     if S.shape != S_hat.shape:
         raise ShapeError(f"abundance shapes differ: {S.shape} vs {S_hat.shape}")
+    if S.ndim != 2 or S.shape[1] == 0:
+        raise ShapeError(f"abundances must be M x N with N >= 1, got shape {S.shape}")
     _require_finite(abundances=(S, S_hat))
     n = S.shape[1]
     return float(np.sqrt(np.sum((S - S_hat) ** 2) / n))

@@ -4,13 +4,13 @@
 ``sweep`` and the threads of the graph stage (``thread_cap``); unset,
 the cap is the available cores.
 
-The graph stage (both k-NN views and the fusion's Gram pass) cuts its
-rows into work units of ``UNIT`` rows, at most ``BLOCK`` of them in
-flight: ``run_units`` runs them on min(cap, BLOCK // UNIT) threads of
-one pool, created on first use and kept for the life of the process.
-A unit's result depends only on the unit, and the caller combines the
-results in unit order, so the stage's output does not depend on the
-number of threads.  A pool of one runs the units inline.
+The graph stage's pooled work (the spectral k-NN and the fusion's Gram
+pass) cuts its rows into work units of ``UNIT`` rows, at most ``BLOCK``
+of them in flight: ``run_units`` submits them all to one pool, created
+on first use and kept for the life of the process, and each running
+unit borrows one of min(cap, BLOCK // UNIT) buffer sets.  The caller
+combines the units' results in unit order, so the stage's output does
+not depend on the thread count.  A pool of one runs the units inline.
 
 While the pool works, every loaded OpenBLAS is held at one thread
 (``blas_pinned``).  After a multithreaded call, OpenBLAS's idle
@@ -25,8 +25,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import queue
 import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 from .errors import ParamError
@@ -131,39 +132,38 @@ def _executor() -> ThreadPoolExecutor:
 def run_units(work, units, buffers) -> list:
     """[work(unit, b) for unit in units] on the stage's pool, results in unit order.
 
-    ``buffers()`` makes one thread's working buffers.  The calling
-    thread makes one per pool thread before any unit starts; a unit
-    takes the buffers of the unit whose end freed its place in flight,
-    so no two units in flight share them.  With more than one thread
-    the units run under ``blas_pinned``; an exception in a unit is
-    raised here once every unit in flight has stopped.
+    The calling thread makes ``buffers()`` once per pool thread; a
+    running unit borrows one set and returns it when it ends.  With more
+    than one thread the units run under ``blas_pinned``.  An exception in
+    a unit is raised here once the units not yet started are cancelled
+    and the running ones have stopped.
     """
     size = pool_size()
-    free = [buffers() for _ in range(size)]
     if size == 1:
-        return [work(unit, free[0]) for unit in units]
+        b = buffers()
+        return [work(unit, b) for unit in units]
+    free = queue.SimpleQueue()
+    for _ in range(size):
+        free.put(buffers())
+
+    def borrow(unit):
+        b = free.get()
+        try:
+            return work(unit, b)
+        finally:
+            free.put(b)
+
     pool = _executor()
-    units = list(units)
-    results = [None] * len(units)
-    running = {}  # future -> (unit index, its buffers)
+    futures = []
     with blas_pinned():
         try:
-            for i, unit in enumerate(units):
-                if not free:
-                    done, _ = wait(running, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        j, slot = running.pop(future)
-                        results[j] = future.result()
-                        free.append(slot)
-                slot = free.pop()
-                running[pool.submit(work, unit, slot)] = (i, slot)
-            for future, (j, _) in running.items():
-                results[j] = future.result()
+            for unit in units:
+                futures.append(pool.submit(borrow, unit))
+            return [future.result() for future in futures]
         finally:
-            for future in running:
+            for future in futures:
                 future.cancel()
-            wait(running)  # no unit outlives the pin or its buffers
-    return results
+            wait(futures)  # no unit outlives the pin or its buffers
 
 
 @functools.cache

@@ -327,14 +327,16 @@ class TestHeatKernelGraphs:
     @pytest.mark.parametrize(
         "height, width, neighbors, sigma_s",
         [(1, 40, 5, "auto"), (2, 50, 10, "auto"), (2, 50, 10, 1.7), (3, 3, 8, "auto"),
-         (16, 16, 30, "auto"), (7, 3, 20, "auto"), (40, 1, 7, "auto"), (1, 12, 11, "auto")],
+         (16, 16, 30, "auto"), (7, 3, 20, "auto"), (40, 1, 7, "auto"), (1, 12, 11, "auto"),
+         (1, 2, 1, "auto"), (2, 2, 3, "auto"), (9, 1, 8, "auto")],
     )
     def test_spatial_window_growth_matches_dense_builder(
         self, height, width, neighbors, sigma_s, monkeypatch
     ):
         # thin grids and a large C put a corner's C-th distance far out; on 3x3
-        # the window covers the grid.  7-row units also check units that hold
-        # no corner pixel, whose window comes from the corner all the same
+        # the window covers the grid, and on 1x2, 2x2 and 9x1 every pixel is a
+        # corner and C = N - 1.  7-row units also check units that hold no
+        # corner pixel, whose window comes from the corner all the same
         cube = HsiCube(data=np.ones((2, height * width)), height=height, width=width)
         dense, sigma = _dense_knn_heat_kernel(_grid(cube), sigma_s, neighbors)
         for unit in (graph._UNIT, 7):
@@ -353,10 +355,8 @@ class TestHeatKernelGraphs:
         corner = sorted(y * y + x * x for y in range(height) for x in range(width))
         r = max(1, int(np.ceil(np.sqrt(corner[neighbors]))))
         ry, rx = min(r, height - 1), min(r, width - 1)
-        unit = graph._grid_candidates(height, width, neighbors)
-        for lo, hi in graph._units(height * width):
-            for _, d, index, _ in unit(lo, hi, None):
-                assert d.shape[1] == index.shape[1] == (2 * ry + 1) * (2 * rx + 1)
+        dy, dx, dist = graph._grid_offsets(height, width, neighbors)
+        assert len(dy) == len(dx) == len(dist) == (2 * ry + 1) * (2 * rx + 1) - 1
 
     @pytest.mark.parametrize("neighbors", [4, 8])
     def test_spectral_ties_match_oracle(self, neighbors):
@@ -382,14 +382,11 @@ def _collapsing_pair():
 def _select(d2, neighbors, rows_per_block):
     """The k-NN heat kernel of a full squared-distance matrix fed in row blocks."""
     n = d2.shape[0]
-    index = np.broadcast_to(np.arange(n), d2.shape)
-
-    def candidates(lo, hi, _):
-        for a in range(lo, hi, rows_per_block):
-            b = min(a + rows_per_block, hi)
-            yield a, d2[a:b], index[a:b], np.empty((b - a, n))
-
-    return graph._knn_heat_kernel(n, candidates, "auto", neighbors)
+    kept = []
+    for a in range(0, n, rows_per_block):
+        block = d2[a : a + rows_per_block]
+        kept.append(graph._nearest(a, block, np.empty_like(block), neighbors))
+    return graph._heat_kernel(n, *(np.concatenate(x) for x in zip(*kept)), "auto")
 
 
 class TestSquaredDistanceSelection:
@@ -707,6 +704,17 @@ class TestWorkerCount:
             monkeypatch.setenv("MOGNMF_THREADS", threads)
             outputs.append(_stage_outputs(cube, params))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_spatial_build_stays_off_the_pool(self, monkeypatch):
+        # a spatial unit is a few small numpy calls, which two threads would
+        # only pass the interpreter lock between
+        def pooled(*args):
+            raise AssertionError("spatial_weights ran its units on the pool")
+
+        monkeypatch.setenv("MOGNMF_THREADS", "2")
+        monkeypatch.setattr(graph, "run_units", pooled)
+        cube = HsiCube(data=np.ones((2, 64 * 64)), height=64, width=64)
+        assert spatial_weights(cube, UnmixParams()).W.shape == (4096, 4096)
 
     def test_gram_does_not_depend_on_blas_threads(self, monkeypatch):
         # its entries are summed without BLAS, whose dot products split

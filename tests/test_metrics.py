@@ -81,6 +81,12 @@ class TestRmse:
         with pytest.raises(ShapeError):
             rmse(np.ones((2, 3)), np.ones((3, 2)))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 0)], ids=["one_dimensional", "zero_columns"])
+    def test_not_m_by_n_rejected(self, shape):
+        # a 1-D input has no column count, and zero columns leave no mean
+        with pytest.raises(ShapeError):
+            rmse(np.ones(shape), np.zeros(shape))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", [0, 1])
     def test_non_finite_entry_rejected(self, side, value):
