@@ -35,11 +35,11 @@ is scattered into a dense rows x N buffer, and is gathered by every
 earlier member at that member's own entries' positions; the buffer is
 then cleared at the same positions.  The dot products are summed by
 ``np.einsum``, not by BLAS, whose dot product splits long vectors
-across its threads.  The units run on the graph stage's threads
-(``workers.run_units``), each thread with its own buffer, allocated
-once per stage by the calling thread, and the partial Gram matrices and
-peaks are combined in unit order, so G does not depend on the thread
-count.  At most _BLOCK = 128 rows and _GRAM_BUFFER doubles (4 MB) of
+across its threads.  The units run on the calling thread and a pool
+made per call (``workers.run_units``), each thread with its own buffer,
+allocated once per stage by the calling thread, and the partial Gram
+matrices and peaks are combined in unit order: G does not depend on the
+thread count.  At most _BLOCK = 128 rows and _GRAM_BUFFER doubles (4 MB) of
 buffer are in flight: a unit holds max(1, min(_BLOCK, _GRAM_BUFFER // N)
 // 2) rows, 64 up to N = 4096 and fewer beyond, so a unit's power rows
 stay small even where a power is dense (the order-3 spectral power of a

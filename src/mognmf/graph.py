@@ -20,7 +20,7 @@ sigma) are read from an ``UnmixParams``, which has validated them.
 Every graph is a scipy CSR array, so memory is O(nnz).  Both views work
 over units of _UNIT = 64 rows, never hold an N x N array, and join the
 units' kept edges in unit order.  The spatial units run in turn in the
-calling thread; the spectral ones run on the graph stage's threads
+calling thread; the spectral ones on it and a pool made per call
 (``workers.run_units``), at most _BLOCK = 128 rows in flight, and a
 unit's edges depend only on its rows, so the graph does not depend on
 the thread count.  A spectral unit's working set is its 64 rows of the
@@ -29,7 +29,7 @@ squared distances, at most 2^17 (1 MB) over the units in flight: each
 row's C-th squared distance is found by partition within a sub-block,
 and only the entries at most a few ulps above it are square-rooted and
 sorted.  These buffers are allocated once per stage, by the calling
-thread.  Its squared norms are summed over column chunks, with no L x N
+thread.  Its squared norms are summed band by band, with no L x N
 temporary.
 Only the order-1 graph of each view is stored: a k-NN graph has about
 C*N nonzeros, while its powers fill in fast (the order-3 spectral power
@@ -261,15 +261,13 @@ def _spectral_edges(points: np.ndarray, neighbors: int) -> list[np.ndarray]:
     P^T P, which numpy sends to SYRK), cut into sub-blocks of squared
     distances, unclamped (so possibly a few ulps below zero) and +inf at
     each row's own column.  The units run on the graph stage's threads
-    (``workers.run_units``) in the buffers they borrow, and their edges
-    are joined in unit order.
+    (``workers.run_units``), each in its thread's buffers, and their
+    edges are joined in unit order.
     """
     n = points.shape[1]
-    # column chunks never one column wide, so each sum has the bits of
-    # np.sum(points**2, axis=0) without an L x N temporary
-    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
-    sq = np.concatenate([np.sum(points[:, lo:hi] ** 2, axis=0)
-                         for lo, hi in zip(starts, [*starts[1:], n])])
+    sq = points[0] ** 2
+    for band in points[1:]:
+        sq += band**2
     rows = min(n, _UNIT)
     # sub-blocks of at most _SUB_BLOCK entries over the units in flight
     step = min(rows, max(1, _SUB_BLOCK * _UNIT // (_BLOCK * n)))

@@ -194,6 +194,8 @@ class UnmixParams:
             raise ParamError(f"parameters must be a JSON object, got {d!r}")
         d = dict(d)
         if "lambda" in d:
+            if "lam" in d:
+                raise ParamError("parameters give both 'lam' and 'lambda'")
             d["lam"] = d.pop("lambda")
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known

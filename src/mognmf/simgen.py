@@ -179,6 +179,8 @@ def generate_abundances(
     sharpens the maps so each material dominates somewhere (near-pure
     regions, as in real land cover); gain ~1 gives heavily mixed scenes.
     """
+    if height < 1 or width < 1:
+        raise ParamError("height and width must be positive")
     if M < 2:
         raise ParamError("at least 2 endmembers are required")
     if smoothness <= 0:

@@ -1,4 +1,4 @@
-"""Worker caps, the graph stage's thread pool, and the BLAS pin it runs under.
+"""Worker caps, the graph stage's threads, and the BLAS pin they run under.
 
 ``MOGNMF_THREADS`` caps both the worker processes of ``ablate`` and
 ``sweep`` and the threads of the graph stage (``thread_cap``); unset,
@@ -6,18 +6,17 @@ the cap is the available cores.
 
 The graph stage's pooled work (the spectral k-NN and the fusion's Gram
 pass) cuts its rows into work units of ``UNIT`` rows, at most ``BLOCK``
-of them in flight: ``run_units`` submits them all to one pool, created
-on first use and kept for the life of the process, and each running
-unit borrows one of min(cap, BLOCK // UNIT) buffer sets.  The caller
-combines the units' results in unit order, so the stage's output does
-not depend on the thread count.  A pool of one runs the units inline.
+of them in flight: ``run_units`` runs them on the calling thread and a
+pool made for that call, min(cap, BLOCK // UNIT) threads in all, and
+the caller combines their results in unit order, so the stage's output
+does not depend on the thread count.
 
 While the pool works, every loaded OpenBLAS is held at one thread
-(``blas_pinned``).  After a multithreaded call, OpenBLAS's idle
-threads busy-wait on their cores, so the pool's second thread would
-get no core of its own.  Where no OpenBLAS thread-count setter is found
-(no OpenBLAS loaded, or no /proc/self/maps to find it by), the pool
-size is 1 and BLAS is left alone.
+(``blas_pinned``): after a multithreaded call, OpenBLAS's idle threads
+busy-wait on their cores, leaving the pool no core of its own.  Where
+no OpenBLAS thread-count setter is found (no OpenBLAS loaded, or no
+/proc/self/maps to find it by), one thread runs the units and BLAS is
+left alone.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 from .errors import ParamError
@@ -37,8 +35,6 @@ __all__ = ["UNIT", "BLOCK", "thread_cap", "pool_size", "blas_pinned", "run_units
 UNIT = 64  # rows of one work unit of the graph stage
 BLOCK = 128  # most rows of the graph stage in flight at once
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 # the pin is process-wide: the first pin sets one thread, the last one out restores
 _pin_lock = threading.Lock()
 _pin_depth = 0
@@ -121,49 +117,42 @@ def blas_pinned():
                 _pin_saved = []
 
 
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=BLOCK // UNIT, thread_name_prefix="mognmf")
-        return _pool
-
-
 def run_units(work, units, buffers) -> list:
-    """[work(unit, b) for unit in units] on the stage's pool, results in unit order.
+    """[work(unit, b) for unit in units] on ``pool_size()`` threads, results in unit order.
 
-    The calling thread makes ``buffers()`` once per pool thread; a
-    running unit borrows one set and returns it when it ends.  With more
-    than one thread the units run under ``blas_pinned``.  An exception in
-    a unit is raised here once the units not yet started are cancelled
-    and the running ones have stopped.
+    The calling thread makes ``buffers()`` once per thread and works
+    beside a pool of the others, made for this call, under
+    ``blas_pinned``; each thread keeps its buffers and claims the next
+    unit under one lock.  Once a unit raises, none is claimed, and the
+    exception is raised after the pool has shut down and the pin is off.
     """
-    size = pool_size()
-    if size == 1:
-        b = buffers()
-        return [work(unit, b) for unit in units]
-    free = queue.SimpleQueue()
-    for _ in range(size):
-        free.put(buffers())
+    units = list(units)
+    results, failed, lock = [None] * len(units), [], threading.Lock()
+    pending = iter(range(len(units)))
+    sets = [buffers() for _ in range(pool_size())]
 
-    def borrow(unit):
-        b = free.get()
-        try:
-            return work(unit, b)
-        finally:
-            free.put(b)
+    def drain(b):
+        while True:
+            with lock:
+                i = None if failed else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = work(units[i], b)
+            except BaseException as exc:
+                with lock:
+                    failed.append(exc)
 
-    pool = _executor()
-    futures = []
-    with blas_pinned():
-        try:
-            for unit in units:
-                futures.append(pool.submit(borrow, unit))
-            return [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
-            wait(futures)  # no unit outlives the pin or its buffers
+    if len(sets) == 1:
+        drain(sets[0])
+    else:
+        with blas_pinned(), ThreadPoolExecutor(len(sets) - 1, thread_name_prefix="mognmf") as pool:
+            others = pool.map(drain, sets[1:])
+            drain(sets[0])
+            list(others)
+    if failed:
+        raise failed[0]
+    return results
 
 
 @functools.cache

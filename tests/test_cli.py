@@ -112,6 +112,14 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--m", "1", "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("size", [["--height", "0"], ["--width", "-3"]])
+    def test_non_positive_size_rejected(self, runner, tmp_path, size):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["simulate", *size, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "height and width must be positive" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["synthetic", "non_numeric_csv"])
     def test_bad_input_writes_nothing(self, runner, tmp_path, source):
         # 30 endmembers against the 8-entry synthetic library, or a library CSV

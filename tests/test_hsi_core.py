@@ -147,6 +147,10 @@ class TestUnmixParams:
         p = UnmixParams.from_dict({"lambda": 0.3})
         assert p.lam == 0.3
 
+    def test_lam_and_lambda_together_rejected(self):
+        with pytest.raises(ParamError, match="both 'lam' and 'lambda'"):
+            UnmixParams.from_dict({"lam": 0.3, "lambda": 0.7})
+
     @pytest.mark.parametrize(
         "kw",
         [

@@ -1,11 +1,15 @@
+import multiprocessing
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from mognmf import workers
 from mognmf.errors import ParamError
+from mognmf.hsi_core import HsiCube, UnmixParams
+from mognmf.unmix import consensus_graph
 
 
 class _FakeBlas:
@@ -120,12 +124,47 @@ class TestRunUnits:
         assert running == []
         assert [b.count for b in fake_blas] == [2, 4]
 
+    def test_units_run_on_the_calling_thread_and_no_thread_outlives_the_call(
+        self, monkeypatch, fake_blas
+    ):
+        monkeypatch.setenv("MOGNMF_THREADS", "2")
+        before = set(threading.enumerate())
+        seen = []
+
+        def work(unit, slot):
+            seen.append(threading.current_thread())
+            time.sleep(0.01)
+            return unit
+
+        assert workers.run_units(work, range(8), lambda: None) == list(range(8))
+        assert threading.current_thread() in seen
+        assert len(set(seen)) <= workers.pool_size()
+        assert set(threading.enumerate()) <= before  # the pool's threads have ended
+
+    def test_no_unit_is_claimed_after_one_raises(self, monkeypatch, fake_blas):
+        monkeypatch.setenv("MOGNMF_THREADS", "2")
+        raised, late = threading.Event(), []
+
+        def work(unit, slot):
+            if raised.is_set():
+                late.append(unit)
+            if unit == 1:
+                raised.set()
+                raise ValueError("bad unit")
+            time.sleep(0.02)
+            return unit
+
+        with pytest.raises(ValueError, match="bad unit"):
+            workers.run_units(work, range(20), lambda: None)
+        # a unit starts after the raise only if its thread claimed it before
+        # the failure was recorded
+        assert len(late) <= workers.pool_size() - 1
+
     def test_no_two_units_in_flight_share_buffers(self, monkeypatch, fake_blas):
-        # four threads on a fresh pool, twice the default pool's, and
-        # frequent thread switches: a slot handed to two units at once shows
+        # four threads, twice the default, and frequent thread switches: a
+        # slot handed to two units at once shows
         monkeypatch.setenv("MOGNMF_THREADS", "4")
         monkeypatch.setattr(workers, "BLOCK", 4 * workers.UNIT)
-        monkeypatch.setattr(workers, "_pool", None)
         busy, clashes, lock = set(), [], threading.Lock()
 
         def work(unit, slot):
@@ -149,6 +188,26 @@ class TestRunUnits:
         finally:
             sys.setswitchinterval(interval)
         assert not caller.is_alive()
-        workers._pool.shutdown(wait=True)
         assert result == list(range(400))
         assert clashes == []
+
+
+# Python 3.12+ warns on fork() in a process with threads (OpenBLAS's own)
+@pytest.mark.filterwarnings(r"ignore:This process \(pid=\d+\) is multi-threaded:DeprecationWarning")
+def test_graph_stage_runs_in_a_child_forked_after_it(monkeypatch):
+    # the graph stage leaves no pool behind whose threads a forked child lacks
+    monkeypatch.setenv("MOGNMF_THREADS", "2")
+    if not workers._openblas():
+        pytest.skip("no OpenBLAS thread-count setter in this process")
+    rng = np.random.default_rng(0)
+    cube = HsiCube(data=rng.random((8, 16 * 16)), height=16, width=16)
+    params = UnmixParams(neighbors=4)
+    consensus_graph(cube, params)
+    child = multiprocessing.get_context("fork").Process(target=consensus_graph, args=(cube, params))
+    child.start()
+    child.join(timeout=30)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
