@@ -47,7 +47,7 @@ from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matr
 from .metrics import evaluate_model
 from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, fused_orders, graph_orders
 from .unmix import run_solver
-from .workers import thread_cap
+from .workers import blas_pinned, thread_cap
 
 try:
     import resource
@@ -356,7 +356,9 @@ def _run_jobs(jobs: list[tuple], cap: int) -> list[dict]:
     # cap is thread_cap(), read before the command writes anything
     workers = min(cap, len(jobs))
     if workers <= 1:
-        return [_single_run(job) for job in jobs]
+        # one BLAS thread, as in a worker: A and S change bits with BLAS's thread count
+        with blas_pinned():
+            return [_single_run(job) for job in jobs]
     # one thread per worker, or the workers oversubscribe the cores.
     # numpy reads OPENBLAS_NUM_THREADS when it is imported, so the workers
     # are spawned (a fresh import each) with _WORKER_ENV set, and the

@@ -39,9 +39,9 @@ across its threads.  The units run on the calling thread and a pool
 made per call (``workers.run_units``), each thread with its own buffer,
 allocated once per stage by the calling thread, and the partial Gram
 matrices and peaks are combined in unit order: G does not depend on the
-thread count.  At most _BLOCK = 128 rows and _GRAM_BUFFER doubles (4 MB) of
-buffer are in flight: a unit holds max(1, min(_BLOCK, _GRAM_BUFFER // N)
-// 2) rows, 64 up to N = 4096 and fewer beyond, so a unit's power rows
+thread count.  The units are the graph stage's 64-row units
+(``workers.units``) at every N, so a thread's buffer is 64 N doubles,
+the size of a spectral k-NN thread's Gram rows, and a unit's power rows
 stay small even where a power is dense (the order-3 spectral power of a
 32 x 32 scene is over a third dense).
 """
@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ParamError, ShapeError
 from .graph import ConsensusOperator, MultiOrderGraphSet
 from .hsi_core import UnmixParams
-from .workers import BLOCK as _BLOCK, UNIT as _UNIT, run_units
+from .workers import run_units, units
 
 __all__ = [
     "FusionState",
@@ -63,9 +63,6 @@ __all__ = [
     "update_weights",
     "fuse_graphs",
 ]
-
-
-_GRAM_BUFFER = 1 << 19  # most doubles (4 MB) of fuse_graphs' dense scatter buffers
 
 
 @dataclass(frozen=True)
@@ -138,15 +135,14 @@ def _gram_and_normalizers(
     n = mats[0].shape[0]
     top = max(graphs.orders)
     m = len(mats) * len(graphs.orders)  # one member per (view, order), view-major
-    # at most _BLOCK rows, and _GRAM_BUFFER doubles of scatter buffer, in flight
-    rows = max(1, min(_BLOCK, _GRAM_BUFFER // n) * _UNIT // _BLOCK)
+    cut = units(n)
 
-    def unit(lo, buf):
+    def unit(bounds, buf):
         # each member's stored entries in the unit: flat (row, column)
         # positions in buf, and values
         entries = []
         for W in mats:
-            R = W[lo : lo + rows]
+            R = W[slice(*bounds)]
             powers = {}
             for k in range(1, top + 1):
                 if k > 1:
@@ -169,7 +165,8 @@ def _gram_and_normalizers(
         return gram, peaks
 
     gram, peaks = np.zeros((m, m)), np.zeros(m)
-    for part, top_k in run_units(unit, range(0, n, rows), lambda: np.zeros(rows * n)):
+    # the first unit is the tallest
+    for part, top_k in run_units(unit, cut, lambda: np.zeros(cut[0][1] * n)):
         gram += part
         np.maximum(peaks, top_k, out=peaks)
     gram = np.triu(gram) + np.triu(gram, 1).T

@@ -18,19 +18,19 @@ maximum entry so all orders live on a comparable scale before fusion
 sigma) are read from an ``UnmixParams``, which has validated them.
 
 Every graph is a scipy CSR array, so memory is O(nnz).  Both views work
-over units of _UNIT = 64 rows, never hold an N x N array, and join the
-units' kept edges in unit order.  The spatial units run in turn in the
-calling thread; the spectral ones on it and a pool made per call
-(``workers.run_units``), at most _BLOCK = 128 rows in flight, and a
-unit's edges depend only on its rows, so the graph does not depend on
-the thread count.  A spectral unit's working set is its 64 rows of the
-Gram product P^T P (one BLAS call; 64 N doubles) plus sub-blocks of
-squared distances, at most 2^17 (1 MB) over the units in flight: each
-row's C-th squared distance is found by partition within a sub-block,
-and only the entries at most a few ulps above it are square-rooted and
-sorted.  These buffers are allocated once per stage, by the calling
-thread.  Its squared norms are summed band by band, with no L x N
-temporary.
+over the graph stage's 64-row units (``workers.units``), never hold an
+N x N array, and join the units' kept edges in unit order.  The spatial
+units run in turn in the calling thread; the spectral ones on it and a
+pool made per call (``workers.run_units``), and a unit's edges depend
+only on its rows, so the graph does not depend on the thread count.  A
+spectral thread's working set is one unit's rows of the Gram product
+P^T P (one BLAS call; 64 N doubles) plus sub-blocks of squared
+distances of at most _SUB_BLOCK = 2^16 entries (512 KB): each row's
+C-th squared distance is found by partition within a sub-block, and
+only the entries at most a few ulps above it are square-rooted and
+sorted.  These buffers are allocated once per thread and stage, by the
+calling thread.  Its squared norms are summed band by band, with no
+L x N temporary.
 Only the order-1 graph of each view is stored: a k-NN graph has about
 C*N nonzeros, while its powers fill in fast (the order-3 spectral power
 of a 64x64 scene is 16% dense).  The consensus graph, a polynomial in
@@ -50,7 +50,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, ParamError, ShapeError
 from .hsi_core import HsiCube, UnmixParams
-from .workers import BLOCK as _BLOCK, UNIT as _UNIT, run_units
+from .workers import run_units, units
 
 __all__ = [
     "WeightMatrix",
@@ -64,7 +64,7 @@ __all__ = [
     "build_multi_order_graphs",
 ]
 
-_SUB_BLOCK = 1 << 17  # squared distances (1 MB) per selection pass of a k-NN
+_SUB_BLOCK = 1 << 16  # squared distances (512 KB) per thread and selection pass of a k-NN
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,6 @@ class ConsensusOperator:
         return np.zeros(S.shape) if out is None else out.T
 
 
-def _units(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) of each work unit over n rows: _UNIT rows each, the last one the remainder."""
-    return [(lo, min(lo + _UNIT, n)) for lo in range(0, n, _UNIT)]
-
-
 def _heat_kernel(n: int, rows, cols, dist, sigma) -> tuple[sp.csr_array, float]:
     """Heat-kernel graph over n nodes from the kept edges (rows, cols) at distances dist.
 
@@ -214,7 +209,7 @@ def _grid_edges(height: int, width: int, neighbors: int) -> list[np.ndarray]:
     """
     dy, dx, dist = _grid_offsets(height, width, neighbors)
     edges = []
-    for lo, hi in _units(height * width):
+    for lo, hi in units(height * width):
         y, x = np.divmod(np.arange(lo, hi), width)
         ny, nx = y[:, None] + dy, x[:, None] + dx
         on = (ny >= 0) & (ny < height) & (nx >= 0) & (nx < width)
@@ -268,9 +263,9 @@ def _spectral_edges(points: np.ndarray, neighbors: int) -> list[np.ndarray]:
     sq = points[0] ** 2
     for band in points[1:]:
         sq += band**2
-    rows = min(n, _UNIT)
-    # sub-blocks of at most _SUB_BLOCK entries over the units in flight
-    step = min(rows, max(1, _SUB_BLOCK * _UNIT // (_BLOCK * n)))
+    cut = units(n)
+    rows = cut[0][1]  # the first unit is the tallest
+    step = min(rows, max(1, _SUB_BLOCK // n))
 
     def unit(bounds, b):
         (lo, hi), (gram, d2, part) = bounds, b
@@ -288,7 +283,7 @@ def _spectral_edges(points: np.ndarray, neighbors: int) -> list[np.ndarray]:
     def buffers():
         return np.empty((rows, n)), np.empty((step, n)), np.empty((step, n))
 
-    edges = run_units(unit, _units(n), buffers)
+    edges = run_units(unit, cut, buffers)
     return [np.concatenate(x) for x in zip(*edges)]
 
 

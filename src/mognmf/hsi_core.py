@@ -178,6 +178,8 @@ class UnmixParams:
                 raise ParamError(f"{name} must be >= 1")
         if self.t1 < 1 or self.t2 < 1:
             raise ParamError("iteration caps t1, t2 must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ParamError("seed must be in [0, 2^64)")
 
     def replace(self, **changes) -> "UnmixParams":
         return replace(self, **changes)

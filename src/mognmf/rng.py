@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import ParamError
 
 
 def substream(seed: int, *names) -> np.random.Generator:
@@ -22,8 +22,10 @@ def substream(seed: int, *names) -> np.random.Generator:
     The same (seed, names) pair always yields the same stream; distinct
     names yield statistically independent streams.
     """
+    if not 0 <= seed < 1 << 64:
+        raise ParamError(f"seed must be in [0, 2^64), got {seed}")
     label = "/".join(str(n) for n in names)
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 8], "little") for i in (0, 8, 16, 24)]
-    entropy = [int(seed) & _MASK64, *words]
+    entropy = [int(seed), *words]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

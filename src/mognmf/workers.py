@@ -4,12 +4,12 @@
 ``sweep`` and the threads of the graph stage (``thread_cap``); unset,
 the cap is the available cores.
 
-The graph stage's pooled work (the spectral k-NN and the fusion's Gram
-pass) cuts its rows into work units of ``UNIT`` rows, at most ``BLOCK``
-of them in flight: ``run_units`` runs them on the calling thread and a
-pool made for that call, min(cap, BLOCK // UNIT) threads in all, and
-the caller combines their results in unit order, so the stage's output
-does not depend on the thread count.
+The spatial stencil, the spectral k-NN and the fusion's Gram pass cut
+their N rows by one rule (``units``): ``UNIT`` = 64 rows at every N, so a
+thread's buffers hold at most 64 N doubles each.  ``run_units`` runs the
+units on the calling thread and a pool made for that call, min(cap,
+``MAX_THREADS``) threads in all, and the caller combines their results in
+unit order, so the stage's output does not depend on the thread count.
 
 While the pool works, every loaded OpenBLAS is held at one thread
 (``blas_pinned``): after a multithreaded call, OpenBLAS's idle threads
@@ -30,15 +30,21 @@ from contextlib import contextmanager
 
 from .errors import ParamError
 
-__all__ = ["UNIT", "BLOCK", "thread_cap", "pool_size", "blas_pinned", "run_units", "trim_heaps"]
+__all__ = ["UNIT", "MAX_THREADS", "units", "thread_cap", "pool_size", "blas_pinned",
+           "run_units", "trim_heaps"]
 
 UNIT = 64  # rows of one work unit of the graph stage
-BLOCK = 128  # most rows of the graph stage in flight at once
+MAX_THREADS = 2  # most threads of the graph stage: two units of buffers in flight
 
 # the pin is process-wide: the first pin sets one thread, the last one out restores
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list = []
+
+
+def units(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each work unit over n rows: ``UNIT`` rows each, the last one the remainder."""
+    return [(lo, min(lo + UNIT, n)) for lo in range(0, n, UNIT)]
 
 
 def thread_cap() -> int:
@@ -88,8 +94,8 @@ def _openblas() -> list[tuple]:
 
 
 def pool_size() -> int:
-    """Threads ``run_units`` uses: min(``thread_cap()``, BLOCK // UNIT), or 1 without a BLAS pin."""
-    return min(thread_cap(), BLOCK // UNIT) if _openblas() else 1
+    """Threads ``run_units`` uses: min(``thread_cap()``, MAX_THREADS), or 1 without a BLAS pin."""
+    return min(thread_cap(), MAX_THREADS) if _openblas() else 1
 
 
 @contextmanager

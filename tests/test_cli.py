@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from click.testing import CliRunner
 
 import mognmf.cli as cli
+from mognmf import workers
 from mognmf.cli import (
     EVAL_COLUMNS,
     cmd_ablate,
@@ -107,6 +108,19 @@ class TestSimulate:
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert (tmp_path / "a/cube.raw").read_bytes() == (tmp_path / "b/cube.raw").read_bytes()
         assert (tmp_path / "a/S_true.csv").read_bytes() == (tmp_path / "b/S_true.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_exits_2(self, runner, tmp_path, seed):
+        # -1 would write the cube of seed 2^64 - 1, and 2^64 that of seed 0
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main,
+            ["simulate", "--m", "3", "--height", "6", "--width", "6", "--bands", "12",
+             "--seed", seed, "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "seed must be in [0, 2^64)" in result.output
+        assert not out.exists()
 
     def test_single_endmember_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--m", "1", "--out", str(tmp_path / "x")])
@@ -777,6 +791,17 @@ class TestSweep:
         assert seen == [{"OPENBLAS_NUM_THREADS": "1", "MOGNMF_THREADS": "1"}]
         assert os.environ["MOGNMF_THREADS"] == "2"
         assert os.environ.get("OPENBLAS_NUM_THREADS") == openblas
+
+    def test_in_process_jobs_run_at_one_blas_thread(self, monkeypatch):
+        # with one worker the jobs run in this process, at one BLAS thread as
+        # in a worker process: A and S change bits with BLAS's thread count
+        counts = [4]
+        monkeypatch.setattr(workers, "_openblas", lambda: [(lambda: counts[-1], counts.append)])
+        seen = []
+        monkeypatch.setattr(cli, "_single_run", lambda job: seen.append(counts[-1]) or {})
+        assert cli._run_jobs([None, None], 1) == [{}, {}]
+        assert seen == [1, 1]
+        assert counts[-1] == 4
 
     def test_seed_flag_rejected(self, runner, tmp_path):
         # every run takes its seed from --seeds, so --seed would be recorded but unused

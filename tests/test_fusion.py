@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mognmf import fusion
+from mognmf import fusion, workers
 from mognmf.errors import ParamError, ShapeError
 from mognmf.fusion import fuse_graphs, project_simplex, update_weights
 from mognmf.graph import MultiOrderGraphSet, WeightMatrix, build_multi_order_graphs
@@ -284,13 +284,13 @@ class TestFuseGraphs:
     @pytest.mark.parametrize("normalize", [True, False])
     def test_row_blocks_do_not_change_the_result(self, monkeypatch, normalize):
         # Gram entries and normalizers accumulate over row units of the
-        # powers; a 30-double buffer over 10 nodes makes 1-row units
+        # powers, here 1-row units over 10 nodes
         rng = np.random.default_rng(15)
         base = _random_graph_set(rng, n=10)
         graphs = MultiOrderGraphSet(views=base.views, orders=(3, 1))
         params = UnmixParams(mu=0.2, alpha=50.0, order_norm=normalize)
         whole = fuse_graphs(graphs, params)
-        monkeypatch.setattr(fusion, "_GRAM_BUFFER", 30)
+        monkeypatch.setattr(workers, "UNIT", 1)
         blocks = fuse_graphs(graphs, params)
         assert whole.iterations == blocks.iterations
         assert np.allclose(blocks.H, whole.H, rtol=0.0, atol=1e-12)
@@ -316,7 +316,7 @@ class TestGramPass:
         assert np.array_equal(scale, np.ones(len(stack)))
         # the normalizers are the peaks of the unsymmetrized products W^k,
         # read here in 3-row units
-        monkeypatch.setattr(fusion, "_GRAM_BUFFER", 7 * cube.pixel_count)
+        monkeypatch.setattr(workers, "UNIT", 3)
         _, scale = fusion._gram_and_normalizers(graphs, normalize=True)
         for s, (W, k) in zip(scale, [(g.W, k) for g in graphs.views for k in orders]):
             Wk = W

@@ -83,7 +83,7 @@ def _dense_knn_heat_kernel(points, sigma, neighbors):
     its work units.  Everything after it is formed whole."""
     n = points.shape[1]
     sq = np.sum(points**2, axis=0)
-    gram = np.vstack([points[:, lo:hi].T @ points for lo, hi in graph._units(n)])
+    gram = np.vstack([points[:, lo:hi].T @ points for lo, hi in workers.units(n)])
     d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
     np.fill_diagonal(d, np.inf)
     rows = np.repeat(np.arange(n), neighbors)
@@ -339,8 +339,8 @@ class TestHeatKernelGraphs:
         # corner pixel, whose window comes from the corner all the same
         cube = HsiCube(data=np.ones((2, height * width)), height=height, width=width)
         dense, sigma = _dense_knn_heat_kernel(_grid(cube), sigma_s, neighbors)
-        for unit in (graph._UNIT, 7):
-            monkeypatch.setattr(graph, "_UNIT", unit)
+        for unit in (workers.UNIT, 7):
+            monkeypatch.setattr(workers, "UNIT", unit)
             w = spatial_weights(cube, UnmixParams(sigma_s=sigma_s, neighbors=neighbors))
             assert np.array_equal(w.W.toarray(), dense), unit
             assert w.sigma == sigma, unit
@@ -657,24 +657,27 @@ class TestPeakMemory:
         assert _peak_in_n2_doubles(spatial_weights, cube) < 1.0
 
     def test_spectral_working_set_at_64x64(self):
-        # one _BLOCK-row Gram product, a sub-block of squared distances
-        # with its partition copy and the next sub-block, and the C N kept
-        # edges with their CSR forms: 9.5 MiB.  Passes over whole 128-row
-        # blocks of distances need about 17 MiB here
+        # per thread, one unit's Gram rows and a sub-block of squared
+        # distances with its partition copy and the next sub-block, and the
+        # C N kept edges with their CSR forms: 9.5 MiB.  Passes over whole
+        # 128-row blocks of distances need about 17 MiB here
         cube = _random_cube(np.random.default_rng(16), 64, 64, bands=20)
         n, c = cube.pixel_count, UnmixParams().neighbors
-        budget = (graph._BLOCK * n + 3 * graph._SUB_BLOCK) * 8 + 64 * c * n
+        per_thread = workers.UNIT * n + 3 * graph._SUB_BLOCK
+        budget = workers.MAX_THREADS * per_thread * 8 + 64 * c * n
         assert _peak_bytes(spectral_weights, cube) < budget
 
     def test_fusion_working_set_at_32x32(self):
-        # the dense buffer of at most fusion._BLOCK rows, the block's power
-        # rows as (position, value) pairs (the six members here hold about
-        # 1.1 N^2 entries in all) and the sparse products' temporaries.
-        # 512-row blocks, the 4 MB buffer's height at N = 1024, need 26 slabs
-        cube = _random_cube(np.random.default_rng(16), 32, 32, bands=20)
-        graphs = build_multi_order_graphs(cube, UnmixParams())
-        slab = fusion._BLOCK * cube.pixel_count * 8
-        assert _peak_bytes(fuse_graphs, graphs, UnmixParams()) < 8 * slab
+        # per thread, one unit's dense buffer, the unit's power rows as
+        # (position, value) pairs (the six members at 32 x 32 hold about
+        # 1.1 N^2 entries in all) and the sparse products' temporaries.  At
+        # 72 x 72 (N > 4096) the units keep their 64 rows; on two threads
+        # the peaks read about 4.9 and 2.4 slabs
+        for size in (32, 72):
+            cube = _random_cube(np.random.default_rng(16), size, size, bands=20)
+            graphs = build_multi_order_graphs(cube, UnmixParams())
+            slab = workers.MAX_THREADS * workers.UNIT * cube.pixel_count * 8
+            assert _peak_bytes(fuse_graphs, graphs, UnmixParams()) < 8 * slab, size
 
 
 def _stage_outputs(cube, params):
@@ -704,6 +707,26 @@ class TestWorkerCount:
             monkeypatch.setenv("MOGNMF_THREADS", threads)
             outputs.append(_stage_outputs(cube, params))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_fusion_units_are_the_shared_cut_past_4096_nodes(self, monkeypatch):
+        # N = 4225: the fusion's units keep the k-NN's 64 rows, the last one
+        # the remainder, and its Gram bits do not depend on the threads
+        cube = _random_cube(np.random.default_rng(25), 65, 65, bands=20)
+        graphs = build_multi_order_graphs(cube, UnmixParams())
+        seen = []
+
+        def recording(work, units, buffers):
+            seen.append(list(units))
+            return workers.run_units(work, units, buffers)
+
+        monkeypatch.setattr(fusion, "run_units", recording)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MOGNMF_THREADS", threads)
+            outputs.append([a.tobytes() for a in fusion._gram_and_normalizers(graphs, True)])
+        cut = [(lo, min(lo + 64, 4225)) for lo in range(0, 4225, 64)]
+        assert seen == [cut, cut]
+        assert outputs[0] == outputs[1]
 
     def test_spatial_build_stays_off_the_pool(self, monkeypatch):
         # a spatial unit is a few small numpy calls, which two threads would

@@ -175,6 +175,8 @@ class TestUnmixParams:
             {"seed": np.int64(1)},  # the manifest's JSON config cannot hold it
             {"lam": np.float32(0.1)},
             {"alpha": 0.0},  # fusion's weight step divides by alpha
+            {"seed": -1},  # a seed outside 64 bits would share a stream with one inside
+            {"seed": 1 << 64},
         ],
     )
     def test_invalid_values_rejected(self, kw):

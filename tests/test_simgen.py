@@ -3,6 +3,7 @@ import pytest
 
 from mognmf.errors import DataError, ParamError, ParseError, ShapeError
 from mognmf.metrics import measure_snr
+from mognmf.rng import substream
 from mognmf.simgen import (
     SpectralLibrary,
     add_noise_at_snr,
@@ -117,6 +118,14 @@ class TestAddNoiseAtSnr:
             noisy, noise = add_noise_at_snr(scene.clean, 40.0, seed=seed)
             fracs.append(np.mean(scene.clean + noise < 0))
         assert np.mean(fracs) < 1e-3
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_rejected(seed):
+    # masked to 64 bits, -1 would draw the stream of 2^64 - 1 and 2^64 that of 0
+    with pytest.raises(ParamError, match=r"seed must be in \[0, 2\^64\)"):
+        substream(seed, "noise")
+    assert substream(seed % (1 << 64), "noise").random() >= 0.0
 
 
 class TestLibraries:

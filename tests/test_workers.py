@@ -164,7 +164,7 @@ class TestRunUnits:
         # four threads, twice the default, and frequent thread switches: a
         # slot handed to two units at once shows
         monkeypatch.setenv("MOGNMF_THREADS", "4")
-        monkeypatch.setattr(workers, "BLOCK", 4 * workers.UNIT)
+        monkeypatch.setattr(workers, "MAX_THREADS", 4)
         busy, clashes, lock = set(), [], threading.Lock()
 
         def work(unit, slot):
