@@ -17,8 +17,8 @@ error (a wrong-typed config value, an --out beneath a regular file),
 3 numerical failure; a diverged ``unmix`` still writes its manifest,
 with ``stop_reason`` "diverged".  The MOGNMF_THREADS environment
 variable caps the worker processes of ablate and sweep and the threads
-of the graph stage (default: available cores); each ablate/sweep worker
-runs one BLAS thread and one graph-stage thread.
+of the graph stage (default: the cores in the affinity mask); each
+ablate/sweep worker runs its graph stage on one thread.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matr
 from .metrics import evaluate_model
 from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, fused_orders, graph_orders
 from .unmix import run_solver
-from .workers import blas_pinned, thread_cap
+from .workers import thread_cap
 
 try:
     import resource
@@ -348,34 +348,22 @@ def _single_run(job: tuple) -> dict:
     return {**row, **extra}
 
 
-# set for ablate/sweep worker processes: one BLAS thread and one graph-stage thread each
-_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "MOGNMF_THREADS": "1"}
+def _one_thread_worker() -> None:
+    """Pool initializer: a worker process runs its graph stage on one thread."""
+    os.environ["MOGNMF_THREADS"] = "1"
 
 
 def _run_jobs(jobs: list[tuple], cap: int) -> list[dict]:
     # cap is thread_cap(), read before the command writes anything
     workers = min(cap, len(jobs))
     if workers <= 1:
-        # one BLAS thread, as in a worker: A and S change bits with BLAS's thread count
-        with blas_pinned():
-            return [_single_run(job) for job in jobs]
-    # one thread per worker, or the workers oversubscribe the cores.
-    # numpy reads OPENBLAS_NUM_THREADS when it is imported, so the workers
-    # are spawned (a fresh import each) with _WORKER_ENV set, and the
-    # caller's environment is restored once the pool is shut down
-    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
-    os.environ.update(_WORKER_ENV)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            return list(pool.map(_single_run, jobs))
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
+        return [_single_run(job) for job in jobs]
+    # spawned, not forked: a fresh process holds no lock or thread of this one
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+        initializer=_one_thread_worker,
+    ) as pool:
+        return list(pool.map(_single_run, jobs))
 
 
 def cmd_ablate(

@@ -285,10 +285,9 @@ def _codec(format: str):
 
 def _load_raw(path: Path) -> HsiCube:
     header = read_json_object(_sidecar_path(path), "bands", "height", "width")
-    try:
-        bands, height, width = (int(header[key]) for key in ("bands", "height", "width"))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"sidecar must carry integer bands/height/width: {exc}") from exc
+    bands, height, width = dims = [header[key] for key in ("bands", "height", "width")]
+    if not all(_FIELD_KINDS["int"](v) for v in dims):  # bool and 3.0 are no dimensions
+        raise ParseError(f"sidecar bands/height/width must be JSON integers, got {dims}")
     if bands <= 0 or height <= 0 or width <= 0:
         raise ParseError("sidecar dimensions must be positive")
     raw = np.fromfile(path, dtype="<f4")

@@ -24,6 +24,7 @@ from .errors import DataError, IoError, ParamError, ParseError, ShapeError
 from .hsi_core import HsiCube, read_matrix
 from .metrics import measure_snr
 from .rng import substream
+from .workers import blas_pinned
 
 __all__ = [
     "SpectralLibrary",
@@ -162,6 +163,7 @@ def _rbf_cholesky(n: int, smoothness: float) -> np.ndarray:
     return np.linalg.cholesky(cov)
 
 
+@blas_pinned()
 def generate_abundances(
     height: int,
     width: int,
@@ -178,6 +180,8 @@ def generate_abundances(
     exponentiated, and normalized per pixel (softmax).  The gain
     sharpens the maps so each material dominates somewhere (near-pure
     regions, as in real land cover); gain ~1 gives heavily mixed scenes.
+    OpenBLAS is held at one thread (``workers.blas_pinned``): from about
+    100x100 pixels the Cholesky products change bits with its thread count.
     """
     if height < 1 or width < 1:
         raise ParamError("height and width must be positive")

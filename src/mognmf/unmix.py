@@ -48,7 +48,7 @@ from .graph import build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
 from .hsi_core import HsiCube, UnmixModel, UnmixParams
 from .rng import substream
-from .workers import pool_size, trim_heaps
+from .workers import blas_pinned, pool_size, trim_heaps
 
 __all__ = [
     "SolverConfig",
@@ -454,14 +454,17 @@ def _initialize(cube: HsiCube, M: int, config: SolverConfig):
     return A, S
 
 
+@blas_pinned()
 def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
-    """Run the configured variant to convergence.
+    """Run the configured variant to convergence, with OpenBLAS held at one thread.
 
-    Graphs are constructed and fused once, before the loop.  Each outer
-    iteration updates A, then S (with the delta row folded in as
-    + delta^2 on A^T R and A^T A when the variant enforces sum-to-one),
-    then forms X S^T, S S^T and A S S^T, which give every row's fit
-    ||T_l||^2 = ||x_l||^2 - 2 a_l . (X S^T)_l + a_l . (A S S^T)_l
+    The pin (``workers.blas_pinned``) covers init, graph stage and loop:
+    X S^T and A^T X, whose inner dimension is N, would change bits with
+    BLAS's thread count.  Graphs are built and fused once, before the
+    loop.  Each outer iteration updates A, then S (with the delta row
+    folded in as + delta^2 on A^T R and A^T A when the variant enforces
+    sum-to-one), then forms X S^T, S S^T and A S S^T, which give every
+    row's fit ||T_l||^2 = ||x_l||^2 - 2 a_l . (X S^T)_l + a_l . (A S S^T)_l
     (clamped at 0) and carry over into the next A step.  Their sum is
     the recorded ||X - A S||_F^2, and their square roots give the noise
     row scale s, E = diag(s) (X - A S).  Variants without the noise term

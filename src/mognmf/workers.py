@@ -1,8 +1,8 @@
-"""Worker caps, the graph stage's threads, and the BLAS pin they run under.
+"""Worker caps, the graph stage's threads, and the BLAS pin of the numeric code.
 
 ``MOGNMF_THREADS`` caps both the worker processes of ``ablate`` and
 ``sweep`` and the threads of the graph stage (``thread_cap``); unset,
-the cap is the available cores.
+the cap is the cores this process may run on (its CPU affinity mask).
 
 The spatial stencil, the spectral k-NN and the fusion's Gram pass cut
 their N rows by one rule (``units``): ``UNIT`` = 64 rows at every N, so a
@@ -11,12 +11,12 @@ units on the calling thread and a pool made for that call, min(cap,
 ``MAX_THREADS``) threads in all, and the caller combines their results in
 unit order, so the stage's output does not depend on the thread count.
 
-While the pool works, every loaded OpenBLAS is held at one thread
-(``blas_pinned``): after a multithreaded call, OpenBLAS's idle threads
-busy-wait on their cores, leaving the pool no core of its own.  Where
-no OpenBLAS thread-count setter is found (no OpenBLAS loaded, or no
-/proc/self/maps to find it by), one thread runs the units and BLAS is
-left alone.
+``blas_pinned`` holds every loaded OpenBLAS at one thread: over all of
+``unmix.run_solver`` and ``simgen.generate_abundances``, whose bits would
+change with BLAS's thread count, and while ``run_units``'s pool works.
+Where no OpenBLAS thread-count setter is found (no OpenBLAS loaded, or
+no /proc/self/maps), the pin does nothing, so bits can depend on the BLAS
+in use, and one thread runs the units.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ def units(n: int) -> list[tuple[int, int]]:
 
 
 def thread_cap() -> int:
-    """``MOGNMF_THREADS`` (an integer >= 1), or the available cores when it is unset."""
+    """``MOGNMF_THREADS`` (an integer >= 1), or the cores in the affinity mask when it is unset."""
     raw = os.environ.get("MOGNMF_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
     try:
         value = int(raw)
     except ValueError as exc:

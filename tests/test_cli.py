@@ -758,18 +758,20 @@ class TestSweep:
             assert run["graph_workers"] == 1
         assert len(tables[0]) == 8  # 2 seeds x 2 variants x 2 lambdas
         assert tables[0] == tables[1]
-        # the pool sets one BLAS thread for its workers, not for the caller
+        # the workers set their own thread cap; the caller's environment is left alone
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         assert os.environ["MOGNMF_THREADS"] == "2"
 
     @pytest.mark.parametrize("openblas", [None, "3"])
     def test_pooled_jobs_get_one_thread_each(self, monkeypatch, openblas):
-        # spawned workers inherit the environment the pool is created in
+        # each spawned worker sets MOGNMF_THREADS=1 for itself, in its pool's
+        # initializer; the caller's environment is never written
         seen = []
 
         class Pool:
-            def __init__(self, **kwargs):
-                pass
+            def __init__(self, max_workers, mp_context, initializer):
+                assert mp_context.get_start_method() == "spawn"
+                self.initializer = initializer
 
             def __enter__(self):
                 return self
@@ -778,7 +780,12 @@ class TestSweep:
                 return False
 
             def map(self, fn, jobs):
-                seen.append({name: os.environ.get(name) for name in cli._WORKER_ENV})
+                assert dict(os.environ) == parent
+                with monkeypatch.context() as worker:
+                    worker.setattr(os, "environ", dict(os.environ))
+                    self.initializer()
+                    seen.append((os.environ["MOGNMF_THREADS"], workers.thread_cap(),
+                                 os.environ.get("OPENBLAS_NUM_THREADS")))
                 return [{} for _ in jobs]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
@@ -787,21 +794,10 @@ class TestSweep:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+        parent = dict(os.environ)
         assert cli._run_jobs([None, None], 2) == [{}, {}]
-        assert seen == [{"OPENBLAS_NUM_THREADS": "1", "MOGNMF_THREADS": "1"}]
-        assert os.environ["MOGNMF_THREADS"] == "2"
-        assert os.environ.get("OPENBLAS_NUM_THREADS") == openblas
-
-    def test_in_process_jobs_run_at_one_blas_thread(self, monkeypatch):
-        # with one worker the jobs run in this process, at one BLAS thread as
-        # in a worker process: A and S change bits with BLAS's thread count
-        counts = [4]
-        monkeypatch.setattr(workers, "_openblas", lambda: [(lambda: counts[-1], counts.append)])
-        seen = []
-        monkeypatch.setattr(cli, "_single_run", lambda job: seen.append(counts[-1]) or {})
-        assert cli._run_jobs([None, None], 1) == [{}, {}]
-        assert seen == [1, 1]
-        assert counts[-1] == 4
+        assert seen == [("1", 1, openblas)]
+        assert dict(os.environ) == parent
 
     def test_seed_flag_rejected(self, runner, tmp_path):
         # every run takes its seed from --seeds, so --seed would be recorded but unused

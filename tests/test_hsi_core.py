@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,19 @@ class TestHsiCube:
     def test_missing_sidecar(self, tmp_path):
         (tmp_path / "cube.raw").write_bytes(b"\x00" * 16)
         with pytest.raises(ParseError):
+            load_cube(tmp_path / "cube.raw", format="raw-f32")
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"bands": True, "height": 3, "width": 12}, {"bands": 3, "height": 3.9, "width": 4},
+         {"bands": "3", "height": 3, "width": 4}, {"bands": 3, "height": 3, "width": 4.0}],
+        ids=["bool", "fraction", "string", "float"],
+    )
+    def test_sidecar_dimensions_must_be_json_integers(self, tmp_path, header):
+        # each header's int() values fit the 36 floats of the file, so a cast loads it
+        (tmp_path / "cube.raw").write_bytes(np.ones(36, dtype="<f4").tobytes())
+        (tmp_path / "cube.raw.json").write_text(json.dumps(header))
+        with pytest.raises(ParseError, match="JSON integers"):
             load_cube(tmp_path / "cube.raw", format="raw-f32")
 
     def test_grid_shape_mismatch_rejected(self):

@@ -1,14 +1,19 @@
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mognmf import workers
-from mognmf.errors import ParamError
+import mognmf.unmix as unmix
+from mognmf import simgen, workers
+from mognmf.errors import DivergenceError, ParamError
 from mognmf.hsi_core import HsiCube, UnmixParams
+from mognmf.simgen import build_simu1_scene, synthetic_library
 from mognmf.unmix import consensus_graph
 
 
@@ -36,8 +41,20 @@ def fake_blas(monkeypatch):
 
 class TestThreadCap:
     def test_unset_is_cpu_count(self, monkeypatch):
+        # where os has no affinity mask (macOS, Windows)
         monkeypatch.delenv("MOGNMF_THREADS", raising=False)
+        monkeypatch.delattr(workers.os, "sched_getaffinity", raising=False)
         assert workers.thread_cap() == (workers.os.cpu_count() or 1)
+
+    @pytest.mark.parametrize(
+        "cpus, size", [({0}, 1), ({1, 3}, 2), ({0, 1, 2, 5}, 2)], ids=["one", "two", "four"]
+    )
+    def test_unset_is_the_affinity_mask(self, monkeypatch, fake_blas, cpus, size):
+        # under `taskset -c 0` the graph pool and the ablate/sweep workers get one core
+        monkeypatch.delenv("MOGNMF_THREADS", raising=False)
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert workers.thread_cap() == len(cpus)
+        assert workers.pool_size() == size
 
     @pytest.mark.parametrize("raw", ["zero", "0", "-2", "1.5"])
     def test_malformed_rejected(self, monkeypatch, raw):
@@ -85,6 +102,96 @@ class TestBlasPin:
                 assert [get() for get, _ in blas] == [1] * len(blas)
                 raise RuntimeError("unit failed")
         assert [get() for get, _ in blas] == before
+
+
+class TestNumericCodeIsPinned:
+    def _counting(self, monkeypatch, fake_blas, name, seen, fail=False):
+        inner = getattr(unmix, name)
+
+        def counted(*args, **kwargs):
+            seen.setdefault(name, set()).add(tuple(b.count for b in fake_blas))
+            out = inner(*args, **kwargs)
+            return np.full_like(out, np.nan) if fail else out
+
+        monkeypatch.setattr(unmix, name, counted)
+
+    def test_run_solver_runs_at_one_blas_thread(self, monkeypatch, fake_blas):
+        # init, graph stage and loop: every BLAS call of a run, in-process
+        # ablate/sweep jobs included, sees one thread, and the counts come back
+        monkeypatch.setenv("MOGNMF_THREADS", "2")
+        seen = {}
+        names = ("init_vca", "init_fcls", "update_endmembers", "update_abundances",
+                 "update_noise")
+        for name in names:
+            self._counting(monkeypatch, fake_blas, name, seen)
+        scene = build_simu1_scene(synthetic_library(band_count=20), M=3, height=8, width=8)
+        config = unmix.SolverConfig(UnmixParams(neighbors=4, t1=5))
+        unmix.run_solver(scene.cube, 3, config)
+        assert seen == {name: {(1, 1)} for name in names}
+        assert [b.count for b in fake_blas] == [2, 4]
+        seen.clear()
+        self._counting(monkeypatch, fake_blas, "update_abundances", seen, fail=True)
+        with pytest.raises(DivergenceError):
+            unmix.run_solver(scene.cube, 3, config)
+        assert seen["update_abundances"] == {(1, 1)}
+        assert [b.count for b in fake_blas] == [2, 4]
+
+    def test_generate_abundances_runs_at_one_blas_thread(self, monkeypatch, fake_blas):
+        seen = []
+        cholesky = simgen._rbf_cholesky
+
+        def counted(*args):
+            seen.append([b.count for b in fake_blas])
+            return cholesky(*args)
+
+        monkeypatch.setattr(simgen, "_rbf_cholesky", counted)
+        simgen.generate_abundances(6, 7, 3, seed=0)
+        assert seen == [[1, 1], [1, 1]]
+        assert [b.count for b in fake_blas] == [2, 4]
+
+
+_BITS_SCRIPT = """
+import sys
+import numpy as np
+from mognmf.hsi_core import HsiCube, UnmixParams
+from mognmf.simgen import build_simu1_scene, synthetic_library
+from mognmf.unmix import SolverConfig, run_solver
+
+if sys.argv[1] == "scene":
+    library = synthetic_library(band_count=100, seed=1)
+    scene = build_simu1_scene(library, M=4, height=100, width=100, seed=0)
+    arrays = [scene.cube.data, scene.S_true]
+else:
+    cube = HsiCube(data=np.load(sys.argv[1]), height=100, width=100)
+    model = run_solver(cube, 4, SolverConfig(UnmixParams(t1=5), variant="nmf"))
+    arrays = [model.endmembers, model.abundances, model.noise, model.objective_trace]
+sys.stdout.buffer.write(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+"""
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: [0])(0)) < 2 or not workers._openblas(),
+    reason="needs two cores in the affinity mask and an OpenBLAS thread-count setter",
+)
+@pytest.mark.parametrize("job", ["scene", "solver"])
+def test_bits_do_not_depend_on_openblas_threads(tmp_path, job):
+    # at 100x100 pixels the Cholesky products of the scene and X S^T, A^T X
+    # of the loop change bits with OpenBLAS's thread count unless pinned
+    arg = "scene"
+    if job == "solver":
+        library = synthetic_library(band_count=100, seed=1)
+        arg = str(tmp_path / "cube.npy")
+        np.save(arg, build_simu1_scene(library, M=4, height=100, width=100, seed=0).cube.data)
+    src = str(Path(workers.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _BITS_SCRIPT, arg], env=env,
+                              capture_output=True, check=True, timeout=120)
+        outputs.append(done.stdout)
+    assert len(outputs[0]) > 0
+    assert outputs[0] == outputs[1]
 
 
 class TestRunUnits:
