@@ -45,7 +45,7 @@ from .hsi_core import CUBE_FORMATS, UnmixParams, load_cube, read_json_object, re
 # _Outputs.matrix calls write_matrix as _save_matrix, the name perfbench/worker.py traces
 from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matrix
 from .metrics import evaluate_model
-from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, fused_orders, graph_orders
+from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, graph_orders
 from .unmix import run_solver
 from .workers import thread_cap
 
@@ -290,14 +290,13 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> tuple[dict, dict]:
     )
     truth_manifest = read_json_object(truth_dir / "manifest.json")
     config = UnmixParams.from_dict(result_manifest["config"])
-    orders = fused_orders(result_manifest["variant"], config.order)
     report = evaluate_model(A_true, S_true, A_est, S_est)
 
     out.path("report.json").write_text(report.to_json() + "\n")
     snr_db = truth_manifest.get("snr_db")
     row = {
         "variant": result_manifest["variant"],
-        "K": max(orders, default=config.order),
+        "K": max(graph_orders(result_manifest["variant"], config), default=config.order),
         "seed": config.seed,
         "snr_db": "" if snr_db is None else snr_db,
         "mean_sad": f"{report.mean_sad:.17g}",
@@ -346,6 +345,14 @@ def _single_run(job: tuple) -> dict:
     cmd_unmix(**unmix)
     _, row = cmd_evaluate(unmix["out_dir"], truth_dir, unmix["out_dir"] / "eval")
     return {**row, **extra}
+
+
+def _check_neighbor_counts(jobs: list[tuple], n: int) -> None:
+    """Each graph run's neighbor counts against the ``n`` pixels of its scene."""
+    for unmix, _, _ in jobs:
+        if graph_orders(unmix["variant"], unmix["params"]):
+            for view in ("spatial", "spectral"):
+                neighbor_count(unmix["params"], view, n)
 
 
 def _one_thread_worker() -> None:
@@ -401,6 +408,7 @@ def cmd_ablate(
               init=init, params=p), truth_dir, {"case": case})
         for name, case, variant, p in runs
     ]
+    _check_neighbor_counts(jobs, load_cube(cube_path).pixel_count)
     rows = _run_jobs(jobs, cap)
     out.table("ablation_runs.csv", ("case",) + EVAL_COLUMNS, rows)
 
@@ -458,10 +466,7 @@ def cmd_sweep(
         for (snr, seed), truth in scenes.items()
         for variant in variants for lam in lambdas for beta in betas
     ]
-    for unmix, _, _ in jobs:
-        if graph_orders(unmix["variant"], unmix["params"]):
-            for view in ("spatial", "spectral"):
-                neighbor_count(unmix["params"], view, height * width)
+    _check_neighbor_counts(jobs, height * width)
     cap = thread_cap()
     for (snr, seed), truth in scenes.items():
         cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed,
@@ -515,8 +520,8 @@ def _float_list(ctx, param, value) -> list[float] | None:
         values = [float(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(f"expected a comma list of numbers, got {value!r}") from exc
-    if np.isnan(values).any():
-        raise click.BadParameter(f"NaN entry in {value!r}")
+    if not np.isfinite(values).all():
+        raise click.BadParameter(f"non-finite entry in {value!r}")
     # sweep run directories are named by f"{value:g}"
     if len({f"{v:g}" for v in _distinct(values, value)}) != len(values):
         raise click.BadParameter(f"entries of {value!r} print alike in run names")

@@ -225,14 +225,20 @@ def add_noise_at_snr(
     The returned noise achieves the target before clamping; the noisy
     cube is clamped at zero (reflectance cannot be negative) and the
     clamped fraction is logged because it slightly perturbs the
-    effective SNR.  Returns (noisy, noise).
+    effective SNR.  Returns (noisy, noise).  A target with no finite
+    positive noise power (an infinite one included) raises ParamError.
     """
     clean = np.asarray(clean, dtype=np.float64)
     p_signal = float(np.sum(clean**2))
     if p_signal == 0.0:
         raise DataError("cannot calibrate noise against an all-zero signal")
+    try:
+        p_noise_target = p_signal / (10.0 ** (float(target_snr_db) / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) overflows or underflows
+        p_noise_target = 0.0
+    if not 0.0 < p_noise_target < np.inf:  # false for a NaN target too
+        raise ParamError(f"target SNR {target_snr_db:g} dB gives no finite positive noise power")
     noise = substream(seed, "noise").standard_normal(clean.shape)
-    p_noise_target = p_signal / (10.0 ** (target_snr_db / 10.0))
     noise *= np.sqrt(p_noise_target / np.sum(noise**2))
     noisy = clean + noise
     clamped = noisy < 0

@@ -61,7 +61,6 @@ __all__ = [
     "update_abundances",
     "update_noise",
     "consensus_graph",
-    "fused_orders",
     "graph_orders",
     "run_solver",
 ]
@@ -100,10 +99,10 @@ class SolverConfig:
     """Variant selection plus all scalar parameters.
 
     ``init_endmembers``/``init_abundances`` give an explicit warm start
-    (used by tests); when set they take precedence over ``init``.
-    ``init_abundances`` needs ``init_endmembers`` (alone it would be
-    dropped for the FCLS abundances); ``run_solver`` checks that the
-    endmembers are L x M and the abundances M x N.
+    (used by tests) in place of ``init``.  Endmembers alone get the VCA
+    start's FCLS abundances, floored at 1e-8, so ``init_vca(cube, M, seed)``
+    there gives the default run.  ``init_abundances`` needs ``init_endmembers``;
+    ``run_solver`` checks that the endmembers are L x M and the abundances M x N.
     """
 
     params: UnmixParams
@@ -393,25 +392,18 @@ def update_noise(row_sq, beta: float) -> np.ndarray:
     return scale
 
 
-def fused_orders(variant: str, order: int) -> tuple[int, ...]:
-    """Graph orders ``variant`` fuses when the configured graph order is ``order``.
-
-    Empty for the graph-free variants (nmf, snmf, case_iii).
-    """
+def graph_orders(variant: str, params: UnmixParams) -> tuple[int, ...]:
+    """Graph orders a ``variant`` run builds and fuses: none without a graph term or at lambda 0."""
     if variant not in VARIANTS:
         raise ParamError(f"variant must be one of {VARIANTS}, got {variant!r}")
     orders = _VARIANT_TRAITS[variant].orders
-    return tuple(range(1, order + 1)) if orders == "all" else orders
-
-
-def graph_orders(variant: str, params: UnmixParams) -> tuple[int, ...]:
-    """Graph orders a ``variant`` run builds and fuses: none without a graph term or at lambda 0."""
-    orders = fused_orders(variant, params.order)
+    if orders == "all":
+        orders = tuple(range(1, params.order + 1))
     return orders if params.lam > 0.0 else ()
 
 
 def consensus_graph(
-    cube: HsiCube, params: UnmixParams, orders: list[int] | None = None
+    cube: HsiCube, params: UnmixParams, orders: tuple[int, ...] | None = None
 ) -> FusionState:
     """Build the multi-order graphs ``params`` describe and fuse them.
 
@@ -436,22 +428,21 @@ def _initialize(cube: HsiCube, M: int, config: SolverConfig):
         A = np.asarray(config.init_endmembers, dtype=np.float64).copy()
         if A.shape != (L, M):
             raise ShapeError(f"init_endmembers must be L x M = {L} x {M}, got {A.shape}")
-        if config.init_abundances is None:
-            return A, init_fcls(cube, A, p.delta)
-        S = np.asarray(config.init_abundances, dtype=np.float64).copy()
-        if S.shape != (M, N):
-            raise ShapeError(f"init_abundances must be M x N = {M} x {N}, got {S.shape}")
-        return A, S
-    if config.init == "vca_fcls":
+        if config.init_abundances is not None:
+            S = np.asarray(config.init_abundances, dtype=np.float64).copy()
+            if S.shape != (M, N):
+                raise ShapeError(f"init_abundances must be M x N = {M} x {N}, got {S.shape}")
+            return A, S
+    elif config.init == "vca_fcls":
         A = init_vca(cube, M, p.seed)
-        S = np.maximum(init_fcls(cube, A, p.delta), _INIT_FLOOR)
+    else:
+        rng_a = substream(p.seed, "init", "endmembers")
+        rng_s = substream(p.seed, "init", "abundances")
+        A = np.abs(rng_a.standard_normal((L, M))) * float(cube.data.max())
+        S = rng_s.uniform(size=(M, N))
+        S /= S.sum(axis=0, keepdims=True)
         return A, S
-    rng_a = substream(p.seed, "init", "endmembers")
-    rng_s = substream(p.seed, "init", "abundances")
-    A = np.abs(rng_a.standard_normal((L, M))) * float(cube.data.max())
-    S = rng_s.uniform(size=(M, N))
-    S /= S.sum(axis=0, keepdims=True)
-    return A, S
+    return A, np.maximum(init_fcls(cube, A, p.delta), _INIT_FLOOR)
 
 
 @blas_pinned()
@@ -490,15 +481,11 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
             else estimate_gamma(cube, as_written=p.gamma_as_written)
         )
 
-    lam = 0.0
-    Wm = None
-    fusion_state: FusionState | None = None
     orders = graph_orders(config.variant, p)
-    if orders:
-        # only W_m and D_m are kept: an operator over the order-1 graphs
-        fusion_state = consensus_graph(cube, p, list(orders))
-        Wm = fusion_state.Wm
-        lam = p.lam
+    # only W_m and D_m are kept: an operator over the order-1 graphs
+    fusion_state = consensus_graph(cube, p, orders) if orders else None
+    Wm = fusion_state.Wm if orders else None
+    lam = p.lam if orders else 0.0
 
     delta_sq = p.delta**2 if traits.asc else 0.0
 

@@ -21,7 +21,7 @@ from mognmf.cli import (
     cmd_unmix,
     main,
 )
-from mognmf.errors import DivergenceError
+from mognmf.errors import DivergenceError, ParamError
 from mognmf.graph import (
     MultiOrderGraphSet,
     WeightMatrix,
@@ -156,6 +156,20 @@ class TestSimulate:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "cannot read library file" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["inf", "-inf", "4000", "-4000"])
+    def test_snr_without_finite_noise_power_exits_2(self, runner, tmp_path, snr):
+        # inf would add no noise and put "Infinity" (not JSON) in the manifest;
+        # the others overflow or underflow 10^(snr/10)
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main,
+            ["simulate", "--m", "3", "--height", "6", "--width", "6", "--bands", "12",
+             f"--snr={snr}", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "no finite positive noise power" in result.output
         assert not out.exists()
 
     def test_simu2_preset_and_noiseless(self, runner, tmp_path):
@@ -468,6 +482,17 @@ class TestEvaluate:
             row = next(csv.DictReader(fh))
         assert row["K"] == k
 
+    @pytest.mark.parametrize("variant", ["case_iv", "case_v"])
+    def test_k_column_at_lambda_zero_is_configured_k(self, tmp_path, variant):
+        # at lambda 0 the run fuses no graph, so K is the configured one
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        run = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 3, run, variant=variant,
+                  params=UnmixParams(t1=3, neighbors=4, lam=0.0, order=3))
+        assert not (run / "H.csv").exists()
+        _, row = cmd_evaluate(run, scene, tmp_path / "eval")
+        assert row["K"] == 3
+
     def test_one_endmember_run_scores(self, tmp_path):
         # A.csv is L x 1 and reads back as a column
         scene = _one_endmember_scene(tmp_path)
@@ -714,6 +739,18 @@ class TestAblate:
         )
         assert result.exit_code == 2, result.output
         assert "--seeds" in result.output
+        assert not out.exists()
+
+
+    def test_neighbor_count_checked_before_any_run(self, tmp_path, monkeypatch):
+        # C=40 leaves no graph on 36 pixels; without the pre-check, two workers
+        # would run the graph-free case III and leave its run directory behind
+        monkeypatch.setenv("MOGNMF_THREADS", "2")
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        out = tmp_path / "ablation"
+        with pytest.raises(ParamError, match="C=40 must be < N=36"):
+            cmd_ablate(scene / "cube.raw", scene, out, seeds=[0], m=3,
+                       params=UnmixParams(t1=3, neighbors=40))
         assert not out.exists()
 
 
@@ -1019,6 +1056,8 @@ class TestOptions:
             ("sweep", "--lambdas", "0.1,0.1000001"),
             ("sweep", "--snrs", "30,30.000001"),
             ("sweep", "--lambdas", "nan"),
+            ("sweep", "--snrs", "inf"),
+            ("sweep", "--betas", "-inf"),
         ],
     )
     def test_malformed_value_exits_2(self, runner, tmp_path, command, option, value):

@@ -108,6 +108,13 @@ class TestAddNoiseAtSnr:
         ratio = np.sum(n10**2) / np.sum(n40**2)
         assert ratio == pytest.approx(1e3, rel=1e-9)
 
+    @pytest.mark.parametrize("target", [np.inf, -np.inf, 4000.0, -4000.0])
+    def test_target_without_finite_positive_noise_power_rejected(self, target):
+        # inf would add no noise at all; the others overflow or underflow 10^(snr/10)
+        clean = np.random.default_rng(5).uniform(0.3, 0.9, size=(6, 8))
+        with pytest.raises(ParamError, match="no finite positive noise power"):
+            add_noise_at_snr(clean, target, seed=0)
+
     def test_clamp_fraction_small_at_40db(self):
         fracs = []
         for seed in range(20):

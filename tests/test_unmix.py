@@ -13,7 +13,7 @@ from mognmf.unmix import (
     SolverConfig,
     consensus_graph,
     estimate_gamma,
-    fused_orders,
+    graph_orders,
     init_fcls,
     init_vca,
     run_solver,
@@ -565,6 +565,19 @@ class TestRunSolver:
         with pytest.raises(ShapeError, match=f"^{bad} must be"):
             run_solver(cube, 3, config)
 
+    def test_endmember_warm_start_is_the_vca_start(self):
+        # given the VCA endmembers alone, the run starts from the floored FCLS
+        # abundances of the default start, so it is the default run
+        lib = synthetic_library(band_count=30, entries=6, seed=0)
+        cube = build_simu1_scene(lib, M=4, height=12, width=12, target_snr_db=20.0, seed=0).cube
+        params = UnmixParams(seed=0, t1=40, neighbors=4)
+        A0 = init_vca(cube, 4, params.seed)
+        assert np.any(init_fcls(cube, A0, params.delta) == 0.0)  # the floor matters here
+        default = run_solver(cube, 4, SolverConfig(params=params))
+        warm = run_solver(cube, 4, SolverConfig(params=params, init_endmembers=A0))
+        for name in ("endmembers", "abundances", "noise", "objective_trace"):
+            assert getattr(warm, name).tobytes() == getattr(default, name).tobytes(), name
+
     def test_case_iii_is_snmf(self):
         scene = _pure_pixel_scene(seed=10, M=3)
         params = UnmixParams(seed=1, t1=30)
@@ -601,8 +614,8 @@ class TestRunSolver:
     def _oracle_run(self, variant, t1):
         params = UnmixParams(neighbors=4, beta=0.01, t1=t1, eps1=1e-12)
         cube, A0, S0, model = self._oracle_solve(variant, params)
-        orders = fused_orders(variant, params.order)
-        state = consensus_graph(cube, params, list(orders)) if orders else None
+        orders = graph_orders(variant, params)
+        state = consensus_graph(cube, params, orders) if orders else None
         A, S, E, trace = _loop_oracle(
             cube.data, A0, S0, variant, params, estimate_gamma(cube),
             state.Wm if state else None, state.Wm.degree if state else None,
