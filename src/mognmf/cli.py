@@ -207,7 +207,7 @@ def cmd_simulate(
             target_snr_db=snr_db, seed=seed,
         )
     else:
-        raise ParamError(f"unknown preset {preset!r} (expected simu1 or simu2)")
+        raise ParamError(f"unknown preset {preset!r} (expected one of {simgen.PRESETS})")
 
     save_cube(scene.cube, out.path("cube.raw", "cube.raw.json"), format="raw-f32")
     out.matrix("A_true.csv", scene.A_true)
@@ -457,7 +457,8 @@ def cmd_sweep(
               for snr in snrs for seed in seeds}
     runs = out.dir / "runs"
     # every run's parameters (a graph run's neighbor counts against the scene's
-    # pixel count included) and the worker cap are validated before anything is written
+    # pixel count included), every target SNR and the worker cap are validated
+    # before anything is written
     jobs = [
         (dict(cube_path=truth / "cube.raw", m=m,
               out_dir=runs / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
@@ -467,6 +468,8 @@ def cmd_sweep(
         for variant in variants for lam in lambdas for beta in betas
     ]
     _check_neighbor_counts(jobs, height * width)
+    for snr in snrs:
+        simgen.power_ratio(snr)
     cap = thread_cap()
     for (snr, seed), truth in scenes.items():
         cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed,
@@ -606,7 +609,7 @@ def _param_options(fn):
 def _scene_options(fn):
     """Adds the scene flags cmd_simulate takes besides --snr and --seed."""
     return _stack(fn, [
-        click.option("--preset", type=click.Choice(["simu1", "simu2"]), default="simu1"),
+        click.option("--preset", type=click.Choice(list(simgen.PRESETS)), default="simu1"),
         click.option("--m", type=int, default=4, help="number of endmembers (>= 2)"),
         click.option("--height", type=int, default=64),
         click.option("--width", type=int, default=64),

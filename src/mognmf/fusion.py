@@ -91,7 +91,8 @@ class FusionState:
 def project_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {h : h >= 0, sum h = 1}.
 
-    Sort-and-threshold algorithm; O(n log n).
+    Sort-and-threshold algorithm; O(n log n).  Any finite y gives a
+    point on the simplex.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size == 0:
@@ -100,6 +101,14 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     cumsum = np.cumsum(u)
     j = np.arange(1, y.size + 1)
     rho_candidates = np.nonzero(u + (1.0 - cumsum) / j > 0)[0]
+    if np.isfinite(u[0]) and (rho_candidates.size == 0 or not np.isfinite(cumsum[-1])):
+        # the 1 was lost in rounding against entries near 1e16 or beyond,
+        # or the sum overflowed.  The projection does not change when y is
+        # shifted, nor when an entry 1 or more below the largest (which
+        # projects to 0) is raised to that bound: in [-1, 0], y rounds safely.
+        # (u[0] is NaN when y holds one, and such a y is not retried)
+        with np.errstate(over="ignore"):
+            return project_simplex(np.maximum(y - u[0], -1.0))
     rho = rho_candidates[-1]
     tau = (1.0 - cumsum[rho]) / (rho + 1.0)
     return np.maximum(y + tau, 0.0)

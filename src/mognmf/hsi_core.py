@@ -120,6 +120,14 @@ _FIELD_KINDS = {
 }
 
 
+def float_square(x) -> float:
+    """``x ** 2`` as a float, inf where it overflows (Python's float power raises there)."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        return np.inf
+
+
 @dataclass(frozen=True)
 class UnmixParams:
     """All scalar knobs of the pipeline.
@@ -127,7 +135,10 @@ class UnmixParams:
     ``gamma=None`` means "estimate from the data".  ``sigma_s``/``sigma_l``
     accept a positive float or "auto" (median retained neighbor distance).
     ``neighbors_spatial``/``neighbors_spectral`` override ``neighbors``
-    per view when set.
+    per view when set.  Every float is finite.  The solver squares delta,
+    the heat kernel sigma and the fusion 1 + mu, so each of those squares
+    must be finite too: delta, a numeric sigma and mu are below about
+    1.34e154 (the square root of the largest float).
     """
 
     gamma: float | None = None
@@ -170,6 +181,11 @@ class UnmixParams:
                     raise ParamError(f'{name} must be positive or "auto"')
             elif not 0 < value < np.inf:
                 raise ParamError(f"{name} must be positive and finite")
+        # the solver squares delta, the heat kernel sigma and the fusion 1 + mu
+        for name, base in (("delta", self.delta), ("sigma_s", self.sigma_s),
+                           ("sigma_l", self.sigma_l), ("mu", 1.0 + self.mu)):
+            if base != "auto" and float_square(base) == np.inf:
+                raise ParamError(f"{name} must be below about 1.34e154, whose square overflows")
         if self.order < 1:
             raise ParamError("graph order must be >= 1")
         for name in ("neighbors", "neighbors_spatial", "neighbors_spectral"):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, IoError, ParamError, ParseError, ShapeError
-from .hsi_core import HsiCube, read_matrix
+from .hsi_core import HsiCube, float_square, read_matrix
 from .metrics import measure_snr
 from .rng import substream
 from .workers import blas_pinned
@@ -33,12 +33,24 @@ __all__ = [
     "synthetic_library",
     "generate_abundances",
     "mix_lmm",
+    "power_ratio",
     "add_noise_at_snr",
     "build_simu1_scene",
     "build_simu2_layout",
+    "PRESETS",
 ]
 
 log = logging.getLogger(__name__)
+
+# the scene families, by the name ``mognmf simulate --preset`` takes
+PRESETS = ("simu1", "simu2")
+
+# synthetic library: the range every entry is rescaled into, and the
+# weight of the continuum all entries share
+_FLOOR, _CEILING = 0.35, 0.95
+_FAMILY_CORRELATION = 0.5
+# the scale of the random fields before the softmax (generate_abundances)
+_GAIN = 5.0
 
 
 @dataclass(frozen=True)
@@ -113,23 +125,18 @@ def synthetic_library(
     band_count: int = 100,
     entries: int = 8,
     seed: int = 0,
-    floor: float = 0.35,
-    ceiling: float = 0.95,
-    family_correlation: float = 0.5,
 ) -> SpectralLibrary:
     """Procedural stand-in for a mineral library.
 
-    Entries share one smooth continuum (scaled by family_correlation)
-    and differ through a few entry-specific absorption/reflection
-    features, which reproduces the high mutual correlation of real
-    mineral spectra (mutual angles of roughly 0.1-0.4 rad).  Values are
-    rescaled into [floor, ceiling]; the floor keeps mixed reflectances
-    away from zero so additive noise rarely drives values negative.
+    Entries share one smooth continuum, weighted 0.5 against their own
+    few absorption/reflection features, which reproduces the high mutual
+    correlation of real mineral spectra (mutual angles of roughly
+    0.1-0.4 rad).  Each entry is rescaled into the fixed range
+    [0.35, 0.95]; the floor keeps mixed reflectances away from zero so
+    additive noise rarely drives values negative.
     """
     if entries < 1 or band_count < 2:
         raise ParamError("library needs >= 1 entry and >= 2 bands")
-    if not 0.0 <= family_correlation < 1.0:
-        raise ParamError("family_correlation must lie in [0, 1)")
     rng = substream(seed, "library")
     grid = np.linspace(0.0, 1.0, band_count)
 
@@ -148,9 +155,9 @@ def synthetic_library(
     for p in range(entries):
         own = bumps(2, 4, 0.03, 0.12)
         span = max(np.abs(own).max(), 1e-12)
-        curve = family_correlation * base + (1.0 - family_correlation) * (own / span)
+        curve = _FAMILY_CORRELATION * base + (1.0 - _FAMILY_CORRELATION) * (own / span)
         lo, hi = curve.min(), curve.max()
-        spectra[:, p] = floor + (ceiling - floor) * (curve - lo) / max(hi - lo, 1e-12)
+        spectra[:, p] = _FLOOR + (_CEILING - _FLOOR) * (curve - lo) / max(hi - lo, 1e-12)
     names = tuple(f"material_{p:02d}" for p in range(entries))
     return SpectralLibrary(names=names, spectra=spectra)
 
@@ -170,16 +177,18 @@ def generate_abundances(
     M: int,
     smoothness: float = 4.0,
     seed: int = 0,
-    gain: float = 5.0,
 ) -> np.ndarray:
     """Simplex-valued abundance maps from smooth Gaussian random fields.
 
     The squared-exponential covariance on the grid factorizes over rows
     and columns, so each field is sampled exactly as L_r Z L_c^T with Z
-    i.i.d. standard normal.  Fields are scaled by ``gain``,
+    i.i.d. standard normal.  Fields are scaled by a fixed gain of 5,
     exponentiated, and normalized per pixel (softmax).  The gain
     sharpens the maps so each material dominates somewhere (near-pure
-    regions, as in real land cover); gain ~1 gives heavily mixed scenes.
+    regions, as in real land cover); a gain near 1 would mix them heavily.
+    ``smoothness`` (the covariance length in pixels) must be positive and
+    finite, and its square finite and nonzero: a value from about
+    1.34e154 up, or below about 1.5e-162, raises ParamError.
     OpenBLAS is held at one thread (``workers.blas_pinned``): from about
     100x100 pixels the Cholesky products change bits with its thread count.
     """
@@ -187,17 +196,16 @@ def generate_abundances(
         raise ParamError("height and width must be positive")
     if M < 2:
         raise ParamError("at least 2 endmembers are required")
-    if smoothness <= 0:
-        raise ParamError("smoothness must be positive")
-    if gain <= 0:
-        raise ParamError("gain must be positive")
+    # the kernel divides by 2 smoothness^2; the chained bound also rejects NaN
+    if not (smoothness > 0 and 0 < float_square(smoothness) < np.inf):
+        raise ParamError(f"smoothness must be positive and finite, got {smoothness!r}")
     chol_r = _rbf_cholesky(height, smoothness)
     chol_c = _rbf_cholesky(width, smoothness)
     fields = np.empty((M, height * width))
     for m in range(M):
         z = substream(seed, "field", m).standard_normal((height, width))
         fields[m] = (chol_r @ z @ chol_c.T).ravel()
-    fields *= gain
+    fields *= _GAIN
     fields -= fields.max(axis=0, keepdims=True)  # stabilize the softmax
     S = np.exp(fields)
     S /= S.sum(axis=0, keepdims=True)
@@ -215,6 +223,21 @@ def mix_lmm(A_true: np.ndarray, S_true: np.ndarray) -> np.ndarray:
     return A_true @ S_true
 
 
+def power_ratio(target_snr_db: float) -> float:
+    """The signal-to-noise power ratio 10^(snr/10) of a target SNR in dB.
+
+    ParamError unless it is finite and positive: not for an infinite or
+    NaN target, nor beyond about +-3080 dB, where it overflows or underflows.
+    """
+    try:
+        ratio = 10.0 ** (float(target_snr_db) / 10.0)
+    except OverflowError:
+        ratio = np.inf
+    if not 0.0 < ratio < np.inf:  # false for a NaN target too
+        raise ParamError(f"target SNR {target_snr_db:g} dB gives no finite positive noise power")
+    return ratio
+
+
 def add_noise_at_snr(
     clean: np.ndarray,
     target_snr_db: float,
@@ -226,17 +249,15 @@ def add_noise_at_snr(
     cube is clamped at zero (reflectance cannot be negative) and the
     clamped fraction is logged because it slightly perturbs the
     effective SNR.  Returns (noisy, noise).  A target with no finite
-    positive noise power (an infinite one included) raises ParamError.
+    positive noise power (``power_ratio``'s rule, or a signal power
+    that the ratio takes out of range) raises ParamError.
     """
     clean = np.asarray(clean, dtype=np.float64)
     p_signal = float(np.sum(clean**2))
     if p_signal == 0.0:
         raise DataError("cannot calibrate noise against an all-zero signal")
-    try:
-        p_noise_target = p_signal / (10.0 ** (float(target_snr_db) / 10.0))
-    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) overflows or underflows
-        p_noise_target = 0.0
-    if not 0.0 < p_noise_target < np.inf:  # false for a NaN target too
+    p_noise_target = p_signal / power_ratio(target_snr_db)
+    if not 0.0 < p_noise_target < np.inf:
         raise ParamError(f"target SNR {target_snr_db:g} dB gives no finite positive noise power")
     noise = substream(seed, "noise").standard_normal(clean.shape)
     noise *= np.sqrt(p_noise_target / np.sum(noise**2))
@@ -308,21 +329,17 @@ def build_simu2_layout(
     Patches sit on a ceil(sqrt(M)) cell grid, one per endmember, with
     abundance exactly one inside; background pixels mix all endmembers
     with weights decaying smoothly with distance to each patch center.
-    Guarantees at least one pure pixel per endmember.
+    Guarantees at least one pure pixel per endmember.  Cells under 3 pixels
+    on a side raise ParamError, ahead of DataError for a library under M entries.
     """
     if M < 2:
         raise ParamError("at least 2 endmembers are required")
-    if library.entry_count < M:
-        raise DataError(f"library holds {library.entry_count} entries, {M} requested")
     cells = int(np.ceil(np.sqrt(M)))
     cell_h, cell_w = height / cells, width / cells
     if min(cell_h, cell_w) < 3:
         raise ParamError("grid too small for the requested number of patches")
-    centers = []
-    for m in range(M):
-        cu, cv = divmod(m, cells)
-        centers.append(((cu + 0.5) * cell_h, (cv + 0.5) * cell_w))
-    centers = np.asarray(centers)
+    cu, cv = np.divmod(np.arange(M), cells)
+    centers = np.stack([(cu + 0.5) * cell_h, (cv + 0.5) * cell_w], axis=1)
 
     u, v = np.divmod(np.arange(height * width), width)
     coords = np.stack([u, v], axis=1).astype(np.float64)
@@ -331,15 +348,13 @@ def build_simu2_layout(
     S_true = np.exp(-d / tau).T
     S_true /= S_true.sum(axis=0, keepdims=True)
 
+    # a patch reaches half <= side / 4 past its center, which sits mid-cell:
+    # it lies inside its own cell, so no slice starts below 0 or ends past the grid
     half = int(min(cell_h, cell_w)) // 4
-    for m, (cu, cv) in enumerate(centers):
-        rows = np.arange(int(cu) - half, int(cu) + half + 1)
-        cols = np.arange(int(cv) - half, int(cv) + half + 1)
-        for r in rows:
-            for c in cols:
-                if 0 <= r < height and 0 <= c < width:
-                    j = r * width + c
-                    S_true[:, j] = 0.0
-                    S_true[m, j] = 1.0
+    grid = S_true.T.reshape(height, width, M)  # a view: S_true.T is C-ordered
+    for m, (cu, cv) in enumerate(centers.astype(int)):
+        patch = grid[cu - half:cu + half + 1, cv - half:cv + half + 1]
+        patch[...] = 0.0
+        patch[..., m] = 1.0
 
     return _assemble_scene(library, M, height, width, S_true, target_snr_db, seed)

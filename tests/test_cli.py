@@ -172,6 +172,20 @@ class TestSimulate:
         assert "no finite positive noise power" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("smoothness", ["inf", "nan", "1e308", "1e-200"])
+    def test_smoothness_without_finite_kernel_exits_2(self, runner, tmp_path, smoothness):
+        # inf would put "Infinity" (not JSON) in the manifest; 1e308 overflows and
+        # 1e-200 underflows the kernel's smoothness^2, and NaN was blamed on the SNR
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main,
+            ["simulate", "--m", "3", "--height", "6", "--width", "6", "--bands", "12",
+             "--smoothness", smoothness, "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "smoothness must be positive and finite" in result.output
+        assert not out.exists()
+
     def test_simu2_preset_and_noiseless(self, runner, tmp_path):
         out = tmp_path / "scene2"
         result = runner.invoke(
@@ -318,6 +332,26 @@ class TestUnmix:
         assert result.exit_code == 2, result.output
         assert "lam must be nonnegative and finite" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, code",
+        [("--delta", "1e155", 2), ("--mu", "1e200", 2), ("--sigma-s", "1e200", 2),
+         ("--sigma-l", "1e200", 2), ("--alpha", "1e-300", 0)],
+    )
+    def test_extreme_parameter_exits_2_or_runs(self, runner, tmp_path, option, value, code):
+        # delta^2, (1 + mu)^2 and sigma^2 overflow; alpha 1e-300 puts the fusion's
+        # weight step near -1e300, where the simplex projection lost its 1 to rounding
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--c", "4",
+             "--t1", "5", option, value, "--out", str(out)],
+        )
+        assert result.exit_code == code, result.output
+        if code == 2:
+            assert "whose square overflows" in result.output
+        assert out.exists() == (code == 0)
 
     def test_missing_cube_exits_2(self, runner, tmp_path):
         result = runner.invoke(
@@ -866,8 +900,9 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "threads, extra",
-        [("1", ["--lambdas", "-1"]), ("zero", []), ("1", ["--alpha", "0"])],
-        ids=["negative_lambda", "bad_thread_env", "alpha_zero"],
+        [("1", ["--lambdas", "-1"]), ("zero", []), ("1", ["--alpha", "0"]),
+         ("1", ["--smoothness", "inf"])],
+        ids=["negative_lambda", "bad_thread_env", "alpha_zero", "infinite_smoothness"],
     )
     def test_invalid_sweep_writes_nothing(self, runner, tmp_path, monkeypatch, threads, extra):
         monkeypatch.setenv("MOGNMF_THREADS", threads)
@@ -896,6 +931,17 @@ class TestSweep:
         )
         assert result.exit_code == code, result.output
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("snr", [np.inf, 4000.0])
+    def test_every_snr_checked_before_writing(self, tmp_path, monkeypatch, snr):
+        # past the CLI's list parsing, the second SNR's noise power is not a finite
+        # positive number; the first scene must not be written before that is found
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        out = tmp_path / "sw"
+        with pytest.raises(ParamError, match="no finite positive noise power"):
+            cli.cmd_sweep(out, "simu1", 3, [20.0, snr], [0], ["nmf"],
+                          params=UnmixParams(t1=5, neighbors=4), height=6, width=6, bands=12)
+        assert not out.exists()
 
     def test_bad_thread_env_rejected(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("MOGNMF_THREADS", "zero")

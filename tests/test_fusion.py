@@ -87,6 +87,17 @@ class TestProjectSimplex:
         assert np.all(h >= 0.0)
         assert abs(h.sum() - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "y, expected",
+        [([-1e300, -2e300], [1.0, 0.0]), ([1e300, 0.0], [1.0, 0.0]),
+         ([-1e308, -1e308, 5.0], [0.0, 0.0, 1.0])],
+        ids=["far_below", "far_above", "sum_overflows"],
+    )
+    def test_huge_entries_project_onto_simplex(self, y, expected):
+        # the threshold test loses its 1 to rounding, or the running sum overflows
+        with np.errstate(over="ignore"):
+            assert np.array_equal(project_simplex(np.array(y)), expected)
+
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             project_simplex(np.array([]))
