@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, ShapeError
+from .errors import DataError, ParamError, ShapeError
 from .graph import ConsensusOperator, MultiOrderGraphSet
 from .hsi_core import UnmixParams
 from .workers import run_units, units
@@ -192,7 +192,9 @@ def fuse_graphs(graphs: MultiOrderGraphSet, params: UnmixParams = UnmixParams())
     Stops when |L2(j) - L2(j-1)| < eps2 or after t2 sweeps.  The loop is
     evaluated through the Gram matrix of the stack (module docstring),
     so no power and no W_m is formed; it matches the direct alternation
-    over the formed stack up to rounding.
+    over the formed stack up to rounding.  Raises ``DataError`` naming a
+    view whose graphs are all zero, as a too-small heat-kernel width
+    makes them.
     """
     if not graphs.views:
         raise ShapeError("empty graph set")
@@ -201,6 +203,12 @@ def fuse_graphs(graphs: MultiOrderGraphSet, params: UnmixParams = UnmixParams())
     norms_sq = np.diag(gram).copy()
 
     V, K = len(graphs.views), len(graphs.orders)
+    # an all-zero view would regularize nothing, yet it can take all of H
+    for view, view_norms in zip(graphs.views, norms_sq.reshape(V, K)):
+        if not view_norms.any():
+            why = "" if view.sigma is None else (
+                f": every neighbor's heat-kernel weight underflows to 0 at sigma {view.sigma:g}")
+            raise DataError(f"the {view.kind} graph has no nonzero weight{why}")
     m = V * K
     h = np.full(m, 1.0 / m)  # H_vk = 1/(V K) start
     h_cons = h

@@ -138,7 +138,9 @@ class UnmixParams:
     per view when set.  Every float is finite.  The solver squares delta,
     the heat kernel sigma and the fusion 1 + mu, so each of those squares
     must be finite too: delta, a numeric sigma and mu are below about
-    1.34e154 (the square root of the largest float).
+    1.34e154 (the square root of the largest float).  The heat kernel
+    divides by sigma^2, so a numeric sigma is also above about 1.6e-162,
+    where its square underflows to 0.
     """
 
     gamma: float | None = None
@@ -184,8 +186,14 @@ class UnmixParams:
         # the solver squares delta, the heat kernel sigma and the fusion 1 + mu
         for name, base in (("delta", self.delta), ("sigma_s", self.sigma_s),
                            ("sigma_l", self.sigma_l), ("mu", 1.0 + self.mu)):
-            if base != "auto" and float_square(base) == np.inf:
+            if base == "auto":
+                continue
+            square = float_square(base)
+            if square == np.inf:
                 raise ParamError(f"{name} must be below about 1.34e154, whose square overflows")
+            # the heat kernel divides by sigma^2
+            if name.startswith("sigma") and square == 0.0:
+                raise ParamError(f"{name} must be above about 1.6e-162, whose square underflows")
         if self.order < 1:
             raise ParamError("graph order must be >= 1")
         for name in ("neighbors", "neighbors_spatial", "neighbors_spectral"):

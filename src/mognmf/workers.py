@@ -83,8 +83,9 @@ def _thread_functions(path: str):
 def _openblas() -> list[tuple]:
     """(get, set) thread-count functions of every OpenBLAS loaded in this process.
 
-    Looked up once: numpy, imported with the package, has loaded its
-    BLAS by the time the graph stage first runs.
+    Looked up once: numpy, which every module that calls this imports,
+    has loaded its BLAS by then, and that is the only OpenBLAS the
+    package loads (``scipy.sparse`` brings none).
     """
     try:
         with open("/proc/self/maps") as fh:

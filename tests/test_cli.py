@@ -336,11 +336,13 @@ class TestUnmix:
     @pytest.mark.parametrize(
         "option, value, code",
         [("--delta", "1e155", 2), ("--mu", "1e200", 2), ("--sigma-s", "1e200", 2),
-         ("--sigma-l", "1e200", 2), ("--alpha", "1e-300", 0)],
+         ("--sigma-l", "1e200", 2), ("--sigma-s", "1e-200", 2), ("--sigma-l", "1e-200", 2),
+         ("--alpha", "1e-300", 0)],
     )
     def test_extreme_parameter_exits_2_or_runs(self, runner, tmp_path, option, value, code):
-        # delta^2, (1 + mu)^2 and sigma^2 overflow; alpha 1e-300 puts the fusion's
-        # weight step near -1e300, where the simplex projection lost its 1 to rounding
+        # delta^2, (1 + mu)^2 and sigma^2 overflow, and sigma 1e-200 squares to 0,
+        # which the heat kernel divides by; alpha 1e-300 puts the fusion's weight
+        # step near -1e300, where the simplex projection lost its 1 to rounding
         scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
         out = tmp_path / "run"
         result = runner.invoke(
@@ -350,8 +352,25 @@ class TestUnmix:
         )
         assert result.exit_code == code, result.output
         if code == 2:
-            assert "whose square overflows" in result.output
+            bound = "underflows" if float(value) < 1 else "overflows"
+            assert f"whose square {bound}" in result.output
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("command", ["unmix", "fuse"])
+    def test_empty_graph_view_exits_2(self, runner, tmp_path, command):
+        # every spatial neighbor is 1 or more pixels away, where the heat
+        # kernel's weight exp(-d^2 / (2 sigma^2)) underflows to 0 at sigma 0.02
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        out = tmp_path / "run"
+        args = [command, "--cube", str(scene / "cube.raw"), "--c", "4", "--sigma-s", "0.02",
+                "--dump-wm", "--out", str(out)]
+        if command == "unmix":
+            args += ["--m", "3", "--t1", "5"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "spatial" in errors[0], result.output
+        assert not out.exists()
 
     def test_missing_cube_exits_2(self, runner, tmp_path):
         result = runner.invoke(

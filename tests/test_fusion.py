@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mognmf import fusion, workers
-from mognmf.errors import ParamError, ShapeError
+from mognmf.errors import DataError, ParamError, ShapeError
 from mognmf.fusion import fuse_graphs, project_simplex, update_weights
 from mognmf.graph import MultiOrderGraphSet, WeightMatrix, build_multi_order_graphs
 from mognmf.hsi_core import UnmixParams
@@ -271,6 +271,15 @@ class TestFuseGraphs:
             tr = state.objective_trace
             slack = 1e-9 * (1 + abs(tr[0]))
             assert np.all(np.diff(tr) <= slack)
+
+    @pytest.mark.parametrize("empty", ["spatial", "spectral"])
+    def test_all_zero_view_is_rejected(self, empty):
+        # an all-zero view regularizes nothing, yet the H step can put all its weight there
+        rng = np.random.default_rng(16)
+        mats = [g.W for g in _random_graph_set(rng, n=5).views]
+        mats[("spatial", "spectral").index(empty)] = np.zeros((5, 5))
+        with pytest.raises(DataError, match=f"the {empty} graph has no nonzero weight"):
+            fuse_graphs(_graph_set(mats, 3))
 
     def test_single_sweep_cap(self):
         rng = np.random.default_rng(13)
