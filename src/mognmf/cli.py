@@ -277,10 +277,9 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> tuple[dict, dict]:
     """
     out = _Outputs(out_dir, "evaluate")
     result_dir, truth_dir = Path(result_dir), Path(truth_dir)
-    A_est = read_matrix(result_dir / "A.csv")
-    S_est = read_matrix(result_dir / "S.csv")
-    A_true = read_matrix(truth_dir / "A_true.csv")
-    S_true = read_matrix(truth_dir / "S_true.csv")
+    inputs = [result_dir / "A.csv", result_dir / "S.csv",
+              truth_dir / "A_true.csv", truth_dir / "S_true.csv"]
+    A_est, S_est, A_true, S_true = map(read_matrix, inputs)
     if A_est.shape != A_true.shape:
         raise ShapeError(
             f"endmember count mismatch: truth {A_true.shape} vs estimate {A_est.shape}"
@@ -306,7 +305,7 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> tuple[dict, dict]:
     }
     out.table("report.csv", EVAL_COLUMNS, [row])
     manifest = out.manifest(
-        inputs=[result_dir / "A.csv", truth_dir / "A_true.csv"],
+        inputs=inputs,
         mean_sad=report.mean_sad,
         rmse=report.rmse,
     )

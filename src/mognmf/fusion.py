@@ -23,7 +23,7 @@ objective value is a quadratic form in the weights.  Each W_k^v is the
 order-k power of a view's order-1 graph over its normalizer s_vk (its
 maximum entry for k >= 2 under ``order_norm``, else 1), so G
 and the max-entry normalizers are accumulated over row units of the
-powers, rows_B(W^k) = ((W[B] @ W) @ W)..., and no whole power is held.
+powers, rows_B(W^k) = ((W[B] W) W)..., and no whole power is held.
 W_m = sum_vk c_vk W_v^k with c_vk = H_vk / (s_vk (1 + mu)) is a
 polynomial in the order-1 graphs, returned as a ``ConsensusOperator``
 that holds its degree vector D_m; neither W_m nor the Laplacian
@@ -44,6 +44,19 @@ thread count.  The units are the graph stage's 64-row units
 the size of a spectral k-NN thread's Gram rows, and a unit's power rows
 stay small even where a power is dense (the order-3 spectral power of a
 32 x 32 scene is over a third dense).
+
+A unit's power rows are formed by scipy's compiled ``csr_matmat``, the
+numeric kernel ``@`` runs, called directly (``_times``): so they hold
+the same entries in the same order, and G, the normalizers, H and the
+W_m coefficients keep their bits.  ``@`` would first run a symbolic
+pass that counts the product's entries, and re-validate W, on every
+call.  Without the count, the kernel writes into room sized beforehand
+by a bound that needs no product (``_product_bounds``): per row, the
+smaller of N and the summed entry counts of the rows it combines.
+Each thread allocates that room once, for a unit's rows of each view
+and order, after its scatter buffer; a product only touches the part
+it fills.  W's index arrays are cast to int32 wherever every offset
+fits, the kernel's one index type for all of them.
 """
 
 from __future__ import annotations
@@ -51,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .errors import DataError, ParamError, ShapeError
 from .graph import ConsensusOperator, MultiOrderGraphSet
@@ -129,6 +143,46 @@ def _fusion_objective(H, P, wm_sq, mu, alpha) -> float:
     return float(np.sum(H * P) + mu * wm_sq + alpha * np.sum(H * H))
 
 
+def _product_bounds(W, top: int, cut) -> list[int]:
+    """For k = 2..top, the most stored entries the order-k rows of any unit in ``cut`` can hold.
+
+    Row i of W^k is the sum of W_ij times row j of W^(k-1) over the
+    entries of row i of W, so it holds at most d_k(i) = min(n, sum_j
+    d_(k-1)(j)) entries, d_1 being W's row lengths.  Dropping a sum
+    that cancels to 0 only removes entries.  At 64 x 64 pixels the order-3
+    bound is about 6 times the spectral rows' entries and 23 times the
+    spatial ones; the room past a product's entries is never touched.
+    """
+    n = W.shape[0]
+    d = np.diff(W.indptr).astype(np.int64)
+    starts, ends = np.array(cut).T
+    bounds = []
+    for _ in range(2, top + 1):
+        running = np.concatenate(([0], np.cumsum(d[W.indices])))
+        d = np.minimum(running[W.indptr[1:]] - running[W.indptr[:-1]], n)
+        per_unit = np.concatenate(([0], np.cumsum(d)))
+        bounds.append(int((per_unit[ends] - per_unit[starts]).max()))
+    return bounds
+
+
+def _times(rows, W, out):
+    """CSR rows (ptr, idx, val) times W's CSR arrays, written to the buffers ``out``.
+
+    ``ptr`` may point into the middle of ``idx`` and ``val``, as it does
+    into W's own arrays.  scipy's ``csr_matmat`` is the numeric kernel
+    that ``@`` runs, so the product holds the same entries in the same
+    order.  Called directly, it skips ``@``'s symbolic pass, which counts
+    the product's entries before the numeric pass, and ``@``'s
+    re-validation of W; ``out`` has room for ``_product_bounds`` entries.
+    """
+    ptr, idx, val = rows
+    cp, cj, cx = out
+    cp = cp[:len(ptr)]
+    n = len(W[0]) - 1  # W is square
+    _sparsetools.csr_matmat(len(ptr) - 1, n, ptr, idx, val, *W, cp, cj, cx)
+    return cp, cj, cx
+
+
 def _gram_and_normalizers(
     graphs: MultiOrderGraphSet, normalize: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,20 +199,40 @@ def _gram_and_normalizers(
     top = max(graphs.orders)
     m = len(mats) * len(graphs.orders)  # one member per (view, order), view-major
     cut = units(n)
+    sizes = [_product_bounds(W, top, cut) for W in mats]
+    # each view's CSR arrays with the one index type the kernel takes for
+    # all of them, int32 wherever every offset fits
+    index = np.int32 if max([n, *(W.nnz for W in mats), *sum(sizes, [])]) < 2**31 else np.int64
+    csr = [(W.indptr.astype(index, copy=False), W.indices.astype(index, copy=False), W.data)
+           for W in mats]
 
-    def unit(bounds, buf):
+    def buffers():
+        # per thread: the dense scatter buffer, then room for each view's
+        # order-k rows of a unit, k = 2..top (the first unit is the tallest).
+        # Only the part a product fills is ever touched.  Made in the other
+        # order, the stage's peak RSS read 4 MB more at 64 x 64 on 2 threads
+        scatter = np.zeros(cut[0][1] * n)
+        return scatter, [[(np.empty(cut[0][1] + 1, index), np.empty(size, index), np.empty(size))
+                          for size in view_sizes] for view_sizes in sizes]
+
+    def unit(bounds, bufs):
+        buf, products = bufs
+        rows = bounds[1] - bounds[0]
         # each member's stored entries in the unit: flat (row, column)
         # positions in buf, and values
         entries = []
-        for W in mats:
-            R = W[slice(*bounds)]
+        for v, (indptr, indices, data) in enumerate(csr):
+            # the order-1 rows are W's own: row pointers into W's arrays
+            rows_k = (indptr[bounds[0]:bounds[1] + 1], indices, data)
             powers = {}
             for k in range(1, top + 1):
                 if k > 1:
-                    R = R @ W
+                    rows_k = _times(rows_k, csr[v], products[v][k - 2])
                 if k in graphs.orders:
-                    pos = np.repeat(np.arange(R.shape[0]) * n, np.diff(R.indptr))
-                    powers[k] = (pos + R.indices, R.data)
+                    ptr, idx, val = rows_k
+                    stored = slice(ptr[0], ptr[-1])
+                    pos = np.repeat(np.arange(rows) * n, np.diff(ptr))
+                    powers[k] = (pos + idx[stored], val[stored])
             entries += [powers[k] for k in graphs.orders]
         gram, peaks = np.zeros((m, m)), np.zeros(m)
         # einsum sums without BLAS, whose dot products split across its threads
@@ -175,7 +249,7 @@ def _gram_and_normalizers(
 
     gram, peaks = np.zeros((m, m)), np.zeros(m)
     # the first unit is the tallest
-    for part, top_k in run_units(unit, cut, lambda: np.zeros(cut[0][1] * n)):
+    for part, top_k in run_units(unit, cut, buffers):
         gram += part
         np.maximum(peaks, top_k, out=peaks)
     gram = np.triu(gram) + np.triu(gram, 1).T

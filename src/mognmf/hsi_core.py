@@ -12,6 +12,8 @@ Shape conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -230,13 +232,169 @@ class UnmixParams:
         return cls(**d)
 
 
-def write_matrix(target, matrix: np.ndarray) -> None:
-    """Write a 2-D ``matrix`` to a path or open text file: one comma-delimited row per line.
+# write_matrix's encoder.  One value is six little-endian 8-byte words,
+# whose NUL bytes are dropped afterwards.  Word 0 holds the sign, the
+# "0.000" of a fixed-point value below 1, the first digit and a point
+# slot; words 1-4 hold digits 2-17, each followed by a point slot; word 5
+# holds "e", the exponent's sign and three digits, and the delimiter.
+_CHUNK = 4096  # values encoded at a time
+_POW_LO, _POW_HI = -186, 218  # the scales 10^p that values in [1e-200, 1e200] need
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 
-    ``%.17g`` round-trips every float64: ``read_matrix`` returns the same bits.
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _words(rows) -> np.ndarray:
+    """uint8 rows of 8k bytes as k little-endian words each."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).view("<u8")
+
+
+def _pow10(p: int) -> tuple[float, float]:
+    """10^p as hi + lo, each correctly rounded (Python's int division is)."""
+    num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+@functools.cache
+def _encoder_tables():
+    """10^p as hi+lo pairs (hi split in halves), and the encoder's digit words and templates.
+
+    Built on the first write, not at import.
     """
+    hi, lo = np.array([_pow10(p) for p in range(_POW_LO, _POW_HI + 1)]).T
+    # the first digit, a 4-digit group and an exponent as words that are
+    # 0xFF outside their digits, so a bitwise and keeps the template there
+    lead = np.full((10, 8), 0xFF, np.uint8)
+    lead[:, 6] = np.arange(10) + 48
+    g = np.arange(10000)
+    quad = np.full((10000, 8), 0xFF, np.uint8)
+    quad[:, ::2] = np.stack([g // 10**k % 10 for k in (3, 2, 1, 0)], axis=1) + 48
+    trailing = np.zeros(10000, np.int64)  # a group's trailing zeros, 4 for 0
+    for k in (1, 2, 3, 4):
+        trailing[g % 10**k == 0] = k
+    e = np.arange(400)
+    expo = np.full((400, 8), 0xFF, np.uint8)
+    expo[:, 2:5] = np.stack([e // 100, e // 10 % 10, e % 10], axis=1) + 48
+    # one template per layout and significant digit count s.  Layouts 0-20
+    # are fixed point at decimal exponents -4..16; 21-24 are the exponent
+    # form, negative then positive, with two and then three exponent
+    # digits.  0xFF marks the digit slots shown
+    templates = np.zeros((25, 17, 48), np.uint8)
+    for layout in range(25):
+        for s in range(1, 18):
+            t = templates[layout, s - 1]
+            if layout < 21:
+                x10 = layout - 4
+                shown = max(s, x10 + 1)
+                if x10 < 0:
+                    t[1:2 - x10] = np.frombuffer(b"0." + b"0" * (-x10 - 1), np.uint8)
+                elif s > x10 + 1:
+                    t[7 + 2 * x10] = ord(".")
+            else:
+                shown = s
+                if s > 1:
+                    t[7] = ord(".")
+                t[40:42] = np.frombuffer(b"e-" if layout < 23 else b"e+", np.uint8)
+                t[42 + layout % 2:45] = 0xFF
+            t[6:6 + 2 * shown:2] = 0xFF
+    return (hi, _split(hi), lo, _words(lead)[:, 0], _words(quad)[:, 0], trailing,
+            _words(expo)[:, 0], _words(templates.reshape(-1, 48)))
+
+
+def _scaled(ax, x10):
+    """ax 10^(16 - x10) as prod + tail, its nearest integer n, and the distance to n.
+
+    prod is ax times 10^p's hi part, rounded; tail is that rounding's
+    error, exact by Dekker's two-product, plus ax times 10^p's lo part.
+    So prod + tail is the product to about 2^-104, relative.
+    """
+    hi, (hh, hl), lo, *_ = _encoder_tables()
+    p = 16 - x10 - _POW_LO
+    bh, bl = hh[p], hl[p]
+    ah, al = _split(ax)
+    prod = ax * hi[p]
+    tail = (((ah * bh - prod) + ah * bl + al * bh) + al * bl) + ax * lo[p]
+    whole = np.rint(tail)
+    return prod, tail, prod.astype(np.int64) + whole.astype(np.int64), tail - whole
+
+
+def _encode(x: np.ndarray, delims: np.ndarray) -> bytes:
+    """``"%.17g" % v`` of each value in ``x``, each followed by its delimiter word.
+
+    A value's 17 significant digits are n = round(|v| 10^(16 - x10)),
+    10^16 <= n < 10^17, at its decimal exponent x10.  A value that is not
+    0 and not certified (within 1e-6 of a rounding tie, or |v| outside
+    [1e-200, 1e200], nan or inf) is formatted by Python.
+    """
+    *_, lead, quad, trailing, expo, templates = _encoder_tables()
+    ax = np.abs(x)
+    zero = ax == 0
+    certain = (ax >= 1e-200) & (ax <= 1e200)
+    ax = np.where(certain, ax, 1.0)
+    x10 = np.floor(np.log10(ax)).astype(np.int64)
+    prod, tail, n, frac = _scaled(ax, x10)
+    # log10 can miss the decimal exponent by one, and rounding up can reach 10^17
+    off = (prod < 1e16) | ((prod == 1e16) & (tail < 0)) | (n >= 10**17)
+    if off.any():
+        x10[off] += np.where(n[off] >= 10**17, 1, -1)
+        _, _, n[off], frac[off] = _scaled(ax[off], x10[off])
+    certain &= (n >= 10**16) & (n < 10**17) & (np.abs(np.abs(frac) - 0.5) > 1e-6)
+    n[~certain], x10[~certain] = 0, 0  # a zero's digits; the others are overwritten
+    top, low = np.divmod(n, 10**8)
+    first, top = np.divmod(top, 10**8)
+    groups = [*np.divmod(top, 10**4), *np.divmod(low, 10**4)]
+    tz = trailing[groups[3]]
+    for k in (2, 1, 0):
+        tz += (tz == 4 * (3 - k)) * trailing[groups[k]]
+    fixed = (x10 >= -4) & (x10 < 17)
+    layout = np.where(fixed, x10 + 4, 21 + 2 * (x10 > 0) + (np.abs(x10) >= 100))
+    words = np.take(templates, layout * 17 + 16 - tz, axis=0)
+    words[:, 0] &= lead[first]
+    words[:, 0] |= np.signbit(x) * np.uint64(ord("-"))
+    for k, group in enumerate(groups):
+        words[:, 1 + k] &= quad[group]
+    words[:, 5] &= expo[np.abs(x10)]
+    words[:, 5] |= delims
+    raw = words.view(np.uint8)
+    for i in np.flatnonzero(~certain & ~zero):
+        text = b"%.17g" % x[i]
+        raw[i, :45] = 0
+        raw[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return raw.tobytes().translate(None, b"\0")
+
+
+def write_matrix(target, matrix: np.ndarray) -> None:
+    """Write ``matrix`` to a path or open text file: one comma-delimited row per line.
+
+    The bytes are those of ``np.savetxt(target, matrix, fmt="%.17g",
+    delimiter=",")``, and a 1-D matrix is a column.  ``%.17g`` round-trips
+    every float64: ``read_matrix`` returns the same bits.  The values are
+    encoded by numpy, about 4k at a time (``_encode``); a matrix that is
+    not 1-D or 2-D raises ShapeError before anything is opened.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim not in (1, 2):
+        raise ShapeError(f"a matrix to write must be 1-D or 2-D, got ndim={matrix.ndim}")
+    if matrix.ndim == 1:
+        matrix = matrix[:, None]
+    rows, cols = matrix.shape
+    newline, comma = (np.uint64(ord(c)) << np.uint64(40) for c in "\n,")
     try:
-        np.savetxt(target, matrix, delimiter=",", fmt="%.17g")
+        with contextlib.ExitStack() as stack:
+            fh = target if hasattr(target, "write") else stack.enter_context(open(target, "w"))
+            if cols == 0:
+                fh.write("\n" * rows)
+            # row-major runs of values, each copied out of the matrix
+            for a in range(0, matrix.size, _CHUNK):
+                part = matrix.flat[a:a + _CHUNK]
+                ends = np.arange(a, a + part.size) % cols == cols - 1
+                fh.write(_encode(part, np.where(ends, newline, comma)).decode("ascii"))
     except OSError as exc:
         raise IoError(f"failed to write {target}: {exc}") from exc
 

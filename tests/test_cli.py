@@ -524,6 +524,20 @@ class TestEvaluate:
         assert set(returned) == set(EVAL_COLUMNS)
         assert [str(returned[name]) for name in EVAL_COLUMNS] == row
 
+    def test_manifest_hashes_every_matrix_read(self, tmp_path):
+        # the report reads A, S and both truths: a changed S.csv is a changed input
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        run = tmp_path / "run"
+        cmd_unmix(scene / "cube.raw", 3, run, variant="nmf", params=UnmixParams(t1=3))
+        first, _ = cmd_evaluate(run, scene, tmp_path / "eval1")
+        names = {Path(p).name for p in first["inputs"]}
+        assert names == {"A.csv", "S.csv", "A_true.csv", "S_true.csv"}
+        write_matrix(run / "S.csv", np.full_like(read_matrix(run / "S.csv"), 1 / 3))
+        second, _ = cmd_evaluate(run, scene, tmp_path / "eval2")
+        changed = {Path(p).name for p in first["inputs"]
+                   if first["inputs"][p] != second["inputs"][p]}
+        assert changed == {"S.csv"}
+
     @pytest.mark.parametrize("variant, k", [("case_iv", "2"), ("case_v", "1"), ("snmf", "3")])
     def test_k_column_is_largest_fused_order(self, tmp_path, variant, k):
         scene = _tiny_scene_dir(tmp_path, height=6, width=6)

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -343,3 +344,62 @@ class TestGramPass:
             for _ in range(k - 1):
                 Wk = Wk @ W
             assert s == (Wk.max() if k > 1 else 1.0)
+
+
+def _symmetric_graph(rng, n, density, index_dtype):
+    """A random symmetric CSR graph with empty rows and a hub joined to every other node."""
+    A = sp.random(n, n, density=density, format="csr", random_state=rng)
+    W = (A + A.T).tolil()
+    W.setdiag(0.0)
+    W[n // 2, :] = 0.0
+    W[:, n // 2] = 0.0  # an isolated node: an empty row amid the others
+    W[3, :] = rng.random(n)
+    W[:, 3] = W[3, :].T  # the hub
+    W[3, 3] = 0.0
+    W = W.tocsr()
+    W.eliminate_zeros()
+    W.indptr, W.indices = W.indptr.astype(index_dtype), W.indices.astype(index_dtype)
+    return W
+
+
+class TestDirectProduct:
+    """The fusion calls scipy's csr_matmat itself; its rows must be those of ``@``.
+
+    The kernel is private to scipy, so a release that changes it fails here.
+    """
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_matmuls(self, seed, index_dtype):
+        rng = np.random.default_rng(seed)
+        n = 40
+        W = _symmetric_graph(rng, n, 0.05, index_dtype)
+        cut = [(0, 7), (7, 21), (21, 33), (33, 40)]
+        sizes = fusion._product_bounds(W, 3, cut)
+        arrays = (W.indptr, W.indices, W.data)
+        for lo, hi in cut:
+            out = [(np.empty(hi - lo + 1, index_dtype), np.empty(size, index_dtype),
+                    np.empty(size)) for size in sizes]
+            rows = (W.indptr[lo:hi + 1], W.indices, W.data)
+            expected = W[lo:hi]
+            for buffers in out:
+                rows = fusion._times(rows, arrays, buffers)
+                expected = expected @ W
+                ptr, idx, val = rows
+                assert ptr.tobytes() == expected.indptr.astype(index_dtype).tobytes()
+                assert idx[:ptr[-1]].tobytes() == expected.indices.astype(index_dtype).tobytes()
+                assert val[:ptr[-1]].tobytes() == expected.data.tobytes()
+
+    def test_bounds_hold_every_units_rows(self):
+        # through the hub every row but the isolated one is about n wide from
+        # order 2 on, so the cap of n entries a row binds
+        rng = np.random.default_rng(9)
+        n = 50
+        W = _symmetric_graph(rng, n, 0.04, np.int32)
+        cut = [(lo, min(lo + 8, n)) for lo in range(0, n, 8)]
+        sizes = fusion._product_bounds(W, 4, cut)
+        for k, size in enumerate(sizes, start=2):
+            Wk = W
+            for _ in range(k - 1):
+                Wk = Wk @ W
+            assert max(Wk[lo:hi].nnz for lo, hi in cut) <= size <= 8 * n

@@ -672,7 +672,8 @@ class TestPeakMemory:
         # (position, value) pairs (the six members at 32 x 32 hold about
         # 1.1 N^2 entries in all) and the sparse products' temporaries.  At
         # 72 x 72 (N > 4096) the units keep their 64 rows; on two threads
-        # the peaks read about 4.9 and 2.4 slabs
+        # the peaks read about 6.8 and 3.7 slabs, each thread's room for the
+        # unit's order-2 and order-3 products included
         for size in (32, 72):
             cube = _random_cube(np.random.default_rng(16), size, size, bands=20)
             graphs = build_multi_order_graphs(cube, UnmixParams())
@@ -707,6 +708,24 @@ class TestWorkerCount:
             monkeypatch.setenv("MOGNMF_THREADS", threads)
             outputs.append(_stage_outputs(cube, params))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_direct_products_match_matmul_past_4096_nodes(self, monkeypatch, threads):
+        # N = 5184 (81 units): the stage's bits with the fusion's direct kernel
+        # calls and with the power rows formed by ``@``, as they once were
+        def by_matmul(rows, W, out):
+            ptr, idx, val = rows
+            n = len(W[0]) - 1
+            stored = slice(ptr[0], ptr[-1])
+            A = sp.csr_matrix((val[stored], idx[stored], ptr - ptr[0]), shape=(len(ptr) - 1, n))
+            R = A @ sp.csr_matrix(W[::-1], shape=(n, n))
+            return R.indptr, R.indices, R.data
+
+        monkeypatch.setenv("MOGNMF_THREADS", threads)
+        cube = _random_cube(np.random.default_rng(26), 72, 72, bands=20)
+        direct = _stage_outputs(cube, UnmixParams())
+        monkeypatch.setattr(fusion, "_times", by_matmul)
+        assert _stage_outputs(cube, UnmixParams()) == direct
 
     def test_fusion_units_are_the_shared_cut_past_4096_nodes(self, monkeypatch):
         # N = 4225: the fusion's units keep the k-NN's 64 rows, the last one

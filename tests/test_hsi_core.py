@@ -1,7 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mognmf.errors import DataError, IoError, ParamError, ParseError, ShapeError
 from mognmf.hsi_core import (
@@ -118,6 +121,106 @@ class TestMatrixCodec:
             path.write_text(text)
         with pytest.raises(ParseError, match=problem):
             read_json_object(path, *required)
+
+
+def _savetxt_text(matrix) -> str:
+    out = io.StringIO()
+    np.savetxt(out, matrix, delimiter=",", fmt="%.17g")
+    return out.getvalue()
+
+
+def _written_text(matrix) -> str:
+    out = io.StringIO()
+    write_matrix(out, matrix)
+    return out.getvalue()
+
+
+# each one's digits or layout needs a case of its own: the signed zeros,
+# non-finite values, subnormals and the ends of the certified range,
+# values below a power of ten whose 17 digits round up to it (the doubles
+# nearest 1e-14 and 1e-79), the edges of fixed-point notation, and exact
+# ties at the 18th digit (half-even)
+_SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1e-200, 1e200, 1.7976931348623157e308, 1e-14, 1e-79, 1e17, 123456789012345678.0,
+            1e-4, 9.999999999999999e-5, 1e-5, 1e16, 1.5, 1125899906842624.25,
+            1125899906842624.75, 2251799813685248.5, 0.1, 1 / 3]
+
+
+def _floats(bits):
+    """Float64 values with the given bit patterns."""
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+class TestWriteMatrixBytes:
+    """write_matrix writes the bytes of np.savetxt(fmt="%.17g", delimiter=",")."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    @example(bits=list(np.array(_SPECIAL).view(np.uint64)))
+    def test_every_float64_is_formatted_as_python_does(self, bits):
+        values = _floats(bits)
+        assert _written_text(values) == "".join(f"{'%.17g' % v}\n" for v in values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=50))
+    def test_drawn_floats_are_formatted_as_python_does(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert _written_text(values) == "".join(f"{'%.17g' % v}\n" for v in values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # 10^k and the floats beside it sit where the decimal exponent changes
+        tens = 10.0 ** np.arange(-323, 309)
+        values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+        values = np.concatenate([values, -values])
+        assert _written_text(values) == "".join(f"{'%.17g' % v}\n" for v in values)
+
+    @pytest.mark.parametrize(
+        "shape", [(7,), (1, 9), (9, 1), (3, 4), (3, 1500), (1, 5000), (2, 4097), (3000, 3),
+                  (0,), (0, 3), (3, 0)],
+        ids=["1d", "1xN", "Nx1", "small", "rows_straddle_chunk", "row_over_chunk",
+             "row_one_over_chunk", "many_rows", "empty_1d", "no_rows", "no_columns"],
+    )
+    def test_matrix_bytes_are_savetxts(self, shape):
+        rng = np.random.default_rng(11)
+        matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        matrix.flat[::7] = 0.0
+        assert _written_text(matrix) == _savetxt_text(matrix)
+
+    def test_strided_view_matches_savetxt(self):
+        # values are read in row-major order whatever the memory layout
+        matrix = np.random.default_rng(15).random((3000, 5))[::2].T
+        assert _written_text(matrix) == _savetxt_text(matrix)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int32])
+    def test_other_dtypes_match_savetxt(self, dtype):
+        matrix = (np.random.default_rng(12).standard_normal((4, 6)) * 1e6).astype(dtype)
+        assert _written_text(matrix) == _savetxt_text(matrix)
+
+    def test_path_bytes_are_savetxts(self, tmp_path):
+        matrix = np.random.default_rng(13).random((20, 300))
+        matrix[3, :5] = [np.nan, -np.inf, -0.0, 1e-300, 1e300]
+        write_matrix(tmp_path / "ours.csv", matrix)
+        np.savetxt(tmp_path / "numpy.csv", matrix, delimiter=",", fmt="%.17g")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+
+    def test_open_handle_after_a_header(self, tmp_path):
+        # as the CSV cube writer does: the matrix follows what the handle holds
+        matrix = np.random.default_rng(14).random((3, 4))
+        with open(tmp_path / "cube.csv", "w") as fh:
+            fh.write("3,2,2\n")
+            write_matrix(fh, matrix)
+        assert (tmp_path / "cube.csv").read_text() == "3,2,2\n" + _savetxt_text(matrix)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+    def test_other_ranks_are_refused_before_the_file_is_opened(self, tmp_path, shape):
+        with pytest.raises(ShapeError, match="1-D or 2-D"):
+            write_matrix(tmp_path / "m.csv", np.zeros(shape))
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_unwritable_target_is_an_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="failed to write"):
+            write_matrix(tmp_path / "absent" / "m.csv", np.zeros((2, 2)))
 
 
 class TestAbundanceMaps:
