@@ -177,6 +177,19 @@ def _resolve_library(library_path, bands: int, seed: int):
     return simgen.synthetic_library(band_count=bands, seed=seed), f"synthetic(bands={bands})"
 
 
+def _check_truth(A_true, S_true, shape: tuple, against: str) -> None:
+    """ShapeError unless the truth's A_true (L x m) and S_true (m x N) give ``shape`` (L, m, m, N).
+
+    The message gives each count that differs, the truth's first.
+    """
+    counts = zip(("bands", "endmembers", "abundance rows", "pixels"),
+                 (*A_true.shape, *S_true.shape), shape)
+    differ = [f"{got} {name} vs {want}" for name, got, want in counts if got != want]
+    if differ:
+        raise ShapeError(f"the truth A_true {A_true.shape}, S_true {S_true.shape} does not fit "
+                         f"{against}: {', '.join(differ)}")
+
+
 # ---------------------------------------------------------------------------
 # command bodies (importable, CLI-independent)
 
@@ -280,10 +293,7 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> tuple[dict, dict]:
     inputs = [result_dir / "A.csv", result_dir / "S.csv",
               truth_dir / "A_true.csv", truth_dir / "S_true.csv"]
     A_est, S_est, A_true, S_true = map(read_matrix, inputs)
-    if A_est.shape != A_true.shape:
-        raise ShapeError(
-            f"endmember count mismatch: truth {A_true.shape} vs estimate {A_est.shape}"
-        )
+    _check_truth(A_true, S_true, (*A_est.shape, *S_est.shape), "the estimate")
     result_manifest = read_json_object(
         result_dir / "manifest.json", "variant", "config", "iterations", "wall_ms"
     )
@@ -391,9 +401,9 @@ def cmd_ablate(
     """
     out = _Outputs(out_dir, "ablate")
     cap = thread_cap()
-    truth_m = read_matrix(Path(truth_dir) / "A_true.csv").shape[1]
-    if m != truth_m:
-        raise ShapeError(f"m={m} but the truth in {truth_dir} holds {truth_m} endmembers")
+    bands, pixels = load_cube(cube_path).data.shape
+    truth = (read_matrix(Path(truth_dir) / name) for name in ("A_true.csv", "S_true.csv"))
+    _check_truth(*truth, (bands, m, m, pixels), f"the cube and --m {m}")
     runs = []  # (run name, case, variant, params)
     for seed in seeds:
         seeded = params.replace(seed=seed)
@@ -407,7 +417,7 @@ def cmd_ablate(
               init=init, params=p), truth_dir, {"case": case})
         for name, case, variant, p in runs
     ]
-    _check_neighbor_counts(jobs, load_cube(cube_path).pixel_count)
+    _check_neighbor_counts(jobs, pixels)
     rows = _run_jobs(jobs, cap)
     out.table("ablation_runs.csv", ("case",) + EVAL_COLUMNS, rows)
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DataError, IoError, ParamError, ParseError, ShapeError
 from .hsi_core import HsiCube, float_square, read_matrix
-from .metrics import measure_snr
 from .rng import substream
 from .workers import blas_pinned
 
@@ -80,27 +79,23 @@ class SpectralLibrary:
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """Noisy cube plus ground truth.  target_snr_db=None means noiseless."""
+    """A simulated cube with its ground truth.
+
+    The noise-free mixture is ``mix_lmm(A_true, S_true)``; ``clamp_fraction``
+    is the share of the cube's entries that noise drove below zero and
+    ``add_noise_at_snr`` clamped (0 for a noiseless scene).
+    """
 
     cube: HsiCube
-    clean: np.ndarray
     A_true: np.ndarray
     S_true: np.ndarray
-    target_snr_db: float | None
-    seed: int
-    endmember_names: tuple = ()
-    clamp_fraction: float = 0.0
+    endmember_names: tuple
+    clamp_fraction: float
 
     def __post_init__(self):
         sums = self.S_true.sum(axis=0)
         if np.any(self.S_true < 0) or np.max(np.abs(sums - 1.0)) > 1e-9:
             raise DataError("true abundances must lie on the simplex")
-        if self.target_snr_db is not None:
-            got = measure_snr(self.clean, self.cube.data - self.clean)
-            if abs(got - self.target_snr_db) > 0.1:
-                raise DataError(
-                    f"scene SNR {got:.3f} dB is off target {self.target_snr_db} dB"
-                )
 
 
 def load_library(path) -> SpectralLibrary:
@@ -247,11 +242,17 @@ def add_noise_at_snr(
 
     The returned noise achieves the target before clamping; the noisy
     cube is clamped at zero (reflectance cannot be negative) and the
-    clamped fraction is logged because it slightly perturbs the
-    effective SNR.  Returns (noisy, noise).  A target with no finite
-    positive noise power (``power_ratio``'s rule, or a signal power
-    that the ratio takes out of range) raises ParamError.
+    clamped fraction is logged because it perturbs the effective SNR.
+    Returns (noisy, noise).  Any target with a finite positive noise
+    power is accepted; one without (``power_ratio``'s rule, or a signal
+    power that the ratio takes out of range) raises ParamError.
     """
+    noisy, noise, _ = _noisy_and_clamped(clean, target_snr_db, seed)
+    return noisy, noise
+
+
+def _noisy_and_clamped(clean, target_snr_db, seed):
+    """``add_noise_at_snr``'s (noisy, noise) and the fraction of entries clamped."""
     clean = np.asarray(clean, dtype=np.float64)
     p_signal = float(np.sum(clean**2))
     if p_signal == 0.0:
@@ -262,12 +263,11 @@ def add_noise_at_snr(
     noise = substream(seed, "noise").standard_normal(clean.shape)
     noise *= np.sqrt(p_noise_target / np.sum(noise**2))
     noisy = clean + noise
-    clamped = noisy < 0
-    frac = float(np.mean(clamped))
+    frac = float(np.mean(noisy < 0))
     if frac > 0:
         log.info("clamped %.4f%% of entries at zero after noise injection", 100 * frac)
-        noisy = np.maximum(noisy, 0.0)
-    return noisy, noise
+        np.maximum(noisy, 0.0, out=noisy)
+    return noisy, noise, frac
 
 
 def _pick_endmembers(library: SpectralLibrary, M: int, seed: int):
@@ -283,20 +283,13 @@ def _pick_endmembers(library: SpectralLibrary, M: int, seed: int):
 
 def _assemble_scene(library, M, height, width, S_true, target_snr_db, seed):
     A_true, names = _pick_endmembers(library, M, seed)
-    clean = mix_lmm(A_true, S_true)
-    if target_snr_db is None:
-        noisy, frac = clean, 0.0
-    else:
-        noisy, noise = add_noise_at_snr(clean, target_snr_db, seed=seed)
-        frac = float(np.mean(clean + noise < 0))
-    cube = HsiCube(data=noisy, height=height, width=width)
+    data, frac = mix_lmm(A_true, S_true), 0.0
+    if target_snr_db is not None:
+        data, _, frac = _noisy_and_clamped(data, target_snr_db, seed)
     return SyntheticScene(
-        cube=cube,
-        clean=clean,
+        cube=HsiCube(data=data, height=height, width=width),
         A_true=A_true,
         S_true=S_true,
-        target_snr_db=target_snr_db,
-        seed=seed,
         endmember_names=names,
         clamp_fraction=frac,
     )

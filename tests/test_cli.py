@@ -47,11 +47,11 @@ def runner():
     return CliRunner()
 
 
-def _tiny_scene_dir(tmp_path, name="scene", height=8, width=8, m=3, snr=30.0, seed=0):
+def _tiny_scene_dir(tmp_path, name="scene", height=8, width=8, m=3, snr=30.0, seed=0, bands=20):
     out = tmp_path / name
     cmd_simulate(
         out, preset="simu1", m=m, snr_db=snr, seed=seed,
-        height=height, width=width, smoothness=2.0, bands=20,
+        height=height, width=width, smoothness=2.0, bands=bands,
     )
     return out
 
@@ -99,6 +99,18 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["snr_db"] == 30
         assert manifest["seed"] == 7
+
+    @pytest.mark.parametrize("snr", ["5", "0"])
+    def test_low_snr_scene_written(self, runner, tmp_path, snr):
+        # the noise is exact before the clamp; the clamp is reported, not re-checked
+        out = tmp_path / "scene"
+        result = runner.invoke(
+            main,
+            ["simulate", "--m", "3", "--snr", snr, "--height", "8", "--width", "8",
+             "--bands", "16", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "manifest.json").read_text())["clamp_fraction"] > 0
 
     def test_repeat_invocation_bit_identical(self, runner, tmp_path):
         args = ["simulate", "--m", "3", "--snr", "25", "--seed", "3",
@@ -580,6 +592,22 @@ class TestEvaluate:
              "--out", str(tmp_path / "eval")],
         )
         assert result.exit_code == 2
+        assert result.output.endswith(
+            "does not fit the estimate: 3 endmembers vs 2, 3 abundance rows vs 2\n")
+
+    def test_band_mismatch_named(self, runner, tmp_path):
+        # a 12-band run against the 20-band truth: the endmember counts agree
+        scene = _tiny_scene_dir(tmp_path)
+        run = tmp_path / "run"
+        cmd_unmix(_tiny_scene_dir(tmp_path, "other", bands=12) / "cube.raw", 3, run,
+                  variant="nmf", params=UnmixParams(seed=0, t1=5))
+        result = runner.invoke(
+            main,
+            ["evaluate", "--result", str(run), "--truth", str(scene),
+             "--out", str(tmp_path / "eval")],
+        )
+        assert result.exit_code == 2
+        assert result.output.endswith("does not fit the estimate: 20 bands vs 12\n")
 
     def test_bad_input_writes_nothing(self, runner, tmp_path):
         scene = _tiny_scene_dir(tmp_path)
@@ -778,6 +806,25 @@ class TestAblate:
         assert "3 endmembers" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("truth, differ", [
+        (dict(bands=20), "20 bands vs 12"),
+        (dict(height=8, width=9), "72 pixels vs 64"),
+    ], ids=["bands", "pixels"])
+    def test_truth_of_another_scene_writes_nothing(self, runner, tmp_path, truth, differ):
+        # the truth is checked against the 12-band 8 x 8 cube before any run
+        cube = _tiny_scene_dir(tmp_path, "cube", bands=12) / "cube.raw"
+        scene = _tiny_scene_dir(tmp_path, **{"bands": 12, **truth})
+        out = tmp_path / "ablation"
+        result = runner.invoke(
+            main,
+            ["ablate", "--cube", str(cube), "--truth", str(scene),
+             "--m", "3", "--seeds", "0", "--t1", "3", "--c", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1
+        assert result.output.endswith(f"does not fit the cube and --m 3: {differ}\n")
+        assert not out.exists()
+
     def test_seed_flag_rejected(self, runner, tmp_path):
         # every run takes its seed from --seeds, so --seed would be recorded but unused
         scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
@@ -964,6 +1011,23 @@ class TestSweep:
         )
         assert result.exit_code == code, result.output
         assert out.exists() == (code == 0)
+
+    def test_low_snr_scene_and_runs_written(self, runner, tmp_path, monkeypatch):
+        # a 5 dB scene clamps many entries; it is written and unmixed like the 30 dB one
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        out = tmp_path / "sw"
+        result = runner.invoke(
+            main,
+            ["sweep", "--snrs", "30,5", "--seeds", "0", "--variants", "nmf",
+             "--height", "6", "--width", "6", "--bands", "12", "--t1", "5",
+             "--c", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        scenes = ["snr30_seed0", "snr5_seed0"]
+        assert sorted(p.name for p in (out / "scenes").iterdir()) == scenes
+        assert sorted(p.name.split("_nmf_")[0] for p in (out / "runs").iterdir()) == scenes
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["snr_db"] for r in csv.DictReader(fh)] == ["30.0", "5.0"]
 
     @pytest.mark.parametrize("snr", [np.inf, 4000.0])
     def test_every_snr_checked_before_writing(self, tmp_path, monkeypatch, snr):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,9 +124,23 @@ class TestAddNoiseAtSnr:
             scene = build_simu1_scene(
                 lib, M=3, height=12, width=12, target_snr_db=None, seed=seed
             )
-            noisy, noise = add_noise_at_snr(scene.clean, 40.0, seed=seed)
-            fracs.append(np.mean(scene.clean + noise < 0))
+            clean = scene.cube.data  # noiseless: the mixture itself
+            noisy, noise = add_noise_at_snr(clean, 40.0, seed=seed)
+            fracs.append(np.mean(clean + noise < 0))
         assert np.mean(fracs) < 1e-3
+
+    @pytest.mark.parametrize("target", [5.0, 0.0])
+    def test_exact_before_clamping_at_low_snr(self, target):
+        # many entries clamp at these targets; the calibration holds before the
+        # clamp, and the scene's clamp fraction is that clamp's share of entries
+        lib = synthetic_library(band_count=16, entries=4, seed=0)
+        scene = build_simu1_scene(lib, M=3, height=8, width=8, target_snr_db=target, seed=2)
+        clean = mix_lmm(scene.A_true, scene.S_true)
+        noisy, noise = add_noise_at_snr(clean, target, seed=2)
+        assert measure_snr(clean, noise) == pytest.approx(target, abs=1e-6)
+        assert np.array_equal(noisy, np.maximum(clean + noise, 0.0))
+        assert np.array_equal(scene.cube.data, noisy)
+        assert scene.clamp_fraction == np.mean(clean + noise < 0) > 0
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
@@ -200,8 +216,22 @@ class TestScenes:
             S = scene.S_true
             assert np.all(S >= 0.0)
             assert np.max(np.abs(S.sum(axis=0) - 1.0)) <= 1e-9
-            got = measure_snr(scene.clean, scene.cube.data - scene.clean)
+            clean = mix_lmm(scene.A_true, scene.S_true)
+            got = measure_snr(clean, scene.cube.data - clean)
             assert abs(got - 20.0) <= 0.1
+
+    def test_peak_memory_at_64x64(self):
+        # at most three L x N arrays live at once (the mixture, the noise, and its
+        # square or the noisy sum), plus the clamp mask and the abundances
+        lib = synthetic_library(band_count=100, entries=6, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_simu1_scene(lib, M=4, height=64, width=64, target_snr_db=20.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (100 * 64 * 64 * 8) < 3.5
 
     def test_scene_determinism(self):
         lib = synthetic_library(band_count=20, entries=5, seed=1)
