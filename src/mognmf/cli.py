@@ -16,9 +16,8 @@ Exit codes, set by ``main`` alone: 0 success, 2 usage/validation or I/O
 error (a wrong-typed config value, an --out beneath a regular file),
 3 numerical failure; a diverged ``unmix`` still writes its manifest,
 with ``stop_reason`` "diverged".  The MOGNMF_THREADS environment
-variable caps the worker processes of ablate and sweep and the threads
-of the graph stage (default: the cores in the affinity mask); each
-ablate/sweep worker runs its graph stage on one thread.
+variable (``workers``) caps the worker processes of ablate and sweep and
+the threads of the graph stage.
 """
 
 from __future__ import annotations
@@ -27,11 +26,8 @@ import csv
 import functools
 import hashlib
 import json
-import multiprocessing
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -47,7 +43,7 @@ from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matr
 from .metrics import evaluate_model
 from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, graph_orders
 from .unmix import run_solver
-from .workers import thread_cap
+from .workers import run_jobs, thread_cap
 
 try:
     import resource
@@ -364,24 +360,6 @@ def _check_neighbor_counts(jobs: list[tuple], n: int) -> None:
                 neighbor_count(unmix["params"], view, n)
 
 
-def _one_thread_worker() -> None:
-    """Pool initializer: a worker process runs its graph stage on one thread."""
-    os.environ["MOGNMF_THREADS"] = "1"
-
-
-def _run_jobs(jobs: list[tuple], cap: int) -> list[dict]:
-    # cap is thread_cap(), read before the command writes anything
-    workers = min(cap, len(jobs))
-    if workers <= 1:
-        return [_single_run(job) for job in jobs]
-    # spawned, not forked: a fresh process holds no lock or thread of this one
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-        initializer=_one_thread_worker,
-    ) as pool:
-        return list(pool.map(_single_run, jobs))
-
-
 def cmd_ablate(
     cube_path,
     truth_dir,
@@ -418,7 +396,7 @@ def cmd_ablate(
         for name, case, variant, p in runs
     ]
     _check_neighbor_counts(jobs, pixels)
-    rows = _run_jobs(jobs, cap)
+    rows = run_jobs(_single_run, jobs, cap)
     out.table("ablation_runs.csv", ("case",) + EVAL_COLUMNS, rows)
 
     groups: dict = {}  # keyed by (case, K), K the integer graph order
@@ -483,7 +461,7 @@ def cmd_sweep(
     for (snr, seed), truth in scenes.items():
         cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed,
                      height=height, width=width, **scene)
-    rows = _run_jobs(jobs, cap)
+    rows = run_jobs(_single_run, jobs, cap)
     out.table("sweep.csv", EVAL_COLUMNS + ("lambda", "beta"), rows)
     return out.manifest(
         preset=preset,

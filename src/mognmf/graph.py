@@ -128,14 +128,10 @@ class ConsensusOperator:
         self.shape = self.graphs[0].shape
         if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
             raise ShapeError(f"graph must be square, got shape {self.shape}")
+        # (W_v, coefficients up to the highest nonzero order) per active view
+        self._terms = [(W, c[: nz[-1] + 1]) for W, c in zip(self.graphs, self.coef)
+                       if (nz := np.flatnonzero(c)).size]
         self.degree = (np.ones((1, self.shape[0])) @ self)[0]
-
-    def _terms(self):
-        """(W_v, coefficients up to the highest nonzero order) per active view."""
-        for W, c in zip(self.graphs, self.coef):
-            nz = np.flatnonzero(c)
-            if nz.size:
-                yield W, c[: nz[-1] + 1]
 
     def __rmatmul__(self, S) -> np.ndarray:
         S = np.asarray(S, dtype=np.float64)
@@ -146,7 +142,7 @@ class ConsensusOperator:
         # product reads the block in C order, so S^T is made C-contiguous once
         St = np.ascontiguousarray(S.T)
         out = None
-        for W, c in self._terms():
+        for W, c in self._terms:
             t = c[-1] * St
             for ck in c[-2::-1]:
                 t = W @ t

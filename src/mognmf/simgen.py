@@ -207,8 +207,9 @@ def generate_abundances(
     return S
 
 
+@blas_pinned()
 def mix_lmm(A_true: np.ndarray, S_true: np.ndarray) -> np.ndarray:
-    """Noise-free linear mixture A S."""
+    """Noise-free linear mixture A S; OpenBLAS is held at one thread for time, not bits."""
     A_true = np.asarray(A_true, dtype=np.float64)
     S_true = np.asarray(S_true, dtype=np.float64)
     if A_true.ndim != 2 or S_true.ndim != 2 or A_true.shape[1] != S_true.shape[0]:

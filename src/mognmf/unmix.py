@@ -48,7 +48,7 @@ from .graph import build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
 from .hsi_core import HsiCube, UnmixModel, UnmixParams
 from .rng import substream
-from .workers import blas_pinned, pool_size, trim_heaps
+from .workers import blas_pinned, pool_size
 
 __all__ = [
     "SolverConfig",
@@ -409,16 +409,12 @@ def consensus_graph(
 
     ``orders`` keeps only those orders (single-order variants) in place
     of 1..``params.order``.  The state records the stage's thread count
-    and wall time.  After a pooled stage the memory its threads freed
-    goes back to the OS (``workers.trim_heaps``) before the solver runs.
+    and wall time.
     """
     t0 = time.perf_counter()
     state = fuse_graphs(build_multi_order_graphs(cube, params, orders), params)
     graph_ms = round(1000 * (time.perf_counter() - t0), 3)
-    workers = pool_size()
-    if workers > 1:
-        trim_heaps()
-    return replace(state, graph_workers=workers, graph_ms=graph_ms)
+    return replace(state, graph_workers=pool_size(), graph_ms=graph_ms)
 
 
 def _initialize(cube: HsiCube, M: int, config: SolverConfig):

@@ -1,8 +1,8 @@
-"""Worker caps, the graph stage's threads, and the BLAS pin of the numeric code.
+"""The package's pools: worker caps, the graph stage's threads, the study processes, the BLAS pin.
 
-``MOGNMF_THREADS`` caps both the worker processes of ``ablate`` and
-``sweep`` and the threads of the graph stage (``thread_cap``); unset,
-the cap is the cores this process may run on (its CPU affinity mask).
+``MOGNMF_THREADS``, read and written here alone, caps the ``ablate`` and
+``sweep`` worker processes (``run_jobs``) and the graph stage's threads
+(``thread_cap``); unset, the cap is the cores in the CPU affinity mask.
 
 The spatial stencil, the spectral k-NN and the fusion's Gram pass cut
 their N rows by one rule (``units``): ``UNIT`` = 64 rows at every N, so a
@@ -11,9 +11,9 @@ units on the calling thread and a pool made for that call, min(cap,
 ``MAX_THREADS``) threads in all, and the caller combines their results in
 unit order, so the stage's output does not depend on the thread count.
 
-``blas_pinned`` holds every loaded OpenBLAS at one thread: over all of
-``unmix.run_solver`` and ``simgen.generate_abundances``, whose bits would
-change with BLAS's thread count, and while ``run_units``'s pool works.
+``blas_pinned`` holds every loaded OpenBLAS at one thread: over every
+``run_units`` call, and over ``unmix.run_solver`` and the scene generator,
+whose bits would change with BLAS's thread count.
 Where no OpenBLAS thread-count setter is found (no OpenBLAS loaded, or
 no /proc/self/maps), the pin does nothing, so bits can depend on the BLAS
 in use, and one thread runs the units.
@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from .errors import ParamError
 
 __all__ = ["UNIT", "MAX_THREADS", "units", "thread_cap", "pool_size", "blas_pinned",
-           "run_units", "trim_heaps"]
+           "run_units", "run_jobs"]
 
 UNIT = 64  # rows of one work unit of the graph stage
 MAX_THREADS = 2  # most threads of the graph stage: two units of buffers in flight
@@ -131,8 +131,10 @@ def run_units(work, units, buffers) -> list:
     The calling thread makes ``buffers()`` once per thread and works
     beside a pool of the others, made for this call, under
     ``blas_pinned``; each thread keeps its buffers and claims the next
-    unit under one lock.  Once a unit raises, none is claimed, and the
-    exception is raised after the pool has shut down and the pin is off.
+    unit under one lock.  Once a unit raises, none is claimed.  After the
+    pool has shut down and the pin is off, the buffers are dropped, the
+    memory the threads freed goes back to the OS (``_trim_heaps``), and
+    then a unit's exception is raised.
     """
     units = list(units)
     results, failed, lock = [None] * len(units), [], threading.Lock()
@@ -151,16 +153,40 @@ def run_units(work, units, buffers) -> list:
                 with lock:
                     failed.append(exc)
 
-    if len(sets) == 1:
+    # with one buffer set the pool starts no thread
+    pool = ThreadPoolExecutor(max(1, len(sets) - 1), thread_name_prefix="mognmf")
+    with blas_pinned(), pool:
+        others = pool.map(drain, sets[1:])
         drain(sets[0])
-    else:
-        with blas_pinned(), ThreadPoolExecutor(len(sets) - 1, thread_name_prefix="mognmf") as pool:
-            others = pool.map(drain, sets[1:])
-            drain(sets[0])
-            list(others)
+        list(others)
+    del sets  # freed first: the trim returns only pages no buffer holds
+    _trim_heaps()
     if failed:
         raise failed[0]
     return results
+
+
+def _one_thread_worker() -> None:
+    """Pool initializer: a study worker process runs its graph stage on one thread."""
+    os.environ["MOGNMF_THREADS"] = "1"
+
+
+def run_jobs(fn, jobs: list, cap: int) -> list:
+    """[fn(job) for job in jobs] on min(``cap``, len(jobs)) worker processes, in job order.
+
+    Below two workers they run in this process.  The workers are spawned,
+    not forked, so they hold no lock or thread of this one.
+    """
+    workers = min(cap, len(jobs))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    # imported here: scene generation imports this module and would pay their import time
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"),
+                             initializer=_one_thread_worker) as pool:
+        return list(pool.map(fn, jobs))
 
 
 @functools.cache
@@ -174,12 +200,12 @@ def _malloc_trim():
     return trim
 
 
-def trim_heaps() -> None:
-    """Return the memory the pool's threads freed to the OS; a no-op without glibc.
+def _trim_heaps() -> None:
+    """Return the memory the stage's threads freed to the OS; a no-op without glibc.
 
     glibc serves the pool's threads from arenas of their own and keeps
-    what they free there, so the calling thread's next stage (the
-    solver) would grow the main arena beside it.
+    what they free there, so the calling thread's next stage (the next
+    graph stage, the solver) would grow the main arena beside it.
     """
     trim = _malloc_trim()
     if trim is not None:

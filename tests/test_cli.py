@@ -939,14 +939,14 @@ class TestSweep:
                                  os.environ.get("OPENBLAS_NUM_THREADS")))
                 return [{} for _ in jobs]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
         monkeypatch.setenv("MOGNMF_THREADS", "2")
         if openblas is None:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
         parent = dict(os.environ)
-        assert cli._run_jobs([None, None], 2) == [{}, {}]
+        assert workers.run_jobs(cli._single_run, [None, None], 2) == [{}, {}]
         assert seen == [("1", 1, openblas)]
         assert dict(os.environ) == parent
 

@@ -6,7 +6,7 @@ import pytest
 from mognmf.errors import ParamError, ShapeError
 import scipy.sparse as sp
 
-from mognmf import fusion, graph, unmix, workers
+from mognmf import fusion, graph, workers
 from mognmf.fusion import FusionState, fuse_graphs, update_weights
 from mognmf.graph import (
     ConsensusOperator,
@@ -771,13 +771,3 @@ class TestWorkerCount:
                 grams.append(fusion._gram_and_normalizers(graphs, True)[0].tobytes())
         assert len(set(grams)) == 1
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_stage_records_threads_and_trims_after_a_pool(self, monkeypatch, threads):
-        monkeypatch.setenv("MOGNMF_THREADS", threads)
-        trims = []
-        monkeypatch.setattr(unmix, "trim_heaps", lambda: trims.append(1))
-        cube, kw = oracle_case("random24")
-        state = consensus_graph(cube, UnmixParams(**kw))
-        assert state.graph_workers == workers.pool_size()
-        assert state.graph_ms >= 0
-        assert len(trims) == (state.graph_workers > 1)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from mognmf.errors import DivergenceError, ParamError
 from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.simgen import build_simu1_scene, synthetic_library
 from mognmf.unmix import consensus_graph
+from oracle import oracle_case
 
 
 class _FakeBlas:
@@ -149,6 +151,25 @@ class TestNumericCodeIsPinned:
         assert seen == [[1, 1], [1, 1]]
         assert [b.count for b in fake_blas] == [2, 4]
 
+    def test_scene_mixing_runs_at_one_blas_thread(self, monkeypatch, fake_blas):
+        # the noise-free mixture A S of a scene, outside generate_abundances's pin
+        seen = []
+        mix = simgen.mix_lmm
+
+        class Seen:
+            # read by mix_lmm's np.asarray, inside its pin
+            def __init__(self, array):
+                self.array = array
+
+            def __array__(self, dtype=None, copy=None):
+                seen.append([b.count for b in fake_blas])
+                return self.array.astype(dtype)
+
+        monkeypatch.setattr(simgen, "mix_lmm", lambda A, S: mix(Seen(A), S))
+        build_simu1_scene(synthetic_library(band_count=12), M=3, height=6, width=6)
+        assert seen == [[1, 1]]
+        assert [b.count for b in fake_blas] == [2, 4]
+
 
 _BITS_SCRIPT = """
 import sys
@@ -211,8 +232,48 @@ class TestRunUnits:
         assert workers.run_units(work, range(9), buffers) == [u * u for u in range(9)]
         # one buffer set per thread, all made by the calling thread
         assert made == [threading.current_thread()] * int(threads)
-        # the pool ran under the pin, and a single thread left BLAS alone
-        assert fake_blas[0].calls == ([1, 2] if threads == "2" else [])
+        # the units ran under the pin, on one thread too
+        assert fake_blas[0].calls == [1, 2]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "raised"])
+    def test_trims_once_after_the_buffers_are_freed(self, monkeypatch, fake_blas, threads, fail):
+        # one trim, once the buffers are unreferenced, so their pages go back
+        # to the OS; a raising unit gets its one trim too
+        monkeypatch.setenv("MOGNMF_THREADS", threads)
+        refs, trims = [], []
+
+        def buffers():
+            b = np.empty(8)
+            refs.append(weakref.ref(b))
+            return b
+
+        def work(unit, b):
+            if fail and unit == 3:
+                raise ValueError("bad unit")
+            return unit
+
+        monkeypatch.setattr(workers, "_trim_heaps", lambda: trims.append([r() for r in refs]))
+        if fail:
+            with pytest.raises(ValueError, match="bad unit"):
+                workers.run_units(work, range(6), buffers)
+            assert len(trims) == 1
+        else:
+            assert workers.run_units(work, range(6), buffers) == list(range(6))
+            assert trims == [[None] * int(threads)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stage_records_threads_and_trims_after_a_pool(self, monkeypatch, threads):
+        # the spectral k-NN and the fusion's Gram pass each return their
+        # threads' memory, on one thread too
+        monkeypatch.setenv("MOGNMF_THREADS", threads)
+        trims = []
+        monkeypatch.setattr(workers, "_trim_heaps", lambda: trims.append(1))
+        cube, kw = oracle_case("random24")
+        state = consensus_graph(cube, UnmixParams(**kw))
+        assert state.graph_workers == workers.pool_size()
+        assert state.graph_ms >= 0
+        assert len(trims) == 2
 
     def test_exception_is_raised_after_units_stop(self, monkeypatch, fake_blas):
         monkeypatch.setenv("MOGNMF_THREADS", "2")
