@@ -5,12 +5,26 @@ overrides on top (flags win), and writes its artifacts into --out
 through one writer, which creates --out on the first artifact written:
 a command that fails before that leaves no --out behind.  The writer
 also drops a manifest.json recording the command, its outputs in write
-order, the wall-clock time ``wall_ms``, the process's peak resident set
-size ``peak_rss_mb`` and, where the command has them, input hashes;
-each command adds its config snapshot, iteration counts and final
-objective.  Numeric artifacts (CSV, PGM, raw cubes) are
-bit-identical across runs with the same config and seed; manifests
-additionally carry wall-clock timings.
+order, the wall-clock time ``wall_ms``, the peak resident set size
+``peak_rss_mb`` (this process's or, if larger, that of the largest
+worker it has waited for) and, where the command has them, input
+hashes.  One rule (``_Outputs``) records the command's arguments:
+every argument of its cmd_* function but out_dir, so
+
+* simulate: preset, m, snr_db, seed, height, width, smoothness (null
+  for simu2), library_path, bands;
+* unmix: cube_path, m, variant, init, config, cube_format, dump_wm;
+* evaluate: result_dir, truth_dir;
+* fuse: cube_path, config, cube_format, dump_wm;
+* ablate: cube_path, truth_dir, seeds, m, config, init;
+* sweep: preset, m, snrs, seeds, variants, config, init, lambdas and
+  betas (as its runs used them), height, width, smoothness,
+  library_path, bands.
+
+Beside them each command writes the fields it computes: iteration
+counts, final objectives, fusion fields, scores.  Numeric artifacts
+(CSV, PGM, raw cubes) are bit-identical across runs with the same
+config and seed; manifests additionally carry wall-clock timings.
 
 Exit codes, set by ``main`` alone: 0 success, 2 usage/validation or I/O
 error (a wrong-typed config value, an --out beneath a regular file),
@@ -82,14 +96,24 @@ def _sha256(path: Path) -> str:
 class _Outputs:
     """One command's --out: its timer, its artifact list and its manifest.
 
-    The directory is created by the first ``path`` call, so a command
-    that fails before writing an artifact leaves no --out behind.
+    Built from the command's arguments (its ``locals()`` on entry), which
+    the manifest records by one rule: every argument but ``out_dir``, a
+    path as a string, ``params`` as ``config`` (``UnmixParams.to_dict``)
+    and the entries of ``scene`` (cmd_sweep's ``**scene``) as keys of
+    their own.  The directory is created by the first ``path`` call, so a
+    command that fails before writing an artifact leaves no --out behind.
     """
 
-    def __init__(self, out_dir, command: str):
+    def __init__(self, command: str, args: dict):
         self.t0 = time.perf_counter()
-        self.dir = Path(out_dir)
         self.command = command
+        args = dict(args)
+        self.dir = Path(args.pop("out_dir"))
+        args.update(args.pop("scene", {}))
+        params = args.pop("params", None)
+        self.args = {name: str(v) if isinstance(v, Path) else v for name, v in args.items()}
+        if params is not None:
+            self.args["config"] = params.to_dict()
         self.names: list[str] = []
 
     def path(self, name: str, *beside: str) -> Path:
@@ -143,9 +167,9 @@ class _Outputs:
             writer.writerows(rows)
 
     def manifest(self, inputs=(), **fields) -> dict:
-        """Writes manifest.json: ``fields``, the outputs so far, ``wall_ms``,
-        ``peak_rss_mb`` and input hashes."""
-        manifest = {"command": self.command, "outputs": self.names, **fields}
+        """Writes manifest.json: the arguments, then ``fields`` (over them), the
+        outputs so far, ``wall_ms``, ``peak_rss_mb`` and input hashes."""
+        manifest = {"command": self.command, "outputs": self.names, **self.args, **fields}
         if inputs:
             manifest["inputs"] = {str(p): _sha256(Path(p)) for p in inputs}
         manifest["wall_ms"] = round(1000 * (time.perf_counter() - self.t0), 3)
@@ -157,13 +181,15 @@ class _Outputs:
 
 
 def _peak_rss_mb() -> float | None:
-    """This process's peak resident set size in MB (2^20 bytes); None where it is not reported.
+    """The peak resident set size in MB (2^20 bytes) of this process or, if larger, of
+    the largest child it has waited for (a study's workers); None where it is not reported.
 
     ``ru_maxrss`` is in kilobytes on Linux and in bytes on macOS.
     """
     if resource is None:
         return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 3)
 
 
@@ -203,7 +229,7 @@ def cmd_simulate(
     bands: int = 100,
 ) -> dict:
     """Generate a synthetic scene and write cube + ground truth + manifest."""
-    out = _Outputs(out_dir, "simulate")
+    out = _Outputs("simulate", locals())
     library, library_desc = _resolve_library(library_path, bands, seed)
     if preset == "simu1":
         scene = simgen.build_simu1_scene(
@@ -222,13 +248,7 @@ def cmd_simulate(
     out.matrix("A_true.csv", scene.A_true)
     out.matrix("S_true.csv", scene.S_true)
     return out.manifest(
-        preset=preset,
-        m=m,
-        snr_db=snr_db,
-        seed=seed,
-        height=height,
-        width=width,
-        smoothness=smoothness if preset == "simu1" else None,
+        smoothness=smoothness if preset == "simu1" else None,  # simu2 takes none
         library=library_desc,
         library_hash=_sha256(Path(library_path)) if library_path else None,
         endmember_names=list(scene.endmember_names),
@@ -247,16 +267,15 @@ def cmd_unmix(
     dump_wm: bool = False,
 ) -> dict:
     """Unmix a cube and write A/S/E/objective CSVs, PGM maps, manifest."""
-    out = _Outputs(out_dir, "unmix")
+    out = _Outputs("unmix", locals())
     if dump_wm and not graph_orders(variant, params):
         raise ParamError(f"--dump-wm needs a graph term, which variant {variant} "
                          f"at lambda {params.lam:g} does not have")
     cube = load_cube(cube_path, format=cube_format)
-    run = dict(variant=variant, init=init, m=m, config=params.to_dict())
     try:
         model = run_solver(cube, m, SolverConfig(params=params, variant=variant, init=init))
     except DivergenceError as exc:
-        out.manifest(inputs=[cube_path], **run, iterations=exc.iteration, converged=False,
+        out.manifest(inputs=[cube_path], iterations=exc.iteration, converged=False,
                      stop_reason="diverged")
         raise
 
@@ -269,7 +288,6 @@ def cmd_unmix(
     fusion = out.consensus(model.fusion, dump_wm)
     return out.manifest(
         inputs=[cube_path],
-        **run,
         iterations=int(model.iterations),
         converged=bool(model.converged),
         stop_reason="tolerance" if model.converged else "max_iterations",
@@ -284,7 +302,7 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> tuple[dict, dict]:
 
     Returns the manifest and the row written to report.csv.
     """
-    out = _Outputs(out_dir, "evaluate")
+    out = _Outputs("evaluate", locals())
     result_dir, truth_dir = Path(result_dir), Path(truth_dir)
     inputs = [result_dir / "A.csv", result_dir / "S.csv",
               truth_dir / "A_true.csv", truth_dir / "S_true.csv"]
@@ -326,14 +344,13 @@ def cmd_fuse(
     dump_wm: bool = False,
 ) -> dict:
     """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m)."""
-    out = _Outputs(out_dir, "fuse")
+    out = _Outputs("fuse", locals())
     cube = load_cube(cube_path, format=cube_format)
     state = consensus_graph(cube, params)
     out.matrix("fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     fusion = out.consensus(state, dump_wm)
     return out.manifest(
         inputs=[cube_path],
-        config=params.to_dict(),
         fusion_iterations=int(state.iterations),
         fusion_converged=bool(state.converged),
         final_objective=float(state.objective_trace[-1]),
@@ -377,11 +394,14 @@ def cmd_ablate(
     configured one, whose rows are Case I.  Writes per-seed rows
     plus a mean +/- std summary per (case, K).
     """
-    out = _Outputs(out_dir, "ablate")
+    out = _Outputs("ablate", locals())
     cap = thread_cap()
     bands, pixels = load_cube(cube_path).data.shape
-    truth = (read_matrix(Path(truth_dir) / name) for name in ("A_true.csv", "S_true.csv"))
-    _check_truth(*truth, (bands, m, m, pixels), f"the cube and --m {m}")
+    A_true, S_true = (read_matrix(Path(truth_dir) / name) for name in ("A_true.csv", "S_true.csv"))
+    _check_truth(A_true, S_true, (bands, m, m, pixels), f"the cube and --m {m}")
+    # what each run's cmd_evaluate reads of the truth, checked before any run
+    read_json_object(Path(truth_dir) / "manifest.json")
+    evaluate_model(A_true, S_true, A_true, S_true)
     runs = []  # (run name, case, variant, params)
     for seed in seeds:
         seeded = params.replace(seed=seed)
@@ -410,7 +430,7 @@ def cmd_ablate(
         values = (case, k, len(grp), *(f"{v:.17g}" for v in stats))
         summary.append(dict(zip(SUMMARY_COLUMNS, values)))
     out.table("ablation_summary.csv", SUMMARY_COLUMNS, summary)
-    return out.manifest(inputs=[cube_path], seeds=list(seeds), config=params.to_dict())
+    return out.manifest(inputs=[cube_path])
 
 
 REGULARIZATION_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
@@ -437,7 +457,7 @@ def cmd_sweep(
     library_path, bands).  One sweep.csv row per run: the eval columns
     followed by the lambda and beta the run used.
     """
-    out = _Outputs(out_dir, "sweep")
+    out = _Outputs("sweep", locals())
     lambdas = list(lambdas) if lambdas else [params.lam]
     betas = list(betas) if betas else [params.beta]
     scenes = {(snr, seed): out.dir / "scenes" / f"snr{snr:g}_seed{seed}"
@@ -463,15 +483,7 @@ def cmd_sweep(
                      height=height, width=width, **scene)
     rows = run_jobs(_single_run, jobs, cap)
     out.table("sweep.csv", EVAL_COLUMNS + ("lambda", "beta"), rows)
-    return out.manifest(
-        preset=preset,
-        snrs=list(snrs),
-        seeds=list(seeds),
-        variants=list(variants),
-        lambdas=lambdas,
-        betas=betas,
-        config=params.to_dict(),
-    )
+    return out.manifest(lambdas=lambdas, betas=betas)  # the grid the runs used, never None
 
 
 # ---------------------------------------------------------------------------

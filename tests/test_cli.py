@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import scipy.sparse as sp
 from click.testing import CliRunner
 
 import mognmf.cli as cli
-from mognmf import workers
+from mognmf import simgen, workers
 from mognmf.cli import (
     EVAL_COLUMNS,
     cmd_ablate,
@@ -867,6 +869,57 @@ class TestAblate:
                        params=UnmixParams(t1=3, neighbors=40))
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["no_manifest", "nan_truth", "zero_endmember"])
+    def test_unscorable_truth_writes_nothing(self, runner, tmp_path, monkeypatch, fault):
+        # each run's evaluate would refuse this truth only after solving: the
+        # truth's manifest is read and the truth scored against itself first
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3, bands=12)
+        if fault == "no_manifest":
+            (scene / "manifest.json").unlink()
+        elif fault == "nan_truth":
+            S_true = read_matrix(scene / "S_true.csv")
+            S_true[0, 5] = np.nan
+            write_matrix(scene / "S_true.csv", S_true)
+        else:
+            A_true = read_matrix(scene / "A_true.csv")
+            A_true[:, 1] = 0.0
+            write_matrix(scene / "A_true.csv", A_true)
+        out = tmp_path / "ablation"
+        result = runner.invoke(
+            main,
+            ["ablate", "--cube", str(scene / "cube.raw"), "--truth", str(scene),
+             "--m", "3", "--seeds", "0", "--t1", "5", "--c", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+        assert not out.exists()
+
+    def test_peak_rss_covers_the_workers(self, tmp_path):
+        # the study process's own peak is below its two workers', which solve the
+        # runs; its manifest's peak is still at least every run's.  Linux carries a
+        # process's peak RSS across fork and exec, so a small launcher in between
+        # keeps this large process's peak out of the study's
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3, bands=12)
+        out = tmp_path / "ablation"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, MOGNMF_THREADS="2", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher,
+             sys.executable, "-m", "mognmf.cli", "ablate", "--cube", str(scene / "cube.raw"),
+             "--truth", str(scene), "--m", "3", "--seeds", "0", "--t1", "5", "--c", "4",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        runs = [json.loads(p.read_text())["peak_rss_mb"] for p in out.glob("runs/*/manifest.json")]
+        assert len(runs) == 7
+        assert peak >= max(runs), (peak, runs)
+
 
 class TestSweep:
     def test_sweep_table(self, runner, tmp_path, monkeypatch):
@@ -1138,6 +1191,82 @@ def test_manifest_outputs_are_the_files_written(runner, tmp_path):
         if args[0] in ("unmix", "fuse"):
             assert manifest["graph_ms"] >= 0
             assert manifest["graph_workers"] >= 1
+
+
+def _manifest_case(command, tmp_path):
+    """(cmd_* function, its arguments but out_dir, the fields it writes beside them).
+
+    The fields are those the command has always written; ANY where the test
+    cannot know the value.  Every case runs on one 6 x 6, 12-band scene.
+    """
+    scene = _tiny_scene_dir(tmp_path, height=6, width=6, bands=12)
+    cube, params = scene / "cube.raw", UnmixParams(t1=5, neighbors=4)
+    fusion = dict.fromkeys(
+        ("sigma_s_used", "sigma_l_used", "wm_stats", "graph_workers", "graph_ms"), ANY)
+    if command.startswith("simulate"):
+        library = simgen.synthetic_library(band_count=12, seed=0)
+        path = None
+        if command == "simulate":
+            args = dict(preset="simu1", m=3, snr_db=30.0, seed=0, height=6, width=6,
+                        smoothness=2.0, library_path=None, bands=12)
+            truth = simgen.build_simu1_scene(library, M=3, height=6, width=6, smoothness=2.0,
+                                             target_snr_db=30.0, seed=0)
+            fields = {"library": "synthetic(bands=12)", "library_hash": None}
+        else:  # simu2 from a library file: no smoothness, and the file's hash
+            path = tmp_path / "library.csv"
+            path.write_text("".join(f"{name}," + ",".join(f"{v:.17g}" for v in spectrum) + "\n"
+                                    for name, spectrum in zip(library.names, library.spectra.T)))
+            args = dict(preset="simu2", m=3, snr_db=None, seed=1, height=6, width=6,
+                        smoothness=4.0, library_path=path, bands=100)
+            truth = simgen.build_simu2_layout(simgen.load_library(path), M=3, height=6, width=6,
+                                              target_snr_db=None, seed=1)
+            fields = {"library": str(path), "smoothness": None,
+                      "library_hash": hashlib.sha256(path.read_bytes()).hexdigest()}
+        fields.update(endmember_names=list(truth.endmember_names),
+                      clamp_fraction=truth.clamp_fraction)
+        return cmd_simulate, args, fields
+    inputs = {str(cube): hashlib.sha256(cube.read_bytes()).hexdigest()}
+    if command == "unmix":
+        args = dict(cube_path=cube, m=3, variant="mognmf", init="vca_fcls", params=params,
+                    cube_format="raw-f32", dump_wm=False)
+        return cmd_unmix, args, {"inputs": inputs, **fusion, **dict.fromkeys(
+            ("iterations", "converged", "stop_reason", "final_objective", "gamma_used"), ANY)}
+    if command == "evaluate":
+        run = tmp_path / "run"
+        cmd_unmix(cube, 3, run, params=params)
+        return cmd_evaluate, dict(result_dir=run, truth_dir=scene), dict.fromkeys(
+            ("inputs", "mean_sad", "rmse"), ANY)
+    if command == "fuse":
+        args = dict(cube_path=cube, params=params, cube_format="raw-f32", dump_wm=True)
+        return cmd_fuse, args, {"inputs": inputs, **fusion, **dict.fromkeys(
+            ("fusion_iterations", "fusion_converged", "final_objective"), ANY)}
+    if command == "ablate":
+        args = dict(cube_path=cube, truth_dir=scene, seeds=[0], m=3, params=params,
+                    init="vca_fcls")
+        return cmd_ablate, args, {"inputs": inputs}
+    # with no --lambdas or --betas, sweep records the lambda and beta its runs used
+    args = dict(preset="simu1", m=3, snrs=[30.0], seeds=[0], variants=["nmf"], params=params,
+                init="vca_fcls", lambdas=None, betas=None, height=6, width=6, smoothness=2.0,
+                library_path=None, bands=12)
+    return cli.cmd_sweep, args, {"lambdas": [params.lam], "betas": [params.beta]}
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "simulate_simu2", "unmix", "evaluate", "fuse", "ablate", "sweep"])
+def test_manifest_records_every_argument(tmp_path, monkeypatch, command):
+    # one rule for every command: each argument but out_dir, a path as a string and
+    # params as config, beside the fields the command computes
+    monkeypatch.setenv("MOGNMF_THREADS", "1")
+    fn, args, fields = _manifest_case(command, tmp_path)
+    out = tmp_path / "out"
+    returned = fn(out_dir=out, **args)
+    recorded = {name: str(v) if isinstance(v, Path) else v for name, v in args.items()}
+    if "params" in args:
+        recorded["config"] = recorded.pop("params").to_dict()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest == {**recorded, **fields, "command": command.split("_")[0],
+                        "outputs": ANY, "wall_ms": ANY, "peak_rss_mb": ANY}
+    assert manifest == (returned[0] if command == "evaluate" else returned)
 
 
 @pytest.mark.parametrize("platform, mb", [("linux", 2048.0), ("darwin", 2.0)])
