@@ -6,9 +6,11 @@ generation, and SAD/RMSE evaluation.
 ``import mognmf`` loads no submodule: the module behind each name in
 ``__all__``, and a submodule reached as an attribute (``mognmf.hsi_core``),
 is imported on first use (PEP 562).  So generating and saving a scene
-never imports ``scipy.sparse``, which only the graph stage needs.  The
-graph, fusion, solver and CLI modules import scipy at module level, so
-importing one of them pays that cost before any solve, not inside it.
+loads nothing of scipy.  Of scipy the package uses only the compiled
+sparse kernels of ``scipy.sparse._sparsetools``, which the graph module
+loads at import without the rest of ``scipy.sparse`` (about 0.15 MB
+against 17 MB); the fusion, solver and CLI modules import it, so
+importing one of them pays that load before any solve, not inside it.
 """
 
 __version__ = "0.1.0"

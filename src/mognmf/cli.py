@@ -6,9 +6,9 @@ through one writer, which creates --out on the first artifact written:
 a command that fails before that leaves no --out behind.  The writer
 also drops a manifest.json recording the command, its outputs in write
 order, the wall-clock time ``wall_ms``, the peak resident set size
-``peak_rss_mb`` (this process's or, if larger, that of the largest
-worker it has waited for) and, where the command has them, input
-hashes.  One rule (``_Outputs``) records the command's arguments:
+``peak_rss_mb`` (this process's own, or for a study, if larger, the
+largest its runs' manifests report) and, where the command has them,
+input hashes.  One rule (``_Outputs``) records the command's arguments:
 every argument of its cmd_* function but out_dir, so
 
 * simulate: preset, m, snr_db, seed, height, width, smoothness (null
@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -140,8 +141,8 @@ class _Outputs:
         self.matrix("H.csv", state.H)
         if dump_wm:
             for view in state.graphs.views:
-                coo = view.W.tocoo()
-                self.matrix(f"W_{view.kind}.csv", np.column_stack([coo.row, coo.col, coo.data]))
+                rows = np.repeat(np.arange(view.shape[0]), np.diff(view.indptr))
+                self.matrix(f"W_{view.kind}.csv", np.column_stack([rows, view.indices, view.data]))
             self.matrix("coef.csv", state.Wm.coef)
         sigma = {view.kind: view.sigma for view in state.graphs.views}
         degree = state.Wm.degree
@@ -166,14 +167,19 @@ class _Outputs:
             writer.writeheader()
             writer.writerows(rows)
 
-    def manifest(self, inputs=(), **fields) -> dict:
+    def manifest(self, inputs=(), peaks=(), **fields) -> dict:
         """Writes manifest.json: the arguments, then ``fields`` (over them), the
-        outputs so far, ``wall_ms``, ``peak_rss_mb`` and input hashes."""
+        outputs so far, ``wall_ms``, ``peak_rss_mb`` and input hashes.
+
+        ``peak_rss_mb`` is this process's, or the largest of ``peaks`` (a
+        study's runs' values) if that is larger.
+        """
         manifest = {"command": self.command, "outputs": self.names, **self.args, **fields}
         if inputs:
             manifest["inputs"] = {str(p): _sha256(Path(p)) for p in inputs}
         manifest["wall_ms"] = round(1000 * (time.perf_counter() - self.t0), 3)
-        manifest["peak_rss_mb"] = _peak_rss_mb()
+        manifest["peak_rss_mb"] = max(
+            (p for p in (_peak_rss_mb(), *peaks) if p is not None), default=None)
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         self.dir.mkdir(parents=True, exist_ok=True)  # a diverged unmix writes no artifact
         (self.dir / "manifest.json").write_text(text)
@@ -181,16 +187,33 @@ class _Outputs:
 
 
 def _peak_rss_mb() -> float | None:
-    """The peak resident set size in MB (2^20 bytes) of this process or, if larger, of
-    the largest child it has waited for (a study's workers); None where it is not reported.
+    """This process's peak resident set size in MB (2^20 bytes); None where it is not reported.
 
-    ``ru_maxrss`` is in kilobytes on Linux and in bytes on macOS.
+    Read from ``VmHWM`` (``_vm_hwm_kb``) where there is one: it belongs to
+    the address space, so it restarts at ``exec``.  Otherwise from
+    ``ru_maxrss``, in kilobytes on Linux and in bytes on macOS, which Linux
+    carries over ``fork`` and ``exec``: a command started by a larger
+    process would report the starter's size.
     """
+    kb = _vm_hwm_kb()
+    if kb is not None:
+        return round(kb / 2**10, 3)
     if resource is None:
         return None
-    peak = max(resource.getrusage(who).ru_maxrss
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 3)
+
+
+def _vm_hwm_kb() -> int | None:
+    """The ``VmHWM`` line of /proc/self/status in kB; None where there is no such line."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
 
 
 def _resolve_library(library_path, bands: int, seed: int):
@@ -361,12 +384,13 @@ def cmd_fuse(
 def _single_run(job: tuple) -> dict:
     """One ablate/sweep run; ``job`` is (cmd_unmix arguments, truth dir, extra columns).
 
-    Returns the run's report.csv row plus the extra columns.
+    Returns the run's report.csv row plus the extra columns and the run's
+    ``peak_rss_mb``, its last manifest's, which no table writes.
     """
     unmix, truth_dir, extra = job
     cmd_unmix(**unmix)
-    _, row = cmd_evaluate(unmix["out_dir"], truth_dir, unmix["out_dir"] / "eval")
-    return {**row, **extra}
+    manifest, row = cmd_evaluate(unmix["out_dir"], truth_dir, unmix["out_dir"] / "eval")
+    return {**row, **extra, "peak_rss_mb": manifest["peak_rss_mb"]}
 
 
 def _check_neighbor_counts(jobs: list[tuple], n: int) -> None:
@@ -430,10 +454,14 @@ def cmd_ablate(
         values = (case, k, len(grp), *(f"{v:.17g}" for v in stats))
         summary.append(dict(zip(SUMMARY_COLUMNS, values)))
     out.table("ablation_summary.csv", SUMMARY_COLUMNS, summary)
-    return out.manifest(inputs=[cube_path])
+    return out.manifest(inputs=[cube_path], peaks=[row["peak_rss_mb"] for row in rows])
 
 
 REGULARIZATION_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
+
+# the cmd_simulate arguments a sweep passes through **scene, with cmd_simulate's defaults
+_SCENE_DEFAULTS = {name: inspect.signature(cmd_simulate).parameters[name].default
+                   for name in ("smoothness", "library_path", "bands")}
 
 
 def cmd_sweep(
@@ -454,9 +482,11 @@ def cmd_sweep(
     """Grid sweep over SNRs, seeds, variants, and optionally lambda/beta.
 
     ``scene`` holds the other cmd_simulate arguments (smoothness,
-    library_path, bands).  One sweep.csv row per run: the eval columns
-    followed by the lambda and beta the run used.
+    library_path, bands), each defaulting to cmd_simulate's.  One
+    sweep.csv row per run: the eval columns followed by the lambda and
+    beta the run used.
     """
+    scene = {**_SCENE_DEFAULTS, **scene}
     out = _Outputs("sweep", locals())
     lambdas = list(lambdas) if lambdas else [params.lam]
     betas = list(betas) if betas else [params.beta]
@@ -483,7 +513,8 @@ def cmd_sweep(
                      height=height, width=width, **scene)
     rows = run_jobs(_single_run, jobs, cap)
     out.table("sweep.csv", EVAL_COLUMNS + ("lambda", "beta"), rows)
-    return out.manifest(lambdas=lambdas, betas=betas)  # the grid the runs used, never None
+    # the grid the runs used, never None
+    return out.manifest(lambdas=lambdas, betas=betas, peaks=[row["peak_rss_mb"] for row in rows])
 
 
 # ---------------------------------------------------------------------------

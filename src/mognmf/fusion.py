@@ -46,7 +46,8 @@ stay small even where a power is dense (the order-3 spectral power of a
 32 x 32 scene is over a third dense).
 
 A unit's power rows are formed by scipy's compiled ``csr_matmat``, the
-numeric kernel ``@`` runs, called directly (``_times``): so they hold
+numeric kernel ``@`` runs, called directly (``_times``) from the kernel
+module ``graph`` loads without ``scipy.sparse``: so they hold
 the same entries in the same order, and G, the normalizers, H and the
 W_m coefficients keep their bits.  ``@`` would first run a symbolic
 pass that counts the product's entries, and re-validate W, on every
@@ -64,10 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools
-
 from .errors import DataError, ParamError, ShapeError
-from .graph import ConsensusOperator, MultiOrderGraphSet
+from .graph import ConsensusOperator, MultiOrderGraphSet, _sparsetools
 from .hsi_core import UnmixParams
 from .workers import run_units, units
 
@@ -194,7 +193,7 @@ def _gram_and_normalizers(
     into its own scatter buffer, and their partial Gram matrices and
     peaks are combined in unit order.
     """
-    mats = [g.W for g in graphs.views]
+    mats = graphs.views
     n = mats[0].shape[0]
     top = max(graphs.orders)
     m = len(mats) * len(graphs.orders)  # one member per (view, order), view-major
@@ -314,7 +313,7 @@ def fuse_graphs(graphs: MultiOrderGraphSet, params: UnmixParams = UnmixParams())
     coef[:, np.array(graphs.orders) - 1] = (h_cons / scale).reshape(V, K) / (1.0 + mu)
     return FusionState(
         H=h.reshape(V, K),
-        Wm=ConsensusOperator([g.W for g in graphs.views], coef),
+        Wm=ConsensusOperator(graphs.views, coef),
         graphs=graphs,
         objective_trace=np.asarray(trace),
         iterations=iterations,

@@ -17,7 +17,7 @@ maximum entry so all orders live on a comparable scale before fusion
 (raw powers grow without bound).  The graph settings (C per view and
 sigma) are read from an ``UnmixParams``, which has validated them.
 
-Every graph is a scipy CSR array, so memory is O(nnz).  Both views work
+Every graph is held as CSR arrays, so memory is O(nnz).  Both views work
 over the graph stage's 64-row units (``workers.units``), never hold an
 N x N array, and join the units' kept edges in unit order.  The spatial
 units run in turn in the calling thread; the spectral ones on it and a
@@ -36,17 +36,31 @@ C*N nonzeros, while its powers fill in fast (the order-3 spectral power
 of a 64x64 scene is 16% dense).  The consensus graph, a polynomial in
 the order-1 graphs, is a ``ConsensusOperator`` applied by repeated
 sparse products, and neither it nor any whole power is formed by the
-pipeline.  ``graph_powers`` forms the powers of one graph as CSR
+pipeline.  ``graph_powers`` forms the powers of one graph as scipy CSR
 arrays, for a reader rebuilding the per-order graphs from a dump of the
 order-1 graphs.  No Laplacian is ever formed.
+
+The CSR arrays are built and applied by scipy's compiled sparse kernels,
+``scipy.sparse._sparsetools``, loaded without the rest of
+``scipy.sparse`` (``_load_sparsetools``), whose Python layer costs about
+17 MB of resident memory and 0.1 s at import.  Each step calls the
+kernels scipy's own methods call, in the same order, so every array
+holds the bits scipy's would: an order-1 graph is
+``csr_array((w, (rows, cols))).maximum(W.T)`` (``_heat_kernel``), and
+``S @ op`` runs the kernel of ``W @ t`` (``_times_block``).  Only a
+``WeightMatrix`` given as a dense or scipy array, its ``W`` view and
+``graph_powers`` import ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError, ParamError, ShapeError
 from .hsi_core import HsiCube, UnmixParams
@@ -67,26 +81,104 @@ __all__ = [
 _SUB_BLOCK = 1 << 16  # squared distances (512 KB) per thread and selection pass of a k-NN
 
 
-@dataclass(frozen=True)
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, the module ``scipy.sparse._sparsetools``.
+
+    A module already loaded under that name, by ``scipy.sparse`` or by an
+    earlier call, is reused.  Otherwise the extension file is found in
+    scipy's package directory and executed under its own name, without
+    importing ``scipy.sparse``; a later ``import scipy.sparse`` finds it
+    there and uses the same module.  Where no file is found, the module
+    is imported through ``scipy.sparse``: the same kernels, at the cost of
+    its Python layer.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    for folder in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+_sparsetools = _load_sparsetools()
+
+
+def _transpose(n: int, indptr, indices, data):
+    """The CSR arrays of the transpose of an n x n CSR matrix: scipy's ``csr_tocsc``."""
+    out = np.empty_like(indptr), np.empty_like(indices), np.empty_like(data)
+    _sparsetools.csr_tocsc(n, n, indptr, indices, data, *out)
+    return out
+
+
+def _is_symmetric(n: int, indptr, indices, data) -> bool:
+    """Whether an n x n CSR matrix equals its transpose: scipy's ``W != W.T`` is empty."""
+    room = 2 * len(indices)
+    differ = np.empty_like(indptr), np.empty(room, indices.dtype), np.empty(room, bool)
+    _sparsetools.csr_ne_csr(n, n, indptr, indices, data,
+                            *_transpose(n, indptr, indices, data), *differ)
+    return differ[0][-1] == 0
+
+
 class WeightMatrix:
     """Symmetric nonnegative order-1 affinity matrix tagged with its view.
 
-    ``W`` is stored as a CSR array; dense input is converted.
+    Held as the CSR arrays ``indptr``, ``indices`` and ``data`` of a
+    ``shape`` = (n, n) matrix, which the graph stage's kernels read.  A
+    ``W`` given as a dense or scipy array is converted by
+    ``scipy.sparse.csr_array``.  The ``W`` attribute is the scipy
+    csr_array over the held arrays, made on first access.
     """
 
-    W: sp.csr_array
-    kind: str  # spatial | spectral
-    sigma: float | None = None  # heat-kernel width of a built order-1 graph
-
-    def __post_init__(self):
-        W = sp.csr_array(self.W, dtype=np.float64)
+    def __init__(self, W, kind: str, sigma: float | None = None):
+        W = _scipy_csr(W)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ShapeError("weight matrix must be square")
-        if np.any(W.data < 0):
+        self._hold((W.indptr, W.indices, W.data), kind, sigma)
+        self._W = W
+
+    @classmethod
+    def _from_csr(cls, csr, kind: str, sigma: float | None = None) -> WeightMatrix:
+        """A graph from the (indptr, indices, data) arrays of a square CSR matrix."""
+        self = cls.__new__(cls)
+        self._hold(csr, kind, sigma)
+        return self
+
+    def _hold(self, csr, kind, sigma):
+        indptr, indices, data = csr
+        n = len(indptr) - 1
+        if np.any(data < 0):
             raise DataError("weight matrix must be nonnegative")
-        if (W != W.T).nnz:
+        if not _is_symmetric(n, indptr, indices, data):
             raise DataError("weight matrix must be symmetric")
-        object.__setattr__(self, "W", W)
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (n, n)
+        self.kind = kind  # spatial | spectral
+        self.sigma = sigma  # heat-kernel width of a built order-1 graph
+        self._W = None
+
+    @property
+    def nnz(self) -> int:
+        """The stored entries."""
+        return int(self.indptr[-1])
+
+    @property
+    def W(self):
+        """The graph as a scipy csr_array over the held arrays (imports ``scipy.sparse``)."""
+        if self._W is None:
+            import scipy.sparse as sp
+
+            self._W = sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
+        return self._W
 
 
 @dataclass(frozen=True)
@@ -109,29 +201,37 @@ class MultiOrderGraphSet:
 
 
 class ConsensusOperator:
-    """W = sum_v sum_k coef[v, k-1] W_v^k over symmetric CSR graphs W_v, never formed.
+    """W = sum_v sum_k coef[v, k-1] W_v^k over symmetric graphs W_v, never formed.
 
-    ``S @ op`` evaluates each view's polynomial in Horner form: one
-    product of an N x M block with W_v per order, against about C*N
-    stored entries.  ``degree``, computed once, is the operator applied
-    to a vector of ones (W is symmetric, so it is the row sums): D in
-    L = diag(D) - W.  A single graph W is ``ConsensusOperator([W], [[1.0]])``.
+    Each W_v is a ``WeightMatrix`` or anything ``scipy.sparse.csr_array``
+    takes, applied as CSR arrays.  ``S @ op`` evaluates each view's
+    polynomial in Horner form: one product of an N x M block with W_v per
+    order, against about C*N stored entries.  ``degree``, computed once,
+    is the operator applied to a vector of ones (W is symmetric, so it is
+    the row sums): D in L = diag(D) - W.  A single graph W is
+    ``ConsensusOperator([W], [[1.0]])``.
     """
 
     __array_ufunc__ = None  # ndarray @ op defers to __rmatmul__
 
     def __init__(self, graphs, coef):
-        self.graphs = tuple(graphs)
+        self._given = tuple(graphs)
         self.coef = np.asarray(coef, dtype=np.float64)
-        if self.coef.ndim != 2 or self.coef.shape[0] != len(self.graphs):
+        if self.coef.ndim != 2 or self.coef.shape[0] != len(self._given):
             raise ShapeError("one coefficient row per graph is required")
-        self.shape = self.graphs[0].shape
+        held = [W if isinstance(W, WeightMatrix) else _scipy_csr(W) for W in self._given]
+        self.shape = held[0].shape
         if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
             raise ShapeError(f"graph must be square, got shape {self.shape}")
-        # (W_v, coefficients up to the highest nonzero order) per active view
-        self._terms = [(W, c[: nz[-1] + 1]) for W, c in zip(self.graphs, self.coef)
-                       if (nz := np.flatnonzero(c)).size]
+        # (W_v's CSR arrays, coefficients up to the highest nonzero order) per active view
+        self._terms = [((W.indptr, W.indices, W.data), c[: nz[-1] + 1])
+                       for W, c in zip(held, self.coef) if (nz := np.flatnonzero(c)).size]
         self.degree = (np.ones((1, self.shape[0])) @ self)[0]
+
+    @property
+    def graphs(self) -> tuple:
+        """The graphs as scipy arrays: a ``WeightMatrix``'s ``W``, any other as given."""
+        return tuple(W.W if isinstance(W, WeightMatrix) else W for W in self._given)
 
     def __rmatmul__(self, S) -> np.ndarray:
         S = np.asarray(S, dtype=np.float64)
@@ -145,30 +245,88 @@ class ConsensusOperator:
         for W, c in self._terms:
             t = c[-1] * St
             for ck in c[-2::-1]:
-                t = W @ t
+                t = _times_block(W, t)
                 if ck:
                     t += ck * St
             if out is None:
-                out = W @ t
+                out = _times_block(W, t)
             else:
-                out += W @ t
+                out += _times_block(W, t)
         return np.zeros(S.shape) if out is None else out.T
 
 
-def _heat_kernel(n: int, rows, cols, dist, sigma) -> tuple[sp.csr_array, float]:
-    """Heat-kernel graph over n nodes from the kept edges (rows, cols) at distances dist.
+def _scipy_csr(W):
+    """A graph given as a dense or scipy array, as a float64 scipy csr_array."""
+    import scipy.sparse as sp  # only a graph given so needs it
+
+    return sp.csr_array(W, dtype=np.float64)
+
+
+def _times_block(csr, X) -> np.ndarray:
+    """W @ X for the CSR arrays of an n x n W and a C-contiguous n x k block X.
+
+    scipy's ``@`` runs ``csr_matvec`` for one column and ``csr_matvecs``
+    for several, into zeros; so does this, so the product has its bits.
+    """
+    indptr, indices, data = csr
+    n, k = X.shape
+    out = np.zeros((n, k))
+    if k == 1:
+        _sparsetools.csr_matvec(n, n, indptr, indices, data, X.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(n, n, k, indptr, indices, data, X.ravel(), out.ravel())
+    return out
+
+
+def _heat_kernel(n: int, rows, cols, dist, sigma, kind: str) -> WeightMatrix:
+    """Heat-kernel graph of view ``kind`` over n nodes from edges (rows, cols) at distances dist.
 
     Resolves sigma="auto" to the median kept distance (1.0 where that is
     0), weights each edge exp(-d^2 / (2 sigma^2)) and symmetrizes by
     elementwise max.  ``sigma`` is "auto" or positive, as ``UnmixParams``
-    admits.  Returns (W, sigma_used).
+    admits; the graph records the value used.
     """
     if sigma == "auto":
-        med = float(np.median(dist))
+        # np.median's value, by the partition and mean it runs: its first call
+        # imports numpy.ma (16 ms, 1.3 MB), which nothing else here needs
+        k, h = (len(dist) - 1) // 2, len(dist) // 2
+        med = float(np.mean(np.partition(dist, [k, h])[k : h + 1]))
         sigma = med if med > 0 else 1.0
     w = np.exp(-(dist**2) / (2.0 * sigma**2))
-    W = sp.csr_array((w, (rows, cols)), shape=(n, n))
-    return W.maximum(W.T), float(sigma)
+    W = _edges_to_csr(n, rows, cols, w)
+    return WeightMatrix._from_csr(_maximum(n, W, _transpose(n, *W)), kind, float(sigma))
+
+
+def _edges_to_csr(n: int, rows, cols, w) -> tuple:
+    """The CSR arrays of ``csr_array((w, (rows, cols)), shape=(n, n))``, by scipy's kernels.
+
+    ``coo_tocsr`` orders the entries by row, keeping their order within
+    one; a matrix not yet canonical then has its rows sorted by column
+    (``csr_sort_indices``, where some row is out of order) and its
+    repeated entries summed (``csr_sum_duplicates``).  The indices are
+    int64, the type of the edge lists, which scipy's sparse arrays keep.
+    """
+    rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+    w = np.asarray(w, dtype=np.float64)
+    indptr, indices, data = np.empty(n + 1, np.int64), np.empty_like(cols), np.empty_like(w)
+    _sparsetools.coo_tocsr(n, n, len(w), rows, cols, w, indptr, indices, data)
+    if not _sparsetools.csr_has_canonical_format(n, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(n, indptr, indices):
+            _sparsetools.csr_sort_indices(n, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
+        indices, data = indices[: indptr[-1]].copy(), data[: indptr[-1]].copy()
+    return indptr, indices, data
+
+
+def _maximum(n: int, A, B) -> tuple:
+    """The CSR arrays of the elementwise maximum of canonical n x n A and B: ``csr_maximum_csr``.
+
+    As in scipy's ``A.maximum(B)``, entries that come out 0 are dropped.
+    """
+    room = len(A[1]) + len(B[1])
+    indptr, indices, data = np.empty_like(A[0]), np.empty(room, A[1].dtype), np.empty(room)
+    _sparsetools.csr_maximum_csr(n, n, *A, *B, indptr, indices, data)
+    return indptr, indices[: indptr[-1]].copy(), data[: indptr[-1]].copy()
 
 
 def _grid_offsets(height: int, width: int, neighbors: int):
@@ -301,8 +459,7 @@ def spatial_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> Weigh
     """
     c = neighbor_count(params, "spatial", cube.pixel_count)
     edges = _grid_edges(cube.height, cube.width, c)
-    W, sigma = _heat_kernel(cube.pixel_count, *edges, params.sigma_s)
-    return WeightMatrix(W=W, kind="spatial", sigma=sigma)
+    return _heat_kernel(cube.pixel_count, *edges, params.sigma_s, "spatial")
 
 
 def spectral_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> WeightMatrix:
@@ -311,12 +468,12 @@ def spectral_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> Weig
     Reads ``params.sigma_l`` and the spectral neighbor count C.
     """
     c = neighbor_count(params, "spectral", cube.pixel_count)
-    W, sigma = _heat_kernel(cube.pixel_count, *_spectral_edges(cube.data, c), params.sigma_l)
-    return WeightMatrix(W=W, kind="spectral", sigma=sigma)
+    edges = _spectral_edges(cube.data, c)
+    return _heat_kernel(cube.pixel_count, *edges, params.sigma_l, "spectral")
 
 
-def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list[sp.csr_array]:
-    """Return [W^1, ..., W^K] as CSR arrays, W^k at index k-1.
+def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list:
+    """Return [W^1, ..., W^K] as scipy CSR arrays, W^k at index k-1.
 
     With ``normalize=True`` every power of order >= 2 is divided by its
     maximum entry; the order-1 graph is returned unchanged (its kernel

@@ -12,6 +12,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy imports numpy.random on first use; imported here, its 15 ms are
+# paid at the package's import, not inside the first solve
+import numpy.random  # noqa: F401
 
 from .errors import ParamError
 

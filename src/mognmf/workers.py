@@ -85,7 +85,7 @@ def _openblas() -> list[tuple]:
 
     Looked up once: numpy, which every module that calls this imports,
     has loaded its BLAS by then, and that is the only OpenBLAS the
-    package loads (``scipy.sparse`` brings none).
+    package loads (scipy's sparse kernels, all it loads of scipy, bring none).
     """
     try:
         with open("/proc/self/maps") as fh:

@@ -920,8 +920,44 @@ class TestAblate:
         assert len(runs) == 7
         assert peak >= max(runs), (peak, runs)
 
+    @pytest.mark.parametrize("command", ["unmix", "ablate"])
+    def test_peak_rss_is_the_commands_own(self, tmp_path, command):
+        # the launcher touches 300 MB and then execs the command, whose manifest
+        # must read its own peak: ru_maxrss would carry the launcher's over exec
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3, bands=12)
+        out = tmp_path / command
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, MOGNMF_THREADS="2", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        launcher = ("import os, sys\n"
+                    "ballast = b'x' * (300 << 20)\n"
+                    "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+        args = ["--cube", str(scene / "cube.raw"), "--m", "3", "--t1", "5", "--c", "4"]
+        if command == "ablate":
+            args += ["--truth", str(scene), "--seeds", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, "-m", "mognmf.cli", command, *args,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks = [json.loads(p.read_text())["peak_rss_mb"] for p in out.rglob("manifest.json")]
+        assert len(peaks) == (1 if command == "unmix" else 15)
+        assert 0 < max(peaks) < 200, peaks
+
 
 class TestSweep:
+    def test_defaulted_scene_arguments_are_recorded(self, tmp_path, monkeypatch):
+        # called from Python, a sweep records the cmd_simulate defaults its scenes used
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        out = tmp_path / "sweep"
+        cli.cmd_sweep(out, "simu1", 3, [30.0], [0], ["nmf"], height=6, width=6, bands=12)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["smoothness"], manifest["library_path"], manifest["bands"]) == (
+            4.0, None, 12)
+        scene = json.loads((out / "scenes" / "snr30_seed0" / "manifest.json").read_text())
+        assert scene["smoothness"] == manifest["smoothness"]
+
     def test_sweep_table(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("MOGNMF_THREADS", "1")
         out = tmp_path / "sweep"
@@ -1277,7 +1313,13 @@ def test_peak_rss_unit_per_platform(monkeypatch, platform, mb):
 
     monkeypatch.setattr(cli.sys, "platform", platform)
     monkeypatch.setattr(cli.resource, "getrusage", lambda who: Usage)
+    monkeypatch.setattr(cli, "_vm_hwm_kb", lambda: None)  # no VmHWM: ru_maxrss is read
     assert cli._peak_rss_mb() == mb
+
+
+def test_peak_rss_reads_vm_hwm_where_there_is_one(monkeypatch):
+    monkeypatch.setattr(cli, "_vm_hwm_kb", lambda: 3 * 2**10)
+    assert cli._peak_rss_mb() == 3.0
 
 
 _FOOTPRINT_SCRIPT = """

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mognmf.errors import ParamError, ShapeError
+from mognmf.errors import DataError, ParamError, ShapeError
 import scipy.sparse as sp
 
 from mognmf import fusion, graph, workers
@@ -169,8 +169,9 @@ def _stored_power_fusion(graphs, params, sweeps):
 
 
 def _csr_arrays(obj):
-    """Every CSR array reachable from obj through fields, attributes and containers."""
-    if isinstance(obj, sp.sparray):
+    """Every CSR graph (scipy array or WeightMatrix) reachable from obj through fields,
+    attributes and containers."""
+    if isinstance(obj, (sp.sparray, WeightMatrix)):
         return [obj]
     if isinstance(obj, dict):
         children = obj.values()
@@ -386,7 +387,8 @@ def _select(d2, neighbors, rows_per_block):
     for a in range(0, n, rows_per_block):
         block = d2[a : a + rows_per_block]
         kept.append(graph._nearest(a, block, np.empty_like(block), neighbors))
-    return graph._heat_kernel(n, *(np.concatenate(x) for x in zip(*kept)), "auto")
+    W = graph._heat_kernel(n, *(np.concatenate(x) for x in zip(*kept)), "auto", "spectral")
+    return W.W, W.sigma
 
 
 class TestSquaredDistanceSelection:
@@ -771,3 +773,127 @@ class TestWorkerCount:
                 grams.append(fusion._gram_and_normalizers(graphs, True)[0].tobytes())
         assert len(set(grams)) == 1
 
+
+
+def _scipy_graph(n, rows, cols, w):
+    """An order-1 graph as scipy builds it: ``csr_array((w, (r, c))).maximum(W.T)``."""
+    W = sp.csr_array((w, (rows, cols)), shape=(n, n))
+    return sp.csr_array(W.maximum(W.T), dtype=np.float64)
+
+
+def _same_csr(got, want):
+    """Whether two CSR forms hold the same bytes and index types."""
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in zip((got.indptr, got.indices, got.data),
+                               (want.indptr, want.indices, want.data)))
+
+
+def _scipy_horner(graphs, coef, S):
+    """S @ ConsensusOperator(graphs, coef) through scipy's ``@``, in the operator's Horner form."""
+    St = np.ascontiguousarray(S.T)
+    out = np.zeros(St.shape)
+    for W, c in zip(graphs, np.asarray(coef, dtype=np.float64)):
+        nz = np.flatnonzero(c)
+        if not nz.size:
+            continue
+        c = c[: nz[-1] + 1]
+        t = c[-1] * St
+        for ck in c[-2::-1]:
+            t = W @ t
+            if ck:
+                t += ck * St
+        out += W @ t
+    return out.T
+
+
+class TestScipyKernels:
+    """The graph stage calls scipy's compiled kernels itself; its arrays must be scipy's.
+
+    The kernels are private to scipy, so a release that changes them fails here.
+    """
+
+    @pytest.mark.parametrize("view", ["spatial", "spectral"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_graph_arrays_are_scipys(self, case, view):
+        cube, kw = oracle_case(case)
+        params = UnmixParams(**kw)
+        c = graph.neighbor_count(params, view, cube.pixel_count)
+        if view == "spatial":
+            edges = graph._grid_edges(cube.height, cube.width, c)
+        else:
+            edges = graph._spectral_edges(cube.data, c)
+        sigma = getattr(params, "sigma_s" if view == "spatial" else "sigma_l")
+        got = graph._heat_kernel(cube.pixel_count, *edges, sigma, view)
+        rows, cols, dist = edges
+        w = np.exp(-(dist**2) / (2.0 * got.sigma**2))
+        want = _scipy_graph(cube.pixel_count, rows, cols, w)
+        assert _same_csr(got, want)
+        assert got.W.shape == want.shape and _same_csr(got.W, want)
+        built = (spatial_weights if view == "spatial" else spectral_weights)(cube, params)
+        assert _same_csr(built, want)
+
+    @pytest.mark.parametrize("edges", ["underflow", "isolated", "mutual_and_one_sided",
+                                       "repeated"])
+    def test_edge_lists_are_scipys(self, edges):
+        # node 5 has no edge; 0-1 is kept both ways, 2->3 and 4->0 one way only,
+        # and row 0's columns come out of order
+        rows = np.array([0, 0, 1, 2, 4, 3])
+        cols = np.array([4, 1, 0, 3, 0, 2])
+        dist = np.array([0.5, 1.0, 1.0, 2.0, 0.75, 2.0])
+        if edges == "underflow":  # 3->2 weighs exp(-2000) = 0: a stored zero beside 2->3
+            dist[-1] = 40.0
+        elif edges == "mutual_and_one_sided":
+            rows, cols, dist = rows[:-1], cols[:-1], dist[:-1]
+        elif edges == "repeated":  # an edge listed twice, summed as scipy sums it
+            rows, cols, dist = np.append(rows, 2), np.append(cols, 3), np.append(dist, 1.5)
+        got = graph._heat_kernel(6, rows, cols, dist, 1.0, "spectral")
+        want = _scipy_graph(6, rows, cols, np.exp(-(dist**2) / 2.0))
+        assert _same_csr(got, want) and _same_csr(got.W, want)
+
+    @pytest.mark.parametrize("columns", [1, 4])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_operator_products_are_scipys(self, index_dtype, columns):
+        rng = np.random.default_rng(21)
+        graphs = []
+        for density in (0.1, 0.3):
+            W = sp.csr_array(_random_symmetric(rng, 30) * (rng.random((30, 30)) < density))
+            W = (W + W.T).tocsr()
+            W.indptr, W.indices = W.indptr.astype(index_dtype), W.indices.astype(index_dtype)
+            graphs.append(W)
+        coef = [[0.3, 0.0, 1.7], [0.0, 2.5, 0.0]]
+        op = ConsensusOperator(graphs, coef)
+        S = rng.random((columns, 30))
+        assert (S @ op).tobytes() == _scipy_horner(graphs, coef, S).tobytes()
+        degree = _scipy_horner(graphs, coef, np.ones((1, 30)))[0]
+        assert op.degree.tobytes() == degree.tobytes()
+
+    def test_operator_over_built_graphs_is_scipys(self):
+        cube, kw = oracle_case("random24")
+        views = build_multi_order_graphs(cube, UnmixParams(**kw)).views
+        coef = [[0.2, 0.5, 1.5], [0.7, 0.0, 0.4]]
+        S = np.random.default_rng(22).random((4, cube.pixel_count))
+        op = ConsensusOperator(views, coef)
+        assert (S @ op).tobytes() == _scipy_horner([v.W for v in views], coef, S).tobytes()
+        assert all(a is v.W for a, v in zip(op.graphs, views))
+
+    @pytest.mark.parametrize("given", ["dense", "scipy"])
+    def test_given_arrays_keep_their_checks(self, given):
+        def make(W):
+            return WeightMatrix(W=np.asarray(W) if given == "dense" else sp.csr_array(W),
+                                kind="spatial")
+
+        with pytest.raises(ShapeError, match="must be square"):
+            make(np.ones((2, 3)))
+        with pytest.raises(DataError, match="must be nonnegative"):
+            make([[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(DataError, match="must be symmetric"):
+            make([[0.0, 1.0], [2.0, 0.0]])
+        W = make([[0.0, 1.0], [1.0, 0.0]])
+        assert _same_csr(W, sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert W.W is W.W and W.nnz == 2
+
+    def test_a_stored_zero_is_not_an_asymmetry(self):
+        # as in scipy's W != W.T, a stored 0 at (0, 1) matches the missing (1, 0)
+        W = sp.csr_array((np.array([0.0, 1.0, 1.0]), np.array([1, 2, 0]), np.array([0, 2, 2, 3])),
+                         shape=(3, 3))
+        assert WeightMatrix(W=W, kind="spatial").nnz == 3

@@ -52,9 +52,83 @@ def test_scene_generation_does_not_import_scipy_sparse():
 
 
 @pytest.mark.parametrize("module", ["mognmf.cli", "mognmf.unmix"])
-def test_solver_modules_import_scipy_sparse(module):
-    # so a timed solve pays no import
-    assert _fresh(f"import json, sys, {module}\nprint(json.dumps('scipy.sparse' in sys.modules))")
+def test_solver_modules_load_only_the_sparse_kernels(module):
+    # the kernels are loaded at import, so a timed solve pays no load, and
+    # scipy.sparse's Python layer never is
+    loaded = _fresh(f"import json, sys, {module}\n"
+                    "print(json.dumps([m in sys.modules for m in\n"
+                    "                  ('scipy.sparse._sparsetools', 'scipy.sparse')]))")
+    assert loaded == [True, False]
+
+
+def test_commands_and_solves_do_not_import_scipy_sparse(tmp_path):
+    loaded = _fresh(
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from mognmf.cli import cmd_fuse, cmd_simulate, cmd_unmix\n"
+        "from mognmf.hsi_core import UnmixParams, load_cube\n"
+        "from mognmf.unmix import VARIANTS, SolverConfig, run_solver\n"
+        f"root = Path({str(tmp_path)!r})\n"
+        "cmd_simulate(root / 'scene', m=3, height=6, width=6, bands=12)\n"
+        "params = UnmixParams(t1=5, neighbors=4)\n"
+        "cmd_unmix(root / 'scene' / 'cube.raw', 3, root / 'run', params=params, dump_wm=True)\n"
+        "cmd_fuse(root / 'scene' / 'cube.raw', root / 'fuse', params=params, dump_wm=True)\n"
+        "cube = load_cube(root / 'scene' / 'cube.raw')\n"
+        "for variant in VARIANTS:\n"
+        "    run_solver(cube, 3, SolverConfig(params=params, variant=variant))\n"
+        "print(json.dumps('scipy.sparse' in sys.modules))"
+    )
+    assert loaded is False
+    assert (tmp_path / "run" / "W_spectral.csv").exists()
+    assert (tmp_path / "fuse" / "W_spatial.csv").exists()
+
+
+def test_kernel_loader_reuses_scipy_sparses_module():
+    same = _fresh(
+        "import json, scipy.sparse\n"
+        "from scipy.sparse import _sparsetools\n"
+        "from mognmf import graph\n"
+        "print(json.dumps(graph._sparsetools is _sparsetools))"
+    )
+    assert same is True
+
+
+def test_scipy_sparse_imported_later_uses_the_loaded_kernels():
+    same = _fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from mognmf import graph\n"
+        "import scipy.sparse as sp\n"
+        "from scipy.sparse import _compressed, _sparsetools\n"
+        "kernels = graph._sparsetools\n"
+        "print(json.dumps([kernels is _sparsetools, kernels is _compressed._sparsetools,\n"
+        "                  kernels is sys.modules['scipy.sparse._sparsetools'],\n"
+        "                  float((sp.csr_array(np.eye(3)) @ np.ones(3)).sum())]))"
+    )
+    assert same == [True, True, True, 3.0]
+
+
+_GRAPH_BYTES = (
+    "import hashlib, json, sys\n"
+    "from mognmf.graph import build_multi_order_graphs\n"
+    "from mognmf.hsi_core import HsiCube, UnmixParams\n"
+    "import numpy as np\n"
+    "cube = HsiCube(np.random.default_rng(5).random((10, 120)), 10, 12)\n"
+    "digest = hashlib.sha256()\n"
+    "for view in build_multi_order_graphs(cube, UnmixParams(neighbors=5)).views:\n"
+    "    for a in (view.indptr, view.indices, view.data):\n"
+    "        digest.update(a.dtype.str.encode() + a.tobytes())\n"
+    "print(json.dumps([digest.hexdigest(), 'scipy.sparse' in sys.modules]))"
+)
+
+
+def test_kernel_loader_falls_back_to_scipy_sparse():
+    # no extension file found under any suffix: the same kernels, through scipy.sparse
+    found = _fresh(_GRAPH_BYTES)
+    missed = _fresh("import importlib.machinery\n"
+                    "importlib.machinery.EXTENSION_SUFFIXES = []\n" + _GRAPH_BYTES)
+    assert found[1] is False and missed[1] is True
+    assert missed[0] == found[0]
 
 
 def test_public_names_are_their_home_modules_objects():
