@@ -269,8 +269,6 @@ def fuse_graphs(graphs: MultiOrderGraphSet, params: UnmixParams = UnmixParams())
     view whose graphs are all zero, as a too-small heat-kernel width
     makes them.
     """
-    if not graphs.views:
-        raise ShapeError("empty graph set")
     mu, alpha = params.mu, params.alpha
     gram, scale = _gram_and_normalizers(graphs, params.order_norm)
     norms_sq = np.diag(gram).copy()

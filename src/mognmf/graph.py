@@ -47,9 +47,11 @@ The CSR arrays are built and applied by scipy's compiled sparse kernels,
 kernels scipy's own methods call, in the same order, so every array
 holds the bits scipy's would: an order-1 graph is
 ``csr_array((w, (rows, cols))).maximum(W.T)`` (``_heat_kernel``), and
-``S @ op`` runs the kernel of ``W @ t`` (``_times_block``).  Only a
-``WeightMatrix`` given as a dense or scipy array, its ``W`` view and
-``graph_powers`` import ``scipy.sparse``.
+``S @ op`` adds the products of ``W @ t`` in scipy's order
+(``_times_block``).  The kernels read only ``WeightMatrix`` graphs: a
+built one is symmetric and nonnegative by construction, one from outside
+is checked by ``WeightMatrix(W)``.  Only that constructor, the ``W``
+view and ``graph_powers`` import ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -120,51 +122,47 @@ def _transpose(n: int, indptr, indices, data):
     return out
 
 
-def _is_symmetric(n: int, indptr, indices, data) -> bool:
-    """Whether an n x n CSR matrix equals its transpose: scipy's ``W != W.T`` is empty."""
-    room = 2 * len(indices)
-    differ = np.empty_like(indptr), np.empty(room, indices.dtype), np.empty(room, bool)
-    _sparsetools.csr_ne_csr(n, n, indptr, indices, data,
-                            *_transpose(n, indptr, indices, data), *differ)
-    return differ[0][-1] == 0
-
-
 class WeightMatrix:
     """Symmetric nonnegative order-1 affinity matrix tagged with its view.
 
-    Held as the CSR arrays ``indptr``, ``indices`` and ``data`` of a
-    ``shape`` = (n, n) matrix, which the graph stage's kernels read.  A
-    ``W`` given as a dense or scipy array is converted by
-    ``scipy.sparse.csr_array``.  The ``W`` attribute is the scipy
-    csr_array over the held arrays, made on first access.
+    The one graph type the graph stage's kernels read, held as the CSR
+    arrays ``indptr``, ``indices`` and ``data`` of a ``shape`` = (n, n)
+    matrix.  Its constructor is where a graph from outside is checked: a
+    dense or scipy array ``W``, converted by ``scipy.sparse.csr_array``,
+    must be square (``ShapeError``), nonnegative and symmetric
+    (``DataError``).  ``kind`` is the view, or None; ``W`` is the scipy
+    csr_array over the held arrays.
     """
 
-    def __init__(self, W, kind: str, sigma: float | None = None):
-        W = _scipy_csr(W)
+    def __init__(self, W, kind: str | None, sigma: float | None = None):
+        import scipy.sparse as sp  # only a graph given as an array needs it
+
+        W = sp.csr_array(W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ShapeError("weight matrix must be square")
-        self._hold((W.indptr, W.indices, W.data), kind, sigma)
-        self._W = W
+        if np.any(W.data < 0):
+            raise DataError("weight matrix must be nonnegative")
+        # scipy's W != W.T: csr_ne_csr against the csr_tocsc transpose is empty
+        csr, n, room = (W.indptr, W.indices, W.data), W.shape[0], 2 * W.nnz
+        differ = np.empty_like(W.indptr), np.empty(room, W.indices.dtype), np.empty(room, bool)
+        _sparsetools.csr_ne_csr(n, n, *csr, *_transpose(n, *csr), *differ)
+        if differ[0][-1]:
+            raise DataError("weight matrix must be symmetric")
+        self._hold(csr, kind, sigma, W)
 
     @classmethod
     def _from_csr(cls, csr, kind: str, sigma: float | None = None) -> WeightMatrix:
-        """A graph from the (indptr, indices, data) arrays of a square CSR matrix."""
+        """A graph from the arrays of a square, nonnegative, symmetric CSR matrix, unchecked."""
         self = cls.__new__(cls)
         self._hold(csr, kind, sigma)
         return self
 
-    def _hold(self, csr, kind, sigma):
-        indptr, indices, data = csr
-        n = len(indptr) - 1
-        if np.any(data < 0):
-            raise DataError("weight matrix must be nonnegative")
-        if not _is_symmetric(n, indptr, indices, data):
-            raise DataError("weight matrix must be symmetric")
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.shape = (n, n)
-        self.kind = kind  # spatial | spectral
+    def _hold(self, csr, kind, sigma, W=None):
+        self.indptr, self.indices, self.data = csr
+        self.shape = (len(self.indptr) - 1,) * 2
+        self.kind = kind  # spatial | spectral | None
         self.sigma = sigma  # heat-kernel width of a built order-1 graph
-        self._W = None
+        self._W = W
 
     @property
     def nnz(self) -> int:
@@ -189,49 +187,57 @@ class MultiOrderGraphSet:
     order, and each k in ``orders``, view-major: the row-major layout of
     H.  Only the order-1 graphs are stored; whether a power of order
     >= 2 enters divided by its maximum entry is ``UnmixParams.order_norm``,
-    read by the fusion.
+    read by the fusion.  Views of different node counts raise ``ShapeError``.
     """
 
     views: tuple  # one order-1 WeightMatrix per view
     orders: tuple = (1,)
+
+    def __post_init__(self):
+        _node_count(self.views)
 
     def all_graphs(self) -> list[WeightMatrix]:
         """The stored graphs: the order-1 graph of each view."""
         return list(self.views)
 
 
+def _node_count(graphs) -> int:
+    """The node count n that all the n x n graphs share; ``ShapeError`` unless one."""
+    if len(set(counts := [W.shape[0] for W in graphs])) != 1:
+        raise ShapeError(f"graphs must share one node count, got {counts}")
+    return counts[0]
+
+
 class ConsensusOperator:
     """W = sum_v sum_k coef[v, k-1] W_v^k over symmetric graphs W_v, never formed.
 
-    Each W_v is a ``WeightMatrix`` or anything ``scipy.sparse.csr_array``
-    takes, applied as CSR arrays.  ``S @ op`` evaluates each view's
-    polynomial in Horner form: one product of an N x M block with W_v per
-    order, against about C*N stored entries.  ``degree``, computed once,
-    is the operator applied to a vector of ones (W is symmetric, so it is
-    the row sums): D in L = diag(D) - W.  A single graph W is
-    ``ConsensusOperator([W], [[1.0]])``.
+    Each W_v is a ``WeightMatrix``; a dense or scipy array is checked and
+    held by ``WeightMatrix(W_v, None)``.  Graphs of different node counts
+    raise ``ShapeError``.  ``S @ op`` evaluates each view's polynomial in
+    Horner form: one product of an N x M block with W_v per order, against
+    about C*N stored entries.  ``degree``, computed once, is the operator
+    applied to a vector of ones (W is symmetric, so it is the row sums):
+    D in L = diag(D) - W.  A single graph W is ``ConsensusOperator([W], [[1.0]])``.
     """
 
     __array_ufunc__ = None  # ndarray @ op defers to __rmatmul__
 
     def __init__(self, graphs, coef):
-        self._given = tuple(graphs)
+        self._views = tuple(W if isinstance(W, WeightMatrix) else WeightMatrix(W, None)
+                            for W in graphs)
         self.coef = np.asarray(coef, dtype=np.float64)
-        if self.coef.ndim != 2 or self.coef.shape[0] != len(self._given):
+        if self.coef.ndim != 2 or self.coef.shape[0] != len(self._views):
             raise ShapeError("one coefficient row per graph is required")
-        held = [W if isinstance(W, WeightMatrix) else _scipy_csr(W) for W in self._given]
-        self.shape = held[0].shape
-        if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
-            raise ShapeError(f"graph must be square, got shape {self.shape}")
+        self.shape = (_node_count(self._views),) * 2
         # (W_v's CSR arrays, coefficients up to the highest nonzero order) per active view
         self._terms = [((W.indptr, W.indices, W.data), c[: nz[-1] + 1])
-                       for W, c in zip(held, self.coef) if (nz := np.flatnonzero(c)).size]
+                       for W, c in zip(self._views, self.coef) if (nz := np.flatnonzero(c)).size]
         self.degree = (np.ones((1, self.shape[0])) @ self)[0]
 
     @property
     def graphs(self) -> tuple:
-        """The graphs as scipy arrays: a ``WeightMatrix``'s ``W``, any other as given."""
-        return tuple(W.W if isinstance(W, WeightMatrix) else W for W in self._given)
+        """The graphs as scipy arrays: each ``WeightMatrix``'s ``W``."""
+        return tuple(W.W for W in self._views)
 
     def __rmatmul__(self, S) -> np.ndarray:
         S = np.asarray(S, dtype=np.float64)
@@ -255,26 +261,18 @@ class ConsensusOperator:
         return np.zeros(S.shape) if out is None else out.T
 
 
-def _scipy_csr(W):
-    """A graph given as a dense or scipy array, as a float64 scipy csr_array."""
-    import scipy.sparse as sp  # only a graph given so needs it
-
-    return sp.csr_array(W, dtype=np.float64)
-
-
 def _times_block(csr, X) -> np.ndarray:
     """W @ X for the CSR arrays of an n x n W and a C-contiguous n x k block X.
 
-    scipy's ``@`` runs ``csr_matvec`` for one column and ``csr_matvecs``
-    for several, into zeros; so does this, so the product has its bits.
+    scipy's ``csr_matvecs``, into zeros: the kernel scipy's ``@`` runs
+    for several columns.  For one column, where ``@`` runs
+    ``csr_matvec``, it adds the same products in the same order, so the
+    product has scipy's bits at every k.
     """
     indptr, indices, data = csr
     n, k = X.shape
     out = np.zeros((n, k))
-    if k == 1:
-        _sparsetools.csr_matvec(n, n, indptr, indices, data, X.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(n, n, k, indptr, indices, data, X.ravel(), out.ravel())
+    _sparsetools.csr_matvecs(n, n, k, indptr, indices, data, X.ravel(), out.ravel())
     return out
 
 

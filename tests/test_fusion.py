@@ -282,6 +282,13 @@ class TestFuseGraphs:
         with pytest.raises(DataError, match=f"the {empty} graph has no nonzero weight"):
             fuse_graphs(_graph_set(mats, 3))
 
+    def test_views_of_different_node_counts_are_rejected(self):
+        # checked when the set is made: fuse_graphs's kernels would index
+        # the 5-node graph's rows by the 2-node graph's units
+        rings = [np.eye(n, k=1) + np.eye(n, k=-1) for n in (2, 5)]
+        with pytest.raises(ShapeError, match=r"one node count, got \[2, 5\]"):
+            _graph_set(rings, 2)
+
     def test_single_sweep_cap(self):
         rng = np.random.default_rng(13)
         graphs = _random_graph_set(rng, n=4)

@@ -257,8 +257,51 @@ class TestConsensusOperator:
         with pytest.raises(ShapeError):
             ConsensusOperator([sp.csr_array(np.ones((4, 5)))], [[1.0]])
 
+    @pytest.mark.parametrize("given", ["dense", "scipy"])
+    def test_given_arrays_are_checked_as_weight_matrices(self, given):
+        # an asymmetric W would give S W^T where the penalty needs S W
+        def make(W):
+            return np.array(W) if given == "dense" else sp.csr_array(np.array(W))
+
+        with pytest.raises(DataError, match="must be symmetric"):
+            ConsensusOperator([make([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])],
+                              [[1.0]])
+        with pytest.raises(DataError, match="must be nonnegative"):
+            ConsensusOperator([make([[0.0, 1.0, 0.0], [1.0, 0.0, -0.5], [0.0, -0.5, 0.0]])],
+                              [[1.0]])
+        op = ConsensusOperator([make([[0.0, 1.0], [1.0, 0.0]])], [[1.0]])
+        assert op.graphs[0].format == "csr" and op.degree.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("given", ["weight_matrix", "dense"])
+    def test_rejects_graphs_of_different_node_counts(self, given):
+        # the products would index the larger graph's rows by the smaller's
+        # node count (a 2-node graph beside a 3e6-node one crashes the process)
+        rings = [np.eye(n, k=1) + np.eye(n, k=-1) for n in (2, 5)]
+        if given == "weight_matrix":
+            rings = [WeightMatrix(W=W, kind=kind) for W, kind in zip(rings, ("spatial", "spectral"))]
+        with pytest.raises(ShapeError, match=r"one node count, got \[2, 5\]"):
+            ConsensusOperator(rings, [[1.0], [1.0]])
+        with pytest.raises(ShapeError, match=r"one node count, got \[\]"):
+            ConsensusOperator([], np.zeros((0, 1)))
+
 
 class TestHeatKernelGraphs:
+    @pytest.mark.parametrize("build", [spatial_weights, spectral_weights])
+    def test_built_graph_is_transposed_once(self, build, monkeypatch):
+        # by the max-symmetrization: a built graph is symmetric and
+        # nonnegative by construction, so no check transposes it again
+        calls = []
+        tocsc = graph._sparsetools.csr_tocsc
+
+        def counted(*args):
+            calls.append(args[0])
+            return tocsc(*args)
+
+        monkeypatch.setattr(graph._sparsetools, "csr_tocsc", counted)
+        cube, kw = oracle_case("random24")
+        build(cube, UnmixParams(**kw))
+        assert calls == [cube.pixel_count]
+
     def test_two_adjacent_pixels_weight(self):
         cube = HsiCube(data=np.ones((3, 2)), height=1, width=2)
         w = spatial_weights(cube, UnmixParams(sigma_s=1.0, neighbors=1))
