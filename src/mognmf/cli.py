@@ -39,7 +39,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import inspect
 import json
 import sys
 import time
@@ -99,10 +98,9 @@ class _Outputs:
 
     Built from the command's arguments (its ``locals()`` on entry), which
     the manifest records by one rule: every argument but ``out_dir``, a
-    path as a string, ``params`` as ``config`` (``UnmixParams.to_dict``)
-    and the entries of ``scene`` (cmd_sweep's ``**scene``) as keys of
-    their own.  The directory is created by the first ``path`` call, so a
-    command that fails before writing an artifact leaves no --out behind.
+    path as a string and ``params`` as ``config`` (``UnmixParams.to_dict``).
+    The directory is created by the first ``path`` call, so a command
+    that fails before writing an artifact leaves no --out behind.
     """
 
     def __init__(self, command: str, args: dict):
@@ -110,7 +108,6 @@ class _Outputs:
         self.command = command
         args = dict(args)
         self.dir = Path(args.pop("out_dir"))
-        args.update(args.pop("scene", {}))
         params = args.pop("params", None)
         self.args = {name: str(v) if isinstance(v, Path) else v for name, v in args.items()}
         if params is not None:
@@ -459,11 +456,6 @@ def cmd_ablate(
 
 REGULARIZATION_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
 
-# the cmd_simulate arguments a sweep passes through **scene, with cmd_simulate's defaults
-_SCENE_DEFAULTS = {name: inspect.signature(cmd_simulate).parameters[name].default
-                   for name in ("smoothness", "library_path", "bands")}
-
-
 def cmd_sweep(
     out_dir,
     preset: str,
@@ -477,16 +469,16 @@ def cmd_sweep(
     betas: list[float] | None = None,
     height: int = 64,
     width: int = 64,
-    **scene,
+    smoothness: float = 4.0,
+    library_path=None,
+    bands: int = 100,
 ) -> dict:
     """Grid sweep over SNRs, seeds, variants, and optionally lambda/beta.
 
-    ``scene`` holds the other cmd_simulate arguments (smoothness,
-    library_path, bands), each defaulting to cmd_simulate's.  One
-    sweep.csv row per run: the eval columns followed by the lambda and
-    beta the run used.
+    The scene arguments (height to bands) are passed to cmd_simulate,
+    with its defaults.  One sweep.csv row per run: the eval columns
+    followed by the lambda and beta the run used.
     """
-    scene = {**_SCENE_DEFAULTS, **scene}
     out = _Outputs("sweep", locals())
     lambdas = list(lambdas) if lambdas else [params.lam]
     betas = list(betas) if betas else [params.beta]
@@ -510,7 +502,8 @@ def cmd_sweep(
     cap = thread_cap()
     for (snr, seed), truth in scenes.items():
         cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed,
-                     height=height, width=width, **scene)
+                     height=height, width=width, smoothness=smoothness,
+                     library_path=library_path, bands=bands)
     rows = run_jobs(_single_run, jobs, cap)
     out.table("sweep.csv", EVAL_COLUMNS + ("lambda", "beta"), rows)
     # the grid the runs used, never None

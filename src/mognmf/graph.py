@@ -43,15 +43,14 @@ order-1 graphs.  No Laplacian is ever formed.
 The CSR arrays are built and applied by scipy's compiled sparse kernels,
 ``scipy.sparse._sparsetools``, loaded without the rest of
 ``scipy.sparse`` (``_load_sparsetools``), whose Python layer costs about
-17 MB of resident memory and 0.1 s at import.  Each step calls the
-kernels scipy's own methods call, in the same order, so every array
-holds the bits scipy's would: an order-1 graph is
-``csr_array((w, (rows, cols))).maximum(W.T)`` (``_heat_kernel``), and
-``S @ op`` adds the products of ``W @ t`` in scipy's order
-(``_times_block``).  The kernels read only ``WeightMatrix`` graphs: a
-built one is symmetric and nonnegative by construction, one from outside
-is checked by ``WeightMatrix(W)``.  Only that constructor, the ``W``
-view and ``graph_powers`` import ``scipy.sparse``.
+17 MB of resident memory and 0.1 s at import.  Each step calls only
+the kernels its inputs need, and every array holds scipy's bits: an
+order-1 graph is ``csr_array((w, (rows, cols))).maximum(W.T)``
+(``_heat_kernel``), and ``S @ op`` adds the products of ``W @ t`` in
+scipy's order (``_times_block``).  The kernels read only ``WeightMatrix``
+graphs: a built one is symmetric and nonnegative by construction, one
+from outside is checked by ``WeightMatrix(W)``.  Only that constructor,
+the ``W`` view and ``graph_powers`` import ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -115,13 +114,6 @@ def _load_sparsetools():
 _sparsetools = _load_sparsetools()
 
 
-def _transpose(n: int, indptr, indices, data):
-    """The CSR arrays of the transpose of an n x n CSR matrix: scipy's ``csr_tocsc``."""
-    out = np.empty_like(indptr), np.empty_like(indices), np.empty_like(data)
-    _sparsetools.csr_tocsc(n, n, indptr, indices, data, *out)
-    return out
-
-
 class WeightMatrix:
     """Symmetric nonnegative order-1 affinity matrix tagged with its view.
 
@@ -129,9 +121,9 @@ class WeightMatrix:
     arrays ``indptr``, ``indices`` and ``data`` of a ``shape`` = (n, n)
     matrix.  Its constructor is where a graph from outside is checked: a
     dense or scipy array ``W``, converted by ``scipy.sparse.csr_array``,
-    must be square (``ShapeError``), nonnegative and symmetric
-    (``DataError``).  ``kind`` is the view, or None; ``W`` is the scipy
-    csr_array over the held arrays.
+    must be square (``ShapeError``), nonnegative and symmetric by scipy's
+    ``W != W.T`` (``DataError``).  ``kind`` is the view, or None; ``W`` is
+    the scipy csr_array over the held arrays.
     """
 
     def __init__(self, W, kind: str | None, sigma: float | None = None):
@@ -142,13 +134,9 @@ class WeightMatrix:
             raise ShapeError("weight matrix must be square")
         if np.any(W.data < 0):
             raise DataError("weight matrix must be nonnegative")
-        # scipy's W != W.T: csr_ne_csr against the csr_tocsc transpose is empty
-        csr, n, room = (W.indptr, W.indices, W.data), W.shape[0], 2 * W.nnz
-        differ = np.empty_like(W.indptr), np.empty(room, W.indices.dtype), np.empty(room, bool)
-        _sparsetools.csr_ne_csr(n, n, *csr, *_transpose(n, *csr), *differ)
-        if differ[0][-1]:
+        if (W != W.T).nnz:
             raise DataError("weight matrix must be symmetric")
-        self._hold(csr, kind, sigma, W)
+        self._hold((W.indptr, W.indices, W.data), kind, sigma, W)
 
     @classmethod
     def _from_csr(cls, csr, kind: str, sigma: float | None = None) -> WeightMatrix:
@@ -187,18 +175,29 @@ class MultiOrderGraphSet:
     order, and each k in ``orders``, view-major: the row-major layout of
     H.  Only the order-1 graphs are stored; whether a power of order
     >= 2 enters divided by its maximum entry is ``UnmixParams.order_norm``,
-    read by the fusion.  Views of different node counts raise ``ShapeError``.
+    read by the fusion.  Views of different node counts raise ``ShapeError``,
+    and orders ``_check_orders`` rejects ``ParamError``.
     """
 
     views: tuple  # one order-1 WeightMatrix per view
     orders: tuple = (1,)
 
     def __post_init__(self):
+        _check_orders(self.orders)
         _node_count(self.views)
 
     def all_graphs(self) -> list[WeightMatrix]:
         """The stored graphs: the order-1 graph of each view."""
         return list(self.views)
+
+
+def _check_orders(orders) -> tuple:
+    """``orders`` as a tuple: one or more distinct integers >= 1, no bool; else ``ParamError``."""
+    orders = tuple(orders)
+    whole = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in orders)
+    if not orders or not whole or min(orders) < 1 or len(set(orders)) != len(orders):
+        raise ParamError(f"orders must be distinct integers >= 1, got {list(orders)}")
+    return orders
 
 
 def _node_count(graphs) -> int:
@@ -281,8 +280,9 @@ def _heat_kernel(n: int, rows, cols, dist, sigma, kind: str) -> WeightMatrix:
 
     Resolves sigma="auto" to the median kept distance (1.0 where that is
     0), weights each edge exp(-d^2 / (2 sigma^2)) and symmetrizes by
-    elementwise max.  ``sigma`` is "auto" or positive, as ``UnmixParams``
-    admits; the graph records the value used.
+    elementwise max, with W^T built from the edges with rows and columns
+    swapped.  ``sigma`` is "auto" or positive, as ``UnmixParams`` admits;
+    the graph records the value used.
     """
     if sigma == "auto":
         # np.median's value, by the partition and mean it runs: its first call
@@ -291,28 +291,24 @@ def _heat_kernel(n: int, rows, cols, dist, sigma, kind: str) -> WeightMatrix:
         med = float(np.mean(np.partition(dist, [k, h])[k : h + 1]))
         sigma = med if med > 0 else 1.0
     w = np.exp(-(dist**2) / (2.0 * sigma**2))
-    W = _edges_to_csr(n, rows, cols, w)
-    return WeightMatrix._from_csr(_maximum(n, W, _transpose(n, *W)), kind, float(sigma))
+    W, Wt = _edges_to_csr(n, rows, cols, w), _edges_to_csr(n, cols, rows, w)
+    return WeightMatrix._from_csr(_maximum(n, W, Wt), kind, float(sigma))
 
 
 def _edges_to_csr(n: int, rows, cols, w) -> tuple:
-    """The CSR arrays of ``csr_array((w, (rows, cols)), shape=(n, n))``, by scipy's kernels.
+    """The CSR arrays of ``csr_array((w, (rows, cols)), shape=(n, n))`` for distinct edges.
 
-    ``coo_tocsr`` orders the entries by row, keeping their order within
-    one; a matrix not yet canonical then has its rows sorted by column
-    (``csr_sort_indices``, where some row is out of order) and its
-    repeated entries summed (``csr_sum_duplicates``).  The indices are
-    int64, the type of the edge lists, which scipy's sparse arrays keep.
+    The (row, column) pairs must be distinct, as both edge producers' are.
+    ``coo_tocsr`` orders the entries by row, and ``csr_sort_indices`` sorts
+    the rows by column where some row is out of order: scipy's canonical
+    form.  The indices are int64, the edge lists' type, which scipy keeps.
     """
     rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
     w = np.asarray(w, dtype=np.float64)
     indptr, indices, data = np.empty(n + 1, np.int64), np.empty_like(cols), np.empty_like(w)
     _sparsetools.coo_tocsr(n, n, len(w), rows, cols, w, indptr, indices, data)
-    if not _sparsetools.csr_has_canonical_format(n, indptr, indices):
-        if not _sparsetools.csr_has_sorted_indices(n, indptr, indices):
-            _sparsetools.csr_sort_indices(n, indptr, indices, data)
-        _sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
-        indices, data = indices[: indptr[-1]].copy(), data[: indptr[-1]].copy()
+    if not _sparsetools.csr_has_sorted_indices(n, indptr, indices):
+        _sparsetools.csr_sort_indices(n, indptr, indices, data)
     return indptr, indices, data
 
 
@@ -512,10 +508,8 @@ def build_multi_order_graphs(
     """The spatial and spectral order-1 graphs ``params`` describe, fused at ``orders``.
 
     ``orders`` defaults to 1..``params.order``; single-order ablation
-    variants pass a subset.  Each order must be >= 1 and appear once.
+    variants pass a subset, checked (``_check_orders``) before any graph is built.
     """
-    orders = tuple(range(1, params.order + 1)) if orders is None else tuple(orders)
-    if not orders or min(orders) < 1 or len(set(orders)) != len(orders):
-        raise ParamError(f"orders must be distinct and >= 1, got {list(orders)}")
+    orders = _check_orders(range(1, params.order + 1) if orders is None else orders)
     views = (spatial_weights(cube, params), spectral_weights(cube, params))
     return MultiOrderGraphSet(views=views, orders=orders)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -957,6 +958,13 @@ class TestSweep:
             4.0, None, 12)
         scene = json.loads((out / "scenes" / "snr30_seed0" / "manifest.json").read_text())
         assert scene["smoothness"] == manifest["smoothness"]
+
+    def test_scene_defaults_are_simulates(self):
+        # a sweep takes the scene arguments by name: its defaults must stay cmd_simulate's
+        names = ("smoothness", "library_path", "bands")
+        sweep, simulate = (inspect.signature(f).parameters
+                           for f in (cli.cmd_sweep, cli.cmd_simulate))
+        assert [sweep[n].default for n in names] == [simulate[n].default for n in names]
 
     def test_sweep_table(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("MOGNMF_THREADS", "1")

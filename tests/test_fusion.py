@@ -328,6 +328,14 @@ class TestFuseGraphs:
         assert np.allclose(blocks.H, H_ref, atol=1e-9)
         assert np.allclose(consensus_tocsr(blocks.Wm).toarray(), Wm_ref, atol=1e-9)
 
+    @pytest.mark.parametrize("orders", [(2, 2), (0,), (-1, 1), (1.5,), (True, 2), ()])
+    def test_graph_set_checks_its_orders(self, orders):
+        # (2, 2) would drop half of H's mass from W_m, True would be order 1,
+        # and the others would fail inside the fusion
+        views = _random_graph_set(np.random.default_rng(16)).views
+        with pytest.raises(ParamError, match="distinct integers >= 1"):
+            MultiOrderGraphSet(views=views, orders=orders)
+
 
 class TestGramPass:
     """The Gram matrix and normalizers of the fused stack against the formed powers."""

@@ -287,20 +287,22 @@ class TestConsensusOperator:
 
 class TestHeatKernelGraphs:
     @pytest.mark.parametrize("build", [spatial_weights, spectral_weights])
-    def test_built_graph_is_transposed_once(self, build, monkeypatch):
-        # by the max-symmetrization: a built graph is symmetric and
-        # nonnegative by construction, so no check transposes it again
+    def test_built_graph_runs_no_transpose_kernel(self, build, monkeypatch):
+        # W^T is the edge list with rows and columns swapped, and a built graph
+        # is symmetric and nonnegative by construction, so nothing transposes
+        # it or compares it with its transpose
         calls = []
-        tocsc = graph._sparsetools.csr_tocsc
+        for name in ("csr_tocsc", "csr_ne_csr"):
+            kernel = getattr(graph._sparsetools, name)
 
-        def counted(*args):
-            calls.append(args[0])
-            return tocsc(*args)
+            def counted(*args, name=name, kernel=kernel):
+                calls.append(name)
+                return kernel(*args)
 
-        monkeypatch.setattr(graph._sparsetools, "csr_tocsc", counted)
+            monkeypatch.setattr(graph._sparsetools, name, counted)
         cube, kw = oracle_case("random24")
         build(cube, UnmixParams(**kw))
-        assert calls == [cube.pixel_count]
+        assert calls == []
 
     def test_two_adjacent_pixels_weight(self):
         cube = HsiCube(data=np.ones((3, 2)), height=1, width=2)
@@ -655,6 +657,22 @@ class TestMultiOrderBuild:
         with pytest.raises(ParamError):
             build_multi_order_graphs(cube, UnmixParams(order=K, neighbors=3), orders)
 
+    def test_invalid_orders_fail_before_any_graph(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return spatial_weights(*args)
+
+        monkeypatch.setattr(graph, "spatial_weights", counted)
+        cube = _random_cube(np.random.default_rng(12), 4, 4)
+        for orders in [(2, 2), (0,), (-1, 1), (1.5,), (True, 2), ()]:
+            with pytest.raises(ParamError, match="distinct integers >= 1"):
+                build_multi_order_graphs(cube, UnmixParams(neighbors=3), orders)
+        assert built == []
+        assert build_multi_order_graphs(cube, UnmixParams(neighbors=3), [2]).orders == (2,)
+        assert len(built) == 1
+
     def test_per_view_neighbor_override(self):
         rng = np.random.default_rng(11)
         cube = _random_cube(rng, 4, 4)
@@ -875,8 +893,7 @@ class TestScipyKernels:
         built = (spatial_weights if view == "spatial" else spectral_weights)(cube, params)
         assert _same_csr(built, want)
 
-    @pytest.mark.parametrize("edges", ["underflow", "isolated", "mutual_and_one_sided",
-                                       "repeated"])
+    @pytest.mark.parametrize("edges", ["underflow", "isolated", "mutual_and_one_sided"])
     def test_edge_lists_are_scipys(self, edges):
         # node 5 has no edge; 0-1 is kept both ways, 2->3 and 4->0 one way only,
         # and row 0's columns come out of order
@@ -887,11 +904,25 @@ class TestScipyKernels:
             dist[-1] = 40.0
         elif edges == "mutual_and_one_sided":
             rows, cols, dist = rows[:-1], cols[:-1], dist[:-1]
-        elif edges == "repeated":  # an edge listed twice, summed as scipy sums it
-            rows, cols, dist = np.append(rows, 2), np.append(cols, 3), np.append(dist, 1.5)
         got = graph._heat_kernel(6, rows, cols, dist, 1.0, "spectral")
         want = _scipy_graph(6, rows, cols, np.exp(-(dist**2) / 2.0))
         assert _same_csr(got, want) and _same_csr(got.W, want)
+
+    @pytest.mark.parametrize("view", ["spatial", "spectral"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_edge_lists_are_distinct(self, case, view):
+        # _edges_to_csr sums no repeated edge, as scipy would: no producer may
+        # emit one, nor a self pair, and each node keeps exactly C edges
+        cube, kw = oracle_case(case)
+        n = cube.pixel_count
+        c = graph.neighbor_count(UnmixParams(**kw), view, n)
+        if view == "spatial":
+            rows, cols, _ = graph._grid_edges(cube.height, cube.width, c)
+        else:
+            rows, cols, _ = graph._spectral_edges(cube.data, c)
+        assert np.array_equal(np.bincount(rows, minlength=n), np.full(n, c))
+        assert not np.any(rows == cols)
+        assert len(np.unique(rows * n + cols)) == len(rows)
 
     @pytest.mark.parametrize("columns", [1, 4])
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
