@@ -15,7 +15,7 @@ every argument of its cmd_* function but out_dir, so
   for simu2), library_path, bands;
 * unmix: cube_path, m, variant, init, config, cube_format, dump_wm;
 * evaluate: result_dir, truth_dir;
-* fuse: cube_path, config, cube_format, dump_wm;
+* fuse: cube_path, config, cube_format, dump_wm, m;
 * ablate: cube_path, truth_dir, seeds, m, config, init;
 * sweep: preset, m, snrs, seeds, variants, config, init, lambdas and
   betas (as its runs used them), height, width, smoothness,
@@ -128,24 +128,30 @@ class _Outputs:
 
         W_m = sum_v sum_k coef[v, k-1] W_v^k is dumped as ``coef.csv`` and each
         view's order-1 graph, one i,j,w row per stored entry, as ``W_<kind>.csv``.
-        The fields, None without a graph term, are each view's sigma,
-        ``wm_stats``, read from D_m and the fusion Gram matrix (W_m is never
-        formed), and the graph stage's thread count and wall time.
+        The fields, None without a graph term, are each view's sigma and
+        order-1 max degree (the most neighbors any pixel has: the hub
+        count), the spectral graph's subspace dimension (None over the raw
+        bands), ``wm_stats``, read from D_m and the fusion Gram matrix (W_m
+        is never formed), and the graph stage's thread count and wall time.
         """
         if state is None:
             return dict.fromkeys(
-                ("sigma_s_used", "sigma_l_used", "wm_stats", "graph_workers", "graph_ms"))
+                ("sigma_s_used", "sigma_l_used", "max_degree_s", "max_degree_l",
+                 "spectral_dims", "wm_stats", "graph_workers", "graph_ms"))
         self.matrix("H.csv", state.H)
         if dump_wm:
             for view in state.graphs.views:
                 rows = np.repeat(np.arange(view.shape[0]), np.diff(view.indptr))
                 self.matrix(f"W_{view.kind}.csv", np.column_stack([rows, view.indices, view.data]))
             self.matrix("coef.csv", state.Wm.coef)
-        sigma = {view.kind: view.sigma for view in state.graphs.views}
+        spatial, spectral = state.graphs.views
         degree = state.Wm.degree
         return {
-            "sigma_s_used": sigma["spatial"],
-            "sigma_l_used": sigma["spectral"],
+            "sigma_s_used": spatial.sigma,
+            "sigma_l_used": spectral.sigma,
+            "max_degree_s": int(np.diff(spatial.indptr).max()),
+            "max_degree_l": int(np.diff(spectral.indptr).max()),
+            "spectral_dims": spectral.dims,
             "wm_stats": {
                 "mean": float(degree.sum()) / degree.size**2,
                 "frobenius": state.wm_norm,
@@ -362,11 +368,16 @@ def cmd_fuse(
     params: UnmixParams = UnmixParams(),
     cube_format: str = "raw-f32",
     dump_wm: bool = False,
+    m: int | None = None,
 ) -> dict:
-    """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m)."""
+    """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m).
+
+    Given the endmember count ``m``, the spectral graph is the one an
+    ``unmix`` with that M builds; without it, the raw-band graph.
+    """
     out = _Outputs("fuse", locals())
     cube = load_cube(cube_path, format=cube_format)
-    state = consensus_graph(cube, params)
+    state = consensus_graph(cube, params, m=m)
     out.matrix("fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     fusion = out.consensus(state, dump_wm)
     return out.manifest(
@@ -626,6 +637,9 @@ def _param_options(fn):
                      help="Interpret eps1 as an absolute objective change."),
         click.option("--no-order-norm", "order_norm", flag_value=False, default=None,
                      help="Keep raw graph powers (no per-order max normalization)."),
+        click.option("--spectral-as-written", is_flag=True, default=None,
+                     help="Build the spectral graph over the raw bands, not the "
+                          "M-dimensional signal subspace."),
     ])
 
 
@@ -715,6 +729,9 @@ def evaluate(**kw):
 @main.command()
 @click.option("--cube", "cube_path", type=click.Path(), required=True)
 @_FORMAT
+@click.option("--m", type=int, default=None,
+              help="number of endmembers: the spectral graph is unmix's with this M "
+                   "(default: over the raw bands)")
 @_DUMP_WM
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options

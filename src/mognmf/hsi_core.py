@@ -28,6 +28,7 @@ __all__ = [
     "HsiCube",
     "UnmixModel",
     "UnmixParams",
+    "correlation_eigenvectors",
     "load_cube",
     "save_cube",
     "save_abundance_maps",
@@ -72,6 +73,19 @@ class HsiCube:
     @property
     def pixel_count(self) -> int:
         return self.data.shape[1]
+
+
+def correlation_eigenvectors(X: np.ndarray) -> np.ndarray:
+    """The eigenvectors of X X^T / N for an L x N ``X``, as columns by descending eigenvalue.
+
+    The one decomposition that ``unmix.init_vca``'s high-SNR projection and
+    the spectral graph's signal subspace (``graph.spectral_weights``) read:
+    ``(X @ X.T) / N``, ``np.linalg.eigh`` and the ``argsort(vals)[::-1]``
+    order.  Its product's bits depend on BLAS's thread count, so callers
+    run it under ``workers.blas_pinned``.
+    """
+    vals, vecs = np.linalg.eigh((X @ X.T) / X.shape[1])
+    return vecs[:, np.argsort(vals)[::-1]]
 
 
 @dataclass(frozen=True)
@@ -137,8 +151,11 @@ class UnmixParams:
     ``gamma=None`` means "estimate from the data".  ``sigma_s``/``sigma_l``
     accept a positive float or "auto" (median retained neighbor distance).
     ``neighbors_spatial``/``neighbors_spectral`` override ``neighbors``
-    per view when set.  Every float is finite.  The solver squares delta,
-    the heat kernel sigma and the fusion 1 + mu, so each of those squares
+    per view when set.  With an endmember count M the spectral graph is
+    built on the pixels projected onto the top M eigenvectors of X X^T / N
+    (``graph.spectral_weights``); ``spectral_as_written=True`` builds it
+    over the L raw bands, as the paper writes it.  Every float is finite.
+    The solver squares delta, the heat kernel sigma and the fusion 1 + mu, so each of those squares
     must be finite too: delta, a numeric sigma and mu are below about
     1.34e154 (the square root of the largest float).  The heat kernel
     divides by sigma^2, so a numeric sigma is also above about 1.6e-162,
@@ -165,6 +182,7 @@ class UnmixParams:
     gamma_as_written: bool = False
     absolute_eps1: bool = False
     order_norm: bool = True
+    spectral_as_written: bool = False
 
     def __post_init__(self):
         # types first, from the annotation strings: a config file can hold any JSON value

@@ -24,7 +24,9 @@ loop computes no s-term at all.
 W_m is a polynomial in the two order-1 k-NN graphs
 (``graph.ConsensusOperator``), which also holds the degree vector D_m:
 S W_m costs one sparse product per graph order and view, and neither
-W_m nor any power is stored.  Graph and fusion settings reach the
+W_m nor any power is stored.  The spectral graph is built in the cube's
+M-dimensional signal subspace unless ``UnmixParams.spectral_as_written``
+(``graph.spectral_weights``).  Graph and fusion settings reach the
 graph build and the fusion in the one ``UnmixParams`` of the run.
 
 Ablation variants drop individual terms; the plain-NMF baseline is the
@@ -46,7 +48,7 @@ import numpy as np
 from .errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from .graph import build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
-from .hsi_core import HsiCube, UnmixModel, UnmixParams
+from .hsi_core import HsiCube, UnmixModel, UnmixParams, correlation_eigenvectors
 from .rng import substream
 from .workers import blas_pinned, pool_size
 
@@ -188,10 +190,7 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
 
     if snr_est > snr_threshold:
         # high SNR: projective projection onto the plane x^T u = 1
-        cov_raw = (X @ X.T) / N
-        vals, vecs = np.linalg.eigh(cov_raw)
-        vecs = vecs[:, np.argsort(vals)[::-1]]
-        xp2 = vecs[:, :M].T @ X
+        xp2 = correlation_eigenvectors(X)[:, :M].T @ X
         u = xp2.mean(axis=1) * M
         denom = xp2.T @ u
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
@@ -403,16 +402,19 @@ def graph_orders(variant: str, params: UnmixParams) -> tuple[int, ...]:
 
 
 def consensus_graph(
-    cube: HsiCube, params: UnmixParams, orders: tuple[int, ...] | None = None
+    cube: HsiCube, params: UnmixParams, orders: tuple[int, ...] | None = None,
+    m: int | None = None,
 ) -> FusionState:
     """Build the multi-order graphs ``params`` describe and fuse them.
 
     ``orders`` keeps only those orders (single-order variants) in place
-    of 1..``params.order``.  The state records the stage's thread count
-    and wall time.
+    of 1..``params.order``.  ``m``, the endmember count, builds the
+    spectral graph in the cube's m-dimensional signal subspace
+    (``graph.spectral_weights``).  The state records the stage's thread
+    count and wall time.
     """
     t0 = time.perf_counter()
-    state = fuse_graphs(build_multi_order_graphs(cube, params, orders), params)
+    state = fuse_graphs(build_multi_order_graphs(cube, params, orders, m), params)
     graph_ms = round(1000 * (time.perf_counter() - t0), 3)
     return replace(state, graph_workers=pool_size(), graph_ms=graph_ms)
 
@@ -448,9 +450,10 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     The pin (``workers.blas_pinned``) covers init, graph stage and loop:
     X S^T and A^T X, whose inner dimension is N, would change bits with
     BLAS's thread count.  Graphs are built and fused once, before the
-    loop.  Each outer iteration updates A, then S (with the delta row
-    folded in as + delta^2 on A^T R and A^T A when the variant enforces
-    sum-to-one), then forms X S^T, S S^T and A S S^T, which give every
+    loop, the spectral one in the M-dimensional signal subspace unless
+    ``spectral_as_written``.  Each outer iteration updates A, then S
+    (with the delta row folded in as + delta^2 on A^T R and A^T A when
+    the variant enforces sum-to-one), then forms X S^T, S S^T and A S S^T, which give every
     row's fit ||T_l||^2 = ||x_l||^2 - 2 a_l . (X S^T)_l + a_l . (A S S^T)_l
     (clamped at 0) and carry over into the next A step.  Their sum is
     the recorded ||X - A S||_F^2, and their square roots give the noise
@@ -479,7 +482,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
 
     orders = graph_orders(config.variant, p)
     # only W_m and D_m are kept: an operator over the order-1 graphs
-    fusion_state = consensus_graph(cube, p, orders) if orders else None
+    fusion_state = consensus_graph(cube, p, orders, M) if orders else None
     Wm = fusion_state.Wm if orders else None
     lam = p.lam if orders else 0.0
 

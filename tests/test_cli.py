@@ -308,8 +308,8 @@ class TestUnmix:
         params = UnmixParams(t1=2, neighbors=4, sigma_s=1.3)
         manifest = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", params=params)
         assert manifest["sigma_s_used"] == 1.3
-        # sigma_l "auto" resolves to the median retained spectral distance
-        assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4)).sigma
+        # sigma_l "auto" resolves to the median retained distance in the M = 3 subspace
+        assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4), 3).sigma
         graph_free = cmd_unmix(scene / "cube.raw", 3, tmp_path / "snmf", variant="snmf",
                                params=params)
         assert graph_free["sigma_s_used"] is None and graph_free["sigma_l_used"] is None
@@ -320,12 +320,16 @@ class TestUnmix:
         result = runner.invoke(
             main,
             ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--t1", "3",
-             "--c", "4", "--absolute-eps1", "--no-order-norm", "--out", str(out)],
+             "--c", "4", "--absolute-eps1", "--no-order-norm", "--spectral-as-written",
+             "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
-        config = json.loads((out / "manifest.json").read_text())["config"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        config = manifest["config"]
         assert config["absolute_eps1"] is True
         assert config["order_norm"] is False
+        assert config["spectral_as_written"] is True
+        assert manifest["spectral_dims"] is None  # the raw bands
 
     def test_bad_input_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -681,7 +685,7 @@ class TestFuse:
         out = tmp_path / "fusion"
         result = runner.invoke(
             main,
-            ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4",
+            ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4", "--m", "3",
              "--dump-wm", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
@@ -694,7 +698,7 @@ class TestFuse:
         # the dumped graphs are the ones fusion saw, written losslessly,
         # one line per stored entry
         cube = load_cube(scene / "cube.raw")
-        graphs = build_multi_order_graphs(cube, UnmixParams(neighbors=4))
+        graphs = build_multi_order_graphs(cube, UnmixParams(neighbors=4), m=3)
         for view, g in zip(views, graphs.views, strict=True):
             lines = (out / f"W_{g.kind}.csv").read_text().splitlines()
             assert len(lines) == g.W.nnz
@@ -721,15 +725,17 @@ class TestFuse:
             assert (run / name).read_bytes() == (out / name).read_bytes(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sigma_s_used"] == spatial_weights(cube, UnmixParams(neighbors=4)).sigma
-        assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4)).sigma
+        assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4), 3).sigma
 
     def test_manifest_fusion_fields_match_unmix(self, tmp_path):
         # fuse and unmix write H, the dump and the fusion's manifest fields alike
         scene = _tiny_scene_dir(tmp_path, height=6, width=6)
         params = UnmixParams(neighbors=4, t1=1)
-        fused = cmd_fuse(scene / "cube.raw", tmp_path / "fusion", params=params)
+        fused = cmd_fuse(scene / "cube.raw", tmp_path / "fusion", params=params, m=3)
         unmixed = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", params=params)
-        names = ("sigma_s_used", "sigma_l_used", "wm_stats", "graph_workers")
+        names = ("sigma_s_used", "sigma_l_used", "max_degree_s", "max_degree_l",
+                 "spectral_dims", "wm_stats", "graph_workers")
+        assert unmixed["spectral_dims"] == 3
         assert {k: fused[k] for k in names} == {k: unmixed[k] for k in names}
         assert fused["graph_ms"] >= 0 and unmixed["graph_ms"] >= 0
         assert fused["wm_stats"]["fusion_iterations"] == fused["fusion_iterations"]
@@ -740,6 +746,18 @@ class TestFuse:
             main, ["fuse", "--cube", str(tmp_path / "nope.raw"), "--out", str(out)]
         )
         assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", ["0", "21"])
+    def test_endmember_count_outside_the_bands_writes_nothing(self, runner, tmp_path, m):
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)  # 20 bands
+        out = tmp_path / "fusion"
+        result = runner.invoke(
+            main, ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4", "--m", m,
+                   "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "endmember count" in result.output
         assert not out.exists()
 
 
@@ -1245,8 +1263,9 @@ def _manifest_case(command, tmp_path):
     """
     scene = _tiny_scene_dir(tmp_path, height=6, width=6, bands=12)
     cube, params = scene / "cube.raw", UnmixParams(t1=5, neighbors=4)
-    fusion = dict.fromkeys(
-        ("sigma_s_used", "sigma_l_used", "wm_stats", "graph_workers", "graph_ms"), ANY)
+    fusion = dict.fromkeys(("sigma_s_used", "sigma_l_used", "max_degree_s", "max_degree_l",
+                            "wm_stats", "graph_workers", "graph_ms"), ANY)
+    fusion["spectral_dims"] = 3  # unmix's M, and fuse's --m
     if command.startswith("simulate"):
         library = simgen.synthetic_library(band_count=12, seed=0)
         path = None
@@ -1281,7 +1300,7 @@ def _manifest_case(command, tmp_path):
         return cmd_evaluate, dict(result_dir=run, truth_dir=scene), dict.fromkeys(
             ("inputs", "mean_sad", "rmse"), ANY)
     if command == "fuse":
-        args = dict(cube_path=cube, params=params, cube_format="raw-f32", dump_wm=True)
+        args = dict(cube_path=cube, params=params, cube_format="raw-f32", dump_wm=True, m=3)
         return cmd_fuse, args, {"inputs": inputs, **fusion, **dict.fromkeys(
             ("fusion_iterations", "fusion_converged", "final_objective"), ANY)}
     if command == "ablate":

@@ -17,7 +17,7 @@ from mognmf.graph import (
     spatial_weights,
     spectral_weights,
 )
-from mognmf.hsi_core import HsiCube, UnmixParams
+from mognmf.hsi_core import HsiCube, UnmixParams, correlation_eigenvectors
 from mognmf.unmix import consensus_graph, update_abundances
 from oracle import (
     ORACLE_CASES,
@@ -417,6 +417,66 @@ class TestHeatKernelGraphs:
         assert np.allclose(w, oracle, rtol=0.0, atol=1e-12)
 
 
+def _subspace(cube, m):
+    """The pixels in the cube's m-dimensional signal subspace: U^T X, with U the
+    top m eigenvectors of X X^T / N, formed as ``spectral_weights`` forms them."""
+    with workers.blas_pinned():
+        return correlation_eigenvectors(cube.data)[:, :m].T @ cube.data
+
+
+class TestSignalSubspaceGraph:
+    """Given M, the spectral view is the raw-band recipe run on the projected pixels."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_dense_builder_on_projected_pixels(self, case, m):
+        # the duplicated scene keeps its duplicates, grid5x6 (2 bands, m <= 2)
+        # ties every distance at 0, and seams33x33 duplicates across seams
+        cube, kw = oracle_case(case)
+        m = min(m, cube.band_count)
+        params = UnmixParams(**kw)
+        built = spectral_weights(cube, params, m)
+        dense, sigma = _dense_knn_heat_kernel(_subspace(cube, m), params.sigma_l, kw["neighbors"])
+        assert np.array_equal(built.W.toarray(), dense)
+        assert built.sigma == sigma and built.dims == m
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_duplicate_ties_match_brute_force_oracle(self, m):
+        # every pixel twice: a twin projects onto its twin, so the distances to
+        # a pair tie exactly, and the lower index wins the C-th place.  Random
+        # values keep all other distances apart: rotated quarter steps would
+        # tie only up to rounding, which the oracle's direct differences and
+        # the Gram form round differently (the dense builder shares the Gram
+        # form and checks the quarter-step scene)
+        rng = np.random.default_rng(12)
+        data = rng.random((6, 30))
+        data[:, 15:] = data[:, :15]
+        cube = HsiCube(data=data, height=5, width=6)
+        w = spectral_weights(cube, UnmixParams(neighbors=8), m).W.toarray()
+        oracle = _knn_oracle(_subspace(cube, m), 8)
+        assert np.array_equal(w != 0, oracle != 0)
+        assert np.allclose(w, oracle, rtol=0.0, atol=1e-12)
+
+    def test_subspace_is_the_top_eigenvectors(self):
+        # U^T X keeps the distances along the top m left singular vectors of X,
+        # whatever the signs of the eigenvectors
+        cube, _ = oracle_case("random24")
+        U = np.linalg.svd(cube.data, full_matrices=False)[0]
+
+        def pairwise(points):
+            return np.linalg.norm(points[:, :, None] - points[:, None, :], axis=0)
+
+        for m in (1, 3, 6):
+            got, want = pairwise(_subspace(cube, m)), pairwise(U[:, :m].T @ cube.data)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-10 * want.max()), m
+
+    @pytest.mark.parametrize("m", [0, 101])
+    def test_endmember_count_validated(self, m):
+        cube, kw = oracle_case("random24")  # 100 bands
+        with pytest.raises(ParamError, match="endmember count"):
+            spectral_weights(cube, UnmixParams(**kw), m)
+
+
 def _collapsing_pair():
     """Squared distances a < b one ulp apart whose square roots are equal."""
     a = 2.0
@@ -744,10 +804,10 @@ class TestPeakMemory:
             assert _peak_bytes(fuse_graphs, graphs, UnmixParams()) < 8 * slab, size
 
 
-def _stage_outputs(cube, params):
+def _stage_outputs(cube, params, m=None):
     """The graph stage's outputs as bytes: each view's CSR arrays and sigma,
     the fusion Gram matrix and normalizers, H and the W_m coefficients."""
-    graphs = build_multi_order_graphs(cube, params)
+    graphs = build_multi_order_graphs(cube, params, m=m)
     gram, scale = fusion._gram_and_normalizers(graphs, params.order_norm)
     state = fuse_graphs(graphs, params)
     out = [a.tobytes() for v in graphs.views for a in (v.W.data, v.W.indices, v.W.indptr)]
@@ -771,6 +831,21 @@ class TestWorkerCount:
             monkeypatch.setenv("MOGNMF_THREADS", threads)
             outputs.append(_stage_outputs(cube, params))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("case", [*ORACLE_CASES, "simu64"])
+    def test_subspace_graph_does_not_depend_on_threads(self, monkeypatch, case):
+        if case == "simu64":
+            cube = _random_cube(np.random.default_rng(23), 64, 64, bands=30)
+            params = UnmixParams()
+        else:
+            cube, kw = oracle_case(case)
+            params = UnmixParams(**kw)
+        m = min(3, cube.band_count)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MOGNMF_THREADS", threads)
+            outputs.append(_stage_outputs(cube, params, m))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_direct_products_match_matmul_past_4096_nodes(self, monkeypatch, threads):

@@ -5,7 +5,7 @@ import mognmf.unmix as unmix
 from mognmf.errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from mognmf.fusion import update_weights
 from mognmf.graph import build_multi_order_graphs
-from mognmf.hsi_core import HsiCube, UnmixParams
+from mognmf.hsi_core import HsiCube, UnmixParams, correlation_eigenvectors
 from mognmf.metrics import match_endmembers
 from mognmf.simgen import build_simu1_scene, build_simu2_layout, synthetic_library
 from mognmf.unmix import (
@@ -137,6 +137,31 @@ class TestInitVca:
 
         monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
         assert np.array_equal(init_vca(scene.cube, 4, seed=0), want)
+
+    def test_high_snr_branch_reads_the_shared_eigenvectors(self, monkeypatch):
+        # a 40 dB scene takes the projective branch, whose projection is the one
+        # decomposition the subspace graph also reads: init_vca's own expressions,
+        # so its picks keep their bits
+        scene = build_simu1_scene(synthetic_library(band_count=50, seed=1), M=4, height=16,
+                                  width=16, target_snr_db=40.0, seed=3)
+        X = scene.cube.data
+        calls = []
+
+        def recording(data):
+            calls.append(data)
+            return correlation_eigenvectors(data)
+
+        monkeypatch.setattr(unmix, "correlation_eigenvectors", recording)
+        picks = init_vca(scene.cube, 4, seed=0)
+        assert len(calls) == 1 and calls[0] is X
+
+        def as_written(data):
+            vals, vecs = np.linalg.eigh((data @ data.T) / data.shape[1])
+            return vecs[:, np.argsort(vals)[::-1]]
+
+        assert np.array_equal(correlation_eigenvectors(X), as_written(X))
+        monkeypatch.setattr(unmix, "correlation_eigenvectors", as_written)
+        assert np.array_equal(init_vca(scene.cube, 4, seed=0), picks)
 
 
 def _fcls_deviation(cube, A0):
@@ -615,7 +640,7 @@ class TestRunSolver:
         params = UnmixParams(neighbors=4, beta=0.01, t1=t1, eps1=1e-12)
         cube, A0, S0, model = self._oracle_solve(variant, params)
         orders = graph_orders(variant, params)
-        state = consensus_graph(cube, params, orders) if orders else None
+        state = consensus_graph(cube, params, orders, 3) if orders else None
         A, S, E, trace = _loop_oracle(
             cube.data, A0, S0, variant, params, estimate_gamma(cube),
             state.Wm if state else None, state.Wm.degree if state else None,
@@ -692,6 +717,23 @@ class TestRunSolver:
 
 
 class TestConsensusGraph:
+    def test_spectral_as_written_builds_the_raw_band_graph(self):
+        # a solve passes M: its spectral graph lies in the M-dimensional signal
+        # subspace, or over the raw bands, as a graph built without M, when asked
+        def views(graphs):
+            return [(v.indptr.tobytes(), v.indices.tobytes(), v.data.tobytes(), v.sigma)
+                    for v in graphs.views]
+
+        scene = _pure_pixel_scene(seed=9, M=3, L=24, height=8, width=8)
+        params = UnmixParams(neighbors=4, t1=2)
+        spatial, spectral = views(build_multi_order_graphs(scene.cube, params))
+        for as_written in (True, False):
+            p = params.replace(spectral_as_written=as_written)
+            graphs = run_solver(scene.cube, 3, SolverConfig(params=p)).fusion.graphs
+            assert graphs.views[1].dims == (None if as_written else 3)
+            assert views(graphs)[0] == spatial
+            assert (views(graphs)[1] == spectral) == as_written
+
     def test_order_norm_off_fuses_raw_powers(self):
         scene = _pure_pixel_scene(seed=9, M=3, L=24, height=8, width=8)
         params = UnmixParams(neighbors=4, order_norm=False)
