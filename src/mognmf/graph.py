@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParamError, ShapeError
-from .hsi_core import HsiCube, UnmixParams, correlation_eigenvectors
+from .hsi_core import HsiCube, UnmixParams
 from .workers import blas_pinned, run_units, units
 
 __all__ = [
@@ -477,8 +477,8 @@ def spectral_weights(
     spectral neighbor count C.  Given an endmember count ``m`` in [1, L]
     (else ``ParamError``), the distances are those between the pixels
     projected onto the top m eigenvectors U of X X^T / N
-    (``correlation_eigenvectors``, under ``workers.blas_pinned``): the
-    m x N points U^T X, so sigma="auto" is the median kept distance in
+    (``cube.signal_basis``): the m x N points U^T X, formed under
+    ``workers.blas_pinned``, so sigma="auto" is the median kept distance in
     that subspace, and the graph records ``dims`` = m.  Without ``m``, or
     with ``params.spectral_as_written``, they are those between the raw
     L-band spectra, and ``dims`` is None.  The k-NN, its tie rule and its
@@ -491,7 +491,7 @@ def spectral_weights(
     points = cube.data
     if dims is not None:
         with blas_pinned():
-            points = correlation_eigenvectors(points)[:, :dims].T @ points
+            points = cube.signal_basis[:, :dims].T @ points
     W = _heat_kernel(cube.pixel_count, *_spectral_edges(points, c), params.sigma_l, "spectral")
     W.dims = dims
     return W

@@ -22,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, IoError, ParamError, ParseError, ShapeError
+from .workers import blas_pinned
 
 __all__ = [
     "CUBE_FORMATS",
     "HsiCube",
     "UnmixModel",
     "UnmixParams",
-    "correlation_eigenvectors",
     "load_cube",
     "save_cube",
     "save_abundance_maps",
@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HsiCube:
-    """A hyperspectral image as an L x N matrix plus its pixel grid."""
+    """A hyperspectral image: an L x N matrix, its pixel grid and its kept second moments."""
 
     data: np.ndarray  # L x N, nonnegative finite reflectance
     height: int
@@ -48,15 +48,16 @@ class HsiCube:
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
+        # a view is copied: a write through the array it views would change the data
+        # under the kept gram and signal_basis
+        data = data if data.base is None else data.copy()
         if data.ndim != 2:
             raise ShapeError(f"cube data must be 2-D, got ndim={data.ndim}")
         if self.height <= 0 or self.width <= 0:
             raise ParamError("height and width must be positive")
         if self.height * self.width != data.shape[1]:
-            raise ShapeError(
-                f"height*width = {self.height * self.width} does not match "
-                f"pixel count N = {data.shape[1]}"
-            )
+            raise ShapeError(f"height*width = {self.height * self.width} does not match "
+                             f"pixel count N = {data.shape[1]}")
         if not np.all(np.isfinite(data)):
             l, j = np.argwhere(~np.isfinite(data))[0]
             raise DataError(f"non-finite value at band {l}, pixel {j}")
@@ -74,18 +75,22 @@ class HsiCube:
     def pixel_count(self) -> int:
         return self.data.shape[1]
 
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """X X^T, read-only; pinned, as its bits would change with BLAS's thread count."""
+        with blas_pinned():
+            gram = self.data @ self.data.T
+        gram.setflags(write=False)
+        return gram
 
-def correlation_eigenvectors(X: np.ndarray) -> np.ndarray:
-    """The eigenvectors of X X^T / N for an L x N ``X``, as columns by descending eigenvalue.
-
-    The one decomposition that ``unmix.init_vca``'s high-SNR projection and
-    the spectral graph's signal subspace (``graph.spectral_weights``) read:
-    ``(X @ X.T) / N``, ``np.linalg.eigh`` and the ``argsort(vals)[::-1]``
-    order.  Its product's bits depend on BLAS's thread count, so callers
-    run it under ``workers.blas_pinned``.
-    """
-    vals, vecs = np.linalg.eigh((X @ X.T) / X.shape[1])
-    return vecs[:, np.argsort(vals)[::-1]]
+    @functools.cached_property
+    def signal_basis(self) -> np.ndarray:
+        """The eigenvectors of X X^T / N as columns by descending eigenvalue, read-only."""
+        with blas_pinned():
+            vals, vecs = np.linalg.eigh(self.gram / self.pixel_count)
+        basis = vecs[:, np.argsort(vals)[::-1]]
+        basis.setflags(write=False)
+        return basis
 
 
 @dataclass(frozen=True)
@@ -493,11 +498,9 @@ def _load_raw(path: Path) -> HsiCube:
     raw = np.fromfile(path, dtype="<f4")
     n = height * width
     if raw.size != bands * n:
-        raise ParseError(
-            f"binary holds {raw.size} floats, header implies {bands * n}"
-        )
-    data = raw.astype(np.float64).reshape(bands, n)
-    return HsiCube(data=data, height=height, width=width)
+        raise ParseError(f"binary holds {raw.size} floats, header implies {bands * n}")
+    # cast after the reshape, so the cube gets an array of its own and copies none
+    return HsiCube(data=raw.reshape(bands, n).astype(np.float64), height=height, width=width)
 
 
 def _load_csv(path: Path) -> HsiCube:

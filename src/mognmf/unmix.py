@@ -48,7 +48,7 @@ import numpy as np
 from .errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from .graph import build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
-from .hsi_core import HsiCube, UnmixModel, UnmixParams, correlation_eigenvectors
+from .hsi_core import HsiCube, UnmixModel, UnmixParams
 from .rng import substream
 from .workers import blas_pinned, pool_size
 
@@ -154,6 +154,8 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
     at high SNR, affine lift at low SNR) and iteratively picks the pixel
     with the largest component orthogonal to the simplex spanned so far.
     Returns the selected columns of X; deterministic for a given seed.
+    Its covariance is the cube's gram / N - m m^T (m the band means) and
+    its projections U^T X - U^T m, so no L x N array is formed.
     """
     X = cube.data
     L, N = X.shape
@@ -161,26 +163,23 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
         raise ParamError("endmember count must be >= 1")
     if M > min(L, N):
         raise InitError(f"M={M} exceeds min(L, N)={min(L, N)}")
-    if not _proves_rank(X, M):
+    if not _proves_rank(cube, M):
         rank = int(np.linalg.matrix_rank(X))
         if M > rank:
             raise InitError(f"M={M} exceeds the data rank proxy {rank}")
 
     if M == 1:
-        u = np.linalg.svd(X, full_matrices=False)[0][:, 0]
-        j = int(np.argmax(np.abs(u @ X)))
+        j = int(np.argmax(np.abs(cube.signal_basis[:, 0] @ X)))
         return X[:, [j]].copy()
 
     rng = substream(seed, "vca")
-    mean = X.mean(axis=1, keepdims=True)
-    X0 = X - mean
-    cov = (X0 @ X0.T) / N
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    mean = X.mean(axis=1)
+    eigvals, eigvecs = np.linalg.eigh(cube.gram / N - np.outer(mean, mean))
     order = np.argsort(eigvals)[::-1]
-    eigvecs = eigvecs[:, order]
-    xp = eigvecs[:, :M].T @ X0
-    p_y = float(np.sum(X**2)) / N
-    p_x = float(np.sum(xp**2)) / N + float(np.vdot(mean, mean))
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    # the powers of X and of its projection onto the top M covariance eigenvectors
+    p_y = float(np.trace(cube.gram)) / N
+    p_x = float(np.sum(eigvals[:M])) + float(np.vdot(mean, mean))
     residual_power = p_y - p_x
     if residual_power <= 1e-12 * max(p_y, 1.0):
         snr_est = np.inf
@@ -190,14 +189,15 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
 
     if snr_est > snr_threshold:
         # high SNR: projective projection onto the plane x^T u = 1
-        xp2 = correlation_eigenvectors(X)[:, :M].T @ X
+        xp2 = cube.signal_basis[:, :M].T @ X
         u = xp2.mean(axis=1) * M
         denom = xp2.T @ u
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         y = xp2 / denom[None, :]
     else:
         # low SNR: drop to M-1 dims and lift with a constant row
-        xp1 = eigvecs[:, : M - 1].T @ X0
+        U = eigvecs[:, : M - 1]
+        xp1 = U.T @ X - (U.T @ mean)[:, None]
         c = float(np.max(np.sqrt(np.sum(xp1**2, axis=0))))
         y = np.vstack([xp1, np.full((1, N), c if c > 0 else 1.0)])
 
@@ -216,25 +216,24 @@ def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
     return X[:, indices].copy()
 
 
-def _proves_rank(X: np.ndarray, M: int) -> bool:
-    """True only if ``np.linalg.matrix_rank(X) >= M``, read from the smaller Gram matrix.
+def _proves_rank(cube: HsiCube, M: int) -> bool:
+    """True only if ``np.linalg.matrix_rank(X) >= M``, read from the cube's ``gram``.
 
-    matrix_rank counts the computed singular values above
-    sigma_max * max(L, N) * eps.  The eigenvalues of G = X X^T (or X^T X,
-    whichever is smaller) are the squared singular values up to
-    ``slack``: the product's rounding is at most max(L, N) eps ||X||_F^2
-    in 2-norm for any summation order, and eigvalsh adds a backward
-    error of a small multiple of min(L, N) eps ||G||_2 <= ||X||_F^2.
-    The M-th singular value must clear the rank tolerance, with each
-    computed singular value allowed the SVD's own error of about
-    (L + N) eps sigma_max and both bounds doubled.  False means "not
-    proved", and the caller asks matrix_rank, so the decision is
-    matrix_rank's in every case.
+    matrix_rank counts the computed singular values above sigma_max *
+    max(L, N) * eps.  The eigenvalues of G = X X^T are the squared
+    singular values (and L - N zeros when L > N) up to ``slack``: the
+    product's rounding is at most N eps ||X||_F^2 in 2-norm for any
+    summation order, and eigvalsh adds a backward error of a small
+    multiple of L eps ||G||_2 <= ||X||_F^2.  The M-th singular value must
+    clear the rank tolerance, with each computed singular value allowed
+    the SVD's own error of about (L + N) eps sigma_max and both bounds
+    doubled.  False means "not proved", and the caller asks matrix_rank,
+    so the decision is matrix_rank's in every case.
     """
-    L, N = X.shape
+    L, N = cube.data.shape
     eps = np.finfo(np.float64).eps
     err = 4.0 * (L + N) * eps  # relative, both for G's eigenvalues and for the SVD
-    G = X @ X.T if L <= N else X.T @ X
+    G = cube.gram
     eig = np.linalg.eigvalsh(G)
     slack = err * float(np.trace(G))
     top = np.sqrt(eig[-1] + slack) * (err + (1.0 + err) * max(L, N) * eps)

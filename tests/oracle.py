@@ -8,7 +8,11 @@ against them on small scenes.  ``fcls_per_pixel`` is the FCLS init as
 one ``scipy.optimize.nnls`` call per pixel, the reference for the
 batched active-set solve in ``init_fcls``; ``best_unchosen_loop`` is
 ``init_vca``'s vertex pick as a walk down the sorted scores, the
-reference for its masked argmax.
+reference for its masked argmax.  ``vca_as_written`` is ``init_vca``
+with its second moments formed from the data, as VCA is written: the
+centered L x N data, its covariance, the power sum(X^2), an SVD for
+M = 1 and ``correlation_eigenvectors``; the cube's ``gram`` and
+``signal_basis`` are checked against it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from scipy.optimize import nnls
 from mognmf.errors import ParamError, ShapeError
 from mognmf.graph import graph_powers
 from mognmf.hsi_core import HsiCube
+from mognmf.rng import substream
 
 ORACLE_CASES = ("grid5x6", "grid17x9", "duplicated", "random24", "seams33x33")
 
@@ -118,3 +123,61 @@ def best_unchosen_loop(scores, chosen) -> int:
         if int(j) not in chosen:
             return int(j)
     raise ShapeError("every index is chosen")
+
+
+def correlation_eigenvectors(X: np.ndarray) -> np.ndarray:
+    """The eigenvectors of X X^T / N for an L x N ``X``, as columns by descending eigenvalue."""
+    vals, vecs = np.linalg.eigh((X @ X.T) / X.shape[1])
+    return vecs[:, np.argsort(vals)[::-1]]
+
+
+def vca_as_written(cube, M: int, seed: int = 0) -> tuple[np.ndarray, str]:
+    """The pixel indices ``init_vca`` picks, and its branch ("high", "low" or "one").
+
+    Each second moment is formed from X: the M = 1 direction by an SVD of
+    X, the covariance from the centered data X0 = X - mean, the data power
+    as sum(X^2) and the high-SNR projection from ``correlation_eigenvectors``.
+    """
+    X = cube.data
+    L, N = X.shape
+    if M == 1:
+        u = np.linalg.svd(X, full_matrices=False)[0][:, 0]
+        return np.array([int(np.argmax(np.abs(u @ X)))]), "one"
+    rng = substream(seed, "vca")
+    mean = X.mean(axis=1, keepdims=True)
+    X0 = X - mean
+    eigvals, eigvecs = np.linalg.eigh((X0 @ X0.T) / N)
+    eigvecs = eigvecs[:, np.argsort(eigvals)[::-1]]
+    xp = eigvecs[:, :M].T @ X0
+    p_y = float(np.sum(X**2)) / N
+    p_x = float(np.sum(xp**2)) / N + float(np.vdot(mean, mean))
+    residual_power = p_y - p_x
+    if residual_power <= 1e-12 * max(p_y, 1.0):
+        snr_est = np.inf
+    else:
+        snr_est = 10.0 * np.log10(max(p_x - (M / L) * p_y, 1e-300) / residual_power)
+    if snr_est > 15.0 + 10.0 * np.log10(M):
+        branch = "high"
+        xp2 = correlation_eigenvectors(X)[:, :M].T @ X
+        u = xp2.mean(axis=1) * M
+        denom = xp2.T @ u
+        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        y = xp2 / denom[None, :]
+    else:
+        branch = "low"
+        xp1 = eigvecs[:, : M - 1].T @ X0
+        c = float(np.max(np.sqrt(np.sum(xp1**2, axis=0))))
+        y = np.vstack([xp1, np.full((1, N), c if c > 0 else 1.0)])
+    dim = y.shape[0]
+    simplex = np.zeros((dim, M))
+    simplex[-1, 0] = 1.0
+    indices = np.empty(M, dtype=np.int64)
+    for i in range(M):
+        w = rng.random(dim)
+        f = w - simplex @ (np.linalg.pinv(simplex) @ w)
+        norm_f = np.linalg.norm(f)
+        if norm_f > 0:
+            f /= norm_f
+        indices[i] = best_unchosen_loop(np.abs(f @ y), indices[:i])
+        simplex[:, i] = y[:, indices[i]]
+    return indices, branch

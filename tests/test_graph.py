@@ -17,12 +17,13 @@ from mognmf.graph import (
     spatial_weights,
     spectral_weights,
 )
-from mognmf.hsi_core import HsiCube, UnmixParams, correlation_eigenvectors
+from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.unmix import consensus_graph, update_abundances
 from oracle import (
     ORACLE_CASES,
     compute_residuals,
     consensus_tocsr,
+    correlation_eigenvectors,
     oracle_case,
     stack_powers,
     update_consensus,
@@ -419,7 +420,7 @@ class TestHeatKernelGraphs:
 
 def _subspace(cube, m):
     """The pixels in the cube's m-dimensional signal subspace: U^T X, with U the
-    top m eigenvectors of X X^T / N, formed as ``spectral_weights`` forms them."""
+    top m eigenvectors of X X^T / N, formed from X as written."""
     with workers.blas_pinned():
         return correlation_eigenvectors(cube.data)[:, :m].T @ cube.data
 

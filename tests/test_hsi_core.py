@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mognmf import hsi_core, workers
 from mognmf.errors import DataError, IoError, ParamError, ParseError, ShapeError
 from mognmf.hsi_core import (
     HsiCube,
@@ -17,6 +18,7 @@ from mognmf.hsi_core import (
     save_cube,
     write_matrix,
 )
+from oracle import correlation_eigenvectors
 
 
 class TestHsiCube:
@@ -81,6 +83,60 @@ class TestHsiCube:
     def test_grid_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             HsiCube(data=np.ones((2, 5)), height=2, width=2)
+
+    @pytest.mark.parametrize("view", ["columns", "reshaped"])
+    def test_a_write_through_the_base_leaves_the_cube_alone(self, view):
+        # a view is copied, so neither the data nor its cached gram goes stale;
+        # np.load returns a reshaped view of a flat array
+        base = np.random.default_rng(4).random((3, 24) if view == "columns" else 36)
+        cube = HsiCube(data=base[:, :12] if view == "columns" else base.reshape(3, 12),
+                       height=3, width=4)
+        data, gram = cube.data.copy(), cube.gram.copy()
+        base[:] = 7.0
+        assert np.array_equal(cube.data, data)
+        assert np.array_equal(cube.gram, gram)
+
+    def test_owned_arrays_are_kept_and_loaders_pass_owned_arrays(self, tmp_path, monkeypatch):
+        data = np.random.default_rng(5).random((4, 6))
+        assert HsiCube(data=data, height=2, width=3).data is data
+        assert not data.flags.writeable
+        cube = HsiCube(data=data.astype(np.float32).astype(np.float64), height=2, width=3)
+        save_cube(cube, tmp_path / "cube.raw")
+        save_cube(cube, tmp_path / "cube.csv", format="csv")
+        passed = []
+
+        def recording(data, height, width):
+            passed.append(data.base is None)
+            return HsiCube(data, height, width)
+
+        monkeypatch.setattr(hsi_core, "HsiCube", recording)
+        load_cube(tmp_path / "cube.raw")
+        load_cube(tmp_path / "cube.csv", format="csv")
+        assert passed == [True, True]
+
+    def test_gram_and_basis_keep_their_bits_under_two_blas_threads(self):
+        # at L = 100, N = 4096 OpenBLAS's X X^T changes bits with its thread
+        # count on a 2-core Linux box; the cube pins it itself
+        setters = workers._openblas()
+        if not setters:
+            pytest.skip("no OpenBLAS thread-count setter found")
+        data = np.random.default_rng(6).random((100, 4096))
+        with workers.blas_pinned():
+            gram = data @ data.T
+            basis = correlation_eigenvectors(data)
+        saved = [get() for get, _ in setters]
+        try:
+            for _, put in setters:
+                put(2)
+            cube = HsiCube(data=data, height=64, width=64)
+            got = cube.gram, cube.signal_basis
+            assert [get() for get, _ in setters] == [2] * len(setters)
+        finally:
+            for (_, put), count in zip(setters, saved):
+                put(count)
+        assert np.array_equal(got[0], gram)
+        assert np.array_equal(got[1], basis)
+        assert not got[0].flags.writeable and not got[1].flags.writeable
 
 
 class TestMatrixCodec:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import mognmf.unmix as unmix
+from mognmf import workers
 from mognmf.errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from mognmf.fusion import update_weights
 from mognmf.graph import build_multi_order_graphs
-from mognmf.hsi_core import HsiCube, UnmixParams, correlation_eigenvectors
+from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.metrics import match_endmembers
 from mognmf.simgen import build_simu1_scene, build_simu2_layout, synthetic_library
 from mognmf.unmix import (
@@ -29,6 +30,7 @@ from oracle import (
     fcls_per_pixel,
     oracle_case,
     update_consensus,
+    vca_as_written,
 )
 
 
@@ -68,6 +70,28 @@ def _pure_pixel_scene(seed=0, M=3, L=24, height=6, width=8):
     return build_simu2_layout(
         lib, M=M, height=height, width=width, target_snr_db=None, seed=seed
     )
+
+
+def _simu1_scene(size, M, smoothness, snr, seed):
+    """A scene of the benchmark workloads' kind (100 bands, library seed 1) at ``snr`` dB."""
+    lib = synthetic_library(band_count=100, entries=8, seed=1)
+    return build_simu1_scene(lib, M=M, height=size, width=size, smoothness=smoothness,
+                             target_snr_db=snr, seed=seed)
+
+
+def _vca_branch(cube, M, seed):
+    """The branch ``vca_as_written`` takes, after checking that ``init_vca`` picks its pixels.
+
+    Both run with OpenBLAS at one thread, as in a solve.
+    """
+    with workers.blas_pinned():
+        want, branch = vca_as_written(cube, M, seed)
+        assert np.array_equal(init_vca(cube, M, seed), cube.data[:, want]), (M, seed, branch)
+    return branch
+
+
+# the unmix64 and converge32 workloads' scene sizes: (size, M, smoothness, scenes)
+_WORKLOAD_SCENES = [(64, 6, 6.0, 3), (32, 4, 4.0, 12)]
 
 
 class TestInitVca:
@@ -121,8 +145,9 @@ class TestInitVca:
             X += 10.0 ** rng.uniform(-18, 0) * rng.random((L, N))
             X *= 10.0 ** rng.uniform(-100, 100)
             rank = np.linalg.matrix_rank(X)
+            cube = _cube(X)
             for M in range(1, min(L, N) + 1):
-                if unmix._proves_rank(X, M):
+                if unmix._proves_rank(cube, M):
                     proved += 1
                     assert rank >= M, (L, N, r, M)
         assert proved > 1000  # and it decides most of them
@@ -138,30 +163,37 @@ class TestInitVca:
         monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
         assert np.array_equal(init_vca(scene.cube, 4, seed=0), want)
 
-    def test_high_snr_branch_reads_the_shared_eigenvectors(self, monkeypatch):
-        # a 40 dB scene takes the projective branch, whose projection is the one
-        # decomposition the subspace graph also reads: init_vca's own expressions,
-        # so its picks keep their bits
-        scene = build_simu1_scene(synthetic_library(band_count=50, seed=1), M=4, height=16,
-                                  width=16, target_snr_db=40.0, seed=3)
-        X = scene.cube.data
-        calls = []
+    @pytest.mark.parametrize("snr, branch",
+                             [(20.0, "low"), (30.0, "high"), (40.0, "high"), (60.0, "high")])
+    @pytest.mark.parametrize("size, M, smoothness, scenes", _WORKLOAD_SCENES)
+    def test_picks_match_vca_as_written(self, size, M, smoothness, scenes, snr, branch):
+        # 20 dB takes the low-SNR branch, whose covariance is gram / N - m m^T
+        # and whose projection is U^T X - U^T m; 30 dB and up the projective one
+        for seed in range(scenes):
+            cube = _simu1_scene(size, M, smoothness, snr, seed).cube
+            assert _vca_branch(cube, M, seed) == branch
 
-        def recording(data):
-            calls.append(data)
-            return correlation_eigenvectors(data)
+    @pytest.mark.parametrize("shift, scale", [(1.0, 1.0), (10.0, 1.0), (100.0, 1.0), (0.0, 1e4)])
+    @pytest.mark.parametrize("size, M, smoothness, scenes", _WORKLOAD_SCENES)
+    def test_shifted_and_scaled_cubes_pick_as_written(self, size, M, smoothness, scenes,
+                                                     shift, scale):
+        # a shift makes gram / N and m m^T large beside the covariance, their
+        # difference, which decides the branch through the SNR estimate
+        for snr in (20.0, 30.0, 40.0, 60.0):
+            data = _simu1_scene(size, M, smoothness, snr, 0).cube.data
+            _vca_branch(HsiCube(data * scale + shift, size, size), M, 0)
 
-        monkeypatch.setattr(unmix, "correlation_eigenvectors", recording)
-        picks = init_vca(scene.cube, 4, seed=0)
-        assert len(calls) == 1 and calls[0] is X
-
-        def as_written(data):
-            vals, vecs = np.linalg.eigh((data @ data.T) / data.shape[1])
-            return vecs[:, np.argsort(vals)[::-1]]
-
-        assert np.array_equal(correlation_eigenvectors(X), as_written(X))
-        monkeypatch.setattr(unmix, "correlation_eigenvectors", as_written)
-        assert np.array_equal(init_vca(scene.cube, 4, seed=0), picks)
+    def test_single_endmember_and_pure_pixel_scenes_pick_as_written(self):
+        # M = 1 reads signal_basis[:, 0] where VCA as written takes an SVD of X
+        for size, M, smoothness, _ in _WORKLOAD_SCENES:
+            for snr in (20.0, 30.0, 40.0, 60.0):
+                cube = _simu1_scene(size, M, smoothness, snr, 0).cube
+                assert _vca_branch(cube, 1, 0) == "one"
+        for seed, M, L, height, width in [(0, 3, 24, 6, 8), (1, 4, 30, 12, 12), (2, 3, 24, 6, 8),
+                                          (3, 5, 40, 10, 10)]:
+            cube = _pure_pixel_scene(seed=seed, M=M, L=L, height=height, width=width).cube
+            for m, vca_seed in [(M, 3), (M, 11), (1, 0)]:
+                _vca_branch(cube, m, vca_seed)
 
 
 def _fcls_deviation(cube, A0):
@@ -752,3 +784,42 @@ class TestConsensusGraph:
         # the flag matters here: the max-normalized powers give another W_m
         normalized = consensus_graph(scene.cube, params.replace(order_norm=True))
         assert not np.array_equal(consensus_tocsr(normalized.Wm).toarray(), Wm)
+
+
+def _count_self_products(cube) -> list:
+    """Give ``cube`` data that records each matrix product of the data with itself.
+
+    The returned list gets one entry per such product (X X^T or X^T X).
+    """
+    products = []
+    data = cube.data
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            if ufunc is np.matmul and all(np.may_share_memory(x, data) for x in plain):
+                products.append(plain[0].shape)
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    object.__setattr__(cube, "data", data.view(Counting))
+    return products
+
+
+class TestSecondMoments:
+    def test_a_solve_forms_one_gram_and_a_second_solve_none(self):
+        # at 40 dB VCA takes the projective branch: the rank proof, the
+        # covariance, the projection and the subspace graph all read the one X X^T
+        cube = _simu1_scene(32, 4, 4.0, 40.0, 0).cube
+        products = _count_self_products(cube)
+        config = SolverConfig(params=UnmixParams(t1=3))
+        first = run_solver(cube, 4, config)
+        assert products == [(100, 1024)]
+        assert {"gram", "signal_basis"} <= set(vars(cube))
+        assert first.fusion.graphs.views[1].dims == 4
+        products.clear()
+        second = run_solver(cube, 4, config)
+        assert products == []
+        for a, b in zip((first.endmembers, first.abundances, first.noise),
+                        (second.endmembers, second.abundances, second.noise)):
+            assert np.array_equal(a, b)
+
