@@ -15,7 +15,7 @@ every argument of its cmd_* function but out_dir, so
   for simu2), library_path, bands;
 * unmix: cube_path, m, variant, init, config, cube_format, dump_wm;
 * evaluate: result_dir, truth_dir;
-* fuse: cube_path, config, cube_format, dump_wm, m;
+* fuse: cube_path, m, config, cube_format, dump_wm;
 * ablate: cube_path, truth_dir, seeds, m, config, init;
 * sweep: preset, m, snrs, seeds, variants, config, init, lambdas and
   betas (as its runs used them), height, width, smoothness,
@@ -364,20 +364,16 @@ def cmd_evaluate(result_dir, truth_dir, out_dir) -> tuple[dict, dict]:
 
 def cmd_fuse(
     cube_path,
+    m: int,
     out_dir,
     params: UnmixParams = UnmixParams(),
     cube_format: str = "raw-f32",
     dump_wm: bool = False,
-    m: int | None = None,
 ) -> dict:
-    """Build multi-order graphs for a cube, fuse them, and emit H (+ W_m).
-
-    Given the endmember count ``m``, the spectral graph is the one an
-    ``unmix`` with that M builds; without it, the raw-band graph.
-    """
+    """Build and fuse the graphs an ``unmix`` with ``m`` and ``params`` builds; emit H (+ W_m)."""
     out = _Outputs("fuse", locals())
     cube = load_cube(cube_path, format=cube_format)
-    state = consensus_graph(cube, params, m=m)
+    state = consensus_graph(cube, m, params)
     out.matrix("fusion_objective.csv", state.objective_trace.reshape(-1, 1))
     fusion = out.consensus(state, dump_wm)
     return out.manifest(
@@ -729,9 +725,7 @@ def evaluate(**kw):
 @main.command()
 @click.option("--cube", "cube_path", type=click.Path(), required=True)
 @_FORMAT
-@click.option("--m", type=int, default=None,
-              help="number of endmembers: the spectral graph is unmix's with this M "
-                   "(default: over the raw bands)")
+@click.option("--m", type=int, required=True, help="number of endmembers, as for unmix")
 @_DUMP_WM
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_param_options

@@ -4,21 +4,21 @@ Both views share one recipe: Euclidean distances, each pixel's C
 nearest neighbors with ties going to the lower index, edges weighted by
 exp(-d^2 / (2 sigma^2)), and symmetrization by elementwise max; each
 view finds its own edges and one tail weights them.  The spectral view
-scans all N columns (its neighbors can be anywhere).  Given the
-endmember count M, as every solve gives it, the spectral view measures
-its distances between the pixels projected onto the cube's
-M-dimensional signal subspace, the top M eigenvectors U of X X^T / N:
-the M x N points U^T X.  At low SNR the raw-band distances are mostly
-noise, and their graph has hubs, which fill the powers the fusion pays
-for: on three 64x64 20 dB scenes (M = 6, C = 10) the most neighbors a
-pixel had was 139-222 over the raw bands and 28-30 in the subspace.
-Without M, or under ``UnmixParams.spectral_as_written``, it measures
-them over all L raw bands, as the paper writes the graph.  The spatial
-view needs no search: each pixel keeps its first C on-grid offsets of one
-window sorted by (distance, neighbor index), whose radius is a grid
-corner's C-th nearest distance (no pixel has fewer pixels within a
-radius than a corner).  It costs O(C N), and its distances are
-bit-equal to those of a scan of all columns over grid coordinates.
+scans all N columns (its neighbors can be anywhere).  Every build takes
+the endmember count M, and the spectral view measures its distances
+between the pixels projected onto the cube's M-dimensional signal
+subspace, the top M eigenvectors U of X X^T / N: the M x N points U^T X.
+At low SNR the raw-band distances are mostly noise, and their graph has
+hubs, which fill the powers the fusion pays for: on three 64x64 20 dB
+scenes (M = 6, C = 10) the most neighbors a pixel had was 139-222 over
+the raw bands and 28-30 in the subspace.  Under
+``UnmixParams.spectral_as_written`` it measures them over all L raw
+bands, as the paper writes the graph.  The spatial view needs no
+search: each pixel keeps its first C on-grid offsets of one window
+sorted by (distance, neighbor index), whose radius is a grid corner's
+C-th nearest distance (no pixel has fewer pixels within a radius than a
+corner).  It costs O(C N), and its distances are bit-equal to those of
+a scan of all columns over grid coordinates.
 
 Order-k graphs are plain matrix powers of the order-1 graph; under
 ``UnmixParams.order_norm`` powers of order >= 2 are divided by their
@@ -203,10 +203,15 @@ class MultiOrderGraphSet:
         return list(self.views)
 
 
+def _is_integer(k) -> bool:
+    """Whether ``k`` is a Python or numpy integer; a bool is none."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 def _check_orders(orders) -> tuple:
     """``orders`` as a tuple: one or more distinct integers >= 1, no bool; else ``ParamError``."""
     orders = tuple(orders)
-    whole = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in orders)
+    whole = all(map(_is_integer, orders))
     if not orders or not whole or min(orders) < 1 or len(set(orders)) != len(orders):
         raise ParamError(f"orders must be distinct integers >= 1, got {list(orders)}")
     return orders
@@ -468,26 +473,23 @@ def spatial_weights(cube: HsiCube, params: UnmixParams = UnmixParams()) -> Weigh
     return _heat_kernel(cube.pixel_count, *edges, params.sigma_s, "spatial")
 
 
-def spectral_weights(
-    cube: HsiCube, params: UnmixParams = UnmixParams(), m: int | None = None
-) -> WeightMatrix:
+def spectral_weights(cube: HsiCube, m: int, params: UnmixParams = UnmixParams()) -> WeightMatrix:
     """Heat-kernel affinity over Euclidean distance between pixel spectra.
 
     Reads ``params.sigma_l``, ``params.spectral_as_written`` and the
-    spectral neighbor count C.  Given an endmember count ``m`` in [1, L]
-    (else ``ParamError``), the distances are those between the pixels
-    projected onto the top m eigenvectors U of X X^T / N
-    (``cube.signal_basis``): the m x N points U^T X, formed under
-    ``workers.blas_pinned``, so sigma="auto" is the median kept distance in
-    that subspace, and the graph records ``dims`` = m.  Without ``m``, or
-    with ``params.spectral_as_written``, they are those between the raw
-    L-band spectra, and ``dims`` is None.  The k-NN, its tie rule and its
-    units are the same either way.
+    spectral neighbor count C.  ``m``, the endmember count, is an integer
+    in [1, L] (else ``ParamError``; no bool).  The distances are those
+    between the m x N points U^T X, U the top m eigenvectors of X X^T / N
+    (``cube.signal_basis``), formed under ``workers.blas_pinned``, and the
+    graph records ``dims`` = m; under ``spectral_as_written`` they are
+    those between the raw L-band spectra, and ``dims`` is None.  Either
+    way sigma="auto" is the median kept distance, and the k-NN, its tie
+    rule and its units are the same.
     """
     c = neighbor_count(params, "spectral", cube.pixel_count)
-    if m is not None and not 1 <= m <= cube.band_count:
-        raise ParamError(f"endmember count m={m} must lie in [1, L={cube.band_count}]")
-    dims = None if m is None or params.spectral_as_written else int(m)
+    if not _is_integer(m) or not 1 <= m <= cube.band_count:
+        raise ParamError(f"endmember count m={m!r} must be an integer in [1, L={cube.band_count}]")
+    dims = None if params.spectral_as_written else int(m)
     points = cube.data
     if dims is not None:
         with blas_pinned():
@@ -535,17 +537,16 @@ def laplacian_quadratic(S: np.ndarray, Wm: ConsensusOperator) -> float:
 
 def build_multi_order_graphs(
     cube: HsiCube,
+    m: int,
     params: UnmixParams = UnmixParams(),
     orders: list[int] | None = None,
-    m: int | None = None,
 ) -> MultiOrderGraphSet:
     """The spatial and spectral order-1 graphs ``params`` describe, fused at ``orders``.
 
-    ``orders`` defaults to 1..``params.order``; single-order ablation
-    variants pass a subset, checked (``_check_orders``) before any graph is built.
-    ``m``, the endmember count, puts the spectral view in the cube's
-    m-dimensional signal subspace (``spectral_weights``).
+    ``m`` is the endmember count (``spectral_weights``).  ``orders``
+    defaults to 1..``params.order``; single-order ablation variants pass
+    a subset, checked (``_check_orders``) before any graph is built.
     """
     orders = _check_orders(range(1, params.order + 1) if orders is None else orders)
-    views = (spatial_weights(cube, params), spectral_weights(cube, params, m))
+    views = (spatial_weights(cube, params), spectral_weights(cube, m, params))
     return MultiOrderGraphSet(views=views, orders=orders)

@@ -40,7 +40,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HsiCube:
-    """A hyperspectral image: an L x N matrix, its pixel grid and its kept second moments."""
+    """A hyperspectral image: an L x N matrix, its pixel grid and its kept second moments.
+
+    ``data`` is read-only and a view is copied, but an owned array is kept:
+    a view of it taken before the cube was built still writes through to
+    ``data`` under the kept ``gram`` and ``signal_basis``.
+    """
 
     data: np.ndarray  # L x N, nonnegative finite reflectance
     height: int
@@ -156,7 +161,7 @@ class UnmixParams:
     ``gamma=None`` means "estimate from the data".  ``sigma_s``/``sigma_l``
     accept a positive float or "auto" (median retained neighbor distance).
     ``neighbors_spatial``/``neighbors_spectral`` override ``neighbors``
-    per view when set.  With an endmember count M the spectral graph is
+    per view when set.  For an endmember count M the spectral graph is
     built on the pixels projected onto the top M eigenvectors of X X^T / N
     (``graph.spectral_weights``); ``spectral_as_written=True`` builds it
     over the L raw bands, as the paper writes it.  Every float is finite.

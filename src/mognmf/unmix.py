@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, DivergenceError, InitError, ParamError, ShapeError
-from .graph import build_multi_order_graphs
+from .graph import _is_integer, build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
 from .hsi_core import HsiCube, UnmixModel, UnmixParams
 from .rng import substream
@@ -401,19 +401,17 @@ def graph_orders(variant: str, params: UnmixParams) -> tuple[int, ...]:
 
 
 def consensus_graph(
-    cube: HsiCube, params: UnmixParams, orders: tuple[int, ...] | None = None,
-    m: int | None = None,
+    cube: HsiCube, m: int, params: UnmixParams, orders: tuple[int, ...] | None = None
 ) -> FusionState:
     """Build the multi-order graphs ``params`` describe and fuse them.
 
+    ``m`` is the endmember count (``graph.spectral_weights``), and
     ``orders`` keeps only those orders (single-order variants) in place
-    of 1..``params.order``.  ``m``, the endmember count, builds the
-    spectral graph in the cube's m-dimensional signal subspace
-    (``graph.spectral_weights``).  The state records the stage's thread
-    count and wall time.
+    of 1..``params.order``.  The state records the stage's thread count
+    and wall time.
     """
     t0 = time.perf_counter()
-    state = fuse_graphs(build_multi_order_graphs(cube, params, orders, m), params)
+    state = fuse_graphs(build_multi_order_graphs(cube, m, params, orders), params)
     graph_ms = round(1000 * (time.perf_counter() - t0), 3)
     return replace(state, graph_workers=pool_size(), graph_ms=graph_ms)
 
@@ -462,12 +460,15 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     so they are skipped, as is delta^2 for variants without sum-to-one.
     E is formed once, on exit.  Stops when the trace change drops below
     eps1 (relative to 1 + previous value, or absolute with the
-    corresponding flag) or after t1 iterations.
+    corresponding flag) or after t1 iterations.  M is an integer, no
+    bool (else ``ParamError``), in [1, min(L, N)] (else ``InitError``).
     """
     traits = _VARIANT_TRAITS[config.variant]
     p = config.params
     X = cube.data
     L, N = X.shape
+    if not _is_integer(M):
+        raise ParamError(f"M must be an integer, got {M!r}")
     if not 1 <= M <= min(L, N):
         raise InitError(f"M={M} must lie in [1, min(L, N)={min(L, N)}]")
 
@@ -481,7 +482,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
 
     orders = graph_orders(config.variant, p)
     # only W_m and D_m are kept: an operator over the order-1 graphs
-    fusion_state = consensus_graph(cube, p, orders, M) if orders else None
+    fusion_state = consensus_graph(cube, M, p, orders) if orders else None
     Wm = fusion_state.Wm if orders else None
     lam = p.lam if orders else 0.0
 

@@ -12,7 +12,10 @@ reference for its masked argmax.  ``vca_as_written`` is ``init_vca``
 with its second moments formed from the data, as VCA is written: the
 centered L x N data, its covariance, the power sum(X^2), an SVD for
 M = 1 and ``correlation_eigenvectors``; the cube's ``gram`` and
-``signal_basis`` are checked against it.
+``signal_basis`` are checked against it.  ``raw_band`` gives the
+arguments that build the paper's raw-band spectral graph, the one the
+dense graph references form; ``dense_knn_heat_kernel`` is that
+reference, one k-NN graph formed whole.
 """
 
 from __future__ import annotations
@@ -23,10 +26,20 @@ from scipy.optimize import nnls
 
 from mognmf.errors import ParamError, ShapeError
 from mognmf.graph import graph_powers
-from mognmf.hsi_core import HsiCube
+from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.rng import substream
+from mognmf.workers import units
 
 ORACLE_CASES = ("grid5x6", "grid17x9", "duplicated", "random24", "seams33x33")
+
+
+def raw_band(params: UnmixParams = UnmixParams()) -> tuple[int, UnmixParams]:
+    """(M, params) for a graph build whose spectral graph is over the L raw bands.
+
+    Under ``spectral_as_written`` every valid endmember count builds that
+    graph bit for bit; M = 1 is valid on every cube.
+    """
+    return 1, params.replace(spectral_as_written=True)
 
 
 def oracle_case(name):
@@ -49,6 +62,30 @@ def oracle_case(name):
         data[:, [128, 1020]] = data[:, [127, 1019]]
         return HsiCube(data=data, height=33, width=33), {"neighbors": 6}
     return HsiCube(data=rng.random((100, 576)), height=24, width=24), {"neighbors": 10}
+
+
+def dense_knn_heat_kernel(points, sigma, neighbors):
+    """Dense N x N reference for the blockwise CSR builder: whole-matrix
+    distances, a stable argsort per row, then W = max(W, W.T).  Returns
+    (W, sigma_used).
+
+    The Gram rows come from the package's 64-row BLAS products: one
+    whole-matrix product (SYRK) can round some entries differently (it
+    does at N = 1089), and the graph build's contract is the product over
+    its work units.  Everything after it is formed whole."""
+    n = points.shape[1]
+    sq = np.sum(points**2, axis=0)
+    gram = np.vstack([points[:, lo:hi].T @ points for lo, hi in units(n)])
+    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
+    np.fill_diagonal(d, np.inf)
+    rows = np.repeat(np.arange(n), neighbors)
+    cols = np.argsort(d, axis=1, kind="stable")[:, :neighbors].ravel()
+    retained = d[rows, cols]
+    if sigma == "auto":
+        sigma = float(np.median(retained)) or 1.0
+    W = np.zeros((n, n))
+    W[rows, cols] = np.exp(-(retained**2) / (2.0 * sigma**2))
+    return np.maximum(W, W.T), sigma
 
 
 def stack_powers(graphs, normalize: bool = True) -> list[sp.csr_array]:

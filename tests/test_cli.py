@@ -42,7 +42,7 @@ from mognmf.hsi_core import (
     write_matrix,
 )
 from mognmf.unmix import SolverConfig, run_solver
-from oracle import consensus_tocsr, stack_powers
+from oracle import consensus_tocsr, dense_knn_heat_kernel, stack_powers
 
 
 @pytest.fixture()
@@ -309,7 +309,7 @@ class TestUnmix:
         manifest = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", params=params)
         assert manifest["sigma_s_used"] == 1.3
         # sigma_l "auto" resolves to the median retained distance in the M = 3 subspace
-        assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4), 3).sigma
+        assert manifest["sigma_l_used"] == spectral_weights(cube, 3, UnmixParams(neighbors=4)).sigma
         graph_free = cmd_unmix(scene / "cube.raw", 3, tmp_path / "snmf", variant="snmf",
                                params=params)
         assert graph_free["sigma_s_used"] is None and graph_free["sigma_l_used"] is None
@@ -381,10 +381,10 @@ class TestUnmix:
         # kernel's weight exp(-d^2 / (2 sigma^2)) underflows to 0 at sigma 0.02
         scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
         out = tmp_path / "run"
-        args = [command, "--cube", str(scene / "cube.raw"), "--c", "4", "--sigma-s", "0.02",
-                "--dump-wm", "--out", str(out)]
+        args = [command, "--cube", str(scene / "cube.raw"), "--m", "3", "--c", "4",
+                "--sigma-s", "0.02", "--dump-wm", "--out", str(out)]
         if command == "unmix":
-            args += ["--m", "3", "--t1", "5"]
+            args += ["--t1", "5"]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         errors = [ln for ln in result.output.splitlines() if ln.startswith("error:")]
@@ -698,7 +698,7 @@ class TestFuse:
         # the dumped graphs are the ones fusion saw, written losslessly,
         # one line per stored entry
         cube = load_cube(scene / "cube.raw")
-        graphs = build_multi_order_graphs(cube, UnmixParams(neighbors=4), m=3)
+        graphs = build_multi_order_graphs(cube, 3, UnmixParams(neighbors=4))
         for view, g in zip(views, graphs.views, strict=True):
             lines = (out / f"W_{g.kind}.csv").read_text().splitlines()
             assert len(lines) == g.W.nnz
@@ -725,13 +725,13 @@ class TestFuse:
             assert (run / name).read_bytes() == (out / name).read_bytes(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sigma_s_used"] == spatial_weights(cube, UnmixParams(neighbors=4)).sigma
-        assert manifest["sigma_l_used"] == spectral_weights(cube, UnmixParams(neighbors=4), 3).sigma
+        assert manifest["sigma_l_used"] == spectral_weights(cube, 3, UnmixParams(neighbors=4)).sigma
 
     def test_manifest_fusion_fields_match_unmix(self, tmp_path):
         # fuse and unmix write H, the dump and the fusion's manifest fields alike
         scene = _tiny_scene_dir(tmp_path, height=6, width=6)
         params = UnmixParams(neighbors=4, t1=1)
-        fused = cmd_fuse(scene / "cube.raw", tmp_path / "fusion", params=params, m=3)
+        fused = cmd_fuse(scene / "cube.raw", 3, tmp_path / "fusion", params=params)
         unmixed = cmd_unmix(scene / "cube.raw", 3, tmp_path / "run", params=params)
         names = ("sigma_s_used", "sigma_l_used", "max_degree_s", "max_degree_l",
                  "spectral_dims", "wm_stats", "graph_workers")
@@ -743,10 +743,40 @@ class TestFuse:
     def test_bad_input_writes_nothing(self, runner, tmp_path):
         out = tmp_path / "fusion"
         result = runner.invoke(
-            main, ["fuse", "--cube", str(tmp_path / "nope.raw"), "--out", str(out)]
+            main, ["fuse", "--cube", str(tmp_path / "nope.raw"), "--m", "3", "--out", str(out)]
         )
         assert result.exit_code == 2, result.output
         assert not out.exists()
+
+    def test_endmember_count_is_required(self, runner, tmp_path):
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        out = tmp_path / "fusion"
+        result = runner.invoke(
+            main, ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4", "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "Missing option '--m'" in result.output
+        assert not out.exists()
+
+    def test_spectral_as_written_is_unmixs_raw_band_graph(self, runner, tmp_path):
+        # the paper's graph over the raw bands: fuse builds, fuses and dumps
+        # what unmix does under the same flag, and its spectral graph is the
+        # dense raw-band reference's
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6)
+        flags = ["--cube", str(scene / "cube.raw"), "--m", "3", "--c", "4",
+                 "--spectral-as-written", "--dump-wm"]
+        out, run = tmp_path / "fusion", tmp_path / "run"
+        for args in (["fuse", *flags, "--out", str(out)],
+                     ["unmix", *flags, "--t1", "1", "--out", str(run)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        for name in ("W_spectral.csv", "H.csv", "coef.csv"):
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
+        dense, sigma = dense_knn_heat_kernel(load_cube(scene / "cube.raw").data, "auto", 4)
+        spectral = _read_consensus_dump(out, 36)[0][1]
+        assert np.array_equal(spectral.W.toarray(), dense)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["spectral_dims"] is None and manifest["sigma_l_used"] == sigma
 
     @pytest.mark.parametrize("m", ["0", "21"])
     def test_endmember_count_outside_the_bands_writes_nothing(self, runner, tmp_path, m):
@@ -1196,7 +1226,7 @@ class TestOutBeneathFile:
                          "--bands", "12"],
             "unmix": ["unmix", *cube, "--m", "3", "--t1", "3", "--c", "4"],
             "evaluate": ["evaluate", "--result", str(run), "--truth", str(scene)],
-            "fuse": ["fuse", *cube, "--c", "4"],
+            "fuse": ["fuse", *cube, "--m", "3", "--c", "4"],
             "ablate": ["ablate", *cube, "--truth", str(scene), "--m", "3", "--seeds", "0",
                        "--t1", "3", "--c", "4"],
             "sweep": sweep,
@@ -1237,8 +1267,8 @@ def test_manifest_outputs_are_the_files_written(runner, tmp_path):
         run: ["unmix", "--cube", str(scene / "cube.raw"), "--m", "3", "--t1", "3",
               "--c", "4", "--dump-wm"],
         tmp_path / "eval": ["evaluate", "--result", str(run), "--truth", str(scene)],
-        tmp_path / "fusion": ["fuse", "--cube", str(scene / "cube.raw"), "--c", "4",
-                              "--dump-wm"],
+        tmp_path / "fusion": ["fuse", "--cube", str(scene / "cube.raw"), "--m", "3",
+                              "--c", "4", "--dump-wm"],
     }
     for out, args in commands.items():
         result = runner.invoke(main, args + ["--out", str(out)])

@@ -16,6 +16,7 @@ from oracle import (
     compute_residuals,
     consensus_tocsr,
     oracle_case,
+    raw_band,
     stack_powers,
     update_consensus,
 )
@@ -344,7 +345,7 @@ class TestGramPass:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_formed_stack(self, monkeypatch, case, orders):
         cube, kw = oracle_case(case)
-        graphs = build_multi_order_graphs(cube, UnmixParams(**kw), orders)
+        graphs = build_multi_order_graphs(cube, *raw_band(UnmixParams(**kw)), orders)
         gram, scale = fusion._gram_and_normalizers(graphs, normalize=False)
         stack = stack_powers(graphs, normalize=False)
         ref = np.array([[a.multiply(b).sum() for b in stack] for a in stack])

@@ -24,7 +24,9 @@ from oracle import (
     compute_residuals,
     consensus_tocsr,
     correlation_eigenvectors,
+    dense_knn_heat_kernel,
     oracle_case,
+    raw_band,
     stack_powers,
     update_consensus,
 )
@@ -73,30 +75,6 @@ def _knn_oracle(points, neighbors):
     return W
 
 
-def _dense_knn_heat_kernel(points, sigma, neighbors):
-    """Dense N x N reference for the blockwise CSR builder: whole-matrix
-    distances, a stable argsort per row, then W = max(W, W.T).  Returns
-    (W, sigma_used).
-
-    The Gram rows come from the package's 64-row BLAS products: one
-    whole-matrix product (SYRK) can round some entries differently (it
-    does at N = 1089), and the graph build's contract is the product over
-    its work units.  Everything after it is formed whole."""
-    n = points.shape[1]
-    sq = np.sum(points**2, axis=0)
-    gram = np.vstack([points[:, lo:hi].T @ points for lo, hi in workers.units(n)])
-    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
-    np.fill_diagonal(d, np.inf)
-    rows = np.repeat(np.arange(n), neighbors)
-    cols = np.argsort(d, axis=1, kind="stable")[:, :neighbors].ravel()
-    retained = d[rows, cols]
-    if sigma == "auto":
-        sigma = float(np.median(retained)) or 1.0
-    W = np.zeros((n, n))
-    W[rows, cols] = np.exp(-(retained**2) / (2.0 * sigma**2))
-    return np.maximum(W, W.T), sigma
-
-
 def _grid(cube):
     """Grid coordinates (row, column) of every pixel, as the columns of a 2 x N array."""
     return np.array(np.divmod(np.arange(cube.pixel_count), cube.width), dtype=np.float64)
@@ -106,7 +84,7 @@ def _dense_multi_order(cube, K, neighbors, sigma_s="auto", sigma_l="auto"):
     """Dense max-normalized powers 1..K of both views, in the row-major layout of H."""
     out = []
     for points, sigma in ((_grid(cube), sigma_s), (cube.data, sigma_l)):
-        W, _ = _dense_knn_heat_kernel(points, sigma, neighbors)
+        W, _ = dense_knn_heat_kernel(points, sigma, neighbors)
         Wk = W
         out.append(W)
         for _ in range(2, K + 1):
@@ -120,7 +98,7 @@ class TestDenseOracleEquivalence:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_graphs_match_dense_builder(self, case):
         cube, kw = oracle_case(case)
-        graphs = stack_powers(build_multi_order_graphs(cube, UnmixParams(**kw)))
+        graphs = stack_powers(build_multi_order_graphs(cube, *raw_band(UnmixParams(**kw))))
         oracle = _dense_multi_order(cube, K=3, **kw)
         assert len(graphs) == len(oracle) == 6
         for (view, k), g, dense in zip(np.ndindex(2, 3), graphs, oracle):
@@ -133,7 +111,7 @@ class TestDenseOracleEquivalence:
 
     def test_abundance_step_matches_dense_consensus(self):
         cube, kw = oracle_case("random24")
-        state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"]))
+        state = consensus_graph(cube, *raw_band(UnmixParams(neighbors=kw["neighbors"])))
         rng = np.random.default_rng(15)
         S = rng.random((4, cube.pixel_count))
         A = rng.random((cube.band_count, 4))
@@ -149,7 +127,8 @@ class TestFusedConsensus:
     @pytest.mark.parametrize("alpha, one_hot", [(0.1, True), (1e6, False)])
     def test_consensus_is_symmetric_nonnegative_with_row_sum_degrees(self, alpha, one_hot):
         cube, kw = oracle_case("random24")
-        state = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"], alpha=alpha))
+        params = UnmixParams(neighbors=kw["neighbors"], alpha=alpha)
+        state = consensus_graph(cube, *raw_band(params))
         assert (np.count_nonzero(state.H) == 1) == one_hot
         Wm = consensus_tocsr(state.Wm)
         assert isinstance(Wm, sp.csr_array)
@@ -199,9 +178,9 @@ class TestConsensusOperator:
     def test_matches_stored_power_consensus(self, case):
         alpha, orders = self.CASES[case]
         cube, kw = oracle_case("random24")
-        params = UnmixParams(neighbors=kw["neighbors"], alpha=alpha)
-        graphs = build_multi_order_graphs(cube, params, orders)
-        state = consensus_graph(cube, params, orders)
+        m, params = raw_band(UnmixParams(neighbors=kw["neighbors"], alpha=alpha))
+        graphs = build_multi_order_graphs(cube, m, params, orders)
+        state = consensus_graph(cube, m, params, orders)
         H_ref, Wm_ref = _stored_power_fusion(graphs, params, state.iterations)
         assert np.allclose(state.H, H_ref, rtol=0.0, atol=1e-12)
         Wm = consensus_tocsr(state.Wm)
@@ -214,11 +193,11 @@ class TestConsensusOperator:
 
     def test_default_consensus_stores_no_power(self):
         cube, kw = oracle_case("random24")
-        params = UnmixParams(neighbors=kw["neighbors"])
-        state = consensus_graph(cube, params)
+        m, params = raw_band(UnmixParams(neighbors=kw["neighbors"]))
+        state = consensus_graph(cube, m, params)
         assert isinstance(state, FusionState)
         assert isinstance(state.Wm, ConsensusOperator)
-        graphs = build_multi_order_graphs(cube, params)
+        graphs = build_multi_order_graphs(cube, m, params)
         order1 = sum(g.W.nnz for g in graphs.all_graphs())
         held = _csr_arrays(state)
         assert held and max(W.nnz for W in held) <= order1
@@ -227,7 +206,7 @@ class TestConsensusOperator:
 
     def test_degree_is_computed_once(self):
         cube, kw = oracle_case("random24")
-        op = consensus_graph(cube, UnmixParams(neighbors=kw["neighbors"])).Wm
+        op = consensus_graph(cube, *raw_band(UnmixParams(neighbors=kw["neighbors"]))).Wm
         assert op.degree is op.degree
         assert np.array_equal(op.degree, (np.ones((1, cube.pixel_count)) @ op)[0])
 
@@ -235,7 +214,7 @@ class TestConsensusOperator:
     def test_rmatmul_ignores_memory_order(self, case):
         cube, kw = oracle_case("random24")
         params = UnmixParams(neighbors=kw["neighbors"], alpha=self.CASES[case][0])
-        op = consensus_graph(cube, params).Wm
+        op = consensus_graph(cube, *raw_band(params)).Wm
         S = np.random.default_rng(18).random((4, cube.pixel_count))
         assert np.array_equal(S @ op, np.asfortranarray(S) @ op)
 
@@ -286,6 +265,13 @@ class TestConsensusOperator:
             ConsensusOperator([], np.zeros((0, 1)))
 
 
+def _build(builder, cube, params):
+    """``builder``'s graph of ``cube``; a spectral one over the raw bands (``raw_band``)."""
+    if builder is spectral_weights:
+        return spectral_weights(cube, *raw_band(params))
+    return builder(cube, params)
+
+
 class TestHeatKernelGraphs:
     @pytest.mark.parametrize("build", [spatial_weights, spectral_weights])
     def test_built_graph_runs_no_transpose_kernel(self, build, monkeypatch):
@@ -302,7 +288,7 @@ class TestHeatKernelGraphs:
 
             monkeypatch.setattr(graph._sparsetools, name, counted)
         cube, kw = oracle_case("random24")
-        build(cube, UnmixParams(**kw))
+        _build(build, cube, UnmixParams(**kw))
         assert calls == []
 
     def test_two_adjacent_pixels_weight(self):
@@ -329,7 +315,7 @@ class TestHeatKernelGraphs:
         data = np.ones((4, 3))
         data[:, 2] = 2.0  # pixels 0 and 1 identical, pixel 2 distinct
         cube = HsiCube(data=data, height=1, width=3)
-        w = spectral_weights(cube, UnmixParams(sigma_l=1.0, neighbors=1)).W
+        w = spectral_weights(cube, *raw_band(UnmixParams(sigma_l=1.0, neighbors=1))).W
         assert w[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_spectral_kernel_value(self):
@@ -338,13 +324,13 @@ class TestHeatKernelGraphs:
         data[0, 1] = sigma * np.sqrt(2.0)  # distance sigma*sqrt(2) from pixel 0
         data[0, 2] = 10.0
         cube = HsiCube(data=data, height=1, width=3)
-        w = spectral_weights(cube, UnmixParams(sigma_l=sigma, neighbors=1)).W
+        w = spectral_weights(cube, *raw_band(UnmixParams(sigma_l=sigma, neighbors=1))).W
         assert w[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_weights_decrease_with_spectral_distance(self):
         data = np.array([[0.0, 1.0, 2.5, 7.0]])
         cube = HsiCube(data=data, height=1, width=4)
-        w = spectral_weights(cube, UnmixParams(sigma_l=2.0, neighbors=3)).W.toarray()
+        w = spectral_weights(cube, *raw_band(UnmixParams(sigma_l=2.0, neighbors=3))).W.toarray()
         row = w[0]
         assert row[1] > row[2] > row[3] > 0.0
 
@@ -352,7 +338,7 @@ class TestHeatKernelGraphs:
         rng = np.random.default_rng(2)
         for builder in (spatial_weights, spectral_weights):
             cube = _random_cube(rng, 5, 4)
-            w = builder(cube, UnmixParams(neighbors=4)).W.toarray()
+            w = _build(builder, cube, UnmixParams(neighbors=4)).W.toarray()
             assert np.array_equal(w, w.T)
             assert w.min() >= 0.0 and w.max() <= 1.0
             assert np.all(np.diag(w) == 0.0)
@@ -385,7 +371,7 @@ class TestHeatKernelGraphs:
         # corner and C = N - 1.  7-row units also check units that hold no
         # corner pixel, whose window comes from the corner all the same
         cube = HsiCube(data=np.ones((2, height * width)), height=height, width=width)
-        dense, sigma = _dense_knn_heat_kernel(_grid(cube), sigma_s, neighbors)
+        dense, sigma = dense_knn_heat_kernel(_grid(cube), sigma_s, neighbors)
         for unit in (workers.UNIT, 7):
             monkeypatch.setattr(workers, "UNIT", unit)
             w = spatial_weights(cube, UnmixParams(sigma_s=sigma_s, neighbors=neighbors))
@@ -412,7 +398,7 @@ class TestHeatKernelGraphs:
         data = rng.integers(0, 4, size=(3, 30)) / 4.0
         data[:, 15:] = data[:, :15]
         cube = HsiCube(data=data, height=5, width=6)
-        w = spectral_weights(cube, UnmixParams(neighbors=neighbors)).W.toarray()
+        w = spectral_weights(cube, *raw_band(UnmixParams(neighbors=neighbors))).W.toarray()
         oracle = _knn_oracle(data, neighbors)
         assert np.array_equal(w != 0, oracle != 0)
         assert np.allclose(w, oracle, rtol=0.0, atol=1e-12)
@@ -436,8 +422,8 @@ class TestSignalSubspaceGraph:
         cube, kw = oracle_case(case)
         m = min(m, cube.band_count)
         params = UnmixParams(**kw)
-        built = spectral_weights(cube, params, m)
-        dense, sigma = _dense_knn_heat_kernel(_subspace(cube, m), params.sigma_l, kw["neighbors"])
+        built = spectral_weights(cube, m, params)
+        dense, sigma = dense_knn_heat_kernel(_subspace(cube, m), params.sigma_l, kw["neighbors"])
         assert np.array_equal(built.W.toarray(), dense)
         assert built.sigma == sigma and built.dims == m
 
@@ -453,7 +439,7 @@ class TestSignalSubspaceGraph:
         data = rng.random((6, 30))
         data[:, 15:] = data[:, :15]
         cube = HsiCube(data=data, height=5, width=6)
-        w = spectral_weights(cube, UnmixParams(neighbors=8), m).W.toarray()
+        w = spectral_weights(cube, m, UnmixParams(neighbors=8)).W.toarray()
         oracle = _knn_oracle(_subspace(cube, m), 8)
         assert np.array_equal(w != 0, oracle != 0)
         assert np.allclose(w, oracle, rtol=0.0, atol=1e-12)
@@ -475,7 +461,21 @@ class TestSignalSubspaceGraph:
     def test_endmember_count_validated(self, m):
         cube, kw = oracle_case("random24")  # 100 bands
         with pytest.raises(ParamError, match="endmember count"):
-            spectral_weights(cube, UnmixParams(**kw), m)
+            spectral_weights(cube, m, UnmixParams(**kw))
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, np.float64(3.0)])
+    def test_endmember_count_is_an_integer(self, m):
+        # a float or a bool is no endmember count, though int(m) would give a dimension
+        cube, kw = oracle_case("random24")
+        with pytest.raises(ParamError, match="must be an integer"):
+            spectral_weights(cube, m, UnmixParams(**kw))
+
+    def test_numpy_integer_endmember_count(self):
+        cube, kw = oracle_case("random24")
+        params = UnmixParams(**kw)
+        built = spectral_weights(cube, np.int64(3), params)
+        assert built.dims == 3 and type(built.dims) is int
+        assert _same_csr(built, spectral_weights(cube, 3, params))
 
 
 def _collapsing_pair():
@@ -692,7 +692,7 @@ class TestMultiOrderBuild:
     def test_views_and_orders(self):
         rng = np.random.default_rng(9)
         cube = _random_cube(rng, 4, 5)
-        graphs = build_multi_order_graphs(cube, UnmixParams(order=3, neighbors=4))
+        graphs = build_multi_order_graphs(cube, *raw_band(UnmixParams(order=3, neighbors=4)))
         assert len(graphs.views) == 2
         assert graphs.orders == (1, 2, 3)
         # only the order-1 graphs are stored; the fused stack is their powers
@@ -705,7 +705,7 @@ class TestMultiOrderBuild:
     def test_order_subset(self):
         rng = np.random.default_rng(10)
         cube = _random_cube(rng, 4, 4)
-        graphs = build_multi_order_graphs(cube, UnmixParams(neighbors=3), orders=[2])
+        graphs = build_multi_order_graphs(cube, *raw_band(UnmixParams(neighbors=3)), orders=[2])
         assert graphs.orders == (2,)
         # the stack holds each view's max-normalized square alone
         for view, g in zip(graphs.views, stack_powers(graphs), strict=True):
@@ -716,7 +716,7 @@ class TestMultiOrderBuild:
     def test_invalid_orders_rejected(self, K, orders):
         cube = _random_cube(np.random.default_rng(12), 4, 4)
         with pytest.raises(ParamError):
-            build_multi_order_graphs(cube, UnmixParams(order=K, neighbors=3), orders)
+            build_multi_order_graphs(cube, *raw_band(UnmixParams(order=K, neighbors=3)), orders)
 
     def test_invalid_orders_fail_before_any_graph(self, monkeypatch):
         built = []
@@ -729,16 +729,17 @@ class TestMultiOrderBuild:
         cube = _random_cube(np.random.default_rng(12), 4, 4)
         for orders in [(2, 2), (0,), (-1, 1), (1.5,), (True, 2), ()]:
             with pytest.raises(ParamError, match="distinct integers >= 1"):
-                build_multi_order_graphs(cube, UnmixParams(neighbors=3), orders)
+                build_multi_order_graphs(cube, *raw_band(UnmixParams(neighbors=3)), orders)
         assert built == []
-        assert build_multi_order_graphs(cube, UnmixParams(neighbors=3), [2]).orders == (2,)
+        graphs = build_multi_order_graphs(cube, *raw_band(UnmixParams(neighbors=3)), [2])
+        assert graphs.orders == (2,)
         assert len(built) == 1
 
     def test_per_view_neighbor_override(self):
         rng = np.random.default_rng(11)
         cube = _random_cube(rng, 4, 4)
         params = UnmixParams(order=1, neighbors=3, neighbors_spatial=2, neighbors_spectral=5)
-        graphs = build_multi_order_graphs(cube, params)
+        graphs = build_multi_order_graphs(cube, *raw_band(params))
         w_spa, w_spe = (g.W.toarray() for g in graphs.views)
         # row degree (nonzero count) reflects the per-view neighbor budget
         assert np.count_nonzero(w_spa[0]) <= 2 * 2
@@ -766,14 +767,15 @@ class TestPeakMemory:
     def test_graph_build_and_fusion_peaks(self):
         # six per-order graphs plus W_m are the dense floor (7 N^2)
         cube = _random_cube(np.random.default_rng(13), 24, 24, bands=20)
-        assert _peak_in_n2_doubles(consensus_graph, cube, UnmixParams(neighbors=4)) < 7.5
-        assert _peak_in_n2_doubles(spectral_weights, cube, UnmixParams(neighbors=4)) < 4.0
+        args = raw_band(UnmixParams(neighbors=4))
+        assert _peak_in_n2_doubles(consensus_graph, cube, *args) < 7.5
+        assert _peak_in_n2_doubles(spectral_weights, cube, *args) < 4.0
 
     def test_spectral_build_holds_no_n2_array(self):
         # distances live in row blocks and the graph in CSR, so the peak
         # stays below one N x N array of doubles (the dense build needed ~3)
         cube = _random_cube(np.random.default_rng(16), 48, 48, bands=20)
-        assert _peak_in_n2_doubles(spectral_weights, cube) < 1.0
+        assert _peak_in_n2_doubles(spectral_weights, cube, *raw_band()) < 1.0
 
     def test_spatial_build_holds_no_n2_array(self):
         # candidates come from a window of grid offsets around each pixel
@@ -789,7 +791,7 @@ class TestPeakMemory:
         n, c = cube.pixel_count, UnmixParams().neighbors
         per_thread = workers.UNIT * n + 3 * graph._SUB_BLOCK
         budget = workers.MAX_THREADS * per_thread * 8 + 64 * c * n
-        assert _peak_bytes(spectral_weights, cube) < budget
+        assert _peak_bytes(spectral_weights, cube, *raw_band()) < budget
 
     def test_fusion_working_set_at_32x32(self):
         # per thread, one unit's dense buffer, the unit's power rows as
@@ -800,15 +802,15 @@ class TestPeakMemory:
         # unit's order-2 and order-3 products included
         for size in (32, 72):
             cube = _random_cube(np.random.default_rng(16), size, size, bands=20)
-            graphs = build_multi_order_graphs(cube, UnmixParams())
+            graphs = build_multi_order_graphs(cube, *raw_band())
             slab = workers.MAX_THREADS * workers.UNIT * cube.pixel_count * 8
             assert _peak_bytes(fuse_graphs, graphs, UnmixParams()) < 8 * slab, size
 
 
-def _stage_outputs(cube, params, m=None):
+def _stage_outputs(cube, m, params):
     """The graph stage's outputs as bytes: each view's CSR arrays and sigma,
     the fusion Gram matrix and normalizers, H and the W_m coefficients."""
-    graphs = build_multi_order_graphs(cube, params, m=m)
+    graphs = build_multi_order_graphs(cube, m, params)
     gram, scale = fusion._gram_and_normalizers(graphs, params.order_norm)
     state = fuse_graphs(graphs, params)
     out = [a.tobytes() for v in graphs.views for a in (v.W.data, v.W.indices, v.W.indptr)]
@@ -830,7 +832,7 @@ class TestWorkerCount:
         outputs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("MOGNMF_THREADS", threads)
-            outputs.append(_stage_outputs(cube, params))
+            outputs.append(_stage_outputs(cube, *raw_band(params)))
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("case", [*ORACLE_CASES, "simu64"])
@@ -845,7 +847,7 @@ class TestWorkerCount:
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("MOGNMF_THREADS", threads)
-            outputs.append(_stage_outputs(cube, params, m))
+            outputs.append(_stage_outputs(cube, m, params))
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -862,15 +864,15 @@ class TestWorkerCount:
 
         monkeypatch.setenv("MOGNMF_THREADS", threads)
         cube = _random_cube(np.random.default_rng(26), 72, 72, bands=20)
-        direct = _stage_outputs(cube, UnmixParams())
+        direct = _stage_outputs(cube, *raw_band())
         monkeypatch.setattr(fusion, "_times", by_matmul)
-        assert _stage_outputs(cube, UnmixParams()) == direct
+        assert _stage_outputs(cube, *raw_band()) == direct
 
     def test_fusion_units_are_the_shared_cut_past_4096_nodes(self, monkeypatch):
         # N = 4225: the fusion's units keep the k-NN's 64 rows, the last one
         # the remainder, and its Gram bits do not depend on the threads
         cube = _random_cube(np.random.default_rng(25), 65, 65, bands=20)
-        graphs = build_multi_order_graphs(cube, UnmixParams())
+        graphs = build_multi_order_graphs(cube, *raw_band())
         seen = []
 
         def recording(work, units, buffers):
@@ -901,7 +903,7 @@ class TestWorkerCount:
         # its entries are summed without BLAS, whose dot products split
         # long vectors across BLAS threads
         cube = _random_cube(np.random.default_rng(24), 48, 48, bands=20)
-        graphs = build_multi_order_graphs(cube, UnmixParams())
+        graphs = build_multi_order_graphs(cube, *raw_band())
         grams = []
         for threads in ("1", "2"):
             monkeypatch.setenv("MOGNMF_THREADS", threads)
@@ -966,7 +968,7 @@ class TestScipyKernels:
         want = _scipy_graph(cube.pixel_count, rows, cols, w)
         assert _same_csr(got, want)
         assert got.W.shape == want.shape and _same_csr(got.W, want)
-        built = (spatial_weights if view == "spatial" else spectral_weights)(cube, params)
+        built = _build(spatial_weights if view == "spatial" else spectral_weights, cube, params)
         assert _same_csr(built, want)
 
     @pytest.mark.parametrize("edges", ["underflow", "isolated", "mutual_and_one_sided"])
@@ -1019,7 +1021,7 @@ class TestScipyKernels:
 
     def test_operator_over_built_graphs_is_scipys(self):
         cube, kw = oracle_case("random24")
-        views = build_multi_order_graphs(cube, UnmixParams(**kw)).views
+        views = build_multi_order_graphs(cube, *raw_band(UnmixParams(**kw))).views
         coef = [[0.2, 0.5, 1.5], [0.7, 0.0, 0.4]]
         S = np.random.default_rng(22).random((4, cube.pixel_count))
         op = ConsensusOperator(views, coef)

@@ -72,7 +72,8 @@ def test_commands_and_solves_do_not_import_scipy_sparse(tmp_path):
         "cmd_simulate(root / 'scene', m=3, height=6, width=6, bands=12)\n"
         "params = UnmixParams(t1=5, neighbors=4)\n"
         "cmd_unmix(root / 'scene' / 'cube.raw', 3, root / 'run', params=params, dump_wm=True)\n"
-        "cmd_fuse(root / 'scene' / 'cube.raw', root / 'fuse', params=params, dump_wm=True)\n"
+        "cmd_fuse(root / 'scene' / 'cube.raw', 3, root / 'fuse',\n"
+        "         params=params.replace(spectral_as_written=True), dump_wm=True)\n"
         "cube = load_cube(root / 'scene' / 'cube.raw')\n"
         "for variant in VARIANTS:\n"
         "    run_solver(cube, 3, SolverConfig(params=params, variant=variant))\n"
@@ -115,7 +116,8 @@ _GRAPH_BYTES = (
     "import numpy as np\n"
     "cube = HsiCube(np.random.default_rng(5).random((10, 120)), 10, 12)\n"
     "digest = hashlib.sha256()\n"
-    "for view in build_multi_order_graphs(cube, UnmixParams(neighbors=5)).views:\n"
+    "params = UnmixParams(neighbors=5, spectral_as_written=True)\n"
+    "for view in build_multi_order_graphs(cube, 1, params).views:\n"
     "    for a in (view.indptr, view.indices, view.data):\n"
     "        digest.update(a.dtype.str.encode() + a.tobytes())\n"
     "print(json.dumps([digest.hexdigest(), 'scipy.sparse' in sys.modules]))"

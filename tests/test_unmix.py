@@ -5,7 +5,7 @@ import mognmf.unmix as unmix
 from mognmf import workers
 from mognmf.errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from mognmf.fusion import update_weights
-from mognmf.graph import build_multi_order_graphs
+from mognmf.graph import build_multi_order_graphs, spatial_weights
 from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.metrics import match_endmembers
 from mognmf.simgen import build_simu1_scene, build_simu2_layout, synthetic_library
@@ -27,8 +27,10 @@ from oracle import (
     best_unchosen_loop,
     compute_residuals,
     consensus_tocsr,
+    dense_knn_heat_kernel,
     fcls_per_pixel,
     oracle_case,
+    raw_band,
     update_consensus,
     vca_as_written,
 )
@@ -595,6 +597,21 @@ class TestRunSolver:
         with pytest.raises(InitError):
             run_solver(scene.cube, 999, SolverConfig(params=params, variant="nmf"))
 
+    @pytest.mark.parametrize("M", [2.5, 3.0, True])
+    @pytest.mark.parametrize("variant", ["nmf", "mognmf"])
+    def test_endmember_count_is_an_integer(self, M, variant):
+        # a float or a bool is no endmember count: the package's error, before any step
+        scene = _pure_pixel_scene(seed=8, M=3)
+        with pytest.raises(ParamError, match="M must be an integer"):
+            run_solver(scene.cube, M, SolverConfig(params=UnmixParams(seed=0), variant=variant))
+
+    def test_numpy_integer_endmember_count(self):
+        scene = _pure_pixel_scene(seed=8, M=3)
+        config = SolverConfig(params=UnmixParams(seed=0, t1=3))
+        got, want = run_solver(scene.cube, np.int64(3), config), run_solver(scene.cube, 3, config)
+        assert np.array_equal(got.endmembers, want.endmembers)
+        assert np.array_equal(got.abundances, want.abundances)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParamError):
             SolverConfig(params=UnmixParams(), variant="bogus")
@@ -672,7 +689,7 @@ class TestRunSolver:
         params = UnmixParams(neighbors=4, beta=0.01, t1=t1, eps1=1e-12)
         cube, A0, S0, model = self._oracle_solve(variant, params)
         orders = graph_orders(variant, params)
-        state = consensus_graph(cube, params, orders, 3) if orders else None
+        state = consensus_graph(cube, 3, params, orders) if orders else None
         A, S, E, trace = _loop_oracle(
             cube.data, A0, S0, variant, params, estimate_gamma(cube),
             state.Wm if state else None, state.Wm.degree if state else None,
@@ -750,27 +767,29 @@ class TestRunSolver:
 
 class TestConsensusGraph:
     def test_spectral_as_written_builds_the_raw_band_graph(self):
-        # a solve passes M: its spectral graph lies in the M-dimensional signal
-        # subspace, or over the raw bands, as a graph built without M, when asked
-        def views(graphs):
-            return [(v.indptr.tobytes(), v.indices.tobytes(), v.data.tobytes(), v.sigma)
-                    for v in graphs.views]
+        # a solve's spectral graph lies in the M-dimensional signal subspace,
+        # or, when asked, over the raw bands: the dense raw-band reference's
+        def arrays(view):
+            return view.indptr.tobytes(), view.indices.tobytes(), view.data.tobytes(), view.sigma
 
         scene = _pure_pixel_scene(seed=9, M=3, L=24, height=8, width=8)
         params = UnmixParams(neighbors=4, t1=2)
-        spatial, spectral = views(build_multi_order_graphs(scene.cube, params))
+        dense, sigma = dense_knn_heat_kernel(scene.cube.data, params.sigma_l, 4)
+        spatial = arrays(spatial_weights(scene.cube, params))
         for as_written in (True, False):
             p = params.replace(spectral_as_written=as_written)
             graphs = run_solver(scene.cube, 3, SolverConfig(params=p)).fusion.graphs
-            assert graphs.views[1].dims == (None if as_written else 3)
-            assert views(graphs)[0] == spatial
-            assert (views(graphs)[1] == spectral) == as_written
+            spectral = graphs.views[1]
+            assert spectral.dims == (None if as_written else 3)
+            assert arrays(graphs.views[0]) == spatial
+            raw = np.array_equal(spectral.W.toarray(), dense) and spectral.sigma == sigma
+            assert raw == as_written
 
     def test_order_norm_off_fuses_raw_powers(self):
         scene = _pure_pixel_scene(seed=9, M=3, L=24, height=8, width=8)
         params = UnmixParams(neighbors=4, order_norm=False)
-        state = consensus_graph(scene.cube, params)
-        raw = build_multi_order_graphs(scene.cube, params)
+        state = consensus_graph(scene.cube, *raw_band(params))
+        raw = build_multi_order_graphs(scene.cube, *raw_band(params))
         for W, r in zip(state.Wm.graphs, raw.views, strict=True):
             assert np.array_equal(W.toarray(), r.W.toarray())
         # the direct alternation over the formed raw powers
@@ -782,7 +801,7 @@ class TestConsensusGraph:
         Wm = consensus_tocsr(state.Wm).toarray()
         assert np.abs(Wm - Wm_ref.toarray()).max() <= 1e-12 * Wm_ref.max()
         # the flag matters here: the max-normalized powers give another W_m
-        normalized = consensus_graph(scene.cube, params.replace(order_norm=True))
+        normalized = consensus_graph(scene.cube, *raw_band(params.replace(order_norm=True)))
         assert not np.array_equal(consensus_tocsr(normalized.Wm).toarray(), Wm)
 
 

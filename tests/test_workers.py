@@ -16,7 +16,7 @@ from mognmf.errors import DivergenceError, ParamError
 from mognmf.hsi_core import HsiCube, UnmixParams
 from mognmf.simgen import build_simu1_scene, synthetic_library
 from mognmf.unmix import consensus_graph
-from oracle import oracle_case
+from oracle import oracle_case, raw_band
 
 
 class _FakeBlas:
@@ -270,7 +270,7 @@ class TestRunUnits:
         trims = []
         monkeypatch.setattr(workers, "_trim_heaps", lambda: trims.append(1))
         cube, kw = oracle_case("random24")
-        state = consensus_graph(cube, UnmixParams(**kw))
+        state = consensus_graph(cube, *raw_band(UnmixParams(**kw)))
         assert state.graph_workers == workers.pool_size()
         assert state.graph_ms >= 0
         assert len(trims) == 2
@@ -369,9 +369,9 @@ def test_graph_stage_runs_in_a_child_forked_after_it(monkeypatch):
         pytest.skip("no OpenBLAS thread-count setter in this process")
     rng = np.random.default_rng(0)
     cube = HsiCube(data=rng.random((8, 16 * 16)), height=16, width=16)
-    params = UnmixParams(neighbors=4)
-    consensus_graph(cube, params)
-    child = multiprocessing.get_context("fork").Process(target=consensus_graph, args=(cube, params))
+    args = (cube, *raw_band(UnmixParams(neighbors=4)))
+    consensus_graph(*args)
+    child = multiprocessing.get_context("fork").Process(target=consensus_graph, args=args)
     child.start()
     child.join(timeout=30)
     hung = child.is_alive()
