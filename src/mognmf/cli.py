@@ -96,11 +96,11 @@ def _sha256(path: Path) -> str:
 class _Outputs:
     """One command's --out: its timer, its artifact list and its manifest.
 
-    Built from the command's arguments (its ``locals()`` on entry), which
-    the manifest records by one rule: every argument but ``out_dir``, a
-    path as a string and ``params`` as ``config`` (``UnmixParams.to_dict``).
-    The directory is created by the first ``path`` call, so a command
-    that fails before writing an artifact leaves no --out behind.
+    Built from the command's arguments (its ``locals()`` on entry), which the
+    manifest records by one rule: every argument but ``out_dir``, a path as a
+    string, a numpy scalar as its ``item()`` and ``params`` as ``config``
+    (``UnmixParams.to_dict``).  The directory is created by the first ``path``
+    call, so a command that fails before writing an artifact leaves no --out.
     """
 
     def __init__(self, command: str, args: dict):
@@ -109,7 +109,8 @@ class _Outputs:
         args = dict(args)
         self.dir = Path(args.pop("out_dir"))
         params = args.pop("params", None)
-        self.args = {name: str(v) if isinstance(v, Path) else v for name, v in args.items()}
+        self.args = {name: str(v) if isinstance(v, Path) else v.item() if isinstance(v, np.generic)
+                     else v for name, v in args.items()}
         if params is not None:
             self.args["config"] = params.to_dict()
         self.names: list[str] = []
@@ -424,9 +425,10 @@ def cmd_ablate(
     """
     out = _Outputs("ablate", locals())
     cap = thread_cap()
-    bands, pixels = load_cube(cube_path).data.shape
+    cube = load_cube(cube_path)
+    m = cube.endmember_count(m)
     A_true, S_true = (read_matrix(Path(truth_dir) / name) for name in ("A_true.csv", "S_true.csv"))
-    _check_truth(A_true, S_true, (bands, m, m, pixels), f"the cube and --m {m}")
+    _check_truth(A_true, S_true, (cube.band_count, m, m, cube.pixel_count), f"the cube and --m {m}")
     # what each run's cmd_evaluate reads of the truth, checked before any run
     read_json_object(Path(truth_dir) / "manifest.json")
     evaluate_model(A_true, S_true, A_true, S_true)
@@ -443,7 +445,7 @@ def cmd_ablate(
               init=init, params=p), truth_dir, {"case": case})
         for name, case, variant, p in runs
     ]
-    _check_neighbor_counts(jobs, pixels)
+    _check_neighbor_counts(jobs, cube.pixel_count)
     rows = run_jobs(_single_run, jobs, cap)
     out.table("ablation_runs.csv", ("case",) + EVAL_COLUMNS, rows)
 
@@ -493,8 +495,8 @@ def cmd_sweep(
               for snr in snrs for seed in seeds}
     runs = out.dir / "runs"
     # every run's parameters (a graph run's neighbor counts against the scene's
-    # pixel count included), every target SNR and the worker cap are validated
-    # before anything is written
+    # pixel count included), the scene's endmember count, every target SNR and
+    # the worker cap are validated before anything is written
     jobs = [
         (dict(cube_path=truth / "cube.raw", m=m,
               out_dir=runs / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
@@ -504,6 +506,7 @@ def cmd_sweep(
         for variant in variants for lam in lambdas for beta in betas
     ]
     _check_neighbor_counts(jobs, height * width)
+    simgen.scene_endmember_count(m)
     for snr in snrs:
         simgen.power_ratio(snr)
     cap = thread_cap()

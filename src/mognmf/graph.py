@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParamError, ShapeError
-from .hsi_core import HsiCube, UnmixParams
+from .hsi_core import HsiCube, UnmixParams, _is_integer
 from .workers import blas_pinned, run_units, units
 
 __all__ = [
@@ -201,11 +201,6 @@ class MultiOrderGraphSet:
     def all_graphs(self) -> list[WeightMatrix]:
         """The stored graphs: the order-1 graph of each view."""
         return list(self.views)
-
-
-def _is_integer(k) -> bool:
-    """Whether ``k`` is a Python or numpy integer; a bool is none."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 def _check_orders(orders) -> tuple:
@@ -477,8 +472,8 @@ def spectral_weights(cube: HsiCube, m: int, params: UnmixParams = UnmixParams())
     """Heat-kernel affinity over Euclidean distance between pixel spectra.
 
     Reads ``params.sigma_l``, ``params.spectral_as_written`` and the
-    spectral neighbor count C.  ``m``, the endmember count, is an integer
-    in [1, L] (else ``ParamError``; no bool).  The distances are those
+    spectral neighbor count C.  ``m``, the endmember count, passes
+    ``cube.endmember_count`` (else ``ParamError``).  The distances are those
     between the m x N points U^T X, U the top m eigenvectors of X X^T / N
     (``cube.signal_basis``), formed under ``workers.blas_pinned``, and the
     graph records ``dims`` = m; under ``spectral_as_written`` they are
@@ -487,9 +482,8 @@ def spectral_weights(cube: HsiCube, m: int, params: UnmixParams = UnmixParams())
     rule and its units are the same.
     """
     c = neighbor_count(params, "spectral", cube.pixel_count)
-    if not _is_integer(m) or not 1 <= m <= cube.band_count:
-        raise ParamError(f"endmember count m={m!r} must be an integer in [1, L={cube.band_count}]")
-    dims = None if params.spectral_as_written else int(m)
+    m = cube.endmember_count(m)
+    dims = None if params.spectral_as_written else m
     points = cube.data
     if dims is not None:
         with blas_pinned():
@@ -506,8 +500,8 @@ def graph_powers(W: WeightMatrix, K: int, normalize: bool = True) -> list:
     maximum entry; the order-1 graph is returned unchanged (its kernel
     weights are already in [0, 1]).
     """
-    if K < 1:
-        raise ParamError("graph order K must be >= 1")
+    if not _is_integer(K) or K < 1:
+        raise ParamError(f"graph order K must be an integer >= 1, got {K!r}")
     out = [W.W]
     Wk = W.W
     for k in range(2, K + 1):
@@ -543,10 +537,11 @@ def build_multi_order_graphs(
 ) -> MultiOrderGraphSet:
     """The spatial and spectral order-1 graphs ``params`` describe, fused at ``orders``.
 
-    ``m`` is the endmember count (``spectral_weights``).  ``orders``
-    defaults to 1..``params.order``; single-order ablation variants pass
-    a subset, checked (``_check_orders``) before any graph is built.
+    ``m`` is the endmember count, and ``orders`` defaults to 1..``params.order``
+    (single-order ablation variants pass a subset); both are checked before
+    any graph is built.
     """
     orders = _check_orders(range(1, params.order + 1) if orders is None else orders)
+    m = cube.endmember_count(m)
     views = (spatial_weights(cube, params), spectral_weights(cube, m, params))
     return MultiOrderGraphSet(views=views, orders=orders)

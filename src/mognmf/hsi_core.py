@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HsiCube:
-    """A hyperspectral image: an L x N matrix, its pixel grid and its kept second moments.
+    """An L x N hyperspectral image: its pixel grid, second moments and endmember-count rule.
 
     ``data`` is read-only and a view is copied, but an owned array is kept:
     a view of it taken before the cube was built still writes through to
@@ -58,8 +58,8 @@ class HsiCube:
         data = data if data.base is None else data.copy()
         if data.ndim != 2:
             raise ShapeError(f"cube data must be 2-D, got ndim={data.ndim}")
-        if self.height <= 0 or self.width <= 0:
-            raise ParamError("height and width must be positive")
+        if not all(_is_integer(n) and n > 0 for n in (self.height, self.width)):
+            raise ParamError("height and width must be positive integers")
         if self.height * self.width != data.shape[1]:
             raise ShapeError(f"height*width = {self.height * self.width} does not match "
                              f"pixel count N = {data.shape[1]}")
@@ -97,6 +97,14 @@ class HsiCube:
         basis.setflags(write=False)
         return basis
 
+    def endmember_count(self, M) -> int:
+        """``int(M)`` for an integer M (no bool) in [1, min(L, N)]; else ``ParamError``."""
+        top = min(self.data.shape)
+        if not _is_integer(M) or not 1 <= M <= top:
+            raise ParamError(f"endmember count M must be an integer in [1, min(L, N)={top}], "
+                             f"got {M!r}")
+        return int(M)
+
 
 @dataclass(frozen=True)
 class UnmixModel:
@@ -132,6 +140,11 @@ class UnmixModel:
         object.__setattr__(
             self, "objective_trace", np.asarray(self.objective_trace, dtype=np.float64)
         )
+
+
+def _is_integer(k) -> bool:
+    """Whether ``k`` is a Python or numpy integer; a bool is none."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 # What each annotation in UnmixParams admits.  bool is not taken for a
@@ -224,14 +237,10 @@ class UnmixParams:
             # the heat kernel divides by sigma^2
             if name.startswith("sigma") and square == 0.0:
                 raise ParamError(f"{name} must be above about 1.6e-162, whose square underflows")
-        if self.order < 1:
-            raise ParamError("graph order must be >= 1")
-        for name in ("neighbors", "neighbors_spatial", "neighbors_spectral"):
+        for name in ("order", "neighbors", "neighbors_spatial", "neighbors_spectral", "t1", "t2"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ParamError(f"{name} must be >= 1")
-        if self.t1 < 1 or self.t2 < 1:
-            raise ParamError("iteration caps t1, t2 must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ParamError("seed must be in [0, 2^64)")
 
@@ -496,10 +505,8 @@ def _codec(format: str):
 def _load_raw(path: Path) -> HsiCube:
     header = read_json_object(_sidecar_path(path), "bands", "height", "width")
     bands, height, width = dims = [header[key] for key in ("bands", "height", "width")]
-    if not all(_FIELD_KINDS["int"](v) for v in dims):  # bool and 3.0 are no dimensions
-        raise ParseError(f"sidecar bands/height/width must be JSON integers, got {dims}")
-    if bands <= 0 or height <= 0 or width <= 0:
-        raise ParseError("sidecar dimensions must be positive")
+    if not all(_FIELD_KINDS["int"](v) and v > 0 for v in dims):  # bool and 3.0 are no dimensions
+        raise ParseError(f"sidecar bands/height/width must be positive JSON integers, got {dims}")
     raw = np.fromfile(path, dtype="<f4")
     n = height * width
     if raw.size != bands * n:
@@ -524,7 +531,8 @@ def _load_csv(path: Path) -> HsiCube:
 
 
 def _save_raw(cube: HsiCube, path: Path) -> None:
-    header = {"bands": cube.band_count, "height": cube.height, "width": cube.width}
+    # int(): a numpy height or width would not go into JSON
+    header = {"bands": cube.band_count, "height": int(cube.height), "width": int(cube.width)}
     _sidecar_path(path).write_text(json.dumps(header, sort_keys=True))
     cube.data.astype("<f4").tofile(path)
 

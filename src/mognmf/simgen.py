@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, IoError, ParamError, ParseError, ShapeError
-from .hsi_core import HsiCube, float_square, read_matrix
+from .hsi_core import HsiCube, _is_integer, float_square, read_matrix
 from .rng import substream
 from .workers import blas_pinned
 
@@ -157,6 +157,13 @@ def synthetic_library(
     return SpectralLibrary(names=names, spectra=spectra)
 
 
+def scene_endmember_count(M) -> int:
+    """A scene's endmember count: ``int(M)`` for an integer M >= 2, no bool; else ParamError."""
+    if not _is_integer(M) or M < 2:
+        raise ParamError(f"a scene's endmember count M must be an integer >= 2, got {M!r}")
+    return int(M)
+
+
 def _rbf_cholesky(n: int, smoothness: float) -> np.ndarray:
     coords = np.arange(n, dtype=np.float64)
     d2 = (coords[:, None] - coords[None, :]) ** 2
@@ -173,7 +180,7 @@ def generate_abundances(
     smoothness: float = 4.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Simplex-valued abundance maps from smooth Gaussian random fields.
+    """M simplex-valued abundance maps (``scene_endmember_count``) from smooth Gaussian fields.
 
     The squared-exponential covariance on the grid factorizes over rows
     and columns, so each field is sampled exactly as L_r Z L_c^T with Z
@@ -189,8 +196,7 @@ def generate_abundances(
     """
     if height < 1 or width < 1:
         raise ParamError("height and width must be positive")
-    if M < 2:
-        raise ParamError("at least 2 endmembers are required")
+    M = scene_endmember_count(M)
     # the kernel divides by 2 smoothness^2; the chained bound also rejects NaN
     if not (smoothness > 0 and 0 < float_square(smoothness) < np.inf):
         raise ParamError(f"smoothness must be positive and finite, got {smoothness!r}")
@@ -318,7 +324,7 @@ def build_simu2_layout(
     target_snr_db: float | None = None,
     seed: int = 0,
 ) -> SyntheticScene:
-    """Deterministic layout: pure square patches over a gradient background.
+    """Deterministic layout: M pure square patches (``scene_endmember_count``) over a gradient.
 
     Patches sit on a ceil(sqrt(M)) cell grid, one per endmember, with
     abundance exactly one inside; background pixels mix all endmembers
@@ -326,8 +332,7 @@ def build_simu2_layout(
     Guarantees at least one pure pixel per endmember.  Cells under 3 pixels
     on a side raise ParamError, ahead of DataError for a library under M entries.
     """
-    if M < 2:
-        raise ParamError("at least 2 endmembers are required")
+    M = scene_endmember_count(M)
     cells = int(np.ceil(np.sqrt(M)))
     cell_h, cell_w = height / cells, width / cells
     if min(cell_h, cell_w) < 3:

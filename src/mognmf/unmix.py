@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, DivergenceError, InitError, ParamError, ShapeError
-from .graph import _is_integer, build_multi_order_graphs
+from .graph import build_multi_order_graphs
 from .fusion import FusionState, fuse_graphs
 from .hsi_core import HsiCube, UnmixModel, UnmixParams
 from .rng import substream
@@ -148,21 +148,19 @@ def estimate_gamma(cube: HsiCube, as_written: bool = False) -> float:
 
 
 def init_vca(cube: HsiCube, M: int, seed: int = 0) -> np.ndarray:
-    """Vertex hunt for endmember candidates among the pixel columns.
+    """Vertex hunt for M endmember candidates (``cube.endmember_count``) among the pixels.
 
     Projects the data onto an M-dimensional subspace (projective scaling
     at high SNR, affine lift at low SNR) and iteratively picks the pixel
     with the largest component orthogonal to the simplex spanned so far.
     Returns the selected columns of X; deterministic for a given seed.
     Its covariance is the cube's gram / N - m m^T (m the band means) and
-    its projections U^T X - U^T m, so no L x N array is formed.
+    its projections U^T X - U^T m, so no L x N array is formed.  An M
+    above the data's rank is an ``InitError``.
     """
+    M = cube.endmember_count(M)
     X = cube.data
     L, N = X.shape
-    if M < 1:
-        raise ParamError("endmember count must be >= 1")
-    if M > min(L, N):
-        raise InitError(f"M={M} exceeds min(L, N)={min(L, N)}")
     if not _proves_rank(cube, M):
         rank = int(np.linalg.matrix_rank(X))
         if M > rank:
@@ -460,17 +458,12 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     so they are skipped, as is delta^2 for variants without sum-to-one.
     E is formed once, on exit.  Stops when the trace change drops below
     eps1 (relative to 1 + previous value, or absolute with the
-    corresponding flag) or after t1 iterations.  M is an integer, no
-    bool (else ``ParamError``), in [1, min(L, N)] (else ``InitError``).
+    corresponding flag) or after t1 iterations.  ``cube.endmember_count`` checks M.
     """
+    M = cube.endmember_count(M)
     traits = _VARIANT_TRAITS[config.variant]
     p = config.params
     X = cube.data
-    L, N = X.shape
-    if not _is_integer(M):
-        raise ParamError(f"M must be an integer, got {M!r}")
-    if not 1 <= M <= min(L, N):
-        raise InitError(f"M={M} must lie in [1, min(L, N)={min(L, N)}]")
 
     gamma = 0.0
     if traits.sparsity:
@@ -491,7 +484,7 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     A, S = _initialize(cube, M, config)
     x_sq = np.einsum("ln,ln->l", X, X)
     # E = diag(s) (X - A S); s stays 0 without the noise term
-    s = np.zeros(L)
+    s = np.zeros(cube.band_count)
     noisy = False
     XSt, SSt = X @ S.T, S @ S.T
     ASSt = A @ SSt

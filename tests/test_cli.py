@@ -1185,6 +1185,16 @@ class TestSweep:
                           params=UnmixParams(t1=5, neighbors=4), height=6, width=6, bands=12)
         assert not out.exists()
 
+    @pytest.mark.parametrize("m", [2.5, True, 1])
+    def test_endmember_count_checked_before_writing(self, tmp_path, monkeypatch, m):
+        # the scene rule, before the first scene is written
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        out = tmp_path / "sw"
+        with pytest.raises(ParamError, match="endmember count M must be an integer >= 2"):
+            cli.cmd_sweep(out, "simu1", m, [30.0], [0], ["nmf"],
+                          params=UnmixParams(t1=5, neighbors=4), height=6, width=6, bands=12)
+        assert not out.exists()
+
     def test_bad_thread_env_rejected(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("MOGNMF_THREADS", "zero")
         scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
@@ -1360,6 +1370,25 @@ def test_manifest_records_every_argument(tmp_path, monkeypatch, command):
     assert manifest == {**recorded, **fields, "command": command.split("_")[0],
                         "outputs": ANY, "wall_ms": ANY, "peak_rss_mb": ANY}
     assert manifest == (returned[0] if command == "evaluate" else returned)
+
+
+@pytest.mark.parametrize("command", ["simulate", "unmix", "fuse"])
+def test_numpy_scalar_arguments_are_recorded_as_python_values(tmp_path, monkeypatch, command):
+    # a numpy integer or float argument gives the manifest and the artifacts of
+    # the Python value it holds
+    monkeypatch.setenv("MOGNMF_THREADS", "1")
+    fn, args, _ = _manifest_case(command, tmp_path)
+    numpy_args = {name: np.int64(v) if type(v) is int else np.float64(v) if type(v) is float
+                  else v for name, v in args.items()}
+    timings = ("wall_ms", "peak_rss_mb", "graph_ms")
+    plain, scalars = (
+        {k: v for k, v in fn(out_dir=tmp_path / out, **kw).items() if k not in timings}
+        for out, kw in (("plain", args), ("numpy", numpy_args)))
+    assert scalars == plain and plain["outputs"]
+    # np.float64 is a float, but np.int64 is no int
+    assert all(type(scalars[name]) is int for name, v in args.items() if type(v) is int)
+    for name in plain["outputs"]:
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 @pytest.mark.parametrize("platform, mb", [("linux", 2048.0), ("darwin", 2.0)])

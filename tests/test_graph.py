@@ -578,9 +578,13 @@ class TestGraphPowers:
         assert all(g.max() <= 1.0 + 1e-12 for g in powers[1:])
 
     def test_invalid_order_rejected(self):
-        W = WeightMatrix(W=np.eye(2), kind="spatial")
-        with pytest.raises(ParamError):
-            graph_powers(W, 0)
+        # K is an integer >= 1, as the orders of a graph set are; a numpy one is taken
+        W = WeightMatrix(W=np.array([[0.0, 0.5], [0.5, 0.0]]), kind="spatial")
+        for K in (0, -1, 2.5, True, np.float64(2.0)):
+            with pytest.raises(ParamError, match="graph order K must be an integer"):
+                graph_powers(W, K)
+        got, want = graph_powers(W, np.int64(2)), graph_powers(W, 2)
+        assert len(got) == 2 and np.array_equal(got[1].toarray(), want[1].toarray())
 
 
 def _random_symmetric(rng, n, low=0.0):

@@ -70,8 +70,9 @@ class TestHsiCube:
     @pytest.mark.parametrize(
         "header",
         [{"bands": True, "height": 3, "width": 12}, {"bands": 3, "height": 3.9, "width": 4},
-         {"bands": "3", "height": 3, "width": 4}, {"bands": 3, "height": 3, "width": 4.0}],
-        ids=["bool", "fraction", "string", "float"],
+         {"bands": "3", "height": 3, "width": 4}, {"bands": 3, "height": 3, "width": 4.0},
+         {"bands": -3, "height": -3, "width": 4}],
+        ids=["bool", "fraction", "string", "float", "negative"],
     )
     def test_sidecar_dimensions_must_be_json_integers(self, tmp_path, header):
         # each header's int() values fit the 36 floats of the file, so a cast loads it
@@ -79,6 +80,12 @@ class TestHsiCube:
         (tmp_path / "cube.raw.json").write_text(json.dumps(header))
         with pytest.raises(ParseError, match="JSON integers"):
             load_cube(tmp_path / "cube.raw", format="raw-f32")
+
+    @pytest.mark.parametrize("height, width", [(0, 4), (2.0, 2), (True, 4), (2, np.float64(2.0))])
+    def test_height_and_width_are_positive_integers(self, height, width):
+        # a float or a bool is no grid size, though height * width may be N
+        with pytest.raises(ParamError, match="height and width must be positive integers"):
+            HsiCube(data=np.ones((2, 4)), height=height, width=width)
 
     def test_grid_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -233,6 +233,20 @@ class TestScenes:
             tracemalloc.stop()
         assert peak / (100 * 64 * 64 * 8) < 3.5
 
+    @pytest.mark.parametrize("M", [2.5, True, 1])
+    @pytest.mark.parametrize("build", ["generate_abundances", "build_simu1_scene",
+                                       "build_simu2_layout"])
+    def test_endmember_count_is_an_integer_from_two(self, build, M):
+        # a scene mixes at least two endmembers; a float or a bool is no count
+        lib = synthetic_library(band_count=20, entries=5, seed=1)
+        builds = {
+            "generate_abundances": lambda: generate_abundances(8, 8, M),
+            "build_simu1_scene": lambda: build_simu1_scene(lib, M, height=8, width=8),
+            "build_simu2_layout": lambda: build_simu2_layout(lib, M, height=8, width=8),
+        }
+        with pytest.raises(ParamError, match="endmember count M must be an integer >= 2"):
+            builds[build]()
+
     def test_scene_determinism(self):
         lib = synthetic_library(band_count=20, entries=5, seed=1)
         a = build_simu1_scene(lib, M=3, height=6, width=6, target_snr_db=25, seed=9)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import mognmf.graph as graph
 import mognmf.unmix as unmix
 from mognmf import workers
+from mognmf.cli import cmd_fuse
 from mognmf.errors import DataError, DivergenceError, InitError, ParamError, ShapeError
 from mognmf.fusion import update_weights
-from mognmf.graph import build_multi_order_graphs, spatial_weights
-from mognmf.hsi_core import HsiCube, UnmixParams
+from mognmf.graph import build_multi_order_graphs, spatial_weights, spectral_weights
+from mognmf.hsi_core import HsiCube, UnmixParams, save_cube
 from mognmf.metrics import match_endmembers
 from mognmf.simgen import build_simu1_scene, build_simu2_layout, synthetic_library
 from mognmf.unmix import (
@@ -592,9 +594,11 @@ class TestRunSolver:
         assert np.array_equal(relative.objective_trace, trace[: relative.iterations])
 
     def test_endmember_count_validated(self):
+        # a count outside [1, min(L, N)] breaks the count rule, which only the
+        # cube's shape decides: a ParamError, not an InitError
         scene = _pure_pixel_scene(seed=8, M=3)
         params = UnmixParams(seed=0)
-        with pytest.raises(InitError):
+        with pytest.raises(ParamError, match="endmember count"):
             run_solver(scene.cube, 999, SolverConfig(params=params, variant="nmf"))
 
     @pytest.mark.parametrize("M", [2.5, 3.0, True])
@@ -606,11 +610,20 @@ class TestRunSolver:
             run_solver(scene.cube, M, SolverConfig(params=UnmixParams(seed=0), variant=variant))
 
     def test_numpy_integer_endmember_count(self):
+        # np.int64(M) gives the bits of M at every entry point that takes M
         scene = _pure_pixel_scene(seed=8, M=3)
-        config = SolverConfig(params=UnmixParams(seed=0, t1=3))
-        got, want = run_solver(scene.cube, np.int64(3), config), run_solver(scene.cube, 3, config)
-        assert np.array_equal(got.endmembers, want.endmembers)
-        assert np.array_equal(got.abundances, want.abundances)
+        cube, params = scene.cube, UnmixParams(seed=0, t1=3, neighbors=4)
+        config = SolverConfig(params=params)
+        got, want = run_solver(cube, np.int64(3), config), run_solver(cube, 3, config)
+        for name in ("endmembers", "abundances", "noise", "objective_trace"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.iterations == want.iterations
+        assert np.array_equal(init_vca(cube, np.int64(3)), init_vca(cube, 3))
+        got, want = (build_multi_order_graphs(cube, M, params) for M in (np.int64(3), 3))
+        for g, w in zip(got.views, want.views, strict=True):
+            assert np.array_equal(g.W.toarray(), w.W.toarray()) and g.dims == w.dims
+        got, want = (consensus_graph(cube, M, params) for M in (np.int64(3), 3))
+        assert np.array_equal(got.H, want.H) and np.array_equal(got.Wm.coef, want.Wm.coef)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParamError):
@@ -763,6 +776,45 @@ class TestRunSolver:
                           out=np.zeros_like(norm_sq), where=norm_sq > 0)
         assert np.all((scale >= 0.0) & (scale <= 1.0 + 1e-15))
         assert np.abs(model.noise - scale[:, None] * T).max() <= 1e-15 * np.abs(X).max()
+
+
+_COUNT_PARAMS = UnmixParams(neighbors=4, t1=2)
+
+
+def _fuse(cube, M, tmp_path):
+    save_cube(cube, tmp_path / "cube.raw")
+    cmd_fuse(tmp_path / "cube.raw", M, tmp_path / "fusion", params=_COUNT_PARAMS)
+
+
+# every entry point that takes an endmember count M, as f(cube, M, tmp_path)
+_COUNT_ENTRY_POINTS = {
+    "init_vca": lambda cube, M, _: init_vca(cube, M),
+    "spectral_weights": lambda cube, M, _: spectral_weights(cube, M, _COUNT_PARAMS),
+    "build_multi_order_graphs":
+        lambda cube, M, _: build_multi_order_graphs(cube, M, _COUNT_PARAMS),
+    "consensus_graph": lambda cube, M, _: consensus_graph(cube, M, _COUNT_PARAMS),
+    "run_solver": lambda cube, M, _: run_solver(cube, M, SolverConfig(params=_COUNT_PARAMS)),
+    "cmd_fuse": _fuse,
+}
+
+
+class TestEndmemberCountRule:
+    # a 16-band cube of 3 x 4 pixels: min(L, N) = N = 12, so 13 is a count
+    # the bands alone would admit
+    @pytest.mark.parametrize("M", [2.5, 3.0, True, np.float64(3.0), 0, -1, 13],
+                             ids=["2.5", "3.0", "True", "float64", "0", "-1", "min_plus_1"])
+    @pytest.mark.parametrize("entry", list(_COUNT_ENTRY_POINTS))
+    def test_every_entry_point_rejects_a_bad_count(self, monkeypatch, tmp_path, entry, M):
+        # one ParamError naming the endmember count, before any graph is built
+        cube = _cube(np.random.default_rng(8).uniform(0.1, 1.0, size=(16, 12)), height=3)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(graph, "_heat_kernel", no_graph)
+        with pytest.raises(ParamError, match="endmember count M must be an integer"):
+            _COUNT_ENTRY_POINTS[entry](cube, M, tmp_path)
+        assert not (tmp_path / "fusion").exists()  # cmd_fuse leaves no --out
 
 
 class TestConsensusGraph:
