@@ -42,6 +42,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -50,12 +51,11 @@ import numpy as np
 from . import simgen
 from .errors import DivergenceError, ParamError, ShapeError, UnmixingError
 from .fusion import FusionState
-from .graph import neighbor_count
 from .hsi_core import CUBE_FORMATS, UnmixParams, load_cube, read_json_object, read_matrix
 # _Outputs.matrix calls write_matrix as _save_matrix, the name perfbench/worker.py traces
 from .hsi_core import save_abundance_maps, save_cube, write_matrix as _save_matrix
 from .metrics import evaluate_model
-from .unmix import INITS, VARIANTS, SolverConfig, consensus_graph, graph_orders
+from .unmix import INITS, VARIANTS, SolverConfig, check_run, consensus_graph, graph_orders
 from .unmix import run_solver
 from .workers import run_jobs, thread_cap
 
@@ -386,24 +386,38 @@ def cmd_fuse(
     )
 
 
-def _single_run(job: tuple) -> dict:
-    """One ablate/sweep run; ``job`` is (cmd_unmix arguments, truth dir, extra columns).
+@dataclass(frozen=True)
+class _Run:
+    """One ablate/sweep run: ``cmd_unmix`` into ``out_dir``, scored against ``truth_dir``."""
 
-    Returns the run's report.csv row plus the extra columns and the run's
-    ``peak_rss_mb``, its last manifest's, which no table writes.
-    """
-    unmix, truth_dir, extra = job
-    cmd_unmix(**unmix)
-    manifest, row = cmd_evaluate(unmix["out_dir"], truth_dir, unmix["out_dir"] / "eval")
-    return {**row, **extra, "peak_rss_mb": manifest["peak_rss_mb"]}
+    out_dir: Path
+    cube_path: Path
+    truth_dir: Path
+    m: int
+    variant: str
+    init: str
+    params: UnmixParams
+    columns: dict  # the study's own columns of the run's row: case, or lambda and beta
 
 
-def _check_neighbor_counts(jobs: list[tuple], n: int) -> None:
-    """Each graph run's neighbor counts against the ``n`` pixels of its scene."""
-    for unmix, _, _ in jobs:
-        if graph_orders(unmix["variant"], unmix["params"]):
-            for view in ("spatial", "spectral"):
-                neighbor_count(unmix["params"], view, n)
+def _single_run(run: _Run) -> dict:
+    """Makes ``run``: its report.csv row, its columns and its last manifest's ``peak_rss_mb``."""
+    cmd_unmix(run.cube_path, run.m, run.out_dir, run.variant, run.init, run.params)
+    manifest, row = cmd_evaluate(run.out_dir, run.truth_dir, run.out_dir / "eval")
+    return {**row, **run.columns, "peak_rss_mb": manifest["peak_rss_mb"]}
+
+
+def _check_runs(runs: list[_Run], shape: tuple, **lists) -> None:
+    """ParamError unless a run is made, no two share a directory and each passes ``check_run``."""
+    if not runs:
+        empty = [name for name, values in lists.items() if len(values) == 0]
+        raise ParamError(f"the study has no runs: empty {' and '.join(empty)}")
+    seen = set()
+    for run in runs:
+        if run.out_dir in seen:
+            raise ParamError(f"two runs write {run.out_dir}: a repeated or print-alike entry")
+        seen.add(run.out_dir)
+        check_run(shape, run.m, SolverConfig(run.params, run.variant, run.init))
 
 
 def cmd_ablate(
@@ -421,32 +435,25 @@ def cmd_ablate(
     IV = second-order graph only, V = first-order graph only; the order
     study reruns the full model with each K in 1..3 other than the
     configured one, whose rows are Case I.  Writes per-seed rows
-    plus a mean +/- std summary per (case, K).
+    plus a mean +/- std summary per (case, K).  The runs (``_check_runs``)
+    and then the truth are checked before any run.
     """
     out = _Outputs("ablate", locals())
     cap = thread_cap()
     cube = load_cube(cube_path)
-    m = cube.endmember_count(m)
+    cases = [(f"case{case}", case, variant, params.order) for case, variant in ABLATION_CASES]
+    # the configured K is the Case I row
+    cases += [(f"caseI_K{k}", "I", "mognmf", k) for k in sorted({1, 2, 3} - {params.order})]
+    runs = [_Run(out.dir / "runs" / f"{name}_seed{seed}", cube_path, truth_dir, m, variant,
+                 init, params.replace(seed=seed, order=order), {"case": case})
+            for seed in seeds for name, case, variant, order in cases]
+    _check_runs(runs, cube.data.shape, seeds=seeds)
     A_true, S_true = (read_matrix(Path(truth_dir) / name) for name in ("A_true.csv", "S_true.csv"))
     _check_truth(A_true, S_true, (cube.band_count, m, m, cube.pixel_count), f"the cube and --m {m}")
     # what each run's cmd_evaluate reads of the truth, checked before any run
     read_json_object(Path(truth_dir) / "manifest.json")
     evaluate_model(A_true, S_true, A_true, S_true)
-    runs = []  # (run name, case, variant, params)
-    for seed in seeds:
-        seeded = params.replace(seed=seed)
-        runs += [(f"case{case}_seed{seed}", case, variant, seeded)
-                 for case, variant in ABLATION_CASES]
-        # the configured K is the Case I row
-        runs += [(f"caseI_K{k}_seed{seed}", "I", "mognmf", seeded.replace(order=k))
-                 for k in sorted({1, 2, 3} - {params.order})]
-    jobs = [
-        (dict(cube_path=cube_path, m=m, out_dir=out.dir / "runs" / name, variant=variant,
-              init=init, params=p), truth_dir, {"case": case})
-        for name, case, variant, p in runs
-    ]
-    _check_neighbor_counts(jobs, cube.pixel_count)
-    rows = run_jobs(_single_run, jobs, cap)
+    rows = run_jobs(_single_run, runs, cap)
     out.table("ablation_runs.csv", ("case",) + EVAL_COLUMNS, rows)
 
     groups: dict = {}  # keyed by (case, K), K the integer graph order
@@ -485,36 +492,34 @@ def cmd_sweep(
     """Grid sweep over SNRs, seeds, variants, and optionally lambda/beta.
 
     The scene arguments (height to bands) are passed to cmd_simulate,
-    with its defaults.  One sweep.csv row per run: the eval columns
-    followed by the lambda and beta the run used.
+    with its defaults; ``lambdas``/``betas`` None is ``params``' value.
+    One sweep.csv row per run: the eval columns, then its lambda and beta.
+    The scene rules and the runs (``_check_runs``) are checked first.
     """
     out = _Outputs("sweep", locals())
-    lambdas = list(lambdas) if lambdas else [params.lam]
-    betas = list(betas) if betas else [params.beta]
-    scenes = {(snr, seed): out.dir / "scenes" / f"snr{snr:g}_seed{seed}"
-              for snr in snrs for seed in seeds}
-    runs = out.dir / "runs"
-    # every run's parameters (a graph run's neighbor counts against the scene's
-    # pixel count included), the scene's endmember count, every target SNR and
-    # the worker cap are validated before anything is written
-    jobs = [
-        (dict(cube_path=truth / "cube.raw", m=m,
-              out_dir=runs / f"snr{snr:g}_seed{seed}_{variant}_lam{lam:g}_beta{beta:g}",
-              variant=variant, init=init, params=params.replace(seed=seed, lam=lam, beta=beta)),
-         truth, {"lambda": f"{lam:g}", "beta": f"{beta:g}"})
-        for (snr, seed), truth in scenes.items()
-        for variant in variants for lam in lambdas for beta in betas
-    ]
-    _check_neighbor_counts(jobs, height * width)
+    lambdas = [params.lam] if lambdas is None else list(lambdas)
+    betas = [params.beta] if betas is None else list(betas)
+    scenes = [(snr, seed, out.dir / "scenes" / f"snr{snr:g}_seed{seed}")
+              for snr in snrs for seed in seeds]
+    runs = [_Run(out.dir / "runs" / f"{scene.name}_{v}_lam{lam:g}_beta{beta:g}", scene / "cube.raw",
+                 scene, m, v, init, params.replace(seed=seed, lam=lam, beta=beta),
+                 {"lambda": f"{lam:g}", "beta": f"{beta:g}"})
+            for _, seed, scene in scenes for v in variants for lam in lambdas for beta in betas]
+    # the scene rules first: M >= 2, a finite noise power, a grid and a library
     simgen.scene_endmember_count(m)
     for snr in snrs:
         simgen.power_ratio(snr)
+    if min(height, width) < 1:
+        raise ParamError("height and width must be positive")
+    library, _ = _resolve_library(library_path, bands, 0)
+    _check_runs(runs, (library.spectra.shape[0], height * width), snrs=snrs, seeds=seeds,
+                variants=variants, lambdas=lambdas, betas=betas)
     cap = thread_cap()
-    for (snr, seed), truth in scenes.items():
-        cmd_simulate(truth, preset=preset, m=m, snr_db=snr, seed=seed,
+    for snr, seed, scene in scenes:
+        cmd_simulate(scene, preset=preset, m=m, snr_db=snr, seed=seed,
                      height=height, width=width, smoothness=smoothness,
                      library_path=library_path, bands=bands)
-    rows = run_jobs(_single_run, jobs, cap)
+    rows = run_jobs(_single_run, runs, cap)
     out.table("sweep.csv", EVAL_COLUMNS + ("lambda", "beta"), rows)
     # the grid the runs used, never None
     return out.manifest(lambdas=lambdas, betas=betas, peaks=[row["peak_rss_mb"] for row in rows])
@@ -524,13 +529,8 @@ def cmd_sweep(
 # click wiring
 
 
-def _distinct(values: list, value: str) -> list:
-    """A list option's entries: at least one, none repeated."""
-    if not values:
-        raise click.BadParameter(f"expected at least one entry, got {value!r}")
-    if len(set(values)) != len(values):
-        raise click.BadParameter(f"repeated entry in {value!r}")
-    return values
+# The list callbacks only parse; what a study's lists must hold is checked
+# with its runs (_check_runs), for Python callers too.
 
 
 def _int_list(ctx, param, value) -> list[int]:
@@ -539,29 +539,21 @@ def _int_list(ctx, param, value) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(
             f"expected a range like 0..9 or a list like 0,3,7, got {value!r}"
         ) from exc
-    return _distinct(values, value)
 
 
 def _float_list(ctx, param, value) -> list[float] | None:
     if value is None:
         return None
     try:
-        values = [float(tok) for tok in value.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(f"expected a comma list of numbers, got {value!r}") from exc
-    if not np.isfinite(values).all():
-        raise click.BadParameter(f"non-finite entry in {value!r}")
-    # sweep run directories are named by f"{value:g}"
-    if len({f"{v:g}" for v in _distinct(values, value)}) != len(values):
-        raise click.BadParameter(f"entries of {value!r} print alike in run names")
-    return values
 
 
 def _reg_grid(ctx, param, value) -> list[float] | None:
@@ -571,11 +563,7 @@ def _reg_grid(ctx, param, value) -> list[float] | None:
 
 
 def _variant_list(ctx, param, value) -> list[str]:
-    variants = [v.strip() for v in value.split(",") if v.strip()]
-    for v in variants:
-        if v not in VARIANTS:
-            raise click.BadParameter(f"unknown variant {v!r}")
-    return _distinct(variants, value)
+    return [v.strip() for v in value.split(",") if v.strip()]
 
 
 def _sigma(ctx, param, value):

@@ -29,6 +29,7 @@ __all__ = [
     "HsiCube",
     "UnmixModel",
     "UnmixParams",
+    "endmember_count",
     "load_cube",
     "save_cube",
     "save_abundance_maps",
@@ -98,12 +99,7 @@ class HsiCube:
         return basis
 
     def endmember_count(self, M) -> int:
-        """``int(M)`` for an integer M (no bool) in [1, min(L, N)]; else ``ParamError``."""
-        top = min(self.data.shape)
-        if not _is_integer(M) or not 1 <= M <= top:
-            raise ParamError(f"endmember count M must be an integer in [1, min(L, N)={top}], "
-                             f"got {M!r}")
-        return int(M)
+        return endmember_count(M, self.data.shape)
 
 
 @dataclass(frozen=True)
@@ -145,6 +141,15 @@ class UnmixModel:
 def _is_integer(k) -> bool:
     """Whether ``k`` is a Python or numpy integer; a bool is none."""
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
+def endmember_count(M, shape) -> int:
+    """``int(M)`` for an integer M (no bool) in [1, min(L, N)] of an L x N ``shape``."""
+    top = min(shape)
+    if not _is_integer(M) or not 1 <= M <= top:
+        raise ParamError(f"endmember count M must be an integer in [1, min(L, N)={top}], "
+                         f"got {M!r}")
+    return int(M)
 
 
 # What each annotation in UnmixParams admits.  bool is not taken for a

@@ -46,9 +46,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, DivergenceError, InitError, ParamError, ShapeError
-from .graph import build_multi_order_graphs
+from .graph import build_multi_order_graphs, neighbor_count
 from .fusion import FusionState, fuse_graphs
-from .hsi_core import HsiCube, UnmixModel, UnmixParams
+from .hsi_core import HsiCube, UnmixModel, UnmixParams, endmember_count
 from .rng import substream
 from .workers import blas_pinned, pool_size
 
@@ -64,6 +64,7 @@ __all__ = [
     "update_noise",
     "consensus_graph",
     "graph_orders",
+    "check_run",
     "run_solver",
 ]
 
@@ -414,6 +415,17 @@ def consensus_graph(
     return replace(state, graph_workers=pool_size(), graph_ms=graph_ms)
 
 
+def check_run(shape: tuple, M, config: SolverConfig) -> int:
+    """``int(M)`` if a ``config`` run on an L x N ``shape`` passes ``hsi_core.endmember_count``
+    and, if it builds graphs, ``graph.neighbor_count`` (C < N) in both views; else ParamError.
+    """
+    M = endmember_count(M, shape)
+    if graph_orders(config.variant, config.params):
+        for view in ("spatial", "spectral"):
+            neighbor_count(config.params, view, shape[1])
+    return M
+
+
 def _initialize(cube: HsiCube, M: int, config: SolverConfig):
     p = config.params
     L, N = cube.data.shape
@@ -458,9 +470,9 @@ def run_solver(cube: HsiCube, M: int, config: SolverConfig) -> UnmixModel:
     so they are skipped, as is delta^2 for variants without sum-to-one.
     E is formed once, on exit.  Stops when the trace change drops below
     eps1 (relative to 1 + previous value, or absolute with the
-    corresponding flag) or after t1 iterations.  ``cube.endmember_count`` checks M.
+    corresponding flag) or after t1 iterations.  ``check_run`` checks M and C first.
     """
-    M = cube.endmember_count(M)
+    M = check_run(cube.data.shape, M, config)
     traits = _VARIANT_TRAITS[config.variant]
     p = config.params
     X = cube.data

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1195,6 +1196,84 @@ class TestSweep:
                           params=UnmixParams(t1=5, neighbors=4), height=6, width=6, bands=12)
         assert not out.exists()
 
+    @pytest.mark.parametrize("library", [False, True])
+    def test_endmember_count_above_the_bands_writes_nothing(self, tmp_path, monkeypatch, library):
+        # M = 5 passes the scene rule but not a 4-band scene's count rule
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        path = None
+        if library:
+            path = tmp_path / "library.csv"
+            lib = simgen.synthetic_library(band_count=4, entries=8, seed=0)
+            path.write_text("".join(f"{name}," + ",".join(f"{v:.17g}" for v in spectrum) + "\n"
+                                    for name, spectrum in zip(lib.names, lib.spectra.T)))
+        out = tmp_path / "sw"
+        with pytest.raises(ParamError, match=r"endmember count M must be an integer in \[1, "
+                                             r"min\(L, N\)=4\], got 5"):
+            cli.cmd_sweep(out, "simu1", 5, [30.0], [0], ["nmf"], bands=4, height=6, width=6,
+                          library_path=path)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scene, message",
+        [({"height": 0}, "height and width must be positive"),
+         ({"width": -2}, "height and width must be positive"),
+         ({"bands": 1}, "library needs >= 1 entry and >= 2 bands")],
+    )
+    def test_scene_rules_come_before_the_count_rule(self, tmp_path, monkeypatch, scene, message):
+        # a scene that cannot be made is named as such, not as an endmember count
+        # outside [1, min(L, N)] of its empty or one-band shape
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        out = tmp_path / "sw"
+        size = {"height": 6, "width": 6, "bands": 12, **scene}
+        with pytest.raises(ParamError, match=re.escape(message)):
+            cli.cmd_sweep(out, "simu1", 3, [30.0], [0], ["nmf"],
+                          params=UnmixParams(t1=5, neighbors=4), **size)
+        assert not out.exists()
+
+    def test_unknown_init_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        out = tmp_path / "sw"
+        with pytest.raises(ParamError, match="init must be one of"):
+            cli.cmd_sweep(out, "simu1", 3, [30.0], [0], ["nmf"], init="bogus",
+                          params=UnmixParams(t1=5, neighbors=4), height=6, width=6, bands=12)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, lists, message",
+        [
+            ("ablate", dict(seeds=[0, 0]), "caseI_seed0:"),
+            ("ablate", dict(seeds=[]), "empty seeds"),
+            ("sweep", dict(seeds=[0, 0]), "snr30_seed0_nmf_lam0.05_beta1.5:"),
+            ("sweep", dict(variants=["nmf", "nmf"]), "snr30_seed0_nmf_lam0.05_beta1.5:"),
+            ("sweep", dict(lambdas=[1e-7, 1.000001e-7]), "snr30_seed0_nmf_lam1e-07_beta1.5:"),
+            ("sweep", dict(betas=[1.0, 1.0000001]), "snr30_seed0_nmf_lam0.05_beta1:"),
+            ("sweep", dict(snrs=[30.0, 30.000001]), "snr30_seed0_nmf_lam0.05_beta1.5:"),
+            ("sweep", dict(snrs=[]), "empty snrs"),
+            ("sweep", dict(seeds=[]), "empty seeds"),
+            ("sweep", dict(variants=[]), "empty variants"),
+            ("sweep", dict(lambdas=[]), "empty lambdas"),
+        ],
+        ids=["ablate_repeated_seed", "ablate_no_seed", "repeated_seed", "repeated_variant",
+             "lambdas_print_alike", "betas_print_alike", "snrs_print_alike", "no_snr",
+             "no_seed", "no_variant", "no_lambda"],
+    )
+    def test_study_lists_checked_before_writing(self, tmp_path, monkeypatch, command, lists,
+                                                message):
+        # a Python caller's lists meet the rules the CLI's do: one run directory per
+        # run, and at least one run
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        out = tmp_path / "study"
+        params = UnmixParams(t1=5, neighbors=4)
+        with pytest.raises(ParamError, match=re.escape(message)):
+            if command == "ablate":
+                scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+                cmd_ablate(scene / "cube.raw", scene, out, m=3, params=params, **lists)
+            else:
+                study = {"snrs": [30.0], "seeds": [0], "variants": ["nmf"], **lists}
+                cli.cmd_sweep(out, "simu1", 3, params=params, height=6, width=6, bands=12,
+                              **study)
+        assert not out.exists()
+
     def test_bad_thread_env_rejected(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("MOGNMF_THREADS", "zero")
         scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
@@ -1437,6 +1516,7 @@ def test_unmix_and_evaluate_never_import_scipy_optimize(tmp_path):
 
 
 class TestOptions:
+    # a value the option cannot parse is click's usage error
     @pytest.mark.parametrize(
         "command, option, value",
         [
@@ -1444,20 +1524,7 @@ class TestOptions:
             ("sweep", "--snrs", "x"),
             ("sweep", "--seeds", "0..x"),
             ("sweep", "--lambdas", "foo"),
-            ("sweep", "--variants", "bogus"),
             ("unmix", "--sigma-s", "wide"),
-            ("sweep", "--variants", ","),
-            ("sweep", "--snrs", ","),
-            ("sweep", "--lambdas", ","),
-            ("ablate", "--seeds", ","),
-            ("ablate", "--seeds", "3..1"),
-            ("ablate", "--seeds", "0,0"),
-            ("sweep", "--variants", "nmf,nmf"),
-            ("sweep", "--lambdas", "0.1,0.1000001"),
-            ("sweep", "--snrs", "30,30.000001"),
-            ("sweep", "--lambdas", "nan"),
-            ("sweep", "--snrs", "inf"),
-            ("sweep", "--betas", "-inf"),
         ],
     )
     def test_malformed_value_exits_2(self, runner, tmp_path, command, option, value):
@@ -1473,6 +1540,46 @@ class TestOptions:
         assert result.exit_code == 2, result.output
         assert f"Invalid value for '{option}'" in result.output
         assert not (tmp_path / "out").exists()
+
+    # a parsed list a study cannot run is refused with its runs, as for a Python caller
+    @pytest.mark.parametrize(
+        "command, option, value, message",
+        [
+            ("sweep", "--variants", ",", "empty variants"),
+            ("sweep", "--snrs", ",", "empty snrs"),
+            ("sweep", "--lambdas", ",", "empty lambdas"),
+            ("ablate", "--seeds", ",", "empty seeds"),
+            ("ablate", "--seeds", "3..1", "empty seeds"),
+            ("ablate", "--seeds", "0,0", "caseI_seed0:"),
+            ("sweep", "--variants", "nmf,nmf", "snr30_seed0_nmf_lam0.05_beta1.5:"),
+            ("sweep", "--lambdas", "0.1,0.1000001", "snr30_seed0_nmf_lam0.1_beta1.5:"),
+            ("sweep", "--snrs", "30,30.000001", "snr30_seed0_nmf_lam0.05_beta1.5:"),
+            ("sweep", "--lambdas", "nan", "lam must be nonnegative and finite"),
+            ("sweep", "--snrs", "inf", "no finite positive noise power"),
+            ("sweep", "--betas", "-inf", "beta must be nonnegative and finite"),
+            ("sweep", "--variants", "bogus", "variant must be one of"),
+        ],
+    )
+    def test_study_list_rule_exits_2(
+        self, runner, tmp_path, monkeypatch, command, option, value, message
+    ):
+        monkeypatch.setenv("MOGNMF_THREADS", "1")
+        scene = _tiny_scene_dir(tmp_path, height=6, width=6, m=3)
+        required = {
+            "ablate": ["--cube", str(scene / "cube.raw"), "--truth", str(scene), "--m", "3",
+                       "--seeds", "0"],
+            "sweep": ["--m", "3", "--snrs", "30", "--seeds", "0", "--variants", "nmf",
+                      "--height", "6", "--width", "6", "--bands", "12"],
+        }[command]
+        out = tmp_path / "out"
+        # the option given last wins over its entry in ``required``
+        args = [command, *required, option, value, "--t1", "3", "--c", "4", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+        assert message in lines[0]
+        assert not out.exists()
 
     def test_one_flag_per_param_field_and_help(self, runner):
         fields = sorted(UnmixParams.__dataclass_fields__)

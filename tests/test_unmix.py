@@ -601,6 +601,30 @@ class TestRunSolver:
         with pytest.raises(ParamError, match="endmember count"):
             run_solver(scene.cube, 999, SolverConfig(params=params, variant="nmf"))
 
+    @pytest.mark.parametrize("M, neighbors", [(0, 4), (999, 4), (3, 40), (3, 400)])
+    def test_run_checked_before_gamma_and_graphs(self, monkeypatch, M, neighbors):
+        # check_run refuses a bad M or C >= N (here N = 36) before any of the run's work
+        def called(*args, **kwargs):
+            raise AssertionError("called before the run was checked")
+
+        monkeypatch.setattr(unmix, "estimate_gamma", called)
+        monkeypatch.setattr(unmix, "build_multi_order_graphs", called)
+        data = np.random.default_rng(0).uniform(0.1, 1.0, size=(12, 36))
+        data[5] = 0.0  # an all-zero band: estimate_gamma's DataError, were it reached
+        cube = _cube(data, height=6)
+        config = SolverConfig(params=UnmixParams(neighbors=neighbors))
+        match = "endmember count" if neighbors == 4 else "neighbor count"
+        with pytest.raises(ParamError, match=match):
+            run_solver(cube, M, config)
+        with pytest.raises(ParamError, match=match):
+            unmix.check_run(cube.data.shape, M, config)
+
+    def test_check_run_skips_neighbor_counts_without_a_graph(self):
+        # a graph-free variant, or lambda 0, builds no graph, so C is not read
+        for variant, lam in (("nmf", 0.05), ("snmf", 0.05), ("mognmf", 0.0)):
+            config = SolverConfig(UnmixParams(neighbors=40, lam=lam), variant)
+            assert unmix.check_run((12, 36), np.int64(3), config) == 3
+
     @pytest.mark.parametrize("M", [2.5, 3.0, True])
     @pytest.mark.parametrize("variant", ["nmf", "mognmf"])
     def test_endmember_count_is_an_integer(self, M, variant):
